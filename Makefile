@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag check
+.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag bench-e2e-smoke bench-gate check
 
 build:
 	$(GO) build ./...
@@ -138,4 +138,23 @@ bench-dag:
 	$(GO) run ./cmd/gksbench -exp dag -json-dir $$tmp > /dev/null && \
 	test -s $$tmp/BENCH_dag.json && echo "bench-dag: BENCH_dag.json OK" && rm -rf $$tmp
 
-check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag
+# The measurement spine (bench/, the harness behind BENCHMARK.json) is a
+# module of its own, outside ./..., so build, vet and test above never
+# reach it: an engine or server signature change could break it silently.
+# Vet it and run its tests (unit tests plus a scale-1, 1 s smoke of all
+# four workloads against a real gksd).
+bench-e2e-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The regression gate: measure the checkout into $(NEW), then compare it
+# with $(BASE) under the bounds of BENCHMARK.json (exit 1 and the row's
+# name on a regression). Make $(BASE) on the parent commit with
+# `bash bench/run.sh -aa 2 -out <file>`, so its own spread is known. The
+# defaults sit in the git-ignored build directory of run.sh.
+BASE ?= .bench_build/base.json
+NEW ?= .bench_build/new.json
+bench-gate:
+	bash bench/run.sh -out $(NEW)
+	bash bench/run.sh -compare $(BASE) $(NEW)
+
+check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag bench-e2e-smoke

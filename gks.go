@@ -404,16 +404,15 @@ func (s *System) SearchBestEffort(query string) (*Response, error) {
 	return s.engine.SearchBestEffort(ParseQuery(query))
 }
 
-// SearchTopK returns the k highest-ranked response nodes, pruning
-// candidates whose rank upper bound (their distinct-keyword count) cannot
-// reach the top k.
+// SearchTopK returns the k highest-ranked response nodes: the k-prefix of
+// Search's response, with only those k results materialised.
 func (s *System) SearchTopK(query string, threshold, k int) (*Response, error) {
 	return s.engine.SearchTopK(ParseQuery(query), threshold, k)
 }
 
 // SearchContext is Search honoring cancellation and deadlines from ctx.
 // Cancellation is cooperative: the engine polls ctx inside the S_L merge,
-// the window scan and the ranking loop, so a timed-out request frees its
+// the window scan and the rank sweep, so a timed-out request frees its
 // CPU at the next checkpoint rather than completing in the background.
 func (s *System) SearchContext(ctx context.Context, query string, threshold int) (*Response, error) {
 	return s.engine.SearchCtx(ctx, ParseQuery(query), threshold)

@@ -40,6 +40,14 @@ type queryArena struct {
 	maskStack []maskOpen
 	// witStack is the pending-candidate stack of the witness filter.
 	witStack []*candidate
+	// rankNext, rankFrames, rankSlots and rankKeys are the columns of the
+	// rank sweep (rankAll): the terminal-list links, one per S_L entry, the
+	// open-candidate stack with |Q| slots per level, and one sort key per
+	// scored candidate. rankAll resets them itself.
+	rankNext   []int32
+	rankFrames []rankFrame
+	rankSlots  []rankSlot
+	rankKeys   []rankKey
 }
 
 // acquireArena returns a pooled arena, growing a fresh one on a cold pool.

@@ -5,15 +5,17 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/merge"
+	"repro/internal/rank"
 )
 
 // SearchBaseline executes the query with the pre-overhaul pipeline kept
 // verbatim from the original implementation: a container/heap k-way merge,
 // map-keyed scratch tables (lcpCounts, byOrd), one *candidate allocation
-// per distinct lifted node and a fresh S_L slice per query. It exists for
-// two reasons: the property tests diff the arena-based hot path against it
-// (the responses must be identical), and the query benchmarks measure
-// their speedup/allocation claims against it.
+// per distinct lifted node, a fresh S_L slice per query and one
+// rank.Scorer call per survivor. It exists for two reasons: the property
+// tests diff the arena-based hot path and its one-sweep rank stage against
+// it (the responses must be identical, ranks bit for bit), and the query
+// benchmarks measure their speedup/allocation claims against it.
 func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -108,13 +110,17 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 		finalize(top)
 	}
 
-	// 5. Rank the survivors.
+	// 5. Rank the survivors one by one with the reference scorer, each over
+	// its own S_L slice, and order the response with a comparison sort.
+	scorer := rank.Scorer{IX: e.ix}
 	for _, c := range cands {
 		if !c.survives {
 			continue
 		}
-		resp.Results = append(resp.Results, e.rankCandidate(c, sl))
+		start, end := e.ix.SubtreeRange(c.ord)
+		lo, hi := merge.OrdRange(sl, start, end)
+		resp.Results = append(resp.Results, e.resultOf(c, scorer.Score(c.ord, c.mask, sl[lo:hi])))
 	}
-	sortResults(resp.Results)
+	sort.Slice(resp.Results, func(i, j int) bool { return ResultBefore(resp.Results[i], resp.Results[j]) })
 	return resp, nil
 }

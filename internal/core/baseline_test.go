@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// requireSameResponse diffs two responses field by field (Stages excluded:
-// timings are never part of the search contract).
+// requireSameResponse diffs two responses field by field, ranks bit for bit
+// (Stages excluded: timings are never part of the search contract).
 func requireSameResponse(t *testing.T, label string, got, want *Response) {
 	t.Helper()
 	if got.S != want.S || got.SLSize != want.SLSize {
@@ -21,17 +22,58 @@ func requireSameResponse(t *testing.T, label string, got, want *Response) {
 	}
 	for i := range want.Results {
 		g, w := got.Results[i], want.Results[i]
-		if g.Ord != w.Ord || g.Label != w.Label || g.IsEntity != w.IsEntity ||
-			g.Mask != w.Mask || g.KeywordCount != w.KeywordCount ||
-			g.LCPCount != w.LCPCount || g.Rank != w.Rank {
+		if g.Ord != w.Ord || g.ID.String() != w.ID.String() || g.Label != w.Label ||
+			g.IsEntity != w.IsEntity || g.Mask != w.Mask || g.KeywordCount != w.KeywordCount ||
+			g.LCPCount != w.LCPCount || math.Float64bits(g.Rank) != math.Float64bits(w.Rank) {
 			t.Fatalf("%s: result %d = %+v, want %+v", label, i, g, w)
 		}
 	}
 }
 
-// TestSearchMatchesBaseline is the tentpole's oracle: the arena-based hot
-// path must produce responses identical to the retained seed pipeline
-// across random corpora, thresholds and result limits.
+// requireMatchesBaseline holds every ranked entry point of the flat and the
+// packed engine over ix against the retained seed pipeline, whose ranks come
+// from rank.Scorer one candidate at a time: Search and Explain must equal it,
+// and SearchTopK must equal its k-prefix around both ends of |R|.
+func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query) {
+	t.Helper()
+	flat := NewEngine(ix)
+	for s := 1; s <= q.Len(); s++ {
+		want, err := flat.SearchBaseline(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want.Results)
+		for name, eng := range map[string]*Engine{"flat": flat, "packed": NewEngine(ix.Pack())} {
+			label := fmt.Sprintf("%s %s s=%d", label, name, s)
+			got, err := eng.Search(q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResponse(t, label, got, want)
+			ex, err := eng.Explain(q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResponse(t, label+" explain", ex.Response, want)
+			for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+				topk, err := eng.SearchTopK(q, s, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix := *want
+				if k > 0 && k < n {
+					prefix.Results = want.Results[:k]
+				}
+				requireSameResponse(t, fmt.Sprintf("%s topk=%d", label, k), topk, &prefix)
+			}
+		}
+	}
+}
+
+// TestSearchMatchesBaseline is the hot path's oracle: the arena-based
+// pipeline and its one-sweep rank stage must produce responses identical to
+// the retained seed pipeline across random corpora, thresholds and result
+// limits.
 func TestSearchMatchesBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 150; trial++ {
@@ -40,31 +82,7 @@ func TestSearchMatchesBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngine(ix)
-		q := NewQuery("apple", "pear", "plum", "fig")
-		for s := 1; s <= 4; s++ {
-			want, err := eng.SearchBaseline(q, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Search(q, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResponse(t, fmt.Sprintf("trial %d s=%d", trial, s), got, want)
-
-			for _, k := range []int{1, 2, 5} {
-				topk, err := eng.SearchTopK(q, s, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				truncated := *want
-				if len(truncated.Results) > k {
-					truncated.Results = truncated.Results[:k]
-				}
-				requireSameResponse(t, fmt.Sprintf("trial %d s=%d topk=%d", trial, s, k), topk, &truncated)
-			}
-		}
+		requireMatchesBaseline(t, fmt.Sprintf("trial %d", trial), ix, NewQuery("apple", "pear", "plum", "fig"))
 	}
 }
 

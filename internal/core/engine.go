@@ -4,20 +4,17 @@ import (
 	"context"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/merge"
-	"repro/internal/rank"
 )
 
 // Engine runs GKS searches against a built index.
 type Engine struct {
-	ix     *index.Index
-	scorer rank.Scorer
+	ix *index.Index
 	// arenas pools per-query scratch state (see queryArena); the engine's
 	// index is immutable, so pooled arenas always match its node count.
 	arenas sync.Pool
@@ -25,7 +22,7 @@ type Engine struct {
 
 // NewEngine wraps ix in a search engine.
 func NewEngine(ix *index.Index) *Engine {
-	return &Engine{ix: ix, scorer: rank.Scorer{IX: ix}}
+	return &Engine{ix: ix}
 }
 
 // Index exposes the underlying index (used by the analysis engine).
@@ -134,34 +131,28 @@ func (e *Engine) Search(q Query, s int) (*Response, error) {
 
 // SearchCtx is Search honoring cancellation and deadlines from ctx. The
 // pipeline polls ctx periodically — inside the S_L merge, the window scan
-// and the ranking loop — so an expired request stops burning CPU at the
+// and the rank sweep — so an expired request stops burning CPU at the
 // next checkpoint instead of completing a doomed search on a detached
 // goroutine. A cancelled search returns ctx.Err() and no response.
 func (e *Engine) SearchCtx(ctx context.Context, q Query, s int) (*Response, error) {
+	return e.search(ctx, q, s, 0)
+}
+
+// search runs the candidate stages, then the one rank stage every ranked
+// entry point shares (§5); k > 0 keeps only the k first results.
+func (e *Engine) search(ctx context.Context, q Query, s, k int) (*Response, error) {
 	resp, cands, a, err := e.collectCandidates(ctx, q, s)
 	if err != nil || len(cands) == 0 {
 		return resp, err
 	}
 	defer e.releaseArena(a)
-	// Rank every survivor with the potential-flow model and order the
-	// response (§5).
 	start := time.Now()
-	resp.Results = make([]Result, 0, len(cands))
-	for i, c := range cands {
-		if i&rankCheckMask == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		resp.Results = append(resp.Results, e.rankCandidate(c, a.sl))
+	if resp.Results, err = e.rankAll(ctx, a, cands, q.Len(), k); err != nil {
+		return nil, err
 	}
-	sortResults(resp.Results)
 	resp.Stages.Rank = time.Since(start)
 	return resp, nil
 }
-
-// rankCheckMask spaces the cancellation polls of the ranking loops: one
-// check every 256 candidates keeps the overhead invisible while a single
-// candidate's terminal scan stays bounded by its subtree.
-const rankCheckMask = 1<<8 - 1
 
 // collectCandidates runs stages 1–4 of the pipeline (merge, windows,
 // lifting, witness filter) and returns the surviving candidates in
@@ -405,44 +396,14 @@ func computeMasks(ix *index.Index, cands []*candidate, sl []merge.Entry, scratch
 	return stack
 }
 
-// rankCandidate scores one surviving candidate (§5) and builds its Result.
-func (e *Engine) rankCandidate(c *candidate, sl []merge.Entry) Result {
-	start, end := e.ix.SubtreeRange(c.ord)
-	lo, hi := merge.OrdRange(sl, start, end)
-	return Result{
-		Ord:          c.ord,
-		ID:           e.ix.IDOf(c.ord),
-		Label:        e.ix.LabelOf(c.ord),
-		IsEntity:     c.isEntity,
-		Mask:         c.mask,
-		KeywordCount: bits.OnesCount64(c.mask),
-		LCPCount:     c.lcp,
-		Rank:         e.scorer.Score(c.ord, c.mask, sl[lo:hi]),
-	}
-}
-
-// sortResults orders results by rank, keyword count, then document order.
-func sortResults(results []Result) {
-	sort.SliceStable(results, func(i, j int) bool {
-		a, b := results[i], results[j]
-		if a.Rank != b.Rank {
-			return a.Rank > b.Rank
-		}
-		if a.KeywordCount != b.KeywordCount {
-			return a.KeywordCount > b.KeywordCount
-		}
-		return a.Ord < b.Ord
-	})
-}
-
 // ResultBefore reports whether a precedes b in response order: rank
 // descending, then keyword count descending, then global document order.
 // The final key compares Dewey IDs rather than ordinals, so the order is
 // well defined across results drawn from different index shards — within a
 // single index the two orders coincide because pre-order ordinals equal
 // Dewey order. The sharded scatter-gather merge uses it to interleave
-// per-shard ranked lists into exactly the order sortResults produces on
-// the equivalent single index.
+// per-shard ranked lists into exactly the order of the equivalent single
+// index.
 func ResultBefore(a, b Result) bool {
 	if a.Rank != b.Rank {
 		return a.Rank > b.Rank

@@ -60,8 +60,8 @@ func (e *Engine) Explain(q Query, s int) (*Explanation, error) {
 }
 
 // ExplainCtx is Explain honoring ctx: the diagnostic pre-pass checks for
-// cancellation between stages, and the embedded real search propagates
-// ctx into the candidate pipeline exactly like SearchCtx. The shard
+// cancellation between stages, and the embedded real search is SearchCtx
+// itself, polls in the candidate stages and the rank sweep included. The shard
 // scatter-gather relies on this to cancel sibling explains when one
 // shard fails.
 func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, error) {
@@ -110,11 +110,11 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 		return nil, err
 	}
 
-	resp, cands, arena, err := e.collectCandidates(ctx, q, s)
+	resp, err := e.SearchCtx(ctx, q, s)
 	if err != nil {
 		return nil, err
 	}
-	ex.Survivors = len(cands)
+	ex.Survivors = len(resp.Results) // every survivor is ranked into the response
 	// Candidate statistics require the pre-filter view; recompute cheaply
 	// from the LCP set.
 	seen := map[int32]bool{}
@@ -142,16 +142,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 		}
 	}
 
-	if len(cands) > 0 {
-		start := time.Now()
-		resp.Results = make([]Result, 0, len(cands))
-		for _, c := range cands {
-			resp.Results = append(resp.Results, e.rankCandidate(c, arena.sl))
-		}
-		sortResults(resp.Results)
-		resp.Stages.Rank = time.Since(start)
-		e.releaseArena(arena)
-	}
 	ex.Stages = resp.Stages
 	ex.MergeTime = resp.Stages.Merge
 	ex.ScanTime = resp.Stages.Windows + resp.Stages.Lift + resp.Stages.Filter

@@ -1,20 +1,15 @@
 package core
 
-import (
-	"context"
-	"math/bits"
-	"sort"
-	"time"
-)
+import "context"
 
 // Extensions beyond the paper's §4 pipeline: best-effort thresholding and
-// top-k retrieval with rank-bound pruning. Both build on the same
-// candidate stages as Search and return paper-identical results.
+// top-k retrieval. Both build on the same candidate stages and the same
+// rank stage as Search and return paper-identical results.
 
 // SearchBestEffort finds the largest threshold s for which R_Q(s) is
 // non-empty and returns that response. By Lemma 2, non-emptiness is
 // monotone in s (|R_Q(s1)| ≤ |R_Q(s2)| for s1 > s2), so a binary search
-// over s ∈ [1, |Q|] locates the boundary in O(log |Q|) searches. This is
+// over s ∈ [1, |Q|] locates the boundary in O(log |Q|) probes. This is
 // "best-effort AND semantics": the engine honors as much of the query as
 // the data supports, which is exactly how the paper motivates relaxing
 // AND-semantics for imperfect queries (§1.1).
@@ -22,171 +17,61 @@ func (e *Engine) SearchBestEffort(q Query) (*Response, error) {
 	return e.SearchBestEffortCtx(context.Background(), q)
 }
 
-// SearchBestEffortCtx is SearchBestEffort honoring ctx; each probe search
-// of the binary scan is individually cancellable.
+// SearchBestEffortCtx is SearchBestEffort honoring ctx; each probe of the
+// binary scan is individually cancellable.
 func (e *Engine) SearchBestEffortCtx(ctx context.Context, q Query) (*Response, error) {
-	return BestEffort(ctx, q, func(ctx context.Context, s int) (*Response, error) {
-		return e.SearchCtx(ctx, q, s)
-	})
+	return BestEffort(ctx, q,
+		func(ctx context.Context, s int) (bool, error) { return e.HasResultsCtx(ctx, q, s) },
+		func(ctx context.Context, s int) (*Response, error) { return e.SearchCtx(ctx, q, s) })
 }
 
-// BestEffort runs the best-effort threshold scan over any search function:
-// it finds the largest s ∈ [1, |Q|] for which search(s) returns a
-// non-empty response, by binary search (non-emptiness is monotone in s,
-// Lemma 2). It is shared between the single-index engine and the sharded
-// scatter-gather searcher so both implement identical best-effort
+// HasResultsCtx reports whether R_Q(s) is non-empty. It runs the candidate
+// stages alone: every survivor of the witness filter is a response node,
+// so ranking cannot change the answer.
+func (e *Engine) HasResultsCtx(ctx context.Context, q Query, s int) (bool, error) {
+	_, cands, a, err := e.collectCandidates(ctx, q, s)
+	if a != nil {
+		e.releaseArena(a)
+	}
+	return len(cands) > 0, err
+}
+
+// BestEffort runs the best-effort threshold scan: it finds the largest
+// s ∈ [1, |Q|] for which nonEmpty(s) holds, by binary search (Lemma 2),
+// and returns search(s) — so only the chosen threshold is ranked. s = 1 is
+// never probed: when no higher threshold matches it is the answer whether
+// or not it is empty. It is shared between the single-index engine and the
+// sharded scatter-gather searcher so both implement identical best-effort
 // semantics.
-func BestEffort(ctx context.Context, q Query, search func(ctx context.Context, s int) (*Response, error)) (*Response, error) {
+func BestEffort(ctx context.Context, q Query, nonEmpty func(ctx context.Context, s int) (bool, error), search func(ctx context.Context, s int) (*Response, error)) (*Response, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	lo, hi := 1, q.Len() // invariant: R(lo) known non-empty or lo==1 untested
-	best, err := search(ctx, lo)
-	if err != nil {
-		return nil, err
-	}
-	if len(best.Results) == 0 {
-		return best, nil // nothing matches at all
-	}
+	lo, hi := 1, q.Len() // invariant: R(lo) known non-empty or lo == 1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		resp, err := search(ctx, mid)
+		ok, err := nonEmpty(ctx, mid)
 		if err != nil {
 			return nil, err
 		}
-		if len(resp.Results) > 0 {
-			lo, best = mid, resp
+		if ok {
+			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	return best, nil
+	return search(ctx, lo)
 }
 
 // SearchTopK returns the k highest-ranked response nodes for the query at
-// threshold s. It prunes with the rank upper bound rank(e) ≤ P|e (the
-// potential-flow rank can never exceed the initial potential, i.e. the
-// candidate's distinct-keyword count): candidates are visited in
-// decreasing keyword count, and scoring stops once k results are in hand
-// and the next candidate's upper bound cannot beat the current k-th rank.
-// For selective queries this skips the expensive per-candidate terminal
-// scan for the long tail of 1-keyword candidates.
+// threshold s: Search(q, s).Results[:k], from the same rank sweep, with a
+// bounded selection over the sort keys in place of the full sort and only
+// k results materialised. k <= 0 returns the whole response.
 func (e *Engine) SearchTopK(q Query, s, k int) (*Response, error) {
 	return e.SearchTopKCtx(context.Background(), q, s, k)
 }
 
 // SearchTopKCtx is SearchTopK honoring ctx.
 func (e *Engine) SearchTopKCtx(ctx context.Context, q Query, s, k int) (*Response, error) {
-	resp, cands, a, err := e.collectCandidates(ctx, q, s)
-	if err != nil || len(cands) == 0 {
-		return resp, err
-	}
-	defer e.releaseArena(a)
-	start := time.Now()
-	sl := a.sl
-	if k <= 0 || k >= len(cands) {
-		// No pruning opportunity: rank everything.
-		resp.Results = make([]Result, 0, len(cands))
-		for i, c := range cands {
-			if i&rankCheckMask == 0 && ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			resp.Results = append(resp.Results, e.rankCandidate(c, sl))
-		}
-		sortResults(resp.Results)
-		if k > 0 && len(resp.Results) > k {
-			resp.Results = resp.Results[:k]
-		}
-		resp.Stages.Rank = time.Since(start)
-		return resp, nil
-	}
-
-	// Visit candidates by decreasing upper bound (distinct keyword count).
-	order := make([]*candidate, len(cands))
-	copy(order, cands)
-	sort.SliceStable(order, func(i, j int) bool {
-		return bits.OnesCount64(order[i].mask) > bits.OnesCount64(order[j].mask)
-	})
-
-	// Maintain the running top k in a bounded min-heap whose root is the
-	// *worst* kept result under the response order: a full heap admits a
-	// newly ranked result only if it beats the root, and the pruning bound
-	// (the k-th rank) is the root's rank. O(n log k) maintenance versus
-	// the previous full re-sort after every accepted candidate
-	// (O(n·k log k)); the response order is total (ordinals are unique),
-	// so the kept set — and therefore the output — is byte-identical.
-	h := make([]Result, 0, k)
-	var kthRank float64
-	for i, c := range order {
-		if i&rankCheckMask == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		upper := float64(bits.OnesCount64(c.mask))
-		if len(h) == k && upper < kthRank {
-			break // no remaining candidate can enter the top k
-		}
-		r := e.rankCandidate(c, sl)
-		if len(h) < k {
-			h = append(h, r)
-			topkSiftUp(h, len(h)-1)
-		} else if resultWorse(h[0], r) {
-			h[0] = r
-			topkSiftDown(h, 0)
-		}
-		if len(h) == k {
-			kthRank = h[0].Rank
-		}
-	}
-	// Heap-sort in place: popping the worst to the back leaves the heap
-	// best-first — exactly the sortResults order.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		topkSiftDown(h[:n], 0)
-	}
-	resp.Results = h
-	resp.Stages.Rank = time.Since(start)
-	return resp, nil
-}
-
-// resultWorse reports whether a orders after b in the response (rank asc,
-// keyword count asc, ordinal desc — the inverse of sortResults). It is a
-// total order because candidate ordinals are unique.
-func resultWorse(a, b Result) bool {
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
-	}
-	if a.KeywordCount != b.KeywordCount {
-		return a.KeywordCount < b.KeywordCount
-	}
-	return a.Ord > b.Ord
-}
-
-// topkSiftUp restores the worst-at-root heap invariant after appending at i.
-func topkSiftUp(h []Result, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !resultWorse(h[i], h[parent]) {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// topkSiftDown restores the worst-at-root heap invariant after replacing h[i].
-func topkSiftDown(h []Result, i int) {
-	for {
-		worst := i
-		if l := 2*i + 1; l < len(h) && resultWorse(h[l], h[worst]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < len(h) && resultWorse(h[r], h[worst]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
+	return e.search(ctx, q, s, k)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/index"
@@ -99,7 +98,7 @@ func TestExample5Ranks(t *testing.T) {
 			t.Errorf("unexpected node %s in response", r.Label)
 			continue
 		}
-		if math.Abs(r.Rank-want) > 1e-9 {
+		if r.Rank != want { // 3, 2.5 and 2 are sums of exact quotients
 			t.Errorf("rank(%s) = %v, want %v (Example 5)", r.Label, r.Rank, want)
 		}
 	}

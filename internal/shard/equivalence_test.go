@@ -185,17 +185,19 @@ func TestShardedSearchEquivalence(t *testing.T) {
 				di.DiscoverIndexed(func(core.Result) *index.Index { return ix }, want, 5),
 				set.Insights(got, 5))
 
-			// Top-k for a handful of k, including k > |R| and k = 1.
-			for _, k := range []int{1, 3, 17} {
-				wantK, err := eng.SearchTopK(q, s, k)
-				if err != nil {
-					t.Fatal(err)
+			// Top-k is the k-prefix of the full response, around both ends
+			// of |R|; k <= 0 asks for everything.
+			n := len(want.Results)
+			for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+				wantK := *want
+				if k > 0 && k < n {
+					wantK.Results = want.Results[:k]
 				}
 				gotK, err := set.SearchTopK(queryStr, s, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResponse(t, fmt.Sprintf("%s k=%d", label, k), wantK, gotK)
+				sameResponse(t, fmt.Sprintf("%s k=%d", label, k), &wantK, gotK)
 			}
 		}
 

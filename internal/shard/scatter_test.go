@@ -154,45 +154,25 @@ func TestScatterCancelledIsNotPartial(t *testing.T) {
 // TestBestEffortPartialProbes: if ANY probe of the best-effort threshold
 // scan came back partial, the final response must be flagged partial —
 // a degraded probe can make a non-empty threshold look empty and steer
-// the scan to a lower s, so even a final probe that succeeded on every
+// the scan to a lower s, so even a final search that succeeded on every
 // shard is not a complete answer.
 func TestBestEffortPartialProbes(t *testing.T) {
 	q := core.NewQuery("apple", "pear", "plum")
-	mk := func(n int, partial bool) *core.Response {
-		r := &core.Response{Query: q, S: 1, Partial: partial}
-		for i := 0; i < n; i++ {
-			r.Results = append(r.Results, core.Result{})
+	search := func(_ context.Context, s int) (*core.Response, error) {
+		return &core.Response{Query: q, S: s, Results: make([]core.Result, 3)}, nil
+	}
+	// Every probe above s=1 looks empty, so the scan settles on s=1, where
+	// every shard answered.
+	for _, degraded := range []bool{true, false} {
+		resp, err := bestEffortPartialAware(context.Background(), q, func(_ context.Context, s int) (bool, bool, error) {
+			return false, degraded, nil
+		}, search)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return r
-	}
-
-	// The probe at threshold 2 is degraded and looks empty, so the scan
-	// settles on s=1 where every shard answered: still flagged partial.
-	resp, err := bestEffortPartialAware(context.Background(), q, func(_ context.Context, s int) (*core.Response, error) {
-		if s >= 2 {
-			return mk(0, true), nil
+		if resp.S != 1 || resp.Partial != degraded {
+			t.Fatalf("degraded probes = %v: scan returned S=%d Partial=%v", degraded, resp.S, resp.Partial)
 		}
-		return mk(3, false), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Partial {
-		t.Fatal("best-effort scan with a partial probe returned an unflagged response")
-	}
-
-	// Every probe complete: the flag stays off.
-	resp, err = bestEffortPartialAware(context.Background(), q, func(_ context.Context, s int) (*core.Response, error) {
-		if s >= 2 {
-			return mk(0, false), nil
-		}
-		return mk(3, false), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Partial {
-		t.Fatal("healthy best-effort scan flagged partial")
 	}
 }
 

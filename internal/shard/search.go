@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,39 +54,46 @@ func (s *Set) SearchBestEffort(query string) (*core.Response, error) {
 // SearchBestEffortContext is SearchBestEffort honoring ctx.
 func (s *Set) SearchBestEffortContext(ctx context.Context, query string) (*core.Response, error) {
 	q := core.ParseQuery(query)
-	return bestEffortPartialAware(ctx, q, func(ctx context.Context, threshold int) (*core.Response, error) {
-		return s.SearchQueryCtx(ctx, q, threshold)
-	})
+	return bestEffortPartialAware(ctx, q,
+		func(ctx context.Context, threshold int) (bool, bool, error) {
+			// A probe runs every shard's candidate stages and ranks nothing.
+			hits, partial, err := scatterShards(ctx, s, func(ctx context.Context, eng *core.Engine) (bool, error) {
+				return eng.HasResultsCtx(ctx, q, threshold)
+			})
+			return slices.Contains(hits, true), partial, err
+		},
+		func(ctx context.Context, threshold int) (*core.Response, error) {
+			return s.SearchQueryCtx(ctx, q, threshold)
+		})
 }
 
 // bestEffortPartialAware runs the core.BestEffort threshold scan over
-// search, flagging the final response partial when any probe in the scan
-// was partial: under AllowPartial, a degraded probe can make a non-empty threshold
-// look empty and steer the scan to a lower s than a healthy set would
-// settle on — so even a final probe that succeeded on every shard is not
-// trustworthy as a complete answer.
-func bestEffortPartialAware(ctx context.Context, q core.Query, search func(context.Context, int) (*core.Response, error)) (*core.Response, error) {
+// probe (non-empty, partial) and search, flagging the final response
+// partial when any probe in the scan was partial: under AllowPartial, a
+// degraded probe can make a non-empty threshold look empty and steer the
+// scan to a lower s than a healthy set would settle on — so even a final
+// search that succeeded on every shard is not trustworthy as a complete
+// answer.
+func bestEffortPartialAware(ctx context.Context, q core.Query, probe func(context.Context, int) (nonEmpty, partial bool, err error), search func(context.Context, int) (*core.Response, error)) (*core.Response, error) {
 	anyPartial := false
-	resp, err := core.BestEffort(ctx, q, func(ctx context.Context, threshold int) (*core.Response, error) {
-		r, err := search(ctx, threshold)
-		if err == nil && r.Partial {
-			anyPartial = true
-		}
-		return r, err
-	})
+	resp, err := core.BestEffort(ctx, q, func(ctx context.Context, threshold int) (bool, error) {
+		nonEmpty, partial, err := probe(ctx, threshold)
+		anyPartial = anyPartial || (err == nil && partial)
+		return nonEmpty, err
+	}, search)
 	if err != nil || resp == nil {
 		return resp, err
 	}
 	if anyPartial {
-		// Probe responses are freshly allocated per scatter-gather merge,
-		// so the flag can be set in place.
+		// Responses are freshly allocated per scatter-gather merge, so the
+		// flag can be set in place.
 		resp.Partial = true
 	}
 	return resp, nil
 }
 
 // SearchTopK returns the k highest-ranked response nodes. Each shard
-// computes its own top k with rank-bound pruning; the global top k is a
+// computes its own top k; the global top k is a
 // prefix of the merge of per-shard top-k lists, because every global
 // top-k result is by definition within the top k of its own shard.
 func (s *Set) SearchTopK(query string, threshold, k int) (*core.Response, error) {
