@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag bench-e2e-smoke bench-gate check
+.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-e2e-smoke bench-spine bench-gate check
 
 build:
 	$(GO) build ./...
@@ -84,60 +84,6 @@ replica-smoke:
 shard-race:
 	$(GO) test -race -count=1 ./internal/shard/... ./internal/server/...
 
-# One-shot parallel-build benchmark smoke: runs the shard experiment at
-# the default scale and checks it completes and emits the JSON artifact
-# (speedup numbers are only meaningful at -scale 10+ on a quiet machine;
-# see BENCH_shard.json for the recorded run).
-bench-smoke:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp shard -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_shard.json && echo "bench-smoke: BENCH_shard.json OK" && rm -rf $$tmp
-
-# One-shot query hot-path smoke: the merge and search benchmarks at
-# -benchtime=1x prove they still run, and the query experiment must emit
-# its JSON artifact (speedup/alloc numbers are only meaningful at
-# -scale 10 on a quiet machine; see BENCH_query.json for the recorded
-# run).
-bench-query:
-	$(GO) test -run '^$$' -bench 'BenchmarkMergeLoserTree|BenchmarkSearchHotPath|BenchmarkSearchTopK' -benchtime=1x ./internal/merge ./internal/core
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp query -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_query.json && echo "bench-query: BENCH_query.json OK" && rm -rf $$tmp
-
-# One-shot ingest-throughput smoke: runs the snapshot-vs-WAL durability
-# experiment and checks it completes and emits the JSON artifact (the
-# recorded speedup lives in BENCH_ingest.json).
-bench-ingest:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp ingest -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_ingest.json && echo "bench-ingest: BENCH_ingest.json OK" && rm -rf $$tmp
-
-# One-shot replicated-serving smoke: runs the read scale-out experiment
-# over a live leader + followers and checks it completes and emits the
-# JSON artifact (scale-out numbers are only meaningful across real
-# machines; see the Mode note inside BENCH_replica.json).
-bench-replica:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp replica -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_replica.json && echo "bench-replica: BENCH_replica.json OK" && rm -rf $$tmp
-
-# One-shot segment-serving smoke: runs the GKS4-vs-GKS3 boot/memory/
-# latency experiment at the default scale and checks it emits the JSON
-# artifact (the recorded scale-10 run lives in BENCH_segment.json).
-bench-segment:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp segment -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_segment.json && echo "bench-segment: BENCH_segment.json OK" && rm -rf $$tmp
-
-# One-shot DAG-compression smoke: runs the flat-vs-packed node-table
-# experiment (which diffs every query's responses between the two engines
-# as it measures) and checks it emits the JSON artifact (the recorded
-# scale-10 run lives in BENCH_dag.json).
-bench-dag:
-	@tmp=$$(mktemp -d) && \
-	$(GO) run ./cmd/gksbench -exp dag -json-dir $$tmp > /dev/null && \
-	test -s $$tmp/BENCH_dag.json && echo "bench-dag: BENCH_dag.json OK" && rm -rf $$tmp
-
 # The measurement spine (bench/, the harness behind BENCHMARK.json) is a
 # module of its own, outside ./..., so build, vet and test above never
 # reach it: an engine or server signature change could break it silently.
@@ -145,6 +91,13 @@ bench-dag:
 # four workloads against a real gksd).
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# One command regenerates every system-level number README.md and
+# DESIGN.md quote: all four workloads, end to end and per layer (traced
+# run), into the committed BENCH_spine.json (about two minutes; the
+# envelope records commit, CPU and seed).
+bench-spine:
+	bash bench/run.sh -out BENCH_spine.json
 
 # The regression gate: measure the checkout into $(NEW), then compare it
 # with $(BASE) under the bounds of BENCHMARK.json (exit 1 and the row's
@@ -157,4 +110,4 @@ bench-gate:
 	bash bench/run.sh -out $(NEW)
 	bash bench/run.sh -compare $(BASE) $(NEW)
 
-check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-smoke bench-query bench-ingest bench-replica bench-segment bench-dag bench-e2e-smoke
+check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-e2e-smoke

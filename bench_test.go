@@ -6,7 +6,6 @@ package gks_test
 // GKS_BENCH_SCALE (default 1).
 
 import (
-	"bytes"
 	"os"
 	"strconv"
 	"testing"
@@ -247,35 +246,6 @@ func BenchmarkSchemaCategorization(b *testing.B) {
 			b.Fatal("bad categorization")
 		}
 	}
-}
-
-// BenchmarkIndexFormats compares gob (v1) and binary (v2) index decode.
-func BenchmarkIndexFormats(b *testing.B) {
-	ix, err := index.Build(datagen.Repo(datagen.SwissProt(datagen.Config{Seed: 42, Scale: benchScale()})), index.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gobBuf, binBuf bytes.Buffer
-	if err := ix.Save(&gobBuf); err != nil {
-		b.Fatal(err)
-	}
-	if err := ix.SaveBinary(&binBuf); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decode-gob", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := index.Load(bytes.NewReader(gobBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := index.Load(bytes.NewReader(binBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkParallelIndexBuild compares serial and parallel multi-document

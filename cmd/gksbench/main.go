@@ -1,307 +1,134 @@
 // Command gksbench regenerates the tables and figures of the paper's
 // evaluation (Agarwal et al., EDBT 2016, §7) over the synthetic dataset
 // analogs. Each experiment prints the same rows/series the paper reports,
-// alongside the paper's numbers where applicable.
+// alongside the paper's numbers where applicable. System-level numbers
+// (boot, residency, ingest throughput, stage split) are not measured
+// here: they are spine metrics of bench/run.sh.
 //
 // Usage:
 //
-//	gksbench [-scale N] [-exp name] [-json-dir DIR]
+//	gksbench [-scale N] [-exp name[,name...]]
 //
-// Experiments: table1, table4, table5, table7, table8, fig8, fig9, fig10,
-// fig8s, refine, feedback, hybrid, naive, schema, formats, meaning, fslca,
-// recursive, shard, query, ingest, replica, segment, dag, or "all"
-// (default).
-//
-// With -json-dir every experiment additionally writes its typed rows as
-// BENCH_<name>.json into the directory — a machine-readable record of the
-// run for regression tracking, alongside the human-readable tables.
+// Experiments: table1, table4, table5, fig8, fig8s, fig9, fig10, table7,
+// table8, refine, feedback, hybrid, naive, schema, meaning, recursive,
+// fslca, or "all" (default). An unknown name is an error (exit 2).
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	scale := flag.Int("scale", 1, "dataset scale factor")
-	exp := flag.String("exp", "all", "experiment to run (comma separated), or 'all'")
-	jsonDir := flag.String("json-dir", "", "also write each experiment's rows as BENCH_<name>.json into this directory")
-	flag.Parse()
+// An experiment is one §7 table, figure or walkthrough: run computes its
+// rows over the suite's datasets and prints them under a "== … ==" header.
+type experiment struct {
+	name string
+	run  func(s *experiments.Suite, out io.Writer) error
+}
 
-	wanted := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		wanted[strings.TrimSpace(e)] = true
+// show builds an experiment's run from its header and its compute and
+// print halves.
+func show[T any](header string, compute func(*experiments.Suite) (T, error), print func(io.Writer, T)) func(*experiments.Suite, io.Writer) error {
+	return func(s *experiments.Suite, out io.Writer) error {
+		v, err := compute(s)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "== %s ==\n", header)
+		print(out, v)
+		return nil
 	}
-	all := wanted["all"]
-	run := func(name string) bool { return all || wanted[name] }
+}
+
+// experimentList is every experiment, in the order "all" runs them.
+var experimentList = []experiment{
+	{"table1", show("Table 1: GKS vs ELCA vs SLCA on the Figure 1 tree",
+		func(*experiments.Suite) ([]experiments.Table1Row, error) { return experiments.Table1() }, experiments.PrintTable1)},
+	{"table4", show("Table 4: index size and preparation time",
+		(*experiments.Suite).Table4, experiments.PrintTable4)},
+	{"table5", show("Table 5: distribution of XML elements over node categories",
+		(*experiments.Suite).Table5, experiments.PrintTable5)},
+	{"fig8", show("Figure 8: response time vs merged list size (n=8)",
+		(*experiments.Suite).Figure8, experiments.PrintRTPoints)},
+	{"fig8s", show("Figure 8 (sampled workload)",
+		func(s *experiments.Suite) ([]experiments.RTPoint, error) { return s.Figure8Sampled(8) }, experiments.PrintFigure8Sampled)},
+	{"fig9", show("Figure 9: response time vs keywords in query (n)",
+		(*experiments.Suite).Figure9, experiments.PrintRTPoints)},
+	{"fig10", show("Figure 10: scalability over replicated datasets",
+		(*experiments.Suite).Figure10, experiments.PrintFigure10)},
+	{"table7", show("Table 7: comparison with SLCA and rank score",
+		(*experiments.Suite).Table7, experiments.PrintTable7)},
+	{"table8", show("Table 8: DI discovered for different queries",
+		(*experiments.Suite).Table8, experiments.PrintTable8)},
+	{"refine", show("Section 7.4: DI-driven query refinement",
+		(*experiments.Suite).Refinement, experiments.PrintRefinement)},
+	{"feedback", show("Section 7.5: simulated crowd feedback (GKS vs SLCA)",
+		(*experiments.Suite).Feedback, experiments.PrintFeedback)},
+	{"hybrid", show("Section 7.6: hybrid queries over merged repositories",
+		(*experiments.Suite).Hybrid, experiments.PrintHybrid)},
+	{"naive", show("Lemma 3 ablation",
+		(*experiments.Suite).NaiveAblation, experiments.PrintNaiveAblation)},
+	{"schema", show("Schema-aware categorization ablation (§2.2 future work)",
+		(*experiments.Suite).SchemaAblation, experiments.PrintSchemaAblation)},
+	{"meaning", show("Meaningfulness: precision/recall vs SLCA (§1.2)",
+		(*experiments.Suite).Meaningfulness, experiments.PrintMeaningfulness)},
+	{"recursive", show("Recursive DI rounds (§2.3)",
+		func(s *experiments.Suite) ([]experiments.RecursiveDIRound, error) { return s.RecursiveDI(3) }, experiments.PrintRecursiveDI)},
+	{"fslca", show("FSLCA (simplified MESSIAH) comparison (§7.3)",
+		(*experiments.Suite).FSLCA, experiments.PrintFSLCA)},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, runs the wanted
+// experiments onto out and returns the exit code (2 for a usage error,
+// 1 for a failed experiment).
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("gksbench", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	scale := fs.Int("scale", 1, "dataset scale factor")
+	exp := fs.String("exp", "all", "experiment to run (comma separated), or 'all'")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	names := make([]string, len(experimentList))
+	known := map[string]bool{"all": true}
+	for i, e := range experimentList {
+		names[i] = e.name
+		known[e.name] = true
+	}
+	wanted := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			fmt.Fprintf(errOut, "gksbench: unknown experiment %q; valid names: %s, all\n", name, strings.Join(names, ", "))
+			return 2
+		}
+		wanted[name] = true
+	}
 
 	s := experiments.NewSuite(*scale)
-	out := os.Stdout
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "gksbench: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	// emit records an experiment's typed result as BENCH_<name>.json.
-	emit := func(name string, v any) {
-		if *jsonDir == "" {
-			return
+	for _, e := range experimentList {
+		if !wanted["all"] && !wanted[e.name] {
+			continue
 		}
-		data, err := json.MarshalIndent(map[string]any{
-			"experiment": name,
-			"scale":      *scale,
-			"result":     v,
-		}, "", "  ")
-		if err != nil {
-			fail(name, err)
+		if err := e.run(s, out); err != nil {
+			fmt.Fprintf(errOut, "gksbench: %s: %v\n", e.name, err)
+			return 1
 		}
-		path := filepath.Join(*jsonDir, "BENCH_"+name+".json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fail(name, err)
-		}
-	}
-
-	if run("table1") {
-		rows, err := experiments.Table1()
-		if err != nil {
-			fail("table1", err)
-		}
-		fmt.Fprintln(out, "== Table 1: GKS vs ELCA vs SLCA on the Figure 1 tree ==")
-		emit("table1", rows)
-		experiments.PrintTable1(out, rows)
 		fmt.Fprintln(out)
 	}
-	if run("table4") {
-		rows, err := s.Table4()
-		if err != nil {
-			fail("table4", err)
-		}
-		fmt.Fprintln(out, "== Table 4: index size and preparation time ==")
-		emit("table4", rows)
-		experiments.PrintTable4(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("table5") {
-		rows, err := s.Table5()
-		if err != nil {
-			fail("table5", err)
-		}
-		fmt.Fprintln(out, "== Table 5: distribution of XML elements over node categories ==")
-		emit("table5", rows)
-		experiments.PrintTable5(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("fig8") {
-		points, err := s.Figure8()
-		if err != nil {
-			fail("fig8", err)
-		}
-		emit("fig8", points)
-		experiments.PrintRTPoints(out, "== Figure 8: response time vs merged list size (n=8) ==", points)
-		fmt.Fprintln(out)
-	}
-	if run("fig8s") {
-		points, err := s.Figure8Sampled(8)
-		if err != nil {
-			fail("fig8s", err)
-		}
-		fmt.Fprintln(out, "== Figure 8 (sampled workload) ==")
-		emit("fig8s", points)
-		experiments.PrintFigure8Sampled(out, points)
-		fmt.Fprintln(out)
-	}
-	if run("fig9") {
-		points, err := s.Figure9()
-		if err != nil {
-			fail("fig9", err)
-		}
-		emit("fig9", points)
-		experiments.PrintRTPoints(out, "== Figure 9: response time vs keywords in query (n) ==", points)
-		fmt.Fprintln(out)
-	}
-	if run("fig10") {
-		points, err := s.Figure10()
-		if err != nil {
-			fail("fig10", err)
-		}
-		fmt.Fprintln(out, "== Figure 10: scalability over replicated datasets ==")
-		emit("fig10", points)
-		experiments.PrintFigure10(out, points)
-		fmt.Fprintln(out)
-	}
-	if run("table7") {
-		rows, err := s.Table7()
-		if err != nil {
-			fail("table7", err)
-		}
-		fmt.Fprintln(out, "== Table 7: comparison with SLCA and rank score ==")
-		emit("table7", rows)
-		experiments.PrintTable7(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("table8") {
-		rows, err := s.Table8()
-		if err != nil {
-			fail("table8", err)
-		}
-		fmt.Fprintln(out, "== Table 8: DI discovered for different queries ==")
-		emit("table8", rows)
-		experiments.PrintTable8(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("refine") {
-		r, err := s.Refinement()
-		if err != nil {
-			fail("refine", err)
-		}
-		fmt.Fprintln(out, "== Section 7.4: DI-driven query refinement ==")
-		emit("refine", r)
-		experiments.PrintRefinement(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("feedback") {
-		rows, err := s.Feedback()
-		if err != nil {
-			fail("feedback", err)
-		}
-		fmt.Fprintln(out, "== Section 7.5: simulated crowd feedback (GKS vs SLCA) ==")
-		emit("feedback", rows)
-		experiments.PrintFeedback(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("hybrid") {
-		r, err := s.Hybrid()
-		if err != nil {
-			fail("hybrid", err)
-		}
-		fmt.Fprintln(out, "== Section 7.6: hybrid queries over merged repositories ==")
-		emit("hybrid", r)
-		experiments.PrintHybrid(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("naive") {
-		rows, err := s.NaiveAblation()
-		if err != nil {
-			fail("naive", err)
-		}
-		fmt.Fprintln(out, "== Lemma 3 ablation ==")
-		emit("naive", rows)
-		experiments.PrintNaiveAblation(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("schema") {
-		rows, err := s.SchemaAblation()
-		if err != nil {
-			fail("schema", err)
-		}
-		fmt.Fprintln(out, "== Schema-aware categorization ablation (§2.2 future work) ==")
-		emit("schema", rows)
-		experiments.PrintSchemaAblation(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("meaning") {
-		rows, err := s.Meaningfulness()
-		if err != nil {
-			fail("meaning", err)
-		}
-		fmt.Fprintln(out, "== Meaningfulness: precision/recall vs SLCA (§1.2) ==")
-		emit("meaning", rows)
-		experiments.PrintMeaningfulness(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("recursive") {
-		rows, err := s.RecursiveDI(3)
-		if err != nil {
-			fail("recursive", err)
-		}
-		fmt.Fprintln(out, "== Recursive DI rounds (§2.3) ==")
-		emit("recursive", rows)
-		experiments.PrintRecursiveDI(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("fslca") {
-		rows, err := s.FSLCA()
-		if err != nil {
-			fail("fslca", err)
-		}
-		fmt.Fprintln(out, "== FSLCA (simplified MESSIAH) comparison (§7.3) ==")
-		emit("fslca", rows)
-		experiments.PrintFSLCA(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("formats") {
-		rows, err := s.IndexFormats()
-		if err != nil {
-			fail("formats", err)
-		}
-		fmt.Fprintln(out, "== Index persistence format comparison ==")
-		emit("formats", rows)
-		experiments.PrintIndexFormats(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("shard") {
-		r, err := experiments.ShardBench(*scale, []int{2, 4, 8}, 5)
-		if err != nil {
-			fail("shard", err)
-		}
-		fmt.Fprintln(out, "== Sharded index: parallel build and scatter-gather search ==")
-		emit("shard", r)
-		experiments.PrintShardBench(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("ingest") {
-		r, err := experiments.IngestBench(*scale, []int{1, 4, 16}, 48)
-		if err != nil {
-			fail("ingest", err)
-		}
-		fmt.Fprintln(out, "== Live ingestion: snapshot-per-mutation vs WAL group commit ==")
-		emit("ingest", r)
-		experiments.PrintIngestBench(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("query") {
-		r, err := s.QueryBench(5)
-		if err != nil {
-			fail("query", err)
-		}
-		fmt.Fprintln(out, "== Query hot path: seed pipeline vs loser-tree merge + query arena ==")
-		emit("query", r)
-		experiments.PrintQueryBench(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("replica") {
-		r, err := experiments.ReplicaBench(*scale, []int{1, 2, 4}, 16, 4000)
-		if err != nil {
-			fail("replica", err)
-		}
-		fmt.Fprintln(out, "== Replicated serving: read scale-out across WAL-shipped replicas ==")
-		emit("replica", r)
-		experiments.PrintReplicaBench(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("segment") {
-		r, err := experiments.SegmentBench(*scale, 0)
-		if err != nil {
-			fail("segment", err)
-		}
-		fmt.Fprintln(out, "== Segment serving: GKS4 block-compressed segments vs GKS3 in-memory snapshots ==")
-		emit("segment", r)
-		experiments.PrintSegmentBench(out, r)
-		fmt.Fprintln(out)
-	}
-	if run("dag") {
-		r, err := experiments.DAGBench(*scale)
-		if err != nil {
-			fail("dag", err)
-		}
-		fmt.Fprintln(out, "== DAG-compressed node table: flat vs packed across duplicate-subtree fractions ==")
-		emit("dag", r)
-		experiments.PrintDAGBench(out, r)
-		fmt.Fprintln(out)
-	}
+	return 0
 }

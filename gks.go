@@ -211,8 +211,8 @@ func IndexFilesStreaming(paths ...string) (*System, error) {
 // paths use it to distinguish a bad snapshot from a missing one.
 var ErrCorruptIndex = index.ErrCorrupt
 
-// LoadIndex restores a system from an index previously written with
-// SaveIndex. Result chunks (Chunk) are unavailable without the documents.
+// LoadIndex restores a system from an index stream of any eager format
+// (SaveSnapshot's GKS3, bare GKSI, or a legacy gob image). Result chunks (Chunk) are unavailable without the documents.
 func LoadIndex(r io.Reader) (*System, error) {
 	ix, err := index.Load(r)
 	if err != nil {
@@ -304,14 +304,11 @@ func (s *System) Packed() *System {
 	return newSystem(s.ix.Pack(), s.repo)
 }
 
-// SaveIndex persists the index ("a onetime activity", §2.4) in the legacy
-// gob format. Prefer SaveIndexFile, which writes the checksummed snapshot
-// format; LoadIndex and LoadIndexFile read both.
-func (s *System) SaveIndex(w io.Writer) error { return s.ix.Save(w) }
-
-// SaveIndexFile persists the index to a file in the checksummed snapshot
-// format (v3), atomically: a crash or full disk mid-save never destroys a
-// previous snapshot at path.
+// SaveIndexFile persists the index ("a onetime activity", §2.4) to a file
+// in the checksummed snapshot format (v3), atomically: a crash or full
+// disk mid-save never destroys a previous snapshot at path. The legacy gob
+// format is import-only: LoadIndex and LoadIndexFile still read it,
+// nothing writes it.
 func (s *System) SaveIndexFile(path string) error { return s.ix.SaveFile(path) }
 
 // SaveSnapshot streams the index in the checksummed snapshot format (v3)

@@ -129,7 +129,7 @@ func TestBaselines(t *testing.T) {
 func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	sys := university(t)
 	var buf bytes.Buffer
-	if err := sys.SaveIndex(&buf); err != nil {
+	if err := sys.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadIndex(&buf)
@@ -308,7 +308,7 @@ func TestFacadeXPath(t *testing.T) {
 	}
 	// Index-only systems cannot evaluate XPath.
 	var buf bytes.Buffer
-	if err := sys.SaveIndex(&buf); err != nil {
+	if err := sys.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadIndex(&buf)

@@ -46,13 +46,13 @@ func TestFullPipeline(t *testing.T) {
 			t.Fatalf("%s: stream index: %v", name, err)
 		}
 
-		// 3. Persist in the compact binary format and reload. SaveIndex
-		// writes the raw v2 binary image; SaveIndexFile wraps it in the
-		// checksummed v3 envelope. Exercise both through the
+		// 3. Persist in the checksummed v3 snapshot format and reload:
+		// SaveSnapshot streams the bytes, SaveIndexFile writes them with
+		// the atomic-file discipline. Exercise both through the
 		// auto-detecting loader.
 		ixPath := filepath.Join(dir, name+".gksidx")
 		var buf bytes.Buffer
-		if err := streamed.SaveIndex(&buf); err != nil {
+		if err := streamed.SaveSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(ixPath, buf.Bytes(), 0o644); err != nil {

@@ -472,8 +472,8 @@ func intersectSorted(a, b []int32) []int32 {
 // binary-searching it back to an ordinal (which allocates the prefix path
 // on every block), the ancestor is found by walking the parent pointers of
 // the node table: equalize depths, then step both sides in lockstep. The
-// baseline pipeline retains the Dewey-prefix variant (lcpNodeDewey), so
-// the differential tests cross-check two independent LCA constructions.
+// test oracle (SearchBaseline) retains the Dewey-prefix variant, so the
+// differential tests cross-check two independent LCA constructions.
 func (e *Engine) lcpNode(a, b int32) (int32, bool) {
 	ix := e.ix
 	da, db := ix.DepthOf(a), ix.DepthOf(b)
@@ -493,17 +493,4 @@ func (e *Engine) lcpNode(a, b int32) (int32, bool) {
 		a, b = pa, pb
 	}
 	return a, true
-}
-
-// lcpNodeDewey is the seed implementation of lcpNode: compute the longest
-// common Dewey prefix, then resolve it to an ordinal by binary search.
-func (e *Engine) lcpNodeDewey(a, b int32) (int32, bool) {
-	if a == b {
-		return a, true
-	}
-	lca, ok := dewey.LCA(e.ix.IDOf(a), e.ix.IDOf(b))
-	if !ok {
-		return 0, false
-	}
-	return e.ix.OrdinalOf(lca)
 }

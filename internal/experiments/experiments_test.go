@@ -313,7 +313,7 @@ func TestFigure8LinearInSL(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintRTPoints(&buf, "Figure 8", points)
+	PrintRTPoints(&buf, points)
 	if !strings.Contains(buf.String(), "S_L") {
 		t.Error("print output incomplete")
 	}
@@ -403,30 +403,6 @@ func TestSchemaAblation(t *testing.T) {
 	var buf bytes.Buffer
 	PrintSchemaAblation(&buf, rows)
 	if !strings.Contains(buf.String(), "schema") {
-		t.Error("print output incomplete")
-	}
-}
-
-func TestIndexFormats(t *testing.T) {
-	s := suite(t)
-	rows, err := s.IndexFormats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.Equivalent {
-			t.Errorf("%s: formats decode to different indexes", r.Dataset)
-		}
-		if r.BinBytes >= r.GobBytes {
-			t.Errorf("%s: binary (%d) should beat gob (%d)", r.Dataset, r.BinBytes, r.GobBytes)
-		}
-	}
-	var buf bytes.Buffer
-	PrintIndexFormats(&buf, rows)
-	if !strings.Contains(buf.String(), "binary") {
 		t.Error("print output incomplete")
 	}
 }

@@ -103,8 +103,7 @@ func (s *Suite) Figure9() ([]RTPoint, error) {
 }
 
 // PrintRTPoints renders Figure 8/9 series.
-func PrintRTPoints(w io.Writer, title string, points []RTPoint) {
-	fmt.Fprintln(w, title)
+func PrintRTPoints(w io.Writer, points []RTPoint) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Dataset\tQuery\tn\t|S_L|\tResponse Time\tResults")
 	for _, p := range points {

@@ -126,7 +126,8 @@ func LinearFit(points []RTPoint) (slopeNsPerEntry, r float64) {
 
 // PrintFigure8Sampled renders the sampled series with the linear fit.
 func PrintFigure8Sampled(w io.Writer, points []RTPoint) {
-	PrintRTPoints(w, "Figure 8 (sampled queries): response time vs |S_L|, n=8", points)
+	fmt.Fprintln(w, "Figure 8 (sampled queries): response time vs |S_L|, n=8")
+	PrintRTPoints(w, points)
 	byDataset := map[string][]RTPoint{}
 	for _, p := range points {
 		byDataset[p.Dataset] = append(byDataset[p.Dataset], p)

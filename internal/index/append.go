@@ -64,26 +64,6 @@ func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Ind
 	return appendMerged(ix, partial)
 }
 
-// AppendAsFullRepack is AppendAs with the delta-maintaining pack disabled:
-// a packed base is flattened, spliced and re-packed from scratch, exactly
-// the pre-delta behavior. It exists as the benchmark baseline (the cost
-// the delta path removes) and as a differential oracle — the two paths
-// must agree on the compacted observable state.
-func AppendAsFullRepack(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
-	if ix == nil {
-		return nil, fmt.Errorf("index: append to nil index")
-	}
-	ix, err := ix.Materialized()
-	if err != nil {
-		return nil, err
-	}
-	partial, err := BuildDocumentAs(doc, docID, opts)
-	if err != nil {
-		return nil, err
-	}
-	return appendMerged(ix, partial)
-}
-
 // appendMerged is the legacy splice: flatten (compacting tombstones),
 // merge the flat tables, and re-pack when the base was packed.
 func appendMerged(ix, partial *Index) (*Index, error) {

@@ -24,18 +24,15 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestLoadAutoDetectsBinary(t *testing.T) {
 	ix := buildFig2a(t)
-	var bin, gob bytes.Buffer
+	var bin bytes.Buffer
 	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(&gob); err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := Load(&bin)
 	if err != nil {
 		t.Fatalf("auto-detect binary: %v", err)
 	}
-	fromGob, err := Load(&gob)
+	fromGob, err := Load(bytes.NewReader(gobV1Image(t, ix)))
 	if err != nil {
 		t.Fatalf("auto-detect gob: %v", err)
 	}
@@ -65,18 +62,16 @@ func TestBinarySmallerThanGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bin, gobBuf bytes.Buffer
+	var bin bytes.Buffer
 	if err := ix.SaveBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= gobBuf.Len() {
-		t.Errorf("binary format (%d bytes) should beat gob (%d bytes)", bin.Len(), gobBuf.Len())
+	gobLen := len(gobV1Image(t, ix))
+	if bin.Len() >= gobLen {
+		t.Errorf("binary format (%d bytes) should beat gob (%d bytes)", bin.Len(), gobLen)
 	}
 	t.Logf("binary %d bytes vs gob %d bytes (%.1f%%)",
-		bin.Len(), gobBuf.Len(), 100*float64(bin.Len())/float64(gobBuf.Len()))
+		bin.Len(), gobLen, 100*float64(bin.Len())/float64(gobLen))
 }
 
 func TestBinaryLoadErrors(t *testing.T) {

@@ -19,10 +19,8 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var gob, bin, snap, binP, snapP bytes.Buffer
-	if err := ix.Save(&gob); err != nil {
-		f.Fatal(err)
-	}
+	var bin, snap, binP, snapP bytes.Buffer
+	gob := bytes.NewBuffer(gobV1Image(f, ix))
 	if err := ix.SaveBinary(&bin); err != nil {
 		f.Fatal(err)
 	}

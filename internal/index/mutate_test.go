@@ -226,10 +226,7 @@ func TestSaveCompactsTombstones(t *testing.T) {
 	}
 	want := del.Compacted()
 
-	var gob, bin, snap bytes.Buffer
-	if err := del.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
+	var bin, snap bytes.Buffer
 	if err := del.SaveBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +234,6 @@ func TestSaveCompactsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, load := range map[string]func() (*Index, error){
-		"gob":      func() (*Index, error) { return Load(&gob) },
 		"binary":   func() (*Index, error) { return LoadBinary(&bin) },
 		"snapshot": func() (*Index, error) { return Load(&snap) },
 	} {

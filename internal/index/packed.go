@@ -486,55 +486,11 @@ func lastComp(n *NodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
 
 // --- accounting ---------------------------------------------------------
 
-// PackInfo summarizes a packed node table for benchmarks and stats tools.
-type PackInfo struct {
-	// Nodes is the total element-node count; SpineNodes of them are stored
-	// individually, the rest are covered by Instances of Shapes distinct
-	// deduplicated subtrees (ShapeNodes node records shared among them).
-	Nodes, SpineNodes, Instances, Shapes, ShapeNodes int
-	// Values is the interned distinct-value count, ValueBytes the arena
-	// size.
-	Values, ValueBytes int
-	// DeltaNodes and DeltaDocs count what the delta-maintaining append
-	// added since the last full pack; DeadNodes counts tombstoned
-	// ordinals still physically present. (DeltaNodes+DeadNodes)/Nodes is
-	// the pack debt (see Index.PackDebt) the repack policy thresholds on.
-	DeltaNodes, DeltaDocs, DeadNodes int
-}
-
-// PackedInfo returns the dedup summary of a packed index, or a zero value
-// and false on a flat one.
-func (ix *Index) PackedInfo() (PackInfo, bool) {
-	p := ix.packed
-	if p == nil {
-		return PackInfo{}, false
-	}
-	dead := 0
-	if ix.tomb != nil {
-		for _, r := range ix.tomb.dead {
-			dead += int(r[1] - r[0])
-		}
-	}
-	return PackInfo{
-		Nodes:      len(p.ordInst),
-		SpineNodes: len(p.spLabel),
-		Instances:  len(p.inStart),
-		Shapes:     len(p.shOff) - 1,
-		ShapeNodes: len(p.shLabel),
-		Values:     len(p.valOff) - 1,
-		ValueBytes: len(p.valArena),
-		DeltaNodes: p.deltaNodes,
-		DeltaDocs:  p.deltaDocs,
-		DeadNodes:  dead,
-	}, true
-}
-
 // NodeTableBytes returns the exact heap footprint of the node table's
 // backing storage: for a packed index the sum of its arrays, for a flat
 // one the NodeInfo structs plus every per-node Dewey path backing array
-// and value string. This is the "node table" column of the segment and
-// DAG benchmarks — computed, not sampled, so it is stable across GC
-// timing.
+// and value string. This is the benchmark's index.node_table_mib —
+// computed, not sampled, so it is stable across GC timing.
 func (ix *Index) NodeTableBytes() int64 {
 	if p := ix.packed; p != nil {
 		b := int64(len(p.ordInst)) * 4

@@ -95,13 +95,10 @@ func TestPackAccessorsMatchFlat(t *testing.T) {
 			}
 			assertAccessorsEqual(t, flat, packed)
 
-			info, ok := packed.PackedInfo()
-			if !ok {
-				t.Fatal("PackedInfo must report on a packed index")
-			}
+			p := packed.packed
 			t.Logf("%s: %d nodes → %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B); %d B vs flat %d B",
-				name, info.Nodes, info.SpineNodes, info.Instances, info.Shapes, info.ShapeNodes,
-				info.Values, info.ValueBytes, packed.NodeTableBytes(), flat.NodeTableBytes())
+				name, len(p.ordInst), len(p.spLabel), len(p.inStart), len(p.shOff)-1, len(p.shLabel),
+				len(p.valOff)-1, len(p.valArena), packed.NodeTableBytes(), flat.NodeTableBytes())
 		})
 	}
 }
@@ -152,9 +149,8 @@ func TestPackedDedupsReplicatedDocs(t *testing.T) {
 	// into instances of the first replica's shape.
 	flat := packedCorpora(t)["replicated"]
 	packed := flat.Pack()
-	info, _ := packed.PackedInfo()
-	if info.Instances < 3 {
-		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", info.Instances)
+	if n := len(packed.packed.inStart); n < 3 {
+		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", n)
 	}
 	if fb, pb := flat.NodeTableBytes(), packed.NodeTableBytes(); pb*2 > fb {
 		t.Errorf("replicated corpus should pack to <1/2 of flat: packed %d B vs flat %d B", pb, fb)

@@ -9,10 +9,9 @@ import (
 	"os"
 )
 
-// persisted is the gob wire format of an Index. Preparing the index "is a
-// onetime activity" (§2.4); Save/Load let tools and benchmarks reuse a
-// built index across runs, and SizeBytes reports the serialized size for
-// the Table 4 experiment.
+// persisted is the gob wire format of an Index (v1, legacy). It is
+// import-only: nothing writes it anymore, Load still reads files that
+// older builds left behind.
 type persisted struct {
 	Version  int
 	Labels   []string
@@ -24,40 +23,12 @@ type persisted struct {
 
 const formatVersion = 1
 
-// Save writes the index to w in gob format (v1, legacy). New snapshots
-// should prefer SaveSnapshot / SaveFile, which add checksummed framing.
-// A tombstoned index is compacted first: deletes never reach disk as
-// masks, so every load yields a plain immutable index.
-func (ix *Index) Save(w io.Writer) error {
-	// gob encodes the Postings map directly, so a lazily-backed index must
-	// be materialized first (SaveBinary/SaveSnapshot stream instead), and
-	// the v1 wire format predates the packed node table, so a packed index
-	// is flattened.
-	ix, err := ix.Materialized()
-	if err != nil {
-		return err
-	}
-	ix = ix.Compacted().Unpacked()
-	enc := gob.NewEncoder(w)
-	p := persisted{
-		Version:  formatVersion,
-		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-	}
-	if err := enc.Encode(&p); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads an index previously written by Save (gob, format v1),
-// SaveBinary (compact binary, format v2) or SaveSnapshot (checksummed
-// envelope, format v3); the format is auto-detected from the leading bytes.
-// Damaged input fails with an ErrCorrupt-wrapped error; v1/v2 streams
-// detect damage on decode, while v3 verifies a CRC32 before decoding.
+// Load reads an index in the legacy gob format (v1, no longer written),
+// or one written by SaveBinary (compact binary, format v2) or SaveSnapshot
+// (checksummed envelope, format v3); the format is auto-detected from the
+// leading bytes. Damaged input fails with an ErrCorrupt-wrapped error;
+// v1/v2 streams detect damage on decode, while v3 verifies a CRC32 before
+// decoding.
 func Load(r io.Reader) (*Index, error) {
 	return loadSized(r, -1)
 }

@@ -117,14 +117,9 @@ func TestSkimUnsupportedFormats(t *testing.T) {
 	dir := t.TempDir()
 
 	gob := filepath.Join(dir, "v1.gksidx")
-	f, err := os.Create(gob)
-	if err != nil {
+	if err := os.WriteFile(gob, gobV1Image(t, ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if _, err := SkimSnapshotStats(gob); !errors.Is(err, ErrSkimUnsupported) {
 		t.Fatalf("skim over gob snapshot: err = %v, want ErrSkimUnsupported", err)
 	}

@@ -165,10 +165,7 @@ func TestLoadFileCorruptNamesFile(t *testing.T) {
 	if err := ix.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var gob bytes.Buffer
-	if err := ix.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
+	gob := bytes.NewBuffer(gobV1Image(t, ix))
 	var bin bytes.Buffer
 	if err := ix.SaveBinary(&bin); err != nil {
 		t.Fatal(err)

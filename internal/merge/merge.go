@@ -261,8 +261,8 @@ func mergeLoserTree(ctx context.Context, lists [][]int32, out []Entry, nonEmpty 
 }
 
 // MergeHeap is the original container/heap k-way merge, retained verbatim
-// as the differential-testing oracle for the loser tree and as the baseline
-// of the query-hot-path benchmarks. Output is identical to Merge.
+// as the differential-testing oracle for the loser tree and as its
+// fallback beyond 64 lists. Output is identical to Merge.
 func MergeHeap(lists [][]int32) []Entry {
 	total := 0
 	for _, l := range lists {

@@ -26,8 +26,8 @@ import (
 // reference implementation of the model: the serving paths score every
 // candidate of a query in one sweep over S_L (core's rank stage), and the
 // differential tests hold that sweep to Score bit for bit — same divisions,
-// same order of additions — through core.SearchBaseline, which still calls
-// Score once per candidate.
+// same order of additions — through core's test oracle (SearchBaseline in
+// baseline_test.go), which still calls Score once per candidate.
 type Scorer struct {
 	// IX is the index whose node table supplies Dewey depths, parent links
 	// and the direct-child counts stored in the entity/element hashes.

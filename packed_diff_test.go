@@ -258,9 +258,9 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 // TestPackedDeltaAppendEquivalence is the differential oracle for the
 // delta-maintaining pack: the same random append/replace/delete history
 // is driven through the fast path (AppendAs, which extends the pack
-// incrementally) and through AppendAsFullRepack (the pre-delta
-// flatten-splice-repack), with identical document numbering on both
-// sides. At every checkpoint the two must hold the same logical state —
+// incrementally) and through the pre-delta flatten-splice-repack
+// (Compacted().Unpacked() → AppendAs on the flat table → Pack()), with
+// identical document numbering on both sides. At every checkpoint the two must hold the same logical state —
 // statistics, document sets, doc-insensitive results — and after a final
 // Compacted() the fast side's flat node table and postings must be
 // byte-for-byte the slow side's. Mid-history the fast side crosses the
@@ -296,11 +296,11 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fast append %s: %v", doc.Name, err)
 				}
-				s, err := index.AppendAsFullRepack(slow, doc, sid, index.DefaultOptions())
+				s, err := index.AppendAs(slow.Compacted().Unpacked(), doc, sid, index.DefaultOptions())
 				if err != nil {
 					t.Fatalf("slow append %s: %v", doc.Name, err)
 				}
-				fast, slow = f, s
+				fast, slow = f, s.Pack()
 			}
 			deleteBoth := func(name string) {
 				t.Helper()
