@@ -51,11 +51,13 @@ dag-smoke:
 	$(GO) test -race -count=1 -run 'TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
 
 # Live-ingestion smoke: the full HTTP mutation lifecycle (add → replace →
-# delete, persistence round-trips, durability failure modes, metrics) in
-# one focused run — the fastest signal that /admin/docs still honours
-# persist-before-acknowledge.
+# delete, persistence round-trips, durability failure modes, metrics), the
+# cached-vs-uncached differential over random mutation histories and the
+# fill-after-swap race, under the race detector — the fastest signal that
+# /admin/docs still honours persist-before-acknowledge and that the
+# response cache only ever serves the served system's answer.
 ingest-smoke:
-	$(GO) test -run 'TestIngest' -count=1 ./internal/server
+	$(GO) test -race -count=1 -run 'TestIngest|TestCacheDifferential|TestCacheFillRace' ./internal/server ./internal/cache
 
 # Write-ahead-log smoke: a short fuzz pass over the segment scanner
 # (arbitrary bytes must parse cleanly, drop a torn tail, or fail with a

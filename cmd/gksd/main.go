@@ -250,6 +250,7 @@ func main() {
 
 	api := server.NewWithCache(sys, *cacheSize)
 	reg.SetCacheStats(api.CacheStats)
+	reg.SetCacheEvictions(api.CacheEvictions)
 	api.SetSearchObserver(reg)
 	reg.SetSnapshotGeneration(api.Generation())
 	reloader := server.NewReloader(api, loadSys, reg, logger)

@@ -184,3 +184,38 @@ func Remove(sys Searcher, name string) (Searcher, error) {
 	}
 	return nil, fmt.Errorf("gks: %T %w", sys, ErrNoLiveIngestion)
 }
+
+// DocHolds returns a probe reporting whether the live document(s) named
+// name in sys hold a normalized keyword (a Keyword.Tokens element: a text
+// token or an element name); each index resolves the document's ordinal
+// spans once, so a probe is a binary search. A name sys does not hold
+// yields a probe that is always false. ok is false when sys is neither a
+// System nor a ShardedSystem — a wrapper whose documents cannot be
+// inspected — and the caller must assume the document may hold anything.
+//
+// Documents are separate trees, node categories and ranks are computed
+// inside a node's own subtree and a document root is never returned, so
+// adding, replacing or deleting a document can change the answer to a
+// query only if the document, before or after, holds one of the query's
+// tokens: this probe is how the server's response cache decides which
+// answers a mutation leaves standing.
+func DocHolds(sys Searcher, name string) (holds func(token string) bool, ok bool) {
+	switch v := sys.(type) {
+	case *System:
+		return v.ix.DocHolds(name), true
+	case *ShardedSystem:
+		var probes []func(string) bool
+		for _, ix := range v.Indexes() {
+			probes = append(probes, ix.DocHolds(name))
+		}
+		return func(token string) bool {
+			for _, p := range probes {
+				if p(token) {
+					return true
+				}
+			}
+			return false
+		}, true
+	}
+	return nil, false
+}

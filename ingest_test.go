@@ -247,3 +247,51 @@ func TestConcurrentMutationUnderSearch(t *testing.T) {
 		})
 	}
 }
+
+// TestDocHolds: the probe the response cache evicts by answers the same on
+// every layout that supports live ingestion — single index, shard set,
+// segment-backed — takes a query's normalized tokens, and reports a
+// searcher it cannot inspect as unknown.
+func TestDocHolds(t *testing.T) {
+	docs := func() []*Document {
+		return []*Document{
+			ingestDoc(t, "a.xml", "apples", "shared"),
+			ingestDoc(t, "b.xml", "banana", "shared"),
+			ingestDoc(t, "c.xml", "cherry"),
+		}
+	}
+	single, err := IndexDocuments(docs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := IndexDocumentsSharded(3, docs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, segment := segmentPair(t, 1<<20, docs()...)
+
+	token := func(raw string) string { return ParseQuery(raw).Keywords[0].Tokens[0] }
+	for name, sys := range map[string]Searcher{"single": single, "sharded": sharded, "segment": segment} {
+		for _, tc := range []struct {
+			doc, raw string
+			want     bool
+		}{
+			{"a.xml", "Apples", true}, {"a.xml", "shared", true}, {"a.xml", "item", true},
+			{"a.xml", "banana", false}, {"b.xml", "banana", true}, {"c.xml", "shared", false},
+			{"c.xml", "cherry", true}, {"nope.xml", "shared", false},
+		} {
+			holds, ok := DocHolds(sys, tc.doc)
+			if !ok {
+				t.Fatalf("%s: DocHolds does not know a %T", name, sys)
+			}
+			if got := holds(token(tc.raw)); got != tc.want {
+				t.Errorf("%s: %s holds %q = %v, want %v", name, tc.doc, tc.raw, got, tc.want)
+			}
+		}
+	}
+
+	type wrapper struct{ Searcher }
+	if holds, ok := DocHolds(wrapper{single}, "a.xml"); ok || holds != nil {
+		t.Error("a wrapped searcher must be reported as unknown")
+	}
+}

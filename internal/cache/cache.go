@@ -79,12 +79,36 @@ func (c *LRU[K, V]) Len() int {
 	return c.ll.Len()
 }
 
-// Purge drops every entry (e.g. after AddDocuments invalidates responses).
-func (c *LRU[K, V]) Purge() {
+// Purge drops every entry and returns how many there were: the caller
+// replaced the data the values were computed from and cannot tell which of
+// them still hold.
+func (c *LRU[K, V]) Purge() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := c.ll.Len()
 	c.ll.Init()
 	c.items = make(map[K]*list.Element, c.capacity)
+	return n
+}
+
+// DeleteFunc drops every entry for which del reports true and returns how
+// many it dropped. The survivors keep their recency order and the hit/miss
+// counters do not move. del runs under the cache's lock, so lookups wait
+// for the sweep: it must be cheap and must not call back into the cache.
+func (c *LRU[K, V]) DeleteFunc(del func(key K, value V) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if e := el.Value.(*entry[K, V]); del(e.key, e.value) {
+			c.ll.Remove(el)
+			delete(c.items, e.key)
+			n++
+		}
+		el = next
+	}
+	return n
 }
 
 // Stats returns cumulative hit/miss counters.

@@ -87,3 +87,41 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("len = %d exceeds capacity", c.Len())
 	}
 }
+
+// DeleteFunc drops what the predicate selects and nothing else: the
+// survivors keep their recency order and the counters do not move.
+func TestDeleteFunc(t *testing.T) {
+	c := New[string, int](4)
+	for i, k := range []string{"a", "b", "c", "d"} {
+		c.Put(k, i)
+	}
+	c.Get("a") // recency, oldest first: b c d a
+	hits, misses := c.Stats()
+
+	if n := c.DeleteFunc(func(k string, v int) bool { return k == "c" || v == 0 }); n != 2 {
+		t.Fatalf("dropped %d entries, want 2 (a and c)", n)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+	if h, m := c.Stats(); h != hits || m != misses {
+		t.Errorf("stats moved to %d/%d from %d/%d", h, m, hits, misses)
+	}
+	if n := c.DeleteFunc(func(string, int) bool { return false }); n != 0 || c.Len() != 2 {
+		t.Errorf("a false predicate dropped %d entries, len %d", n, c.Len())
+	}
+	// b is still older than d: two inserts at capacity 4 keep both, a third
+	// evicts b first.
+	c.Put("e", 5)
+	c.Put("f", 6)
+	c.Put("g", 7)
+	if _, ok := c.Get("b"); ok {
+		t.Error("b survived: recency order was lost")
+	}
+	if _, ok := c.Get("d"); !ok {
+		t.Error("d was evicted before b")
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Error("deleted entry still present")
+	}
+}

@@ -207,6 +207,43 @@ func (ix *Index) ContainsDoc(name string) bool {
 	return false
 }
 
+// DocHolds resolves the ordinal span(s) of the live document(s) named name
+// once and returns a probe reporting whether a normalized keyword has a
+// posting inside one of them: one binary search per span. Spans of live
+// documents hold no tombstoned ordinal, so the probe reads the unfiltered
+// list. A name that is not live yields a probe that is always false. On a
+// lazily-backed index a fetch that fails poisons the index, as PostingsFor
+// does, and the probe answers true — a caller dropping what the document
+// may hold must not keep what it could not check.
+func (ix *Index) DocHolds(name string) func(token string) bool {
+	var spans [][2]int32
+	for _, sp := range ix.LiveDocSpans() {
+		if sp.Name == name {
+			spans = append(spans, [2]int32{sp.Start, sp.End})
+		}
+	}
+	return func(token string) bool {
+		if len(spans) == 0 {
+			return false
+		}
+		list := ix.Postings[token]
+		if ix.lazy != nil {
+			var err error
+			if list, err = ix.lazy.src.Postings(token); err != nil {
+				ix.lazy.poison(err)
+				return true
+			}
+		}
+		for _, sp := range spans {
+			i := sort.Search(len(list), func(i int) bool { return list[i] >= sp[0] })
+			if i < len(list) && list[i] < sp[1] {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // NextDocID returns the Dewey document number the next appended document
 // should take: one past the highest live document number. Appending at
 // the maximum keeps the node table Dewey-sorted even when earlier deletes

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dewey"
+	"repro/internal/textproc"
 	"repro/internal/xmltree"
 )
 
@@ -326,5 +327,71 @@ func TestRandomMutationsEqualRebuild(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 		}
+	}
+}
+
+// TestDocHolds checks the probe against every index state a serving system
+// can be in: plain, tombstoned, duplicate names, packed and lazily backed.
+func TestDocHolds(t *testing.T) {
+	a := wordDoc("a.xml", 0, "apple", "shared")
+	b := wordDoc("b.xml", 1, "banana", "shared")
+	b2 := wordDoc("b.xml", 2, "blueberry")
+	c := wordDoc("c.xml", 3, "cherry")
+	ix := rebuildFrom(t, a, b, b2, c)
+
+	check := func(label string, ix *Index, name string, want map[string]bool) {
+		t.Helper()
+		holds := ix.DocHolds(name)
+		for tok, w := range want {
+			if got := holds(textproc.NormalizeKeyword(tok)); got != w {
+				t.Errorf("%s: %s holds %q = %v, want %v", label, name, tok, got, w)
+			}
+		}
+	}
+	every := func(label string, ix *Index) {
+		t.Helper()
+		check(label, ix, "a.xml", map[string]bool{"apple": true, "shared": true, "item": true, "root": true, "banana": false, "cherry": false, "absent": false})
+		// Two live documents share the name: the probe covers both spans.
+		check(label, ix, "b.xml", map[string]bool{"banana": true, "blueberry": true, "shared": true, "apple": false, "cherry": false})
+		check(label, ix, "c.xml", map[string]bool{"cherry": true, "item": true, "shared": false, "blueberry": false})
+		check(label, ix, "nope.xml", map[string]bool{"apple": false, "item": false})
+	}
+	every("flat", ix)
+	every("packed", ix.Pack())
+	every("lazy", NewLazy(&Index{
+		Labels: ix.Labels, Nodes: ix.Nodes, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs,
+	}, &memSource{posts: ix.Postings}))
+
+	for label, base := range map[string]*Index{"tombstoned": ix, "tombstoned packed": ix.Pack()} {
+		del, err := base.DeleteDoc("b.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, del, "b.xml", map[string]bool{"banana": false, "shared": false, "item": false})
+		check(label, del, "a.xml", map[string]bool{"apple": true, "shared": true, "banana": false})
+		check(label, del, "c.xml", map[string]bool{"cherry": true, "shared": false})
+	}
+}
+
+// failingSource is a PostingSource whose storage is gone.
+type failingSource struct{ memSource }
+
+func (failingSource) Postings(string) ([]int32, error) { return nil, errors.New("disk gone") }
+
+// A probe that cannot read a list must answer "may hold" and poison the
+// index, never "does not hold".
+func TestDocHoldsLazyFetchFailure(t *testing.T) {
+	ix := rebuildFrom(t, wordDoc("a.xml", 0, "apple"), wordDoc("b.xml", 1, "banana"))
+	lazy := NewLazy(&Index{
+		Labels: ix.Labels, Nodes: ix.Nodes, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs,
+	}, &failingSource{})
+	if !lazy.DocHolds("a.xml")("banana") {
+		t.Error("an unreadable list was reported as not held")
+	}
+	if lazy.LazyErr() == nil {
+		t.Error("the failed fetch did not poison the index")
+	}
+	if lazy.DocHolds("nope.xml")("banana") {
+		t.Error("a document that is not live holds nothing, readable or not")
 	}
 }

@@ -1,7 +1,8 @@
 // Package obs provides stdlib-only serving-path observability for cmd/gksd:
 // per-endpoint request counters, error counters keyed by status code, latency
-// histograms, panic / load-shed counters, an in-flight gauge, and cache
-// hit/miss gauges sourced from internal/cache.Stats. The whole registry is
+// histograms, panic / load-shed counters, an in-flight gauge, and the
+// response cache's hit/miss and invalidation/purge counters sourced from
+// server.Handler. The whole registry is
 // exported in Prometheus text exposition format (version 0.0.4) at
 // GET /metrics, so the service can sit behind a stock Prometheus scrape
 // config without importing any client library.
@@ -145,7 +146,8 @@ type Registry struct {
 	segResident int64      // decompressed block bytes resident in the cache
 	segFetchDur *Histogram // disk block fetch latency (pread+CRC+inflate)
 
-	cacheStats func() (hits, misses int64)
+	cacheStats     func() (hits, misses int64)
+	cacheEvictions func() (invalidated, purges int64)
 }
 
 // NewRegistry returns an empty registry using DefaultBuckets.
@@ -163,6 +165,17 @@ func (r *Registry) SetCacheStats(fn func() (hits, misses int64)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cacheStats = fn
+}
+
+// SetCacheEvictions wires the response cache's write-side counters
+// (server.Handler.CacheEvictions) into gks_cache_invalidated_total —
+// answers a one-document mutation dropped because the document holds one
+// of their query's tokens — and gks_cache_purges_total — swaps that
+// dropped every answer.
+func (r *Registry) SetCacheEvictions(fn func() (invalidated, purges int64)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cacheEvictions = fn
 }
 
 func (r *Registry) endpoint(name string) *endpointStats {
@@ -973,6 +986,15 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintln(w, "# HELP gks_cache_misses_total Response-cache misses.")
 		fmt.Fprintln(w, "# TYPE gks_cache_misses_total counter")
 		fmt.Fprintf(w, "gks_cache_misses_total %d\n", misses)
+	}
+	if r.cacheEvictions != nil {
+		invalidated, purges := r.cacheEvictions()
+		fmt.Fprintln(w, "# HELP gks_cache_invalidated_total Cached responses dropped by a document mutation that could change them.")
+		fmt.Fprintln(w, "# TYPE gks_cache_invalidated_total counter")
+		fmt.Fprintf(w, "gks_cache_invalidated_total %d\n", invalidated)
+		fmt.Fprintln(w, "# HELP gks_cache_purges_total Swaps that dropped every cached response.")
+		fmt.Fprintln(w, "# TYPE gks_cache_purges_total counter")
+		fmt.Fprintf(w, "gks_cache_purges_total %d\n", purges)
 	}
 }
 

@@ -49,6 +49,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.IncShed()
 	r.AddInFlight(3)
 	r.SetCacheStats(func() (int64, int64) { return 7, 11 })
+	r.SetCacheEvictions(func() (int64, int64) { return 5, 2 })
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
@@ -66,6 +67,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"gks_http_in_flight 3",
 		"gks_cache_hits_total 7",
 		"gks_cache_misses_total 11",
+		"gks_cache_invalidated_total 5",
+		"gks_cache_purges_total 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)

@@ -379,22 +379,35 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 
 func (c *cursor) remaining() int { return len(c.buf) - c.off }
 
-// inflate decompresses a flate stream that must yield exactly uLen bytes.
+// maxInflateRatio is the most a deflate stream can expand (a 258-byte
+// match costs at least two bits).
+const maxInflateRatio = 1032
+
+// inflate decompresses a flate stream that must yield exactly uLen bytes,
+// into a slice of exactly that capacity: the block cache accounts a block
+// by len(data), so spare capacity would be resident memory it cannot see.
 func inflate(cbuf []byte, uLen int64) ([]byte, error) {
+	// A claim no stream of this size can meet is a corrupt frame, caught
+	// before the allocation it asks for.
+	if uLen > int64(len(cbuf))*maxInflateRatio {
+		return nil, fmt.Errorf("inflate: %d bytes cannot come from %d compressed", uLen, len(cbuf))
+	}
 	fr := flate.NewReader(bytes.NewReader(cbuf))
 	defer fr.Close()
-	var b bytes.Buffer
-	if uLen < 1<<20 {
-		b.Grow(int(uLen))
-	}
-	n, err := io.Copy(&b, io.LimitReader(fr, uLen+1))
-	if err != nil {
+	data := make([]byte, uLen)
+	if n, err := io.ReadFull(fr, data); err != nil {
+		if err == io.ErrUnexpectedEOF || err == io.EOF {
+			return nil, fmt.Errorf("inflate: %d bytes, want %d", n, uLen)
+		}
 		return nil, fmt.Errorf("inflate: %v", err)
 	}
-	if n != uLen {
-		return nil, fmt.Errorf("inflate: %d bytes, want %d", n, uLen)
+	var over [1]byte
+	if n, err := io.ReadFull(fr, over[:]); n != 0 {
+		return nil, fmt.Errorf("inflate: more than the %d bytes wanted", uLen)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("inflate: %v", err)
 	}
-	return b.Bytes(), nil
+	return data, nil
 }
 
 // Index returns the lazily-backed index view of the segment: meta is

@@ -321,3 +321,33 @@ func TestLazySaveSnapshotEquals(t *testing.T) {
 		t.Fatal("GKS3 snapshot streamed from a lazy segment differs from the eager one")
 	}
 }
+
+// TestCachedBlocksHaveNoSpareCapacity: the cache accounts a block by
+// len(data), so a block inflated into a larger allocation (bytes.Buffer
+// doubled nearly every default-size block to read the final EOF) would pin
+// memory -block-cache-mb does not count.
+func TestCachedBlocksHaveNoSpareCapacity(t *testing.T) {
+	ix := bigIndex(t)
+	path := writeTemp(t, ix, WriterOptions{BlockSize: 32 << 10})
+	cache := NewBlockCache(64 << 20)
+	r, err := OpenFile(path, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	assertSamePostings(t, ix, r)
+	if cache.Len() != r.NumBlocks() || r.NumBlocks() < 4 {
+		t.Fatalf("%d of %d blocks resident; the walk was meant to cache every block of several", cache.Len(), r.NumBlocks())
+	}
+	var held int64
+	for e := cache.ll.Front(); e != nil; e = e.Next() {
+		ent := e.Value.(*cacheEntry)
+		if cap(ent.data) != len(ent.data) {
+			t.Errorf("block %d: len %d, cap %d", ent.key.block, len(ent.data), cap(ent.data))
+		}
+		held += int64(cap(ent.data))
+	}
+	if held != cache.Bytes() {
+		t.Errorf("cache accounts %d bytes and holds %d", cache.Bytes(), held)
+	}
+}

@@ -1,0 +1,328 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	gks "repro"
+	"repro/internal/wal"
+)
+
+// The differential corpus: documents that are never mutated hold the
+// "fixed" vocabulary, the mutated ones draw from diffWords, diffLabels and
+// the phrase "alpha beta"; "zebra" and "unicorn" are in no document until a
+// mutation brings them in, so negative answers are cached first.
+var (
+	diffWords  = []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "zebra", "unicorn", "alpha beta", "beta alpha", "Karen", "paper"}
+	diffLabels = []string{"item", "paper", "note", "Student"}
+)
+
+func diffFixedDocs() []*gks.Document {
+	return []*gks.Document{
+		gks.BuildDocument("uni.xml", gks.E("Dept",
+			gks.ET("Dept_Name", "CS"),
+			gks.E("Course", gks.ET("Name", "Data Mining"),
+				gks.E("Students", gks.ET("Student", "Karen"), gks.ET("Student", "Mike"))),
+			gks.E("Course", gks.ET("Name", "Algorithms"),
+				gks.E("Students", gks.ET("Student", "Karen"), gks.ET("Student", "Julie"))),
+		)),
+		gks.BuildDocument("lib.xml", gks.E("library",
+			gks.E("book", gks.ET("title", "Data on the Web"), gks.ET("author", "Serge Abiteboul")),
+			gks.E("book", gks.ET("title", "Mining the Web"), gks.ET("author", "Soumen Chakrabarti")),
+		)),
+	}
+}
+
+// diffQueries is the query population: tokens of the fixed documents only,
+// tokens of the mutated ones, mixes, absent tokens, element names, a quoted
+// phrase, best-effort s=0 and a truncated top.
+func diffQueries() []string {
+	qs := []string{
+		"/search?q=karen&s=1", "/search?q=karen+mike&s=2", "/search?q=data+web&s=2",
+		"/search?q=%22data+mining%22&s=1", "/search?q=author+abiteboul&s=0", "/search?q=julie+algorithms&s=0",
+		"/search?q=zebra&s=1", "/search?q=unicorn+karen&s=1", "/search?q=unicorn+zebra&s=0",
+		"/search?q=item&s=1", "/search?q=paper&s=1", "/search?q=note+w1&s=2", "/search?q=student&s=1&top=2",
+		"/search?q=%22alpha+beta%22&s=1", "/search?q=%22alpha+beta%22+w2&s=0", "/search?q=alpha&s=1",
+		"/search?q=karen+w3&s=1", "/search?q=w0+w1+w2+w3&s=0", "/search?q=w4+w5&s=2", "/search?q=w6+mining&s=1",
+	}
+	for i := 0; i < 8; i++ {
+		qs = append(qs, fmt.Sprintf("/search?q=w%d&s=1", i))
+	}
+	return qs
+}
+
+func diffDoc(rng *rand.Rand) string {
+	var sb strings.Builder
+	sb.WriteString("<root>")
+	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+		label := diffLabels[rng.Intn(len(diffLabels))]
+		fmt.Fprintf(&sb, "<%s>%s %s</%s>", label,
+			diffWords[rng.Intn(len(diffWords))], diffWords[rng.Intn(len(diffWords))], label)
+	}
+	sb.WriteString("</root>")
+	return sb.String()
+}
+
+// TestCacheDifferential drives the same random add / replace / delete
+// history through the real Ingester of a cached handler (capacity below the
+// query population, so the LRU evicts too) and of an uncached one, and
+// after every step requires every body of the population to be
+// byte-identical — the cache may only ever serve the served system's
+// answer. A query over the fixed documents asked right before and right
+// after each mutation must hit: a mutation evicts only what it can change.
+func TestCacheDifferential(t *testing.T) {
+	builds := map[string]func(t *testing.T) gks.Searcher{
+		"system": func(t *testing.T) gks.Searcher {
+			sys, err := gks.IndexDocuments(diffFixedDocs()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		},
+		"sharded": func(t *testing.T) gks.Searcher {
+			set, err := gks.IndexDocumentsSharded(3, diffFixedDocs()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return set
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			queries := diffQueries()
+			cached := NewWithCache(build(t), len(queries)*2/3)
+			plain := New(build(t))
+			stacks := []http.Handler{
+				NewIngester(NewReloader(cached, nil, nil, nil), nil, nil, nil).Handler(),
+				NewIngester(NewReloader(plain, nil, nil, nil), nil, nil, nil).Handler(),
+			}
+			mutate := func(method, path, body string) {
+				t.Helper()
+				for _, st := range stacks {
+					if code, resp := adminReq(t, st, method, path, body); code != 200 {
+						t.Fatalf("%s %s: status %d: %s", method, path, code, resp)
+					}
+				}
+			}
+			const hot = "/search?q=mike+julie&s=1" // tokens of the fixed documents only
+			rng := rand.New(rand.NewSource(20))
+			var live []string
+			for step := 0; step < 240; step++ {
+				get(t, cached, hot)
+				hitsBefore, _ := cached.CacheStats()
+				switch op := rng.Intn(10); {
+				case op < 2 && len(live) > 0: // delete
+					i := rng.Intn(len(live))
+					mutate("DELETE", "/admin/docs/"+url.PathEscape(live[i]), "")
+					live = append(live[:i], live[i+1:]...)
+				case op < 5 && len(live) > 0: // replace
+					b, _ := json.Marshal(docRequest{Name: live[rng.Intn(len(live))], XML: diffDoc(rng)})
+					mutate("POST", "/admin/docs", string(b))
+				default: // add, or replace once the pool is full
+					name := "m" + strconv.Itoa(rng.Intn(8)) + ".xml"
+					b, _ := json.Marshal(docRequest{Name: name, XML: diffDoc(rng)})
+					mutate("POST", "/admin/docs", string(b))
+					if !slices.Contains(live, name) {
+						live = append(live, name)
+					}
+				}
+				get(t, cached, hot)
+				if hits, _ := cached.CacheStats(); hits != hitsBefore+1 {
+					t.Fatalf("step %d: an answer over untouched documents did not survive the mutation", step)
+				}
+				for _, i := range rng.Perm(len(queries)) {
+					_, want := get(t, plain, queries[i])
+					code, got := get(t, cached, queries[i])
+					if code != 200 || got != want {
+						t.Fatalf("step %d: %s: cached handler answered %d\n%s\nuncached:\n%s", step, queries[i], code, got, want)
+					}
+				}
+			}
+			if invalidated, purges := cached.CacheEvictions(); purges != 0 || invalidated == 0 {
+				t.Errorf("invalidated=%d purges=%d: want selective eviction only", invalidated, purges)
+			}
+		})
+	}
+}
+
+// gatedSearcher blocks every search inside the "engine" until gate is
+// closed, announcing each arrival on entered.
+type gatedSearcher struct {
+	gks.Searcher
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedSearcher) SearchContext(ctx context.Context, q string, s int) (*gks.Response, error) {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Searcher.SearchContext(ctx, q, s)
+}
+
+// TestCacheFillRace: a search that started on generation g and finishes
+// after SwapDoc installed g+1 answers its own caller but must not become
+// resident, and a request issued after the swap must not join its flight.
+func TestCacheFillRace(t *testing.T) {
+	old := &gatedSearcher{Searcher: testSystem(t), entered: make(chan struct{}), gate: make(chan struct{})}
+	next, err := gks.IndexDocuments(gks.BuildDocument("other.xml", gks.E("r", gks.ET("v", "walter"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewWithCache(old, 8)
+	const q = "/search?q=mike&s=1"
+
+	type answer struct {
+		code int
+		body string
+	}
+	slow := make(chan answer)
+	go func() {
+		req := httptest.NewRequest("GET", q, nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		slow <- answer{rec.Code, rec.Body.String()}
+	}()
+	<-old.entered // blocked inside the engine on generation 1
+
+	if gen, _ := h.SwapDoc(next, "other.xml"); gen != 2 {
+		t.Fatalf("SwapDoc generation = %d, want 2", gen)
+	}
+	// Issued after the swap: served by the new system while the old search
+	// is still blocked — sharing its flight would hang here.
+	code, fresh := get(t, h, q)
+	if code != 200 || !strings.Contains(fresh, `"total": 0`) {
+		t.Fatalf("post-swap request: %d %s", code, fresh)
+	}
+
+	close(old.gate)
+	if a := <-slow; a.code != 200 || !strings.Contains(a.body, `"total": 1`) {
+		t.Fatalf("pre-swap request must get the answer of the system it searched: %d %s", a.code, a.body)
+	}
+	if _, after := get(t, h, q); after != fresh {
+		t.Fatalf("the stale answer became resident:\n%s", after)
+	}
+}
+
+// TestCacheReplicaApplyEvictsLikeLeader: a follower applying the leader's
+// records through ReplicaApplier.Apply drops exactly the cached answers the
+// leader's Ingester drops for the same mutations.
+func TestCacheReplicaApplyEvictsLikeLeader(t *testing.T) {
+	dir := t.TempDir()
+	leader := NewWithCache(testSystem(t), 16)
+	ing := NewIngester(NewReloader(leader, nil, nil, nil), nil, nil, nil).Handler()
+
+	follower := NewWithCache(testSystem(t), 16)
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	applier := NewReplicaApplier(NewReloader(follower, nil, nil, nil), l, filepath.Join(dir, "f.gksidx"), nil, nil, nil)
+
+	queries := []string{"/search?q=karen&s=1", "/search?q=mike+julie&s=1", "/search?q=neutrino&s=1", "/search?q=student&s=1", "/search?q=item&s=1"}
+	warm := func() {
+		for _, q := range queries {
+			get(t, leader, q)
+			get(t, follower, q)
+		}
+	}
+	steps := []wal.Record{
+		{LSN: 1, Op: wal.OpUpsert, Name: "p.xml", Doc: "<root><item>neutrino</item></root>"},
+		{LSN: 2, Op: wal.OpUpsert, Name: "p.xml", Doc: "<root><note>Mike</note></root>"},
+		{LSN: 3, Op: wal.OpDelete, Name: "p.xml"},
+	}
+	for _, rec := range steps {
+		warm()
+		if rec.Op == wal.OpDelete {
+			if code, body := adminReq(t, ing, "DELETE", "/admin/docs/"+rec.Name, ""); code != 200 {
+				t.Fatalf("leader delete: %d %s", code, body)
+			}
+		} else {
+			b, _ := json.Marshal(docRequest{Name: rec.Name, XML: rec.Doc})
+			if code, body := adminReq(t, ing, "POST", "/admin/docs", string(b)); code != 200 {
+				t.Fatalf("leader upsert: %d %s", code, body)
+			}
+		}
+		if err := applier.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+		li, lp := leader.CacheEvictions()
+		fi, fp := follower.CacheEvictions()
+		if li != fi || lp != 0 || fp != 0 {
+			t.Fatalf("lsn %d: leader invalidated %d (purges %d), follower %d (purges %d)", rec.LSN, li, lp, fi, fp)
+		}
+		for _, q := range queries {
+			lh, _ := leader.CacheStats()
+			fh, _ := follower.CacheStats()
+			_, lb := get(t, leader, q)
+			_, fb := get(t, follower, q)
+			lh2, _ := leader.CacheStats()
+			fh2, _ := follower.CacheStats()
+			if lb != fb || lh2-lh != fh2-fh {
+				t.Fatalf("lsn %d: %s: leader hit=%d follower hit=%d\nleader:\n%s\nfollower:\n%s", rec.LSN, q, lh2-lh, fh2-fh, lb, fb)
+			}
+		}
+	}
+	if n, _ := leader.CacheEvictions(); n == 0 {
+		t.Fatal("the history was meant to invalidate something")
+	}
+}
+
+// TestSwapDocUnknownSearcherPurges: a searcher whose documents cannot be
+// inspected gets the full purge.
+func TestSwapDocUnknownSearcherPurges(t *testing.T) {
+	h := NewWithCache(&partialSearcher{Searcher: testSystem(t)}, 8)
+	get(t, h, "/search?q=karen&s=1")
+	if _, dropped := h.SwapDoc(testSystem(t), "unrelated.xml"); dropped != 1 {
+		t.Fatalf("dropped %d entries, want the full purge of 1", dropped)
+	}
+	if invalidated, purges := h.CacheEvictions(); invalidated != 0 || purges != 1 {
+		t.Fatalf("invalidated=%d purges=%d, want 0/1", invalidated, purges)
+	}
+}
+
+// TestSearchSendsContentLength: fills and hits both carry the body length.
+func TestSearchSendsContentLength(t *testing.T) {
+	h := NewWithCache(testSystem(t), 8)
+	for _, kind := range []string{"fill", "hit"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/search?q=karen&s=1", nil))
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) || rec.Body.Len() == 0 {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", kind, got, rec.Body.Len())
+		}
+	}
+	if hits, _ := h.CacheStats(); hits != 1 {
+		t.Fatalf("hits = %d, want 1", hits)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that fails to encode answers a clean
+// JSON 500 — nothing of a 200 is sent first.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, searchJSON{Query: "q", Results: []resultJSON{{ID: "0.1", Rank: math.NaN()}}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	var out map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || !strings.Contains(out["error"], "NaN") {
+		t.Fatalf("body is not a JSON error naming the value: %v\n%s", err, rec.Body.String())
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length %q for a %d-byte body", got, rec.Body.Len())
+	}
+}

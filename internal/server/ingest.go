@@ -220,7 +220,7 @@ func (ing *Ingester) handleDelete(w http.ResponseWriter, name string) {
 // The ordering is the durability contract, audited both ways:
 //
 //   - A failed WAL append or snapshot persist must leave the serving
-//     state — and everything that reports it — untouched: no Swap, no
+//     state — and everything that reports it — untouched: no swap, no
 //     gks_docs / generation gauge movement, and the error message reads
 //     the generation AFTER the failure so it names the snapshot actually
 //     still serving.
@@ -259,7 +259,7 @@ func (ing *Ingester) commit(w http.ResponseWriter, metricOp, op, name, src strin
 			return
 		}
 	}
-	gen := ing.rl.h.Swap(next)
+	gen, dropped := ing.rl.h.SwapDoc(next, name)
 	st := next.Stats()
 	if ing.reg != nil {
 		ing.reg.SetDocs(st.Documents)
@@ -288,7 +288,7 @@ func (ing *Ingester) commit(w http.ResponseWriter, metricOp, op, name, src strin
 	}
 	ing.observe(metricOp, true, start)
 	if ing.logger != nil {
-		ing.logger.Printf("ingest %s %q: generation %d now serving %d document(s)", op, name, gen, st.Documents)
+		ing.logger.Printf("ingest %s %q: generation %d now serving %d document(s), %d cached answer(s) dropped", op, name, gen, st.Documents, dropped)
 	}
 	resp := map[string]any{
 		"op":         op,

@@ -246,7 +246,7 @@ func TestReloadUnderTraffic(t *testing.T) {
 
 // TestSwapInvalidatesCache pins the cache-coherence contract: a cached
 // /search response from one snapshot generation must never be served
-// after a swap, because the generation is part of the cache key.
+// after a Swap to an unrelated system, because Swap purges the cache.
 func TestSwapInvalidatesCache(t *testing.T) {
 	dir := t.TempDir()
 	sysA, err := gks.LoadIndexFile(snapshotFile(t, dir, "a", "Mike"))

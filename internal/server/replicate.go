@@ -186,7 +186,7 @@ func (a *ReplicaApplier) Apply(rec wal.Record) error {
 	if lsn != rec.LSN {
 		return fmt.Errorf("replica apply: local wal assigned lsn %d to leader record %d", lsn, rec.LSN)
 	}
-	gen := a.rl.h.Swap(next)
+	gen, _ := a.rl.h.SwapDoc(next, rec.Name)
 	st := next.Stats()
 	if a.reg != nil {
 		a.reg.SetDocs(st.Documents)

@@ -22,6 +22,15 @@
 // non-GET methods get 405. Client mistakes answer 400, internal failures
 // 500, and an exceeded request deadline 504.
 //
+// /search answers are memoized in an LRU (NewWithCache) under one
+// invariant: every resident entry is the answer of the system being
+// served. An entry is the encoded response body plus the query's
+// normalized tokens, so a hit is one Write of stored bytes. A one-document
+// mutation (SwapDoc: /admin/docs, replica apply) drops only the entries
+// with a token the document held or holds — no other answer can have
+// changed — while a wholesale replacement (Swap: reload, snapshot install,
+// repack) purges everything.
+//
 // The handler is plain business logic; production concerns (panic recovery,
 // request timeouts, load shedding, metrics, access logs) are layered on via
 // the Middleware stack in middleware.go, and lifecycle.go configures the
@@ -29,12 +38,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	gks "repro"
@@ -59,30 +70,50 @@ func Endpoints() []string {
 	}
 }
 
-// searcherBox wraps the served Searcher in a concrete type so it can live
-// behind an atomic.Pointer — the interface itself cannot (atomic.Value
-// would additionally panic when a reload swaps between concrete types,
-// e.g. a single-index System replaced by a ShardedSystem).
-type searcherBox struct{ s gks.Searcher }
+// searcherBox pairs the served Searcher with its snapshot generation (1 for
+// the boot system, +1 per swap) in a concrete type that can live behind an
+// atomic.Pointer — the interface itself cannot (atomic.Value would
+// additionally panic when a reload swaps between concrete types, e.g. a
+// single-index System replaced by a ShardedSystem). One load yields a
+// consistent pair.
+type searcherBox struct {
+	s   gks.Searcher
+	gen int64
+}
+
+// cachedAnswer is one response-cache entry: the exact bytes writeJSON
+// would send, and the query's normalized tokens — what a mutated document
+// must hold for the answer to change.
+type cachedAnswer struct {
+	body   []byte
+	tokens []string
+}
 
 // Handler routes the JSON API for one system — a single-index System or a
 // sharded set; anything satisfying gks.Searcher. The searcher lives behind
-// an atomic pointer so a reload (Swap) can replace the whole index with
-// zero downtime: each request loads the pointer once and serves a
-// consistent view, while in-flight requests on the previous system finish
-// against the immutable index they started with.
+// an atomic pointer so a swap can replace the whole index with zero
+// downtime: each request loads the pointer once and serves a consistent
+// view, while in-flight requests on the previous system finish against the
+// immutable index they started with.
 type Handler struct {
 	sys atomic.Pointer[searcherBox]
-	// gen counts snapshot generations, starting at 1 for the boot system
-	// and incrementing on every Swap. It is baked into every response-cache
-	// key, so entries computed against an old system can never serve a
-	// post-swap request — even when a concurrent singleflight populates the
-	// cache after the swap lands.
-	gen       atomic.Int64
-	mux       *http.ServeMux
-	respCache *cache.LRU[string, searchJSON]
-	flight    cache.Group[string, searchJSON]
+	mux *http.ServeMux
+	// mu orders response-cache fills against swaps, which keeps every
+	// resident entry the served system's answer: a swap stores the new
+	// system and drops the entries it may have changed in one critical
+	// section, and a fill is discarded unless the system it searched is
+	// still the one served — so a search that outlives a swap cannot
+	// cache a stale answer. Cache hits do not take it.
+	mu        sync.Mutex
+	respCache *cache.LRU[string, cachedAnswer]
+	// flight is keyed by generation and cache key: a request that starts
+	// after an acknowledged write never joins a search on the system
+	// before it.
+	flight    cache.Group[string, []byte]
 	searchObs SearchObserver
+
+	invalidated atomic.Int64 // entries dropped by SwapDoc's selective sweeps
+	purges      atomic.Int64 // full purges
 }
 
 // SearchObserver receives per-search pipeline measurements from the search
@@ -104,19 +135,18 @@ func New(sys gks.Searcher) *Handler { return NewWithCache(sys, 0) }
 
 // NewWithCache builds the handler with an LRU memoizing /search responses
 // for up to capacity distinct (q, s, top) triples. Search is deterministic
-// over an immutable index, so cached responses never go stale within one
-// snapshot generation, and Swap starts a new generation. Responses
-// flagged partial (a degraded scatter-gather) are never cached — they
-// reflect a transient failure, not the query's answer. capacity <= 0
-// disables the cache. Concurrent identical cache misses are coalesced
-// through a singleflight group so a popular query cannot stampede the
-// engine.
+// over an immutable index, so a cached response stays right until a swap
+// changes the documents it was computed from; Swap and SwapDoc drop what
+// they may have changed. Responses flagged partial (a degraded
+// scatter-gather) are never cached — they reflect a transient failure,
+// not the query's answer. capacity <= 0 disables the cache. Concurrent
+// identical cache misses are coalesced through a singleflight group so a
+// popular query cannot stampede the engine.
 func NewWithCache(sys gks.Searcher, capacity int) *Handler {
 	h := &Handler{mux: http.NewServeMux()}
-	h.sys.Store(&searcherBox{s: sys})
-	h.gen.Store(1)
+	h.sys.Store(&searcherBox{s: sys, gen: 1})
 	if capacity > 0 {
-		h.respCache = cache.New[string, searchJSON](capacity)
+		h.respCache = cache.New[string, cachedAnswer](capacity)
 	}
 	h.mux.HandleFunc("/search", h.handleSearch)
 	h.mux.HandleFunc("/insights", h.handleInsights)
@@ -153,26 +183,86 @@ func (h *Handler) CacheStats() (hits, misses int64) {
 	return h.respCache.Stats()
 }
 
+// CacheEvictions returns how many cached answers SwapDoc's selective
+// sweeps have dropped and how many full purges there have been — the
+// source for gks_cache_invalidated_total and gks_cache_purges_total.
+func (h *Handler) CacheEvictions() (invalidated, purges int64) {
+	return h.invalidated.Load(), h.purges.Load()
+}
+
 // Searcher returns the currently served system.
 func (h *Handler) Searcher() gks.Searcher { return h.sys.Load().s }
 
 // Generation returns the snapshot generation being served (1 at boot,
-// +1 per successful Swap).
-func (h *Handler) Generation() int64 { return h.gen.Load() }
+// +1 per successful swap).
+func (h *Handler) Generation() int64 { return h.sys.Load().gen }
 
-// Swap atomically replaces the served system and invalidates the response
-// cache, returning the new generation. Requests already past their pointer
-// load finish on the old system (immutable, so always consistent); every
-// subsequent request sees the new one. The caller is responsible for
-// validating sys before swapping — Swap itself cannot fail, which is what
-// gives the reload path its rollback-by-default semantics.
+// Swap atomically replaces the served system and purges the response
+// cache, returning the new generation: the successor is not a
+// one-document diff of the served system (a reload, a snapshot install, a
+// repack), so no cached answer can be vouched for. Requests already past
+// their pointer load finish on the old system (immutable, so always
+// consistent); every subsequent request sees the new one. The caller is
+// responsible for validating sys before swapping — Swap itself cannot
+// fail, which is what gives the reload path its rollback-by-default
+// semantics.
 func (h *Handler) Swap(sys gks.Searcher) int64 {
-	h.sys.Store(&searcherBox{s: sys})
-	gen := h.gen.Add(1)
-	if h.respCache != nil {
-		h.respCache.Purge()
-	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	gen, _ := h.install(sys, nil)
 	return gen
+}
+
+// SwapDoc is Swap for a successor that differs from the served system in
+// the one document named name — added, replaced or deleted. Documents are
+// separate trees, a node's category and rank are computed inside its own
+// subtree, and a document root is never returned, so an answer can change
+// only if the document, before or after, holds one of the query's tokens:
+// SwapDoc drops exactly those entries and reports how many. When either
+// system's documents cannot be inspected (gks.DocHolds: a wrapper) it
+// purges like Swap.
+func (h *Handler) SwapDoc(next gks.Searcher, name string) (gen int64, dropped int) {
+	cur := h.sys.Load()
+	var stale func(string, cachedAnswer) bool
+	if h.respCache != nil {
+		before, okBefore := gks.DocHolds(cur.s, name)
+		after, okAfter := gks.DocHolds(next, name)
+		if okBefore && okAfter {
+			stale = func(_ string, a cachedAnswer) bool {
+				for _, tok := range a.tokens {
+					if before(tok) || after(tok) {
+						return true
+					}
+				}
+				return false
+			}
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sys.Load() != cur {
+		// Swapped underneath us (callers serialize swaps, so a caller bug):
+		// next is not a one-document diff of what is now served.
+		stale = nil
+	}
+	return h.install(next, stale)
+}
+
+// install stores next as the served system and drops the cached answers
+// stale selects, all of them when stale is nil. Callers hold h.mu.
+func (h *Handler) install(next gks.Searcher, stale func(string, cachedAnswer) bool) (gen int64, dropped int) {
+	gen = h.sys.Load().gen + 1
+	h.sys.Store(&searcherBox{s: next, gen: gen})
+	if h.respCache == nil {
+		return gen, 0
+	}
+	if stale == nil {
+		h.purges.Add(1)
+		return gen, h.respCache.Purge()
+	}
+	dropped = h.respCache.DeleteFunc(stale)
+	h.invalidated.Add(int64(dropped))
+	return gen, dropped
 }
 
 // resultJSON is the wire form of one response node.
@@ -203,12 +293,21 @@ type insightJSON struct {
 	Count  int      `json:"count"`
 }
 
-// cacheKey builds a collision-proof key for a (gen, q, s, top) tuple. The
+// cacheKey builds a collision-proof key for a (q, s, top) triple. The
 // query is quoted so a "|" (or any other delimiter byte) inside q can never
-// bleed into the numeric fields or a neighboring key; the generation prefix
-// fences off entries from superseded snapshots.
-func cacheKey(gen int64, q string, s, top int) string {
-	return strconv.FormatInt(gen, 10) + "|" + strconv.Quote(q) + "|" + strconv.Itoa(s) + "|" + strconv.Itoa(top)
+// bleed into the numeric fields or a neighboring key.
+func cacheKey(q string, s, top int) string {
+	return strconv.Quote(q) + "|" + strconv.Itoa(s) + "|" + strconv.Itoa(top)
+}
+
+// queryTokens returns the normalized tokens of every keyword of q — the
+// posting lists its answer is computed from.
+func queryTokens(q string) []string {
+	var toks []string
+	for _, kw := range gks.ParseQuery(q).Keywords {
+		toks = append(toks, kw.Tokens...)
+	}
+	return toks
 }
 
 // search runs one query against sys with ctx-aware cancellation: s <= 0
@@ -283,37 +382,50 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sys := h.Searcher()
-	key := cacheKey(h.gen.Load(), q, s, top)
+	box := h.sys.Load()
+	key := cacheKey(q, s, top)
 	if h.respCache != nil {
-		if out, ok := h.respCache.Get(key); ok {
-			writeJSON(w, out)
+		if hit, ok := h.respCache.Get(key); ok {
+			writeBody(w, http.StatusOK, hit.body)
 			return
 		}
 	}
 	// Coalesce identical concurrent misses: one engine search serves them
 	// all, and exactly one goroutine populates the cache.
-	out, _, err := h.flight.Do(r.Context(), key, func() (searchJSON, error) {
-		resp, err := h.search(r.Context(), sys, q, s)
+	body, _, err := h.flight.Do(r.Context(), strconv.FormatInt(box.gen, 10)+"|"+key, func() ([]byte, error) {
+		resp, err := h.search(r.Context(), box.s, q, s)
 		if err != nil {
-			return searchJSON{}, err
+			return nil, err
 		}
-		out := buildSearchJSON(resp, top)
+		body, err := encodeJSON(buildSearchJSON(resp, top))
+		if err != nil {
+			return nil, err
+		}
 		// A partial response reflects a transient shard failure, not the
 		// query's answer: caching it would keep serving degraded results
-		// for the rest of the snapshot generation, long after the shard
-		// recovers. (The singleflight group only coalesces concurrent
-		// callers, so it never outlives the degraded search itself.)
+		// long after the shard recovers. (The singleflight group only
+		// coalesces concurrent callers, so it never outlives the degraded
+		// search itself.)
 		if h.respCache != nil && !resp.Partial {
-			h.respCache.Put(key, out)
+			h.fill(box, key, cachedAnswer{body: body, tokens: queryTokens(q)})
 		}
-		return out, nil
+		return body, nil
 	})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, out)
+	writeBody(w, http.StatusOK, body)
+}
+
+// fill caches a unless a swap has replaced the system it was computed on
+// (see Handler.mu).
+func (h *Handler) fill(searched *searcherBox, key string, a cachedAnswer) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sys.Load() == searched {
+		h.respCache.Put(key, a)
+	}
 }
 
 func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
@@ -560,19 +672,35 @@ func serverError(w http.ResponseWriter, err error) {
 	writeJSONStatus(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+// encodeJSON renders v as every endpoint sends it: two-space indentation
+// and a trailing newline.
+func encodeJSON(v interface{}) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, err
 	}
+	return buf.Bytes(), nil
 }
 
-func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
+// writeBody sends an encoded JSON body with its length in one Write.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
+}
+
+func writeJSON(w http.ResponseWriter, v interface{}) { writeJSONStatus(w, http.StatusOK, v) }
+
+// writeJSONStatus encodes v before it writes anything, so a value that
+// fails to encode answers a clean 500 instead of a torn 200.
+func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeJSON(map[string]string{"error": err.Error()}) // a string map always encodes
+	}
+	writeBody(w, code, body)
 }

@@ -253,7 +253,7 @@ func TestCacheKeyPipeCollisionProof(t *testing.T) {
 	}
 	seen := make(map[string]int)
 	for i, tr := range triples {
-		k := cacheKey(1, tr.q, tr.s, tr.top)
+		k := cacheKey(tr.q, tr.s, tr.top)
 		if j, dup := seen[k]; dup {
 			t.Errorf("cacheKey collision between %+v and %+v: %q", triples[j], triples[i], k)
 		}
