@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-e2e-smoke bench-spine bench-gate check
+.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-e2e-smoke bench-spine bench-gate strays check
 
 build:
 	$(GO) build ./...
@@ -112,4 +112,11 @@ bench-gate:
 	bash bench/run.sh -out $(NEW)
 	bash bench/run.sh -compare $(BASE) $(NEW)
 
-check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-e2e-smoke
+# A gksd or a benchmark harness still running once the work is done: four
+# PRs were rejected for one. Lists them (PID and name) and fails if there is
+# any. Last in `check`; run it by hand after every bench/run.sh too.
+strays:
+	@left=$$(pgrep -x -l gksd; pgrep -x -l bench); \
+	if [ -n "$$left" ]; then echo "strays: still running:"; echo "$$left"; exit 1; fi
+
+check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-e2e-smoke strays

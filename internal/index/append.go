@@ -81,17 +81,17 @@ func appendMerged(ix, partial *Index) (*Index, error) {
 // call, and a packed base re-packs exactly once at the end. This is the
 // WAL-replay batch path: replaying K records used to pay K full
 // unpack/repack cycles (O(N·K)); now boot replay packs once regardless of
-// K. An empty batch returns the (materialized) base unchanged.
+// K. An empty batch returns the base itself, a lazy one still lazy.
 func AppendBatch(ix *Index, docs []*xmltree.Document, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
 	}
+	if len(docs) == 0 {
+		return ix, nil
+	}
 	ix, err := ix.Materialized()
 	if err != nil {
 		return nil, err
-	}
-	if len(docs) == 0 {
-		return ix, nil
 	}
 	repack := ix.IsPacked()
 	// Unpacked preserves the tombstone mask; compacting the flat table

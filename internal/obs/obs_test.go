@@ -16,14 +16,34 @@ func TestObserveRequestAggregates(t *testing.T) {
 	r.ObserveRequest("/search", 400, time.Millisecond)
 	r.ObserveRequest("/stats", 500, 100*time.Microsecond)
 
-	requests, errors, panics, shed := r.Snapshot()
-	if requests != 4 || errors != 2 || panics != 0 || shed != 0 {
-		t.Errorf("snapshot = %d/%d/%d/%d, want 4/2/0/0", requests, errors, panics, shed)
+	for _, c := range []struct {
+		want   float64
+		name   string
+		labels []string
+	}{
+		{3, "gks_http_requests_total", []string{"endpoint", "/search"}},
+		{1, "gks_http_requests_total", []string{"endpoint", "/stats"}},
+		{1, "gks_http_errors_total", []string{"endpoint", "/search", "code", "400"}},
+		{1, "gks_http_errors_total", []string{"endpoint", "/stats", "code", "500"}},
+		{3, "gks_http_request_duration_seconds", []string{"endpoint", "/search"}},
+		{0, "gks_http_panics_total", nil},
+		{0, "gks_http_load_shed_total", nil},
+	} {
+		if got := r.Value(c.name, c.labels...); got != c.want {
+			t.Errorf("%s%v = %v, want %v", c.name, c.labels, got, c.want)
+		}
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if n := strings.Count(b.String(), "\ngks_http_errors_total{"); n != 2 {
+		t.Errorf("%d error series, want 2 (a 200 is not an error):\n%s", n, b.String())
 	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{0.001, 0.01, 0.1})
+	r := &Registry{byName: make(map[string]*family)}
+	r.declare(nil, histogram, "h", "", []float64{0.001, 0.01, 0.1})
+	h := r.at("h")
 	for _, s := range []float64{0.0005, 0.005, 0.05, 0.5, 0.001} {
 		h.observe(s)
 	}
@@ -36,8 +56,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d (%v)", i, n, want[i], h.counts)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d, want 5", h.Count())
+	if got := r.Value("h"); got != 5 {
+		t.Errorf("count = %v, want 5", got)
 	}
 }
 
@@ -117,8 +137,15 @@ func TestHandlerServesTextFormat(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "gks_http_requests_total") {
 		t.Errorf("body missing series:\n%s", rec.Body.String())
 	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length = %q, body is %d bytes", cl, rec.Body.Len())
+	}
 }
 
+// TestRegistryConcurrency hammers every kind of metric (counter, gauge set,
+// gauge add, monotone gauge, float gauge, histogram; unlabelled, one label,
+// two labels; a callback) from 16 goroutines while others scrape; run it
+// under -race.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -130,15 +157,115 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.ObserveRequest("/search", 200+(i%2)*300, time.Millisecond)
 				r.AddInFlight(1)
 				r.AddInFlight(-1)
+				r.SetDocs(j)
+				r.SetReplicaLSNs(uint64(i*100+j), uint64(j))
+				r.SetPackBloat(float64(j) / 100)
+				r.ObserveIngest([]string{"upsert", "delete"}[j%2], j%3 != 0, time.Millisecond)
+				r.ObserveShardSearch(i%4, time.Millisecond)
+				r.ObserveSearchStage("merge", 0.001)
+				r.ObserveWALFsync(j, time.Millisecond)
+				r.BlockCacheHit()
 				if j%10 == 0 {
+					r.SetCacheStats(func() (int64, int64) { return int64(i), int64(j) })
 					var sb strings.Builder
 					r.WritePrometheus(&sb)
+					if got := r.Value("gks_http_in_flight"); got < 0 || got > 16 {
+						t.Errorf("in-flight gauge read %v mid-run", got)
+					}
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	if requests, _, _, _ := r.Snapshot(); requests != 1600 {
-		t.Errorf("requests = %d, want 1600", requests)
+	for _, c := range []struct {
+		want   float64
+		name   string
+		labels []string
+	}{
+		{1600, "gks_http_requests_total", []string{"endpoint", "/search"}},
+		{800, "gks_http_errors_total", []string{"endpoint", "/search", "code", "500"}},
+		{1600, "gks_http_request_duration_seconds", []string{"endpoint", "/search"}},
+		{0, "gks_http_in_flight", nil},
+		{1599, "gks_replica_applied_lsn", nil},
+		{99, "gks_replica_leader_durable_lsn", nil},
+		{0, "gks_replica_lag_records", nil},
+		{528, "gks_ingest_total", []string{"op", "upsert", "result", "success"}},
+		{528, "gks_ingest_total", []string{"op", "delete", "result", "success"}},
+		{272, "gks_ingest_total", []string{"op", "delete", "result", "failure"}},
+		{400, "gks_shard_search_duration_seconds", []string{"shard", "3"}},
+		{1600, "gks_search_stage_seconds", []string{"stage", "merge"}},
+		{1600, "gks_wal_fsync_batch_records", nil},
+		{1600, "gks_segment_block_cache_hits_total", nil},
+	} {
+		if got := r.Value(c.name, c.labels...); got != c.want {
+			t.Errorf("%s%v = %v, want %v", c.name, c.labels, got, c.want)
+		}
 	}
+}
+
+// blockingWriter parks every Write until release is closed and announces the
+// first one on entered.
+type blockingWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledScraperDoesNotBlockObservers: a /metrics client that stops
+// reading must not stall the request path. The exposition used to be written
+// to the client while holding the registry's one mutex, which every request
+// (WithMetrics), every search stage and every posting-block cache hit takes.
+func TestStalledScraperDoesNotBlockObservers(t *testing.T) {
+	r := NewRegistry()
+	r.ObserveRequest("/search", 200, time.Millisecond)
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		r.WritePrometheus(w)
+	}()
+	<-w.entered // the scraper now sits in Write
+
+	observed := make(chan struct{})
+	go func() {
+		defer close(observed)
+		r.ObserveRequest("/search", 200, time.Millisecond)
+		r.BlockCacheHit()
+		r.ObserveSearchStage("merge", 0.001)
+	}()
+	select {
+	case <-observed:
+	case <-time.After(5 * time.Second):
+		t.Error("observers are stuck behind a /metrics reader that stopped reading")
+	}
+	close(w.release)
+	<-scraped
+	<-observed
+}
+
+// TestNilRegistryRecordsNothing: every recording method accepts a nil
+// receiver, which is what lets the server drop its `if reg != nil` guards.
+func TestNilRegistryRecordsNothing(t *testing.T) {
+	var r *Registry
+	r.ObserveRequest("/search", 500, time.Millisecond)
+	r.IncPanic()
+	r.AddInFlight(1)
+	r.SetDocs(3)
+	r.ObserveReload(true, 2)
+	r.ObserveIngest("upsert", false, time.Millisecond)
+	r.ObserveCheckpoint(true, 1, time.Millisecond)
+	r.ObserveRepack(time.Millisecond)
+	r.SetPackBloat(0.5)
+	r.SetReplicaRole("leader")
+	r.SetReplicaLSNs(4, 9)
+	r.ObserveBlockFetch(time.Millisecond)
+	r.ObserveWALFsync(2, time.Millisecond)
+	r.ObserveSearchStage("rank", 0.1)
+	r.ObserveSLSize(7)
+	r.SetCacheStats(func() (int64, int64) { return 1, 2 })
 }

@@ -34,11 +34,11 @@ func TestSearchStageAndSLSizeSeries(t *testing.T) {
 		}
 	}
 
-	if got := r.SearchStageStats(); got["merge"] != 2 || got["rank"] != 1 {
-		t.Errorf("SearchStageStats = %v", got)
+	if merge, rank := r.Value("gks_search_stage_seconds", "stage", "merge"), r.Value("gks_search_stage_seconds", "stage", "rank"); merge != 2 || rank != 1 {
+		t.Errorf("stage observations: merge %v rank %v, want 2 and 1", merge, rank)
 	}
-	if got := r.SLSizeCount(); got != 3 {
-		t.Errorf("SLSizeCount = %d, want 3", got)
+	if got := r.Value("gks_search_sl_entries"); got != 3 {
+		t.Errorf("S_L observations = %v, want 3", got)
 	}
 }
 

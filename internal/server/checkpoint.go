@@ -147,30 +147,22 @@ func (c *Checkpointer) Checkpoint() error {
 	if next, ok := gks.RepackIfNeeded(sys, repackAt); ok {
 		c.rl.h.Swap(next)
 		sys = next
-		if c.reg != nil {
-			c.reg.ObserveRepack(time.Since(repStart))
-		}
+		c.reg.ObserveRepack(time.Since(repStart))
 		if c.logger != nil {
 			st := sys.Stats()
 			c.logger.Printf("checkpoint: repacked node table in %v, %d document(s) %d element(s)",
 				time.Since(repStart).Round(time.Millisecond), st.Documents, st.ElementNodes)
 		}
 	}
-	if c.reg != nil {
-		c.reg.SetPackBloat(gks.PackDebt(sys))
-	}
+	c.reg.SetPackBloat(gks.PackDebt(sys))
 
 	if err := c.persist(sys); err != nil {
-		if c.reg != nil {
-			c.reg.ObserveCheckpoint(false, 0, time.Since(start))
-		}
+		c.reg.ObserveCheckpoint(false, 0, time.Since(start))
 		return err
 	}
 	removed, err := c.wal.TruncateThrough(lsn)
 	if err != nil {
-		if c.reg != nil {
-			c.reg.ObserveCheckpoint(false, 0, time.Since(start))
-		}
+		c.reg.ObserveCheckpoint(false, 0, time.Since(start))
 		return err
 	}
 	c.mu.Lock()
@@ -178,9 +170,7 @@ func (c *Checkpointer) Checkpoint() error {
 		c.lastLSN = lsn
 	}
 	c.mu.Unlock()
-	if c.reg != nil {
-		c.reg.ObserveCheckpoint(true, removed, time.Since(start))
-	}
+	c.reg.ObserveCheckpoint(true, removed, time.Since(start))
 	if c.logger != nil {
 		segs, bytes := c.wal.SegmentStats()
 		c.logger.Printf("checkpoint: snapshot through lsn %d, %d segment(s) truncated, log now %d segment(s) %d byte(s)",

@@ -56,9 +56,9 @@ func TestCheckpointRepack(t *testing.T) {
 	if err := cp.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	total, bloat := reg.RepackStats()
+	total, bloat := reg.Value("gks_repack_total"), reg.Value("gks_pack_bloat_ratio")
 	if total != 1 {
-		t.Fatalf("repacks after threshold crossing = %d, want 1", total)
+		t.Fatalf("repacks after threshold crossing = %v, want 1", total)
 	}
 	if bloat != 0 {
 		t.Errorf("post-repack bloat gauge = %v, want 0", bloat)
@@ -84,9 +84,9 @@ func TestCheckpointRepack(t *testing.T) {
 	if err := cp.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	total, bloat = reg.RepackStats()
+	total, bloat = reg.Value("gks_repack_total"), reg.Value("gks_pack_bloat_ratio")
 	if total != 1 {
-		t.Fatalf("repacks after sub-threshold checkpoint = %d, want still 1", total)
+		t.Fatalf("repacks after sub-threshold checkpoint = %v, want still 1", total)
 	}
 	if bloat == 0 {
 		t.Error("bloat gauge = 0 with an outstanding delta append, want > 0")

@@ -261,12 +261,10 @@ func (ing *Ingester) commit(w http.ResponseWriter, metricOp, op, name, src strin
 	}
 	gen, dropped := ing.rl.h.SwapDoc(next, name)
 	st := next.Stats()
-	if ing.reg != nil {
-		ing.reg.SetDocs(st.Documents)
-		ing.reg.SetSnapshotGeneration(gen)
-		if ss, ok := next.(*gks.ShardedSystem); ok {
-			ing.reg.SetShardCount(ss.NumShards())
-		}
+	ing.reg.SetDocs(st.Documents)
+	ing.reg.SetSnapshotGeneration(gen)
+	if ss, ok := next.(*gks.ShardedSystem); ok {
+		ing.reg.SetShardCount(ss.NumShards())
 	}
 	ing.rl.mu.Unlock()
 
@@ -304,7 +302,5 @@ func (ing *Ingester) commit(w http.ResponseWriter, metricOp, op, name, src strin
 }
 
 func (ing *Ingester) observe(op string, ok bool, start time.Time) {
-	if ing.reg != nil {
-		ing.reg.ObserveIngest(op, ok, time.Since(start))
-	}
+	ing.reg.ObserveIngest(op, ok, time.Since(start))
 }

@@ -220,8 +220,13 @@ func TestIngestPersistFailure(t *testing.T) {
 	if searchTotal(t, h, "neutrino") != 0 {
 		t.Fatal("unpersisted document is serving")
 	}
-	if ok, fail, _ := reg.IngestStats(); ok != 0 || fail != 1 {
-		t.Fatalf("ingest stats ok=%d fail=%d, want 0/1", ok, fail)
+	ok := reg.Value("gks_ingest_total", "op", "upsert", "result", "success")
+	fail := reg.Value("gks_ingest_total", "op", "upsert", "result", "failure")
+	if ok != 0 || fail != 1 {
+		t.Fatalf("upsert counters ok=%v fail=%v, want 0/1", ok, fail)
+	}
+	if out := metricsText(reg); strings.Contains(out, `gks_ingest_total{op="delete"`) {
+		t.Fatalf("a delete was counted though none was sent:\n%s", out)
 	}
 }
 
@@ -271,13 +276,14 @@ func TestIngestMetrics(t *testing.T) {
 	adminReq(t, hnd, "DELETE", "/admin/docs/m.xml", "")
 	adminReq(t, hnd, "DELETE", "/admin/docs/m.xml", "") // 404 → failure
 
-	ok, fail, docs := reg.IngestStats()
-	if ok != 2 || fail != 1 || docs != 1 {
-		t.Fatalf("ingest stats ok=%d fail=%d docs=%d, want 2/1/1", ok, fail, docs)
+	ok := reg.Value("gks_ingest_total", "op", "upsert", "result", "success") +
+		reg.Value("gks_ingest_total", "op", "delete", "result", "success")
+	fail := reg.Value("gks_ingest_total", "op", "upsert", "result", "failure") +
+		reg.Value("gks_ingest_total", "op", "delete", "result", "failure")
+	if docs := reg.Value("gks_docs"); ok != 2 || fail != 1 || docs != 1 {
+		t.Fatalf("ingest stats ok=%v fail=%v docs=%v, want 2/1/1", ok, fail, docs)
 	}
-	var buf strings.Builder
-	reg.WritePrometheus(&buf)
-	out := buf.String()
+	out := metricsText(reg)
 	for _, want := range []string{
 		`gks_ingest_total{op="upsert",result="success"} 1`,
 		`gks_ingest_total{op="delete",result="success"} 1`,

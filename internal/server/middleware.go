@@ -108,9 +108,7 @@ func WithRecovery(reg *obs.Registry, logger *log.Logger) Middleware {
 			sw := &statusWriter{ResponseWriter: w}
 			defer func() {
 				if v := recover(); v != nil {
-					if reg != nil {
-						reg.IncPanic()
-					}
+					reg.IncPanic()
 					if logger != nil {
 						logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
 					}
@@ -138,15 +136,11 @@ func WithLimit(n int, reg *obs.Registry) Middleware {
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
-				if reg != nil {
-					reg.AddInFlight(1)
-					defer reg.AddInFlight(-1)
-				}
+				reg.AddInFlight(1)
+				defer reg.AddInFlight(-1)
 				next.ServeHTTP(w, r)
 			default:
-				if reg != nil {
-					reg.IncShed()
-				}
+				reg.IncShed()
 				w.Header().Set("Retry-After", "1")
 				writeJSONStatus(w, http.StatusServiceUnavailable,
 					map[string]string{"error": "server at capacity, retry shortly"})

@@ -36,8 +36,8 @@ func TestRecoveryMiddlewarePanicTo500(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatalf("500 body not JSON: %v", err)
 	}
-	if _, _, panics, _ := reg.Snapshot(); panics != 1 {
-		t.Errorf("panic counter = %d, want 1", panics)
+	if panics := reg.Value("gks_http_panics_total"); panics != 1 {
+		t.Errorf("panic counter = %v, want 1", panics)
 	}
 }
 
@@ -53,8 +53,8 @@ func TestRecoveryThroughTimeoutGoroutine(t *testing.T) {
 	if rec.Code != 500 {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
-	if _, _, panics, _ := reg.Snapshot(); panics != 1 {
-		t.Errorf("panic counter = %d, want 1", panics)
+	if panics := reg.Value("gks_http_panics_total"); panics != 1 {
+		t.Errorf("panic counter = %v, want 1", panics)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestLimitMiddlewareSheds503(t *testing.T) {
 	if first := <-done; first.Code != 200 {
 		t.Errorf("in-flight request status %d, want 200", first.Code)
 	}
-	if _, _, _, shed := reg.Snapshot(); shed != 1 {
-		t.Errorf("shed counter = %d, want 1", shed)
+	if shed := reg.Value("gks_http_load_shed_total"); shed != 1 {
+		t.Errorf("shed counter = %v, want 1", shed)
 	}
 	// The slot must be reusable after the first request drains.
 	reuse := make(chan *httptest.ResponseRecorder, 1)
@@ -189,7 +189,10 @@ func TestFullStackConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if requests, errs, _, _ := reg.Snapshot(); requests != 64 || errs != 0 {
-		t.Errorf("metrics saw %d requests / %d errors, want 64 / 0", requests, errs)
+	requests := reg.Value("gks_http_requests_total", "endpoint", "/search") +
+		reg.Value("gks_http_requests_total", "endpoint", "/insights") +
+		reg.Value("gks_http_requests_total", "endpoint", "/stats")
+	if out := metricsText(reg); requests != 64 || strings.Contains(out, "gks_http_errors_total{") {
+		t.Errorf("metrics saw %v requests, want 64 and no error series:\n%s", requests, out)
 	}
 }

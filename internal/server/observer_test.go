@@ -19,22 +19,21 @@ func TestSearchObserverRecordsStagesAndSLSize(t *testing.T) {
 	if code, body := get(t, h, "/search?q=karen+mining&s=1"); code != 200 {
 		t.Fatalf("search: %d %s", code, body)
 	}
-	stages := reg.SearchStageStats()
 	for _, stage := range []string{"merge", "windows", "lift", "filter", "rank"} {
-		if stages[stage] != 1 {
-			t.Errorf("stage %q observed %d times, want 1 (all: %v)", stage, stages[stage], stages)
+		if n := reg.Value("gks_search_stage_seconds", "stage", stage); n != 1 {
+			t.Errorf("stage %q observed %v times, want 1", stage, n)
 		}
 	}
-	if n := reg.SLSizeCount(); n != 1 {
-		t.Errorf("SL size observed %d times, want 1", n)
+	if n := reg.Value("gks_search_sl_entries"); n != 1 {
+		t.Errorf("SL size observed %v times, want 1", n)
 	}
 
 	// A cache hit performs no engine work, so nothing new is observed.
 	if code, body := get(t, h, "/search?q=karen+mining&s=1"); code != 200 {
 		t.Fatalf("cached search: %d %s", code, body)
 	}
-	if stages := reg.SearchStageStats(); stages["merge"] != 1 {
-		t.Errorf("cache hit re-observed stages: %v", stages)
+	if n := reg.Value("gks_search_stage_seconds", "stage", "merge"); n != 1 {
+		t.Errorf("cache hit re-observed stages: merge observed %v times", n)
 	}
 
 	// Insights and refine run searches too (different queries bypass the
@@ -45,11 +44,11 @@ func TestSearchObserverRecordsStagesAndSLSize(t *testing.T) {
 	if code, body := get(t, h, "/refine?q=mining&s=1"); code != 200 {
 		t.Fatalf("refine: %d %s", code, body)
 	}
-	if stages := reg.SearchStageStats(); stages["merge"] != 3 {
-		t.Errorf("merge observed %d times after insights+refine, want 3", stages["merge"])
+	if n := reg.Value("gks_search_stage_seconds", "stage", "merge"); n != 3 {
+		t.Errorf("merge observed %v times after insights+refine, want 3", n)
 	}
-	if n := reg.SLSizeCount(); n != 3 {
-		t.Errorf("SL size observed %d times, want 3", n)
+	if n := reg.Value("gks_search_sl_entries"); n != 3 {
+		t.Errorf("SL size observed %v times, want 3", n)
 	}
 }
 

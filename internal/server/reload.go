@@ -52,9 +52,7 @@ func (rl *Reloader) Reload() (int64, error) {
 	}
 	if err != nil {
 		gen := rl.h.Generation()
-		if rl.reg != nil {
-			rl.reg.ObserveReload(false, gen)
-		}
+		rl.reg.ObserveReload(false, gen)
 		if rl.logger != nil {
 			rl.logger.Printf("reload failed, still serving generation %d: %v", gen, err)
 		}
@@ -62,9 +60,7 @@ func (rl *Reloader) Reload() (int64, error) {
 	}
 
 	gen := rl.h.Swap(sys)
-	if rl.reg != nil {
-		rl.reg.ObserveReload(true, gen)
-	}
+	rl.reg.ObserveReload(true, gen)
 	if rl.logger != nil {
 		st := sys.Stats()
 		rl.logger.Printf("reloaded snapshot: generation %d now serving %d document(s), %d elements",

@@ -20,6 +20,21 @@ import (
 	"repro/internal/obs"
 )
 
+// reloadStats reads the reload counters and the generation gauge.
+func reloadStats(reg *obs.Registry) (ok, fail, gen float64) {
+	return reg.Value("gks_snapshot_reloads_total", "result", "success"),
+		reg.Value("gks_snapshot_reloads_total", "result", "failure"),
+		reg.Value("gks_snapshot_generation")
+}
+
+// metricsText returns the registry's exposition, for assertions on series
+// that must be absent (Value panics on those).
+func metricsText(reg *obs.Registry) string {
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	return b.String()
+}
+
 // snapshotFile persists a freshly indexed document to a snapshot on disk
 // and returns the path.
 func snapshotFile(t *testing.T, dir, name, student string) string {
@@ -169,8 +184,8 @@ func TestReloadUnderTraffic(t *testing.T) {
 	if okBody.Generation != 2 {
 		t.Fatalf("generation after reload = %d, want 2", okBody.Generation)
 	}
-	if ok, fail, gen := reg.ReloadStats(); ok != 1 || fail != 0 || gen != 2 {
-		t.Fatalf("reload metrics after success = ok %d fail %d gen %d", ok, fail, gen)
+	if ok, fail, gen := reloadStats(reg); ok != 1 || fail != 0 || gen != 2 {
+		t.Fatalf("reload metrics after success = ok %v fail %v gen %v", ok, fail, gen)
 	}
 
 	// The swap must be visible to new requests: "walter" only exists in B,
@@ -202,8 +217,8 @@ func TestReloadUnderTraffic(t *testing.T) {
 	if !strings.Contains(string(body), "corrupt") || !strings.Contains(string(body), "corrupt.gksidx") {
 		t.Errorf("corrupt reload error should name the damaged file: %s", body)
 	}
-	if ok, fail, gen := reg.ReloadStats(); ok != 1 || fail != 1 || gen != 2 {
-		t.Fatalf("reload metrics after failure = ok %d fail %d gen %d", ok, fail, gen)
+	if ok, fail, gen := reloadStats(reg); ok != 1 || fail != 1 || gen != 2 {
+		t.Fatalf("reload metrics after failure = ok %v fail %v gen %v", ok, fail, gen)
 	}
 	if api.Generation() != 2 {
 		t.Fatalf("generation moved on failed reload: %d", api.Generation())

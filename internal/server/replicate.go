@@ -188,10 +188,8 @@ func (a *ReplicaApplier) Apply(rec wal.Record) error {
 	}
 	gen, _ := a.rl.h.SwapDoc(next, rec.Name)
 	st := next.Stats()
-	if a.reg != nil {
-		a.reg.SetDocs(st.Documents)
-		a.reg.SetSnapshotGeneration(gen)
-	}
+	a.reg.SetDocs(st.Documents)
+	a.reg.SetSnapshotGeneration(gen)
 	a.staged.Store(rec.LSN)
 	return nil
 }
@@ -250,10 +248,8 @@ func (a *ReplicaApplier) InstallSnapshot(lsn uint64, r io.Reader) error {
 	}
 	gen := a.rl.h.Swap(sys)
 	st := sys.Stats()
-	if a.reg != nil {
-		a.reg.SetDocs(st.Documents)
-		a.reg.SetSnapshotGeneration(gen)
-	}
+	a.reg.SetDocs(st.Documents)
+	a.reg.SetSnapshotGeneration(gen)
 	a.staged.Store(lsn)
 	a.applied.Store(lsn)
 	if err := removeInstallMarker(a.wal.Dir()); err != nil {

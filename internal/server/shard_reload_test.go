@@ -206,8 +206,8 @@ func TestShardSetReloadUnderTraffic(t *testing.T) {
 	if sr.StatusCode != http.StatusOK || !strings.Contains(string(body), `"total": 4`) {
 		t.Fatalf("rolled-back server no longer serving set B: status %d body %s", sr.StatusCode, body)
 	}
-	if _, fail, _ := reg.ReloadStats(); fail != 1 {
-		t.Fatalf("failure reload counter = %d, want 1", fail)
+	if _, fail, _ := reloadStats(reg); fail != 1 {
+		t.Fatalf("failure reload counter = %v, want 1", fail)
 	}
 
 	waitTraffic(requests.Load() + 50)

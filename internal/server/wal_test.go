@@ -84,8 +84,9 @@ func TestIngestWALMode(t *testing.T) {
 	if n := searchTotal(t, h, "neutrino"); n == 0 {
 		t.Fatal("added document not searchable")
 	}
-	if fsyncs, segs, bytes := reg.WALStats(); fsyncs == 0 || segs == 0 || bytes == 0 {
-		t.Fatalf("wal metrics not reporting: fsyncs=%d segments=%d bytes=%d", fsyncs, segs, bytes)
+	fsyncs, segs, bytes := reg.Value("gks_wal_fsync_duration_seconds"), reg.Value("gks_wal_segments"), reg.Value("gks_wal_size_bytes")
+	if fsyncs == 0 || segs == 0 || bytes == 0 {
+		t.Fatalf("wal metrics not reporting: fsyncs=%v segments=%v bytes=%v", fsyncs, segs, bytes)
 	}
 
 	// Two more durable mutations cross the every=3 threshold.
@@ -96,7 +97,7 @@ func TestIngestWALMode(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if ok, _, _ := reg.CheckpointStats(); ok > 0 {
+		if reg.Value("gks_wal_checkpoints_total", "result", "success") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -145,7 +146,7 @@ func TestIngestWALAppendFailureKeepsGauges(t *testing.T) {
 		t.Fatal("healthy mutation failed")
 	}
 	genBefore := h.Generation()
-	_, _, docsBefore := reg.IngestStats()
+	docsBefore := reg.Value("gks_docs")
 	docCountBefore := h.Searcher().Stats().Documents
 
 	// Close the log out from under the ingester: every append now fails.
@@ -162,8 +163,8 @@ func TestIngestWALAppendFailureKeepsGauges(t *testing.T) {
 	if h.Generation() != genBefore {
 		t.Fatalf("generation moved to %d on failed append", h.Generation())
 	}
-	if _, _, docs := reg.IngestStats(); docs != docsBefore {
-		t.Fatalf("gks_docs gauge moved to %d on failed append (was %d)", docs, docsBefore)
+	if docs := reg.Value("gks_docs"); docs != docsBefore {
+		t.Fatalf("gks_docs gauge moved to %v on failed append (was %v)", docs, docsBefore)
 	}
 	if got := h.Searcher().Stats().Documents; got != docCountBefore {
 		t.Fatalf("serving system mutated on failed append: %d docs, was %d", got, docCountBefore)
@@ -218,9 +219,10 @@ func TestIngestWALConcurrentWriters(t *testing.T) {
 	if got := l.DurableLSN(); got != writers*opsEach {
 		t.Fatalf("durable through %d, want %d (all were acknowledged)", got, writers*opsEach)
 	}
-	okN, failN, _ := reg.IngestStats()
+	okN := reg.Value("gks_ingest_total", "op", "upsert", "result", "success")
+	failN := reg.Value("gks_ingest_total", "op", "upsert", "result", "failure")
 	if okN != writers*opsEach || failN != 0 {
-		t.Fatalf("ingest counters ok=%d fail=%d, want %d/0", okN, failN, writers*opsEach)
+		t.Fatalf("ingest counters ok=%v fail=%v, want %d/0", okN, failN, writers*opsEach)
 	}
 	if n := searchTotal(t, h, "lepton"); n == 0 {
 		t.Fatal("concurrent writes not searchable")

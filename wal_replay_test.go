@@ -9,7 +9,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/index"
 	"repro/internal/wal"
@@ -515,4 +517,67 @@ func TestWALReplayShardedSmoke(t *testing.T) {
 	queries := []string{"apple", "pear", "plum", "quince", "mango", "cherry", "plum fig"}
 	assertStateEqual(t, "sharded", ref, recovered, queries)
 	assertStateEqual(t, "sharded live", ref, sys, queries)
+}
+
+// blockFetchCounter is a segment.Metrics sink that counts posting-block
+// lookups, hit or miss.
+type blockFetchCounter struct{ lookups atomic.Int64 }
+
+func (c *blockFetchCounter) BlockCacheHit()                  { c.lookups.Add(1) }
+func (c *blockFetchCounter) BlockCacheMiss()                 { c.lookups.Add(1) }
+func (c *blockFetchCounter) BlockCacheEvict()                {}
+func (c *blockFetchCounter) SetBlockCacheBytes(int64)        {}
+func (c *blockFetchCounter) ObserveBlockFetch(time.Duration) {}
+
+// TestWALReplayEmptyTailKeepsSegmentLazy: a gksd booted from a GKS4 segment
+// with the default (empty) WAL used to reach AppendBatch's Materialized()
+// before the empty batch was noticed, so boot read every posting list,
+// abandoned the block cache for good and served a fresh System that had
+// dropped the segment handle. An empty tail must hand back the system it
+// was given, untouched.
+func TestWALReplayEmptyTailKeepsSegmentLazy(t *testing.T) {
+	dir := t.TempDir()
+	eager, err := IndexDocuments(
+		ingestDoc(t, "a.xml", "apple", "pear"),
+		ingestDoc(t, "b.xml", "pear", "plum"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "corpus.gks4")
+	if err := eager.SaveSegmentFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var fetched blockFetchCounter
+	sys, err := LoadIndexFileOpts(path, SegmentOptions{Metrics: &fetched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseIndex()
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	got, applied, err := ReplayWAL(sys, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != Searcher(sys) || applied != 0 {
+		t.Fatalf("ReplayWAL over an empty log returned %p with %d applied, want the input system %p and 0", got, applied, sys)
+	}
+	if !sys.ix.IsLazy() || sys.Segment() == nil {
+		t.Fatal("the segment-backed system is no longer lazy after an empty replay")
+	}
+	if n := fetched.lookups.Load(); n != 0 {
+		t.Fatalf("an empty replay looked up %d posting block(s), want 0", n)
+	}
+	// The same holds one level down: an empty batch is the base itself.
+	if ix, err := index.AppendBatch(sys.ix, nil, index.DefaultOptions()); err != nil || ix != sys.ix {
+		t.Fatalf("AppendBatch(lazy, nil) = %p, %v; want the base %p", ix, err, sys.ix)
+	}
+	if n := fetched.lookups.Load(); n != 0 {
+		t.Fatalf("an empty batch looked up %d posting block(s), want 0", n)
+	}
 }

@@ -19,7 +19,9 @@ import (
 
 // ReplayWAL applies the log's surviving records to sys and returns the
 // recovered system (sys itself is unchanged, copy-on-write like every
-// mutation) along with the number of mutations applied. Replay is
+// mutation) along with the number of mutations applied. An empty log
+// returns sys itself: a segment-backed system stays lazy and keeps its
+// block cache and its file handle. Replay is
 // last-writer-wins: only each document's final logged op matters, all
 // final upserts apply before all final deletes, and a delete of an
 // already-absent document is skipped. For a log that is a contiguous
@@ -83,6 +85,9 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 			return nil, 0, fmt.Errorf("gks: wal replay: document %q: %w", name, err)
 		}
 		upserts = append(upserts, doc)
+	}
+	if len(upserts) == 0 && len(deletes) == 0 {
+		return sys, 0, nil
 	}
 	if s, ok := sys.(*System); ok {
 		next, applied, err := s.replayBatch(upserts, deletes)
