@@ -55,9 +55,10 @@ dag-smoke:
 # cached-vs-uncached differential over random mutation histories and the
 # fill-after-swap race, under the race detector — the fastest signal that
 # /admin/docs still honours persist-before-acknowledge and that the
-# response cache only ever serves the served system's answer.
+# response cache only ever serves the served system's answer, whichever of
+# /search, /insights and /refine asks.
 ingest-smoke:
-	$(GO) test -race -count=1 -run 'TestIngest|TestCacheDifferential|TestCacheFillRace' ./internal/server ./internal/cache
+	$(GO) test -race -count=1 -run 'TestIngest|TestCache|TestPartial|TestInsightsMissesCoalesce|TestGetIf' ./internal/server ./internal/cache
 
 # Write-ahead-log smoke: a short fuzz pass over the segment scanner
 # (arbitrary bytes must parse cleanly, drop a torn tail, or fail with a
@@ -90,9 +91,11 @@ shard-race:
 # module of its own, outside ./..., so build, vet and test above never
 # reach it: an engine or server signature change could break it silently.
 # Vet it and run its tests (unit tests plus a scale-1, 1 s smoke of all
-# four workloads against a real gksd).
+# four workloads against a real gksd). Like every rule that boots a gksd,
+# it ends with `strays`: a process left behind fails the rule that left it.
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	@$(MAKE) --no-print-directory strays
 
 # One command regenerates every system-level number README.md and
 # DESIGN.md quote: all four workloads, end to end and per layer (traced
@@ -100,6 +103,7 @@ bench-e2e-smoke:
 # envelope records commit, CPU and seed).
 bench-spine:
 	bash bench/run.sh -out BENCH_spine.json
+	@$(MAKE) --no-print-directory strays
 
 # The regression gate: measure the checkout into $(NEW), then compare it
 # with $(BASE) under the bounds of BENCHMARK.json (exit 1 and the row's
@@ -111,10 +115,12 @@ NEW ?= .bench_build/new.json
 bench-gate:
 	bash bench/run.sh -out $(NEW)
 	bash bench/run.sh -compare $(BASE) $(NEW)
+	@$(MAKE) --no-print-directory strays
 
 # A gksd or a benchmark harness still running once the work is done: four
 # PRs were rejected for one. Lists them (PID and name) and fails if there is
-# any. Last in `check`; run it by hand after every bench/run.sh too.
+# any. Last in `check` and in every rule that runs bench/; run it by hand
+# after a bare bench/run.sh too.
 strays:
 	@left=$$(pgrep -x -l gksd; pgrep -x -l bench); \
 	if [ -n "$$left" ]; then echo "strays: still running:"; echo "$$left"; exit 1; fi

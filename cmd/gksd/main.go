@@ -71,7 +71,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8791", "listen address")
 	schemaCats := flag.Bool("schema", false, "apply schema-aware categorization at startup (and on reload)")
 	lenient := flag.Bool("lenient", false, "with -files: skip unparsable XML files (logged) instead of failing the batch")
-	cacheSize := flag.Int("cache", 256, "LRU entries for /search responses (0 disables)")
+	cacheSize := flag.Int("cache", 256, "LRU entries, one per query (q, s), for /search, /insights and /refine responses (0 disables)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout; exceeding it answers 504 (0 disables)")
 	maxInflight := flag.Int("max-inflight", 256, "concurrent request cap; excess load sheds with 503 (0 disables)")
 	grace := flag.Duration("shutdown-grace", 15*time.Second, "drain window for in-flight requests on SIGINT/SIGTERM")

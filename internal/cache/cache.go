@@ -41,14 +41,37 @@ func New[K comparable, V any](capacity int) *LRU[K, V] {
 // Get returns the cached value and whether it was present, refreshing the
 // entry's recency.
 func (c *LRU[K, V]) Get(key K) (V, bool) {
+	return c.GetIf(key, func(V) bool { return true })
+}
+
+// GetIf is Get for a value that holds several answers under one key: the
+// lookup is a hit only when the entry is present and has reports true of
+// it, and a miss otherwise, so the counters keep counting answers served,
+// not entries found. A present entry is refreshed either way. has runs
+// under the cache's lock.
+func (c *LRU[K, V]) GetIf(key K, has func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry[K, V]).value, true
+		if v := el.Value.(*entry[K, V]).value; has(v) {
+			c.hits++
+			return v, true
+		}
 	}
 	c.misses++
+	var zero V
+	return zero, false
+}
+
+// Peek returns the cached value without refreshing it or counting a
+// lookup: the read half of a read-modify-write that ends in Put.
+func (c *LRU[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[K, V]).value, true
+	}
 	var zero V
 	return zero, false
 }

@@ -125,3 +125,45 @@ func TestDeleteFunc(t *testing.T) {
 		t.Error("deleted entry still present")
 	}
 }
+
+// GetIf counts a lookup by what it could serve: an entry that lacks the
+// wanted part is a miss, though it is refreshed; Peek counts and refreshes
+// nothing.
+func TestGetIfAndPeek(t *testing.T) {
+	c := New[string, []int](2)
+	c.Put("a", []int{1})
+	c.Put("b", []int{2})
+	has := func(want int) func([]int) bool {
+		return func(v []int) bool { return len(v) > 0 && v[0] == want }
+	}
+	if v, ok := c.GetIf("a", has(1)); !ok || v[0] != 1 {
+		t.Fatalf("GetIf(a, has 1) = %v/%v", v, ok)
+	}
+	if v, ok := c.GetIf("b", has(9)); ok || v != nil {
+		t.Fatalf("GetIf(b, has 9) = %v/%v, want a miss", v, ok)
+	}
+	if _, ok := c.GetIf("z", has(1)); ok {
+		t.Fatal("absent key hit")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 1/2", hits, misses)
+	}
+	// "b" was refreshed by its failed lookup, so "a" is the eviction victim —
+	// and Peek must not change that.
+	if v, ok := c.Peek("a"); !ok || v[0] != 1 {
+		t.Fatalf("Peek(a) = %v/%v", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("Peek of an absent key")
+	}
+	c.Put("c", []int{3})
+	if _, ok := c.Peek("a"); ok {
+		t.Error("Peek refreshed a: it should have been evicted")
+	}
+	if _, ok := c.Peek("b"); !ok {
+		t.Error("a lookup that found b without the wanted part did not refresh it")
+	}
+	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("Peek moved the counters: %d/%d", hits, misses)
+	}
+}

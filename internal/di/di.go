@@ -71,6 +71,11 @@ func (a *Analyzer) Discover(resp *core.Response, m int) []Insight {
 // document, which makes sharded DI byte-identical to single-index DI —
 // results are visited in the same (global rank) order, so the weight sums
 // accumulate in the same floating-point order.
+//
+// The §6.2 exclusion of query keywords runs after ranking: whether a value
+// holds one does not depend on the other values, so walking the ranked list
+// until m insights have passed yields the same top-m while tokenizing and
+// stemming about m values, not every occurrence under every result.
 func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m int) []Insight {
 	queryTokens := resp.Query.TokenSet()
 	type key struct {
@@ -85,9 +90,6 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 		ix := ixOf(r)
 		for _, attr := range ix.ValueNodesUnder(r.Ord) {
 			info := ix.Info(attr)
-			if containsQueryToken(info.Value, queryTokens) {
-				continue // §6.2: query keywords are not included in S_w^Q
-			}
 			path := ix.PathLabels(r.Ord, attr)
 			k := key{path: strings.Join(path, "/"), value: info.Value}
 			in := acc[k]
@@ -120,10 +122,16 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 		// sharded/single-index implementations).
 		return strings.Join(out[i].Path, "/") < strings.Join(out[j].Path, "/")
 	})
-	if m > 0 && len(out) > m {
-		out = out[:m]
+	kept := out[:0]
+	for _, in := range out {
+		if m > 0 && len(kept) == m {
+			break
+		}
+		if !containsQueryToken(in.Value, queryTokens) { // §6.2: not in S_w^Q
+			kept = append(kept, in)
+		}
 	}
-	return out
+	return kept
 }
 
 func containsQueryToken(value string, queryTokens map[string]bool) bool {

@@ -10,10 +10,13 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	gks "repro"
 	"repro/internal/wal"
@@ -46,7 +49,9 @@ func diffFixedDocs() []*gks.Document {
 
 // diffQueries is the query population: tokens of the fixed documents only,
 // tokens of the mutated ones, mixes, absent tokens, element names, a quoted
-// phrase, best-effort s=0 and a truncated top.
+// phrase, best-effort s=0 and a truncated top — and /insights and /refine
+// views, of queries /search also asks (one entry, several views) and of
+// queries only they ask.
 func diffQueries() []string {
 	qs := []string{
 		"/search?q=karen&s=1", "/search?q=karen+mike&s=2", "/search?q=data+web&s=2",
@@ -59,7 +64,12 @@ func diffQueries() []string {
 	for i := 0; i < 8; i++ {
 		qs = append(qs, fmt.Sprintf("/search?q=w%d&s=1", i))
 	}
-	return qs
+	return append(qs,
+		"/insights?q=karen&s=1", "/insights?q=karen&s=1&m=1", "/insights?q=student&s=1&m=50", "/insights?q=paper&s=1",
+		"/insights?q=w0+w1+w2+w3&s=0", "/insights?q=item+w2&s=1&m=3", "/insights?q=%22alpha+beta%22&s=1", "/insights?q=zebra&s=1",
+		"/refine?q=karen+mike&s=2", "/refine?q=w0+w1+w2+w3&s=0", "/refine?q=karen+w3&s=1&top=1", "/refine?q=note+w1+zebra&s=1",
+		"/refine?q=unicorn+karen&s=1", "/refine?q=student+paper+w5&s=1&top=2",
+	)
 }
 
 func diffDoc(rng *rand.Rand) string {
@@ -76,10 +86,10 @@ func diffDoc(rng *rand.Rand) string {
 
 // TestCacheDifferential drives the same random add / replace / delete
 // history through the real Ingester of a cached handler (capacity below the
-// query population, so the LRU evicts too) and of an uncached one, and
-// after every step requires every body of the population to be
-// byte-identical — the cache may only ever serve the served system's
-// answer. A query over the fixed documents asked right before and right
+// number of distinct queries, so the LRU evicts too) and of an uncached one,
+// and after every step requires every body of the population — /search,
+// /insights and /refine — to be byte-identical: the cache may only ever
+// serve the served system's answer. A query over the fixed documents asked right before and right
 // after each mutation must hit: a mutation evicts only what it can change.
 func TestCacheDifferential(t *testing.T) {
 	builds := map[string]func(t *testing.T) gks.Searcher{
@@ -101,7 +111,7 @@ func TestCacheDifferential(t *testing.T) {
 	for name, build := range builds {
 		t.Run(name, func(t *testing.T) {
 			queries := diffQueries()
-			cached := NewWithCache(build(t), len(queries)*2/3)
+			cached := NewWithCache(build(t), len(queries)/2)
 			plain := New(build(t))
 			stacks := []http.Handler{
 				NewIngester(NewReloader(cached, nil, nil, nil), nil, nil, nil).Handler(),
@@ -211,6 +221,180 @@ func TestCacheFillRace(t *testing.T) {
 	}
 	if _, after := get(t, h, q); after != fresh {
 		t.Fatalf("the stale answer became resident:\n%s", after)
+	}
+
+	// The same race for a view of a query that has an entry: an /insights
+	// computed on generation 1 finishes after a swap changed its answer and
+	// after generation 2 cached the query's /search view. It must not join
+	// that entry as a second view.
+	sys1 := testSystem(t)
+	sys2, _, err := sys1.UpsertDocument(gks.BuildDocument("night.xml", gks.E("Dept", gks.E("Course",
+		gks.ET("Name", "Quantum"), gks.E("Students", gks.ET("Student", "Mike"), gks.ET("Student", "Zed"))))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = NewWithCache(sys1, 8)
+	hold := &holdingObserver{entered: make(chan struct{}), release: make(chan struct{})}
+	hold.armed.Store(true)
+	h.SetSearchObserver(hold)
+	const insights = "/insights?q=mike&s=1&m=9"
+	go func() {
+		code, body := get(t, h, insights)
+		slow <- answer{code, body}
+	}()
+	<-hold.entered // searched generation 1, not yet encoded or filled
+	if gen, _ := h.SwapDoc(sys2, "night.xml"); gen != 2 {
+		t.Fatalf("SwapDoc generation = %d, want 2", gen)
+	}
+	get(t, h, q) // generation 2 makes the query's entry
+	close(hold.release)
+	_, want1 := get(t, New(sys1), insights)
+	_, want2 := get(t, New(sys2), insights)
+	if want1 == want2 {
+		t.Fatal("the swap was meant to change the insights")
+	}
+	if a := <-slow; a.code != 200 || a.body != want1 {
+		t.Fatalf("pre-swap /insights must get the answer of the system it searched: %d %s", a.code, a.body)
+	}
+	hits, _ := h.CacheStats()
+	if _, got := get(t, h, insights); got != want2 {
+		t.Fatalf("a stale view joined the new generation's entry:\n%s", got)
+	}
+	if after, _ := h.CacheStats(); after != hits {
+		t.Fatal("the discarded view was served from the cache")
+	}
+}
+
+// holdingObserver blocks the first search observed while armed — after the
+// engine ran, before the handler encodes and fills.
+type holdingObserver struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (o *holdingObserver) ObserveSearchStage(string, float64) {}
+func (o *holdingObserver) ObserveSLSize(int) {
+	if o.armed.CompareAndSwap(true, false) {
+		o.entered <- struct{}{}
+		<-o.release
+	}
+}
+
+// TestCacheAccountingPerView: hits and misses count one lookup per request
+// for the view it asked — an entry that lacks the view is a miss, a fill
+// counts nothing, /explain looks nothing up — and every view of a query
+// shares the query's one entry.
+func TestCacheAccountingPerView(t *testing.T) {
+	h := NewWithCache(testSystem(t), 8)
+	steps := []struct {
+		url          string
+		hits, misses int64
+	}{
+		{"/search?q=karen&s=1", 0, 1},
+		{"/insights?q=karen&s=1", 0, 2}, // entry present, view absent
+		{"/insights?q=karen&s=1", 1, 2},
+		{"/insights?q=karen&s=1&m=5", 2, 2}, // the default, spelled out
+		{"/search?q=karen&s=1&top=3", 2, 3},
+		{"/refine?q=karen&s=1", 2, 4},
+		{"/refine?q=karen&s=1", 3, 4},
+		{"/explain?q=karen&s=1", 3, 4},
+		{"/search?q=karen&s=1", 4, 4},
+		{"/search?q=karen&s=2", 4, 5}, // another query
+	}
+	for i, st := range steps {
+		if code, body := get(t, h, st.url); code != 200 {
+			t.Fatalf("step %d %s: %d %s", i, st.url, code, body)
+		}
+		if hits, misses := h.CacheStats(); hits != st.hits || misses != st.misses {
+			t.Fatalf("step %d %s: stats %d/%d, want %d/%d", i, st.url, hits, misses, st.hits, st.misses)
+		}
+	}
+	if n := h.respCache.Len(); n != 2 {
+		t.Fatalf("%d entries for two queries", n)
+	}
+}
+
+// TestCacheViewsBound: asking one query for fifty different tops leaves one
+// entry holding the last maxViews bodies.
+func TestCacheViewsBound(t *testing.T) {
+	h := NewWithCache(testSystem(t), 8)
+	for top := 1; top <= 50; top++ {
+		get(t, h, "/search?q=karen&s=1&top="+strconv.Itoa(top))
+	}
+	a, ok := h.respCache.Peek(cacheKey("karen", 1))
+	if n := h.respCache.Len(); !ok || n != 1 || len(a.views) != maxViews {
+		t.Fatalf("%d entries, %d views; want 1 entry of %d views", n, len(a.views), maxViews)
+	}
+	for i, v := range a.views {
+		if want := (viewKey{"/search", 50 - maxViews + 1 + i}); v.key != want {
+			t.Errorf("view %d is %+v, want %+v", i, v.key, want)
+		}
+	}
+	hits, _ := h.CacheStats()
+	get(t, h, "/search?q=karen&s=1&top=50")
+	get(t, h, "/search?q=karen&s=1&top=1") // long dropped
+	if after, _ := h.CacheStats(); after != hits+1 {
+		t.Fatalf("hits moved by %d, want 1 (top=50 resident, top=1 dropped)", after-hits)
+	}
+}
+
+// TestPartialViewsFlaggedAndNotCached: /insights and /refine over a
+// degraded response say so and are not stored; once the shard recovers the
+// complete answer is.
+func TestPartialViewsFlaggedAndNotCached(t *testing.T) {
+	for _, url := range []string{"/insights?q=karen&s=1", "/refine?q=karen+mike&s=1"} {
+		ps := &partialSearcher{Searcher: testSystem(t)}
+		ps.degraded.Store(true)
+		h := NewWithCache(ps, 16)
+		if code, body := get(t, h, url); code != 200 || !strings.Contains(body, `"partial": true`) {
+			t.Fatalf("%s degraded: %d %s", url, code, body)
+		}
+		if n := h.respCache.Len(); n != 0 {
+			t.Fatalf("%s: a partial answer was stored", url)
+		}
+		ps.degraded.Store(false)
+		for i := 0; i < 2; i++ {
+			if code, body := get(t, h, url); code != 200 || !strings.Contains(body, `"partial": false`) {
+				t.Fatalf("%s recovered: %d %s", url, code, body)
+			}
+		}
+		if hits, misses := h.CacheStats(); hits != 1 || misses != 2 {
+			t.Fatalf("%s: stats %d/%d, want 1/2", url, hits, misses)
+		}
+	}
+}
+
+// TestInsightsMissesCoalesce: identical concurrent /insights misses share
+// one engine search, as /search misses do.
+func TestInsightsMissesCoalesce(t *testing.T) {
+	gated := &gatedSearcher{Searcher: testSystem(t), entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	h := NewWithCache(gated, 8)
+	const workers = 8
+	bodies := make(chan string, workers)
+	ask := func() {
+		_, body := get(t, h, "/insights?q=karen&s=1")
+		bodies <- body
+	}
+	go ask()
+	<-gated.entered // the leader is inside the engine
+	for i := 1; i < workers; i++ {
+		go ask()
+	}
+	for _, misses := h.CacheStats(); misses < workers; _, misses = h.CacheStats() {
+		runtime.Gosched()
+	}
+	// Every follower has missed; between that and joining the flight it
+	// runs a few instructions and cannot block. Give it that long.
+	time.Sleep(50 * time.Millisecond)
+	close(gated.gate)
+	first := <-bodies
+	for i := 1; i < workers; i++ {
+		if b := <-bodies; b != first {
+			t.Fatalf("a follower got a different body:\n%s\nvs\n%s", b, first)
+		}
+	}
+	if n := 1 + len(gated.entered); n != 1 {
+		t.Fatalf("the engine ran %d times, want 1", n)
 	}
 }
 

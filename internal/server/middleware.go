@@ -63,7 +63,7 @@ func (sw *statusWriter) Status() int {
 // endpointLabel collapses unknown paths to "other" so a path-scanning
 // client cannot explode the metrics label space.
 func endpointLabel(path string) string {
-	for _, ep := range Endpoints() {
+	for _, ep := range endpoints {
 		if path == ep {
 			return ep
 		}

@@ -22,14 +22,16 @@
 // non-GET methods get 405. Client mistakes answer 400, internal failures
 // 500, and an exceeded request deadline 504.
 //
-// /search answers are memoized in an LRU (NewWithCache) under one
-// invariant: every resident entry is the answer of the system being
-// served. An entry is the encoded response body plus the query's
-// normalized tokens, so a hit is one Write of stored bytes. A one-document
-// mutation (SwapDoc: /admin/docs, replica apply) drops only the entries
-// with a token the document held or holds — no other answer can have
-// changed — while a wholesale replacement (Swap: reload, snapshot install,
-// repack) purges everything.
+// /search, /insights and /refine answers are memoized in an LRU
+// (NewWithCache) under one invariant: every resident entry is the answer of
+// the system being served. An entry belongs to one query (q, s): its
+// normalized tokens plus the encoded body of each view asked of it (an
+// endpoint and its top or m), so a hit on any of the three is one Write of
+// stored bytes. A one-document mutation (SwapDoc: /admin/docs, replica
+// apply) drops only the entries with a token the document held or holds —
+// no other answer can have changed — while a wholesale replacement (Swap:
+// reload, snapshot install, repack) purges everything. /explain is never
+// cached: its body carries the wall-clock stage timings of its own run.
 //
 // The handler is plain business logic; production concerns (panic recovery,
 // request timeouts, load shedding, metrics, access logs) are layered on via
@@ -44,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -61,13 +64,11 @@ const (
 	maxDist = 8    // did-you-mean edit distance
 )
 
-// Endpoints lists every route the handler serves, sorted; it is returned in
+// endpoints lists every route the handler serves, sorted; it is returned in
 // 404 bodies and used by the metrics middleware to label known paths.
-func Endpoints() []string {
-	return []string{
-		"/baselines", "/explain", "/insights", "/refine",
-		"/schema", "/search", "/stats", "/suggest", "/types",
-	}
+var endpoints = []string{
+	"/baselines", "/explain", "/insights", "/refine",
+	"/schema", "/search", "/stats", "/suggest", "/types",
 }
 
 // searcherBox pairs the served Searcher with its snapshot generation (1 for
@@ -81,12 +82,37 @@ type searcherBox struct {
 	gen int64
 }
 
-// cachedAnswer is one response-cache entry: the exact bytes writeJSON
-// would send, and the query's normalized tokens — what a mutated document
-// must hold for the answer to change.
+// maxViews bounds the bodies one cached query keeps; the oldest goes first.
+const maxViews = 4
+
+// viewKey names one view of a query: the endpoint and its top or m.
+type viewKey struct {
+	endpoint string
+	n        int
+}
+
+// cachedView is the exact bytes writeJSON would send for one view.
+type cachedView struct {
+	key  viewKey
+	body []byte
+}
+
+// cachedAnswer is one response-cache entry, everything kept of one query
+// (q, s): its normalized tokens — what a mutated document must hold for
+// any of its answers to change — and the views asked of it so far. views
+// is replaced, never written in place, so a reader may hold it unlocked.
 type cachedAnswer struct {
-	body   []byte
 	tokens []string
+	views  []cachedView
+}
+
+func (a cachedAnswer) body(v viewKey) []byte {
+	for _, cv := range a.views {
+		if cv.key == v {
+			return cv.body
+		}
+	}
+	return nil
 }
 
 // Handler routes the JSON API for one system — a single-index System or a
@@ -106,9 +132,9 @@ type Handler struct {
 	// cache a stale answer. Cache hits do not take it.
 	mu        sync.Mutex
 	respCache *cache.LRU[string, cachedAnswer]
-	// flight is keyed by generation and cache key: a request that starts
-	// after an acknowledged write never joins a search on the system
-	// before it.
+	// flight is keyed by generation, cache key and view: a request that
+	// starts after an acknowledged write never joins a search on the
+	// system before it.
 	flight    cache.Group[string, []byte]
 	searchObs SearchObserver
 
@@ -133,15 +159,17 @@ func (h *Handler) SetSearchObserver(o SearchObserver) { h.searchObs = o }
 // New builds the HTTP handler for sys.
 func New(sys gks.Searcher) *Handler { return NewWithCache(sys, 0) }
 
-// NewWithCache builds the handler with an LRU memoizing /search responses
-// for up to capacity distinct (q, s, top) triples. Search is deterministic
-// over an immutable index, so a cached response stays right until a swap
-// changes the documents it was computed from; Swap and SwapDoc drop what
-// they may have changed. Responses flagged partial (a degraded
-// scatter-gather) are never cached — they reflect a transient failure,
-// not the query's answer. capacity <= 0 disables the cache. Concurrent
-// identical cache misses are coalesced through a singleflight group so a
-// popular query cannot stampede the engine.
+// NewWithCache builds the handler with an LRU memoizing /search, /insights
+// and /refine responses for up to capacity distinct queries (q, s), each
+// with the last maxViews views asked of it. Search is deterministic over an
+// immutable index, and insights and refinements are functions of the
+// response and its result nodes' own subtrees, so a cached response stays
+// right until a swap changes the documents it was computed from; Swap and
+// SwapDoc drop what they may have changed. Responses flagged partial (a
+// degraded scatter-gather) are never cached — they reflect a transient
+// failure, not the query's answer. capacity <= 0 disables the cache.
+// Concurrent identical cache misses are coalesced through a singleflight
+// group so a popular query cannot stampede the engine.
 func NewWithCache(sys gks.Searcher, capacity int) *Handler {
 	h := &Handler{mux: http.NewServeMux()}
 	h.sys.Store(&searcherBox{s: sys, gen: 1})
@@ -293,11 +321,11 @@ type insightJSON struct {
 	Count  int      `json:"count"`
 }
 
-// cacheKey builds a collision-proof key for a (q, s, top) triple. The
-// query is quoted so a "|" (or any other delimiter byte) inside q can never
-// bleed into the numeric fields or a neighboring key.
-func cacheKey(q string, s, top int) string {
-	return strconv.Quote(q) + "|" + strconv.Itoa(s) + "|" + strconv.Itoa(top)
+// cacheKey builds a collision-proof key for a query (q, s). The query is
+// quoted so a "|" (or any other delimiter byte) inside q can never bleed
+// into the numeric field, a view appended to it or a neighboring key.
+func cacheKey(q string, s int) string {
+	return strconv.Quote(q) + "|" + strconv.Itoa(s)
 }
 
 // queryTokens returns the normalized tokens of every keyword of q — the
@@ -337,14 +365,14 @@ func (h *Handler) search(ctx context.Context, sys gks.Searcher, q string, s int)
 	return resp, err
 }
 
-// searchParams validates the common q/s pair shared by /search, /insights
-// and /refine.
-func searchParams(r *http.Request) (q string, s int, err error) {
-	q = r.URL.Query().Get("q")
+// searchParams validates the common q/s pair shared by /search, /insights,
+// /refine and /explain.
+func searchParams(vals url.Values) (q string, s int, err error) {
+	q = vals.Get("q")
 	if q == "" {
 		return "", 0, badRequest(errors.New("missing q parameter"))
 	}
-	s, err = intParam(r, "s", 1, maxS)
+	s, err = intParam(vals, "s", 1, maxS)
 	return q, s, err
 }
 
@@ -372,32 +400,79 @@ func buildSearchJSON(resp *gks.Response, top int) searchJSON {
 }
 
 func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q, s, err := searchParams(r)
+	h.serveCached(w, r, "top", 10, maxTop, func(_ gks.Searcher, resp *gks.Response, top int) any {
+		return buildSearchJSON(resp, top)
+	})
+}
+
+// handleInsights flags insights over a partial response — they cover only
+// the shards that answered — so clients can tell.
+func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
+	h.serveCached(w, r, "m", 5, maxM, func(sys gks.Searcher, resp *gks.Response, m int) any {
+		var out []insightJSON
+		for _, in := range sys.Insights(resp, m) {
+			out = append(out, insightJSON{
+				Value: in.Value, Path: in.Path, Weight: in.Weight, Count: in.Count,
+			})
+		}
+		return map[string]interface{}{
+			"query":    resp.Query.String(),
+			"partial":  resp.Partial,
+			"insights": out,
+		}
+	})
+}
+
+// handleRefine keeps the partial-visibility contract of /insights.
+func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
+	h.serveCached(w, r, "top", 5, maxTop, func(sys gks.Searcher, resp *gks.Response, top int) any {
+		var out []string
+		for _, rq := range sys.Refinements(resp, top) {
+			out = append(out, rq.String())
+		}
+		return map[string]interface{}{
+			"query":       resp.Query.String(),
+			"partial":     resp.Partial,
+			"refinements": out,
+		}
+	})
+}
+
+// serveCached answers one view of a query — the endpoint r names, with its
+// integer parameter param — from the query's cache entry, and otherwise
+// searches once, encodes what build makes of the response, and stores the
+// body in that entry. It is the one place that owns the lookup, the
+// coalescing of identical concurrent misses (one engine search serves them
+// all, and exactly one goroutine populates the cache), the partial rule and
+// the fill.
+func (h *Handler) serveCached(w http.ResponseWriter, r *http.Request, param string, def, max int,
+	build func(sys gks.Searcher, resp *gks.Response, n int) any) {
+	vals := r.URL.Query()
+	q, s, err := searchParams(vals)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	top, err := intParam(r, "top", 10, maxTop)
+	n, err := intParam(vals, param, def, max)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	box := h.sys.Load()
-	key := cacheKey(q, s, top)
+	key, view := cacheKey(q, s), viewKey{r.URL.Path, n}
 	if h.respCache != nil {
-		if hit, ok := h.respCache.Get(key); ok {
-			writeBody(w, http.StatusOK, hit.body)
+		if a, ok := h.respCache.GetIf(key, func(a cachedAnswer) bool { return a.body(view) != nil }); ok {
+			writeBody(w, http.StatusOK, a.body(view))
 			return
 		}
 	}
-	// Coalesce identical concurrent misses: one engine search serves them
-	// all, and exactly one goroutine populates the cache.
-	body, _, err := h.flight.Do(r.Context(), strconv.FormatInt(box.gen, 10)+"|"+key, func() ([]byte, error) {
+	flightKey := strconv.FormatInt(box.gen, 10) + "|" + key + "|" + view.endpoint + "|" + strconv.Itoa(n)
+	body, _, err := h.flight.Do(r.Context(), flightKey, func() ([]byte, error) {
 		resp, err := h.search(r.Context(), box.s, q, s)
 		if err != nil {
 			return nil, err
 		}
-		body, err := encodeJSON(buildSearchJSON(resp, top))
+		body, err := encodeJSON(build(box.s, resp, n))
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +482,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// coalesces concurrent callers, so it never outlives the degraded
 		// search itself.)
 		if h.respCache != nil && !resp.Partial {
-			h.fill(box, key, cachedAnswer{body: body, tokens: queryTokens(q)})
+			h.fill(box, q, key, cachedView{view, body})
 		}
 		return body, nil
 	})
@@ -418,81 +493,37 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-// fill caches a unless a swap has replaced the system it was computed on
-// (see Handler.mu).
-func (h *Handler) fill(searched *searcherBox, key string, a cachedAnswer) {
+// fill adds v to the cache entry of the query (q, s) behind key, making the
+// entry if there is none and dropping its oldest view beyond maxViews,
+// unless a swap has replaced the system v was computed on (see Handler.mu).
+func (h *Handler) fill(searched *searcherBox, q, key string, v cachedView) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.sys.Load() == searched {
-		h.respCache.Put(key, a)
+	if h.sys.Load() != searched {
+		return
 	}
+	a, ok := h.respCache.Peek(key)
+	if !ok {
+		a.tokens = queryTokens(q)
+	}
+	views := make([]cachedView, 0, maxViews)
+	for _, old := range a.views {
+		if old.key != v.key {
+			views = append(views, old)
+		}
+	}
+	if len(views) == maxViews {
+		views = views[1:]
+	}
+	a.views = append(views, v)
+	h.respCache.Put(key, a)
 }
 
-func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
-	q, s, err := searchParams(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	m, err := intParam(r, "m", 5, maxM)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sys := h.Searcher()
-	resp, err := h.search(r.Context(), sys, q, s)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var out []insightJSON
-	for _, in := range sys.Insights(resp, m) {
-		out = append(out, insightJSON{
-			Value: in.Value, Path: in.Path, Weight: in.Weight, Count: in.Count,
-		})
-	}
-	// Insights over a partial response cover only the shards that answered;
-	// surface the flag so clients can tell (this payload is never cached, so
-	// the degraded result dies with the request).
-	writeJSON(w, map[string]interface{}{
-		"query":    resp.Query.String(),
-		"partial":  resp.Partial,
-		"insights": out,
-	})
-}
-
-func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
-	q, s, err := searchParams(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	top, err := intParam(r, "top", 5, maxTop)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sys := h.Searcher()
-	resp, err := h.search(r.Context(), sys, q, s)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var out []string
-	for _, rq := range sys.Refinements(resp, top) {
-		out = append(out, rq.String())
-	}
-	// Same partial-visibility contract as /insights: refinements derived
-	// from a degraded response are flagged, never cached.
-	writeJSON(w, map[string]interface{}{
-		"query":       resp.Query.String(),
-		"partial":     resp.Partial,
-		"refinements": out,
-	})
-}
-
+// handleExplain always runs the engine: the body carries the wall-clock
+// stage timings of the run, and a stored one would describe a search that
+// did not happen.
 func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
-	q, s, err := searchParams(r)
+	q, s, err := searchParams(r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -547,12 +578,13 @@ func (h *Handler) handleBaselines(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleTypes(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	vals := r.URL.Query()
+	q := vals.Get("q")
 	if q == "" {
 		clientError(w, errors.New("missing q parameter"))
 		return
 	}
-	top, err := intParam(r, "top", 3, maxTop)
+	top, err := intParam(vals, "top", 3, maxTop)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -564,17 +596,18 @@ func (h *Handler) handleTypes(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	kw := r.URL.Query().Get("kw")
+	vals := r.URL.Query()
+	kw := vals.Get("kw")
 	if kw == "" {
 		clientError(w, errors.New("missing kw parameter"))
 		return
 	}
-	dist, err := intParam(r, "dist", 2, maxDist)
+	dist, err := intParam(vals, "dist", 2, maxDist)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	top, err := intParam(r, "top", 5, maxTop)
+	top, err := intParam(vals, "top", 5, maxTop)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -598,7 +631,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleNotFound(w http.ResponseWriter, r *http.Request) {
 	writeJSONStatus(w, http.StatusNotFound, map[string]any{
 		"error":     fmt.Sprintf("unknown endpoint %q", r.URL.Path),
-		"endpoints": Endpoints(),
+		"endpoints": endpoints,
 	})
 }
 
@@ -613,8 +646,7 @@ func orEmpty(v []string) []string {
 // malformed or negative values are a 400-class error; values above max are
 // clamped. Rejecting negatives closes the top=-1 hole that used to disable
 // result truncation entirely.
-func intParam(r *http.Request, name string, def, max int) (int, error) {
-	vals := r.URL.Query()
+func intParam(vals url.Values, name string, def, max int) (int, error) {
 	if !vals.Has(name) {
 		return def, nil
 	}

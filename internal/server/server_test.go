@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,7 +243,8 @@ func TestSuggestEndpoint(t *testing.T) {
 
 // Regression: the old cache key fmt.Sprintf("%s|%d|%d", q, s, top) joined
 // the raw query with the numeric fields, so a "|" inside q could bleed into
-// them. The quoted key must keep every distinct triple distinct.
+// them. The quoted key, with a view's parameter appended as the flight key
+// appends it, must keep every distinct triple distinct.
 func TestCacheKeyPipeCollisionProof(t *testing.T) {
 	triples := []struct {
 		q      string
@@ -253,7 +255,7 @@ func TestCacheKeyPipeCollisionProof(t *testing.T) {
 	}
 	seen := make(map[string]int)
 	for i, tr := range triples {
-		k := cacheKey(tr.q, tr.s, tr.top)
+		k := cacheKey(tr.q, tr.s) + "|" + strconv.Itoa(tr.top)
 		if j, dup := seen[k]; dup {
 			t.Errorf("cacheKey collision between %+v and %+v: %q", triples[j], triples[i], k)
 		}
