@@ -15,7 +15,7 @@ test:
 # shutdown) is concurrency-sensitive; always exercise it under the race
 # detector before shipping.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 5m ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
@@ -56,9 +56,11 @@ dag-smoke:
 # fill-after-swap race, under the race detector — the fastest signal that
 # /admin/docs still honours persist-before-acknowledge and that the
 # response cache only ever serves the served system's answer, whichever of
-# /search, /insights and /refine asks.
+# /search, /insights and /refine asks, and that a top-k /search body is the
+# one the whole response renders. -timeout 5m: a hung wait fails the rule in
+# minutes (as in race and shard-race).
 ingest-smoke:
-	$(GO) test -race -count=1 -run 'TestIngest|TestCache|TestPartial|TestInsightsMissesCoalesce|TestGetIf' ./internal/server ./internal/cache
+	$(GO) test -race -count=1 -timeout 5m -run 'TestIngest|TestCache|TestPartial|TestInsightsMissesCoalesce|TestGetIf|TestSearchTopK' ./internal/server ./internal/cache
 
 # Write-ahead-log smoke: a short fuzz pass over the segment scanner
 # (arbitrary bytes must parse cleanly, drop a torn tail, or fail with a
@@ -85,7 +87,7 @@ replica-smoke:
 # dedicated concurrent-search and reload-under-traffic tests that only
 # bite under the race detector.
 shard-race:
-	$(GO) test -race -count=1 ./internal/shard/... ./internal/server/...
+	$(GO) test -race -count=1 -timeout 5m ./internal/shard/... ./internal/server/...
 
 # The measurement spine (bench/, the harness behind BENCHMARK.json) is a
 # module of its own, outside ./..., so build, vet and test above never

@@ -127,6 +127,7 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 		resp.Results = append(resp.Results, e.resultOf(c, scorer.Score(c.ord, c.mask, sl[lo:hi])))
 	}
 	sort.Slice(resp.Results, func(i, j int) bool { return ResultBefore(resp.Results[i], resp.Results[j]) })
+	resp.Total = len(resp.Results)
 	return resp, nil
 }
 
@@ -147,8 +148,8 @@ func (e *Engine) lcpNodeDewey(a, b int32) (int32, bool) {
 // (Stages excluded: timings are never part of the search contract).
 func requireSameResponse(t *testing.T, label string, got, want *Response) {
 	t.Helper()
-	if got.S != want.S || got.SLSize != want.SLSize {
-		t.Fatalf("%s: S/SLSize = %d/%d, want %d/%d", label, got.S, got.SLSize, want.S, want.SLSize)
+	if got.S != want.S || got.SLSize != want.SLSize || got.Total != want.Total {
+		t.Fatalf("%s: S/SLSize/Total = %d/%d/%d, want %d/%d/%d", label, got.S, got.SLSize, got.Total, want.S, want.SLSize, want.Total)
 	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("%s: %d results, want %d", label, len(got.Results), len(want.Results))
@@ -166,7 +167,8 @@ func requireSameResponse(t *testing.T, label string, got, want *Response) {
 // requireMatchesBaseline holds every ranked entry point of the flat and the
 // packed engine over ix against the retained seed pipeline, whose ranks come
 // from rank.Scorer one candidate at a time: Search and Explain must equal it,
-// and SearchTopK must equal its k-prefix around both ends of |R|.
+// and SearchTopK must equal its k-prefix around both ends of |R| — with
+// Total still |R| (the baseline's len(Results)) whatever k is.
 func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query) {
 	t.Helper()
 	flat := NewEngine(ix)
@@ -188,6 +190,9 @@ func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query
 				t.Fatal(err)
 			}
 			requireSameResponse(t, label+" explain", ex.Response, want)
+			if ex.Survivors != n {
+				t.Fatalf("%s: explain survivors %d, want %d", label, ex.Survivors, n)
+			}
 			for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
 				topk, err := eng.SearchTopK(q, s, k)
 				if err != nil {

@@ -57,8 +57,12 @@ type Response struct {
 	Query Query
 	// S is the effective threshold min(s, |Q|) after clamping.
 	S int
-	// Results holds the response nodes, highest rank first.
+	// Results holds the response nodes, highest rank first: all of them, or
+	// only the k best when a top-k search asked for k.
 	Results []Result
+	// Total is |R_Q(s)|, the size of the whole response, however many of
+	// its nodes Results holds.
+	Total int
 	// SLSize is |S_L|, the merged posting list length (Figures 8–10 of the
 	// paper plot response time against it).
 	SLSize int
@@ -146,6 +150,7 @@ func (e *Engine) search(ctx context.Context, q Query, s, k int) (*Response, erro
 		return resp, err
 	}
 	defer e.releaseArena(a)
+	resp.Total = len(cands)
 	start := time.Now()
 	if resp.Results, err = e.rankAll(ctx, a, cands, q.Len(), k); err != nil {
 		return nil, err

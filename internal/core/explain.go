@@ -114,7 +114,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 	if err != nil {
 		return nil, err
 	}
-	ex.Survivors = len(resp.Results) // every survivor is ranked into the response
+	ex.Survivors = resp.Total
 	// Candidate statistics require the pre-filter view; recompute cheaply
 	// from the LCP set.
 	seen := map[int32]bool{}

@@ -66,7 +66,8 @@ func BestEffort(ctx context.Context, q Query, nonEmpty func(ctx context.Context,
 // SearchTopK returns the k highest-ranked response nodes for the query at
 // threshold s: Search(q, s).Results[:k], from the same rank sweep, with a
 // bounded selection over the sort keys in place of the full sort and only
-// k results materialised. k <= 0 returns the whole response.
+// k results materialised; Total still counts the whole response. k <= 0
+// returns the whole response.
 func (e *Engine) SearchTopK(q Query, s, k int) (*Response, error) {
 	return e.SearchTopKCtx(context.Background(), q, s, k)
 }

@@ -167,17 +167,34 @@ func TestCacheDifferential(t *testing.T) {
 }
 
 // gatedSearcher blocks every search inside the "engine" until gate is
-// closed, announcing each arrival on entered.
+// closed, announcing each arrival on entered. It wraps the one method the
+// handler searches through for s >= 1.
 type gatedSearcher struct {
 	gks.Searcher
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedSearcher) SearchContext(ctx context.Context, q string, s int) (*gks.Response, error) {
+func (g *gatedSearcher) SearchTopKContext(ctx context.Context, q string, s, k int) (*gks.Response, error) {
 	g.entered <- struct{}{}
 	<-g.gate
-	return g.Searcher.SearchContext(ctx, q, s)
+	return g.Searcher.SearchTopKContext(ctx, q, s, k)
+}
+
+// within receives from ch, failing the test when nothing arrives within
+// 10 s: a wait the code under test never satisfies (a wrapper the handler
+// stopped calling, a lost wake-up) fails in seconds, not at the go test
+// timeout.
+func within[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+	var zero T
+	return zero
 }
 
 // TestCacheFillRace: a search that started on generation g and finishes
@@ -203,7 +220,7 @@ func TestCacheFillRace(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		slow <- answer{rec.Code, rec.Body.String()}
 	}()
-	<-old.entered // blocked inside the engine on generation 1
+	within(t, "the first search to enter the engine", old.entered) // blocked there on generation 1
 
 	if gen, _ := h.SwapDoc(next, "other.xml"); gen != 2 {
 		t.Fatalf("SwapDoc generation = %d, want 2", gen)
@@ -216,7 +233,7 @@ func TestCacheFillRace(t *testing.T) {
 	}
 
 	close(old.gate)
-	if a := <-slow; a.code != 200 || !strings.Contains(a.body, `"total": 1`) {
+	if a := within(t, "the pre-swap /search answer", slow); a.code != 200 || !strings.Contains(a.body, `"total": 1`) {
 		t.Fatalf("pre-swap request must get the answer of the system it searched: %d %s", a.code, a.body)
 	}
 	if _, after := get(t, h, q); after != fresh {
@@ -242,7 +259,7 @@ func TestCacheFillRace(t *testing.T) {
 		code, body := get(t, h, insights)
 		slow <- answer{code, body}
 	}()
-	<-hold.entered // searched generation 1, not yet encoded or filled
+	within(t, "the /insights search to reach the observer", hold.entered) // searched generation 1, not yet encoded or filled
 	if gen, _ := h.SwapDoc(sys2, "night.xml"); gen != 2 {
 		t.Fatalf("SwapDoc generation = %d, want 2", gen)
 	}
@@ -253,7 +270,7 @@ func TestCacheFillRace(t *testing.T) {
 	if want1 == want2 {
 		t.Fatal("the swap was meant to change the insights")
 	}
-	if a := <-slow; a.code != 200 || a.body != want1 {
+	if a := within(t, "the pre-swap /insights answer", slow); a.code != 200 || a.body != want1 {
 		t.Fatalf("pre-swap /insights must get the answer of the system it searched: %d %s", a.code, a.body)
 	}
 	hits, _ := h.CacheStats()
@@ -376,20 +393,24 @@ func TestInsightsMissesCoalesce(t *testing.T) {
 		bodies <- body
 	}
 	go ask()
-	<-gated.entered // the leader is inside the engine
+	within(t, "the leader to enter the engine", gated.entered)
 	for i := 1; i < workers; i++ {
 		go ask()
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	for _, misses := h.CacheStats(); misses < workers; _, misses = h.CacheStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for every follower to miss: %d of %d", misses, workers)
+		}
 		runtime.Gosched()
 	}
 	// Every follower has missed; between that and joining the flight it
 	// runs a few instructions and cannot block. Give it that long.
 	time.Sleep(50 * time.Millisecond)
 	close(gated.gate)
-	first := <-bodies
+	first := within(t, "the first /insights body", bodies)
 	for i := 1; i < workers; i++ {
-		if b := <-bodies; b != first {
+		if b := within(t, fmt.Sprintf("/insights body %d", i+1), bodies); b != first {
 			t.Fatalf("a follower got a different body:\n%s\nvs\n%s", b, first)
 		}
 	}

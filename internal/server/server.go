@@ -14,6 +14,9 @@
 //	GET /stats                                      index statistics
 //
 // q supports double-quoted phrases; s=0 requests best-effort thresholding.
+// /search asks the engine for the top results it sends, not the whole
+// ranked response; its "total" is Response.Total, |R_Q(s)|. /insights and
+// /refine read every result, so they ask for all of them.
 //
 // Parameter validation is strict: malformed or negative integer parameters
 // are rejected with 400 (never silently defaulted), and top, m, dist, and s
@@ -338,18 +341,19 @@ func queryTokens(q string) []string {
 	return toks
 }
 
-// search runs one query against sys with ctx-aware cancellation: s <= 0
-// requests best-effort thresholding. Engine errors (empty query, too many
+// search runs one query against sys with ctx-aware cancellation, in one
+// engine call: the k best results (k <= 0: all of them), or, for s <= 0,
+// the whole best-effort response. Engine errors (empty query, too many
 // keywords) are client errors; context expiry passes through for the 504
 // path. Successful engine runs report their per-stage timings and |S_L| to
 // the handler's SearchObserver (cache hits never reach here).
-func (h *Handler) search(ctx context.Context, sys gks.Searcher, q string, s int) (*gks.Response, error) {
+func (h *Handler) search(ctx context.Context, sys gks.Searcher, q string, s, k int) (*gks.Response, error) {
 	var resp *gks.Response
 	var err error
 	if s <= 0 {
 		resp, err = sys.SearchBestEffortContext(ctx, q)
 	} else {
-		resp, err = sys.SearchContext(ctx, q, s)
+		resp, err = sys.SearchTopKContext(ctx, q, s, k)
 	}
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		err = badRequest(err)
@@ -376,12 +380,14 @@ func searchParams(vals url.Values) (q string, s int, err error) {
 	return q, s, err
 }
 
+// buildSearchJSON renders the top first results of resp; total is
+// resp.Total, so resp may hold the whole response or only its head.
 func buildSearchJSON(resp *gks.Response, top int) searchJSON {
 	out := searchJSON{
 		Query:   resp.Query.String(),
 		S:       resp.S,
 		SLSize:  resp.SLSize,
-		Total:   len(resp.Results),
+		Total:   resp.Total,
 		Partial: resp.Partial,
 	}
 	for i, res := range resp.Results {
@@ -399,8 +405,9 @@ func buildSearchJSON(resp *gks.Response, top int) searchJSON {
 	return out
 }
 
+// handleSearch asks the engine for the top results it sends.
 func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
-	h.serveCached(w, r, "top", 10, maxTop, func(_ gks.Searcher, resp *gks.Response, top int) any {
+	h.serveCached(w, r, "top", 10, maxTop, true, func(_ gks.Searcher, resp *gks.Response, top int) any {
 		return buildSearchJSON(resp, top)
 	})
 }
@@ -408,7 +415,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 // handleInsights flags insights over a partial response — they cover only
 // the shards that answered — so clients can tell.
 func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
-	h.serveCached(w, r, "m", 5, maxM, func(sys gks.Searcher, resp *gks.Response, m int) any {
+	h.serveCached(w, r, "m", 5, maxM, false, func(sys gks.Searcher, resp *gks.Response, m int) any {
 		var out []insightJSON
 		for _, in := range sys.Insights(resp, m) {
 			out = append(out, insightJSON{
@@ -425,7 +432,7 @@ func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
 
 // handleRefine keeps the partial-visibility contract of /insights.
 func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
-	h.serveCached(w, r, "top", 5, maxTop, func(sys gks.Searcher, resp *gks.Response, top int) any {
+	h.serveCached(w, r, "top", 5, maxTop, false, func(sys gks.Searcher, resp *gks.Response, top int) any {
 		var out []string
 		for _, rq := range sys.Refinements(resp, top) {
 			out = append(out, rq.String())
@@ -444,8 +451,9 @@ func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
 // body in that entry. It is the one place that owns the lookup, the
 // coalescing of identical concurrent misses (one engine search serves them
 // all, and exactly one goroutine populates the cache), the partial rule and
-// the fill.
-func (h *Handler) serveCached(w http.ResponseWriter, r *http.Request, param string, def, max int,
+// the fill. topK says build reads only the n first results, so the engine
+// is asked for n; otherwise it returns every result.
+func (h *Handler) serveCached(w http.ResponseWriter, r *http.Request, param string, def, max int, topK bool,
 	build func(sys gks.Searcher, resp *gks.Response, n int) any) {
 	vals := r.URL.Query()
 	q, s, err := searchParams(vals)
@@ -467,8 +475,12 @@ func (h *Handler) serveCached(w http.ResponseWriter, r *http.Request, param stri
 		}
 	}
 	flightKey := strconv.FormatInt(box.gen, 10) + "|" + key + "|" + view.endpoint + "|" + strconv.Itoa(n)
+	k := 0
+	if topK {
+		k = n
+	}
 	body, _, err := h.flight.Do(r.Context(), flightKey, func() ([]byte, error) {
-		resp, err := h.search(r.Context(), box.s, q, s)
+		resp, err := h.search(r.Context(), box.s, q, s, k)
 		if err != nil {
 			return nil, err
 		}

@@ -468,14 +468,15 @@ func TestCachedSearch(t *testing.T) {
 
 // partialSearcher wraps a Searcher and, while degraded, marks every
 // search response partial — simulating a shard set degrading under a
-// transient shard failure with -partial-results.
+// transient shard failure with -partial-results. It wraps the one method
+// the handler searches through for s >= 1.
 type partialSearcher struct {
 	gks.Searcher
 	degraded atomic.Bool
 }
 
-func (p *partialSearcher) SearchContext(ctx context.Context, q string, s int) (*gks.Response, error) {
-	resp, err := p.Searcher.SearchContext(ctx, q, s)
+func (p *partialSearcher) SearchTopKContext(ctx context.Context, q string, s, k int) (*gks.Response, error) {
+	resp, err := p.Searcher.SearchTopKContext(ctx, q, s, k)
 	if err == nil && p.degraded.Load() {
 		c := *resp
 		c.Partial = true

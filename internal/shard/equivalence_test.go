@@ -84,8 +84,8 @@ func singleIndex(t *testing.T, docs []*xmltree.Document) (*index.Index, *core.En
 // result, position by position, including the exact Rank floats.
 func sameResponse(t *testing.T, label string, want, got *core.Response) {
 	t.Helper()
-	if got.S != want.S || got.SLSize != want.SLSize {
-		t.Fatalf("%s: S/SLSize = %d/%d, want %d/%d", label, got.S, got.SLSize, want.S, want.SLSize)
+	if got.S != want.S || got.SLSize != want.SLSize || got.Total != want.Total {
+		t.Fatalf("%s: S/SLSize/Total = %d/%d/%d, want %d/%d/%d", label, got.S, got.SLSize, got.Total, want.S, want.SLSize, want.Total)
 	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("%s: %d results, want %d", label, len(got.Results), len(want.Results))
@@ -144,7 +144,7 @@ func TestShardedSearchEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		docs := randomCorpus(rng)
 		ix, eng := singleIndex(t, docs)
-		opts := DefaultOptions(1 + rng.Intn(8))
+		opts := DefaultOptions(1 + trial%8)
 		opts.ByTokens = trial%3 == 0
 		set, err := Build(docs, opts)
 		if err != nil {
@@ -186,8 +186,12 @@ func TestShardedSearchEquivalence(t *testing.T) {
 				set.Insights(got, 5))
 
 			// Top-k is the k-prefix of the full response, around both ends
-			// of |R|; k <= 0 asks for everything.
+			// of |R|; k <= 0 asks for everything. Total stays |R|, summed
+			// over the shards, whatever k is.
 			n := len(want.Results)
+			if want.Total != n {
+				t.Fatalf("%s: single-index Total %d, want %d", label, want.Total, n)
+			}
 			for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
 				wantK := *want
 				if k > 0 && k < n {

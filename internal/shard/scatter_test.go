@@ -106,6 +106,50 @@ func TestScatterPartialResults(t *testing.T) {
 	}
 }
 
+// TestPartialTopKTotal: with one shard failed under AllowPartial, a top-k
+// response's Total is the whole response size of the shards that answered,
+// whatever k is, while Results holds the k best of them.
+func TestPartialTopKTotal(t *testing.T) {
+	set := buildTestSet(t, 4)
+	set.SetAllowPartial(true)
+	q := core.NewQuery("apple", "pear")
+	// The failed shard is the one holding the most results.
+	bad, all, most := 0, 0, 0
+	for i, eng := range set.engines {
+		full, err := eng.Search(q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all += len(full.Results)
+		if len(full.Results) > most {
+			bad, most = i, len(full.Results)
+		}
+	}
+	answering := all - most
+	if answering == 0 || answering == all {
+		t.Fatalf("answering shards hold %d of %d results: the failed shard must hold some, the others too", answering, all)
+	}
+	for _, k := range []int{0, 1, 10, answering - 1, answering, answering + 1} {
+		resps, partial, err := set.scatter(context.Background(), func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
+			if eng == set.engines[bad] {
+				return nil, errBoom
+			}
+			return eng.SearchTopKCtx(ctx, q, 1, k)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := set.gather(q, resps, partial, k)
+		wantLen := answering
+		if k > 0 {
+			wantLen = min(k, answering)
+		}
+		if !out.Partial || out.Total != answering || len(out.Results) != wantLen {
+			t.Fatalf("k=%d: partial=%v total=%d results=%d, want true/%d/%d", k, out.Partial, out.Total, len(out.Results), answering, wantLen)
+		}
+	}
+}
+
 func TestScatterAllShardsFailing(t *testing.T) {
 	set := buildTestSet(t, 3)
 	set.SetAllowPartial(true)

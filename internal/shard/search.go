@@ -190,28 +190,29 @@ func scatterShards[T any](ctx context.Context, s *Set, run func(ctx context.Cont
 
 // gather merges per-shard responses into one response in global order:
 // rank desc, keyword count desc, Dewey order — exactly the single-index
-// sort. k > 0 truncates the merged list. SLSize sums (S_L is partitioned
-// by document, like everything else).
+// sort. k > 0 truncates the merged list. SLSize and Total sum (S_L and
+// R_Q(s) are partitioned by document, like everything else).
 func (s *Set) gather(q core.Query, resps []*core.Response, partial bool, k int) *core.Response {
 	out := &core.Response{Query: q, Partial: partial}
 	h := make(resultHeap, 0, len(resps))
-	total := 0
+	merged := 0
 	for _, r := range resps {
 		if r == nil {
 			continue
 		}
 		out.S = r.S
 		out.SLSize += r.SLSize
+		out.Total += r.Total
 		out.Stages.Add(r.Stages)
-		total += len(r.Results)
+		merged += len(r.Results)
 		if len(r.Results) > 0 {
 			h = append(h, cursor{list: r.Results})
 		}
 	}
-	if k > 0 && total > k {
-		total = k
+	if k > 0 && merged > k {
+		merged = k
 	}
-	out.Results = make([]core.Result, 0, total)
+	out.Results = make([]core.Result, 0, merged)
 	heap.Init(&h)
 	for h.Len() > 0 && (k <= 0 || len(out.Results) < k) {
 		c := &h[0]
