@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-e2e-smoke bench-spine bench-gate strays check
+.PHONY: build vet test race bench chain-guard fuzz-smoke shard-race ingest-smoke wal-smoke replica-smoke segment-smoke dag-smoke bench-e2e-smoke bench-spine bench-gate strays check
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,14 @@ replica-smoke:
 	$(GO) test -race -count=1 ./internal/replica/... ./internal/wal
 	$(GO) test -count=1 -run TestProcessCrashConvergence ./internal/replica
 
+# The request path's allocation guard, outside the race detector (which
+# changes allocation counts): TestChainCachedHitAllocs pins what a cached
+# /search hit allocates through the gksd middleware chain, so a
+# per-request buffer or goroutine cannot come back unnoticed, and
+# BenchmarkChainCachedHit prices that hit.
+chain-guard:
+	$(GO) test -count=1 -run TestChainCachedHitAllocs -bench ChainCachedHit -benchmem -benchtime 20000x ./internal/server
+
 # The scatter-gather fan-out and the build worker pool are the most
 # concurrency-sensitive code in the tree; the shard suite includes
 # dedicated concurrent-search and reload-under-traffic tests that only
@@ -127,4 +135,4 @@ strays:
 	@left=$$(pgrep -x -l gksd; pgrep -x -l bench); \
 	if [ -n "$$left" ]; then echo "strays: still running:"; echo "$$left"; exit 1; fi
 
-check: build vet race fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-e2e-smoke strays
+check: build vet race chain-guard fuzz-smoke wal-smoke replica-smoke segment-smoke dag-smoke shard-race ingest-smoke bench-e2e-smoke strays

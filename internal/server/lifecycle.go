@@ -11,10 +11,13 @@ import (
 // NewHTTPServer returns an http.Server with production timeouts configured,
 // replacing the bare http.ListenAndServe a slow-loris client could starve:
 // ReadHeaderTimeout bounds header arrival, ReadTimeout the full request
-// read, IdleTimeout reclaims keep-alive connections, and WriteTimeout
-// allows the per-request handler timeout plus margin for writing the
-// response (unbounded writes when reqTimeout <= 0, i.e. the handler
-// timeout is disabled).
+// read, IdleTimeout reclaims keep-alive connections, and WriteTimeout is
+// the per-request timeout plus 5 s (unbounded when reqTimeout <= 0, i.e.
+// the handler timeout is disabled). WithTimeout answers 504 when a handler
+// returns, so WriteTimeout is what bounds a handler that never polls its
+// context (see WithTimeout): a response not written within reqTimeout + 5 s
+// of the request fails to send, and the client's connection is closed
+// instead.
 func NewHTTPServer(addr string, h http.Handler, reqTimeout time.Duration) *http.Server {
 	writeTimeout := time.Duration(0)
 	if reqTimeout > 0 {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"log"
 	"net/http"
@@ -14,6 +13,9 @@ import (
 // Middleware wraps an http.Handler with one serving concern. Compose with
 // Chain; cmd/gksd assembles the production stack
 // metrics → access log → recovery → limiter → timeout → API handler.
+// Every layer runs the request on the goroutine net/http gave it, and the
+// layers that watch the response share one statusWriter: the outermost
+// installs it and the inner ones reuse it.
 type Middleware func(http.Handler) http.Handler
 
 // Chain applies mw to h so that mw[0] is the outermost layer.
@@ -26,26 +28,62 @@ func Chain(h http.Handler, mw ...Middleware) http.Handler {
 
 // statusWriter records the status code and body size flowing through a
 // ResponseWriter so the logging and metrics layers can observe outcomes.
+// Inside WithTimeout it also holds the request's deadline: a response that
+// has not begun when the deadline passes is replaced by the JSON 504.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	status   int
+	bytes    int64
+	deadline context.Context // WithTimeout's request context, nil outside it
+	late     bool            // the 504 went out in the handler's place
+}
+
+// recorder returns the statusWriter an outer layer installed as w, or wraps
+// w in a new one, so a chain allocates one per request.
+func recorder(w http.ResponseWriter) *statusWriter {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw
+	}
+	return &statusWriter{ResponseWriter: w}
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
+	if sw.begin(code) {
+		sw.ResponseWriter.WriteHeader(code)
 	}
-	sw.ResponseWriter.WriteHeader(code)
 }
 
 func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
+	if !sw.begin(http.StatusOK) {
+		return 0, http.ErrHandlerTimeout
 	}
 	n, err := sw.ResponseWriter.Write(b)
 	sw.bytes += int64(n)
 	return n, err
+}
+
+// begin records the status of the first header or body write and reports
+// whether the handler's output goes out: not once the 504 has replaced it.
+func (sw *statusWriter) begin(code int) bool {
+	if sw.status == 0 && !sw.timeout() {
+		sw.status = code
+	}
+	return !sw.late
+}
+
+// timeout sends the JSON 504 in the handler's place, dropping the headers
+// it set, if nothing has been written yet and the deadline has passed. It
+// checks for DeadlineExceeded, not any error: WithTimeout's deferred cancel
+// runs before WithRecovery answers a panic, and that 500 must stand.
+func (sw *statusWriter) timeout() bool {
+	if sw.status != 0 || sw.deadline == nil || sw.deadline.Err() != context.DeadlineExceeded {
+		return false
+	}
+	clear(sw.Header())
+	sw.deadline = nil
+	writeJSONStatus(sw, http.StatusGatewayTimeout, map[string]string{"error": "request timed out"})
+	sw.late = true
+	return true
 }
 
 // Unwrap exposes the underlying writer so http.NewResponseController can
@@ -77,7 +115,7 @@ func endpointLabel(path string) string {
 func WithMetrics(reg *obs.Registry) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
+			sw := recorder(w)
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			reg.ObserveRequest(endpointLabel(r.URL.Path), sw.Status(), time.Since(start))
@@ -89,7 +127,7 @@ func WithMetrics(reg *obs.Registry) Middleware {
 func WithAccessLog(logger *log.Logger) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
+			sw := recorder(w)
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			logger.Printf("access remote=%s method=%s uri=%q status=%d bytes=%d dur=%s",
@@ -100,12 +138,12 @@ func WithAccessLog(logger *log.Logger) Middleware {
 
 // WithRecovery converts handler panics into JSON 500 responses (plus a
 // panic counter and a stack-trace log line) instead of killing the process.
-// It must sit outside WithTimeout, which re-panics on its caller's
-// goroutine so panics from the handler goroutine land here.
+// No layer starts a goroutine, so a panic anywhere inside it unwinds to it
+// on the request goroutine.
 func WithRecovery(reg *obs.Registry, logger *log.Logger) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
+			sw := recorder(w)
 			defer func() {
 				if v := recover(); v != nil {
 					reg.IncPanic()
@@ -124,8 +162,9 @@ func WithRecovery(reg *obs.Registry, logger *log.Logger) Middleware {
 }
 
 // WithLimit caps concurrent in-flight requests at n; excess load is shed
-// immediately with 503 + Retry-After rather than queued unboundedly. n <= 0
-// disables the limiter.
+// immediately with 503 + Retry-After rather than queued unboundedly. A
+// request holds its slot until its handler returns, past a 504 included.
+// n <= 0 disables the limiter.
 func WithLimit(n int, reg *obs.Registry) Middleware {
 	if n <= 0 {
 		return func(next http.Handler) http.Handler { return next }
@@ -149,53 +188,19 @@ func WithLimit(n int, reg *obs.Registry) Middleware {
 	}
 }
 
-// bufferedResponse accumulates a handler's response in memory so WithTimeout
-// can discard it wholesale if the deadline fires first; a response is either
-// delivered complete or replaced by the 504, never interleaved.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: make(http.Header)}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.status == 0 {
-		b.status = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) copyTo(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.status == 0 {
-		b.status = http.StatusOK
-	}
-	w.WriteHeader(b.status)
-	w.Write(b.body.Bytes())
-}
-
-// WithTimeout enforces a per-request deadline d: the deadline is installed
-// on the request context (honored by the System.*Context search entry
-// points) and, if it fires before the handler finishes, the client gets a
-// JSON 504 while the abandoned handler's buffered output is discarded.
-// Handler panics are re-raised on the caller's goroutine so an outer
-// WithRecovery still catches them. d <= 0 disables the timeout.
+// WithTimeout enforces a per-request deadline d in place. The deadline is
+// installed on the request context, which every engine stage polls, so a
+// search past it returns early and its handler answers 504. The handler
+// runs inline, and every handler encodes its body before it writes, so a
+// response is either complete or the 504: one not begun by the deadline
+// is replaced by the JSON 504, and so is a handler that writes nothing.
+//
+// Some handlers never poll ctx: /baselines (SLCA and ELCA), /types,
+// /suggest (including the first call's vocabulary build), /schema
+// (schema.Infer over every node), /stats, and the DI and refinements that
+// /insights and /refine run after their search. Their 504 arrives when
+// they return; what bounds one that runs on is the server's WriteTimeout
+// (NewHTTPServer). d <= 0 disables the timeout.
 func WithTimeout(d time.Duration) Middleware {
 	if d <= 0 {
 		return func(next http.Handler) http.Handler { return next }
@@ -204,31 +209,10 @@ func WithTimeout(d time.Duration) Middleware {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), d)
 			defer cancel()
-			r = r.WithContext(ctx)
-
-			buf := newBufferedResponse()
-			done := make(chan struct{})
-			panicked := make(chan any, 1)
-			go func() {
-				defer func() {
-					if v := recover(); v != nil {
-						panicked <- v
-						return
-					}
-					close(done)
-				}()
-				next.ServeHTTP(buf, r)
-			}()
-
-			select {
-			case v := <-panicked:
-				panic(v)
-			case <-done:
-				buf.copyTo(w)
-			case <-ctx.Done():
-				writeJSONStatus(w, http.StatusGatewayTimeout,
-					map[string]string{"error": "request timed out"})
-			}
+			sw := recorder(w)
+			sw.deadline = ctx
+			next.ServeHTTP(sw, r.WithContext(ctx))
+			sw.timeout()
 		})
 	}
 }

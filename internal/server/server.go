@@ -39,7 +39,10 @@
 // The handler is plain business logic; production concerns (panic recovery,
 // request timeouts, load shedding, metrics, access logs) are layered on via
 // the Middleware stack in middleware.go, and lifecycle.go configures the
-// http.Server and graceful drain used by cmd/gksd.
+// http.Server and graceful drain used by cmd/gksd. A request runs on the
+// goroutine net/http gave it, and every handler encodes its body before it
+// writes: so the deadline is enforced in place, and a response is either
+// complete or the 504 that replaces it.
 package server
 
 import (

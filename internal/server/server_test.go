@@ -15,7 +15,7 @@ import (
 	gks "repro"
 )
 
-func testSystem(t *testing.T) *gks.System {
+func testSystem(t testing.TB) *gks.System {
 	t.Helper()
 	doc := gks.BuildDocument("uni.xml", gks.E("Dept",
 		gks.ET("Dept_Name", "CS"),
