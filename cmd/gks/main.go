@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -242,7 +243,7 @@ func cmdAdd(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		next, replaced, err := gks.Upsert(sys, doc)
+		next, replaced, err := sys.Upsert(doc)
 		if err != nil {
 			fatal(err)
 		}
@@ -280,7 +281,7 @@ func cmdRemove(args []string) {
 		fatal(err)
 	}
 	for _, name := range fs.Args() {
-		next, err := gks.Remove(sys, name)
+		next, err := sys.Remove(name)
 		if err != nil {
 			fatal(err)
 		}
@@ -453,10 +454,10 @@ func cmdSearch(args []string) {
 		fmt.Fprintln(os.Stderr, "gks: -snippets/-pruned/-chunks need a single-index system built with -files; skipping")
 		*snippets, *pruned, *chunks = false, false, false
 	}
-	queryStr := strings.Join(fs.Args(), " ")
+	q := gks.ParseQuery(strings.Join(fs.Args(), " "))
 	var resp *gks.Response
 	if *explain {
-		ex, err := sys.Explain(queryStr, *sThresh)
+		ex, err := sys.Explain(context.Background(), q, *sThresh)
 		if err != nil {
 			fatal(err)
 		}
@@ -464,7 +465,7 @@ func cmdSearch(args []string) {
 		resp = ex.Response
 	} else {
 		var err error
-		resp, err = sys.Search(queryStr, *sThresh)
+		resp, err = sys.Search(context.Background(), gks.SearchRequest{Query: q, S: *sThresh})
 		if err != nil {
 			fatal(err)
 		}
@@ -525,7 +526,7 @@ func cmdSearch(args []string) {
 		for _, in := range sys.Insights(resp, *diM) {
 			fmt.Printf("  %s  (weight %.3f over %d node(s))\n", in, in.Weight, in.Count)
 		}
-		if refs := sys.Refinements(resp, 3); len(refs) > 0 {
+		if refs := gks.Refinements(resp, 3); len(refs) > 0 {
 			parts := make([]string, len(refs))
 			for i, q := range refs {
 				parts[i] = "{" + q.String() + "}"
@@ -534,7 +535,6 @@ func cmdSearch(args []string) {
 		}
 	}
 	if *baselines {
-		q := gks.ParseQuery(queryStr)
 		fmt.Printf("SLCA baseline: %v\n", orNull(sys.SLCA(q)))
 		fmt.Printf("ELCA baseline: %v\n", orNull(sys.ELCA(q)))
 	}

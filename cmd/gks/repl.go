@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -87,13 +88,8 @@ func cmdRepl(args []string) {
 }
 
 func runReplQuery(sys gks.Searcher, line string, sThresh, top, diM int, baselines bool) {
-	var resp *gks.Response
-	var err error
-	if sThresh <= 0 {
-		resp, err = sys.SearchBestEffort(line)
-	} else {
-		resp, err = sys.Search(line, sThresh)
-	}
+	q := gks.ParseQuery(line)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: q, S: sThresh, BestEffort: sThresh <= 0})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -112,7 +108,6 @@ func runReplQuery(sys gks.Searcher, line string, sThresh, top, diM int, baseline
 		}
 	}
 	if baselines {
-		q := gks.ParseQuery(line)
 		fmt.Printf("  SLCA: %v  ELCA: %v\n", orNull(sys.SLCA(q)), orNull(sys.ELCA(q)))
 	}
 }

@@ -1,6 +1,7 @@
 package gks_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func exampleSystem() *gks.System {
 // university document of Figure 2(a) answered by LCE nodes.
 func ExampleSystem_Search() {
 	sys := exampleSystem()
-	resp, err := sys.Search("karen mike john", 3)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery("karen mike john"), S: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func ExampleSystem_Search() {
 // courses the matching students are enrolled in.
 func ExampleSystem_Insights() {
 	sys := exampleSystem()
-	resp, err := sys.Search("karen", 1)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery("karen"), S: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,9 +103,9 @@ func ExampleSystem_XPath() {
 }
 
 // Best-effort search honors as much of the query as the data supports.
-func ExampleSystem_SearchBestEffort() {
+func ExampleSystem_Search_bestEffort() {
 	sys := exampleSystem()
-	resp, err := sys.SearchBestEffort("karen mike john harry")
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery("karen mike john harry"), BestEffort: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,13 +116,13 @@ func ExampleSystem_SearchBestEffort() {
 
 // Refinements split an over-constrained query into the sub-queries the
 // data actually supports (§6.1 of the paper).
-func ExampleSystem_Refinements() {
+func ExampleRefinements() {
 	sys := exampleSystem()
-	resp, err := sys.Search("mike julie", 1)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery("mike julie"), S: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, q := range sys.Refinements(resp, 2) {
+	for _, q := range gks.Refinements(resp, 2) {
 		fmt.Println(q)
 	}
 	// Output:

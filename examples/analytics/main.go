@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	st := sys.Stats()
 	fmt.Printf("indexed %d elements (%d entity nodes)\n\n", st.ElementNodes, st.EntityNodes)
 
@@ -32,7 +34,7 @@ func main() {
 
 	// Best-effort search: ask for a lot, get the best the data supports.
 	query := "Muslim Buddhism Christianity Hinduism Chinese Thai"
-	resp, err := sys.SearchBestEffort(query)
+	resp, err := sys.Search(ctx, gks.SearchRequest{Query: gks.ParseQuery(query), BestEffort: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +50,8 @@ func main() {
 	// Top-k: just the three most relevant nodes for a broad query. At
 	// instance level, countries whose religions happen not to repeat are
 	// connecting nodes, so bare <religion> leaves can surface...
-	topk, err := sys.SearchTopK("Muslim Catholic", 1, 3)
+	topK := gks.SearchRequest{Query: gks.ParseQuery("Muslim Catholic"), S: 1, TopK: 3}
+	topk, err := sys.Search(ctx, topK)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func main() {
 	changed := sys.ApplySchemaCategorization()
 	fmt.Printf("\nschema-aware categorization changed %d node(s) (entity nodes now %d)\n",
 		changed, sys.Stats().EntityNodes)
-	topk, err = sys.SearchTopK("Muslim Catholic", 1, 3)
+	topk, err = sys.Search(ctx, topK)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func main() {
 	}
 
 	// Recursive DI: let the data suggest what to look at next.
-	rounds, err := sys.InsightsRecursive(gks.NewQuery("Laos"), 1, 3, 2)
+	rounds, err := gks.InsightsRecursive(ctx, sys, gks.NewQuery("Laos"), 1, 3, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -34,10 +35,11 @@ func main() {
 	// response as it is available to the user even in the absence of any
 	// query" (§1).
 	q := gks.ParseQuery(query)
+	ctx := context.Background()
 	fmt.Printf("SLCA answer for the query: %v (the DBLP root)\n\n", sys.SLCA(q))
 
 	// GKS with s=1 returns every article by any of the authors...
-	all, err := sys.Search(query, 1)
+	all, err := sys.Search(ctx, gks.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func main() {
 	}
 
 	// Tightening s to 2 keeps only articles by at least two query authors.
-	pairs, err := sys.Search(query, 2)
+	pairs, err := sys.Search(ctx, gks.SearchRequest{Query: q, S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,12 +67,12 @@ func main() {
 
 	// Refinement: the keyword subsets the data actually supports.
 	fmt.Println("\nrefinement suggestions:")
-	for _, ref := range sys.Refinements(pairs, 3) {
+	for _, ref := range gks.Refinements(pairs, 3) {
 		fmt.Printf("  {%s}\n", ref)
 	}
 
 	// Recursive DI (§2.3): feed the top insights back as a query.
-	rounds, err := sys.InsightsRecursive(q, 1, 3, 2)
+	rounds, err := gks.InsightsRecursive(ctx, sys, q, 1, 3, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	// only in SIGMOD <article> nodes.
 	terms := datagen.HybridAuthors()
 	query := fmt.Sprintf("%q %q %q %q", terms[0], terms[1], terms[2], terms[3])
-	resp, err := sys.Search(query, 2)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery(query), S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -53,7 +54,8 @@ func main() {
 	// tightly. An LCA-based system would return the catalog root here,
 	// because no single product is both lightweight AND durable... except
 	// one, which GKS ranks first.
-	resp, err := sys.Search("lightweight durable", 1)
+	q := gks.NewQuery("lightweight", "durable")
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +78,6 @@ func main() {
 	}
 
 	// Baselines for comparison.
-	q := gks.NewQuery("lightweight", "durable")
 	fmt.Printf("SLCA baseline returns: %v\n", sys.SLCA(q))
 }
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,8 @@ func main() {
 
 	georgakopoulos, morrison, _ := datagen.RefinementAuthors()
 	original := gks.NewQuery(georgakopoulos, morrison)
-	resp, err := sys.SearchQuery(original, 1)
+	ctx := context.Background()
+	resp, err := sys.Search(ctx, gks.SearchRequest{Query: original, S: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,8 +56,8 @@ func main() {
 		log.Fatal("no author insight discovered")
 	}
 	refinedBase := gks.NewQuery(georgakopoulos)
-	refined := sys.Augmentations(refinedBase, authorInsights, 1)[0]
-	refResp, err := sys.SearchQuery(refined, 2)
+	refined := gks.Augmentations(refinedBase, authorInsights, 1)[0]
+	refResp, err := sys.Search(ctx, gks.SearchRequest{Query: refined, S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

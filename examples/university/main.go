@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,9 @@ func main() {
 	// Example 3: the "imperfect" query Q4 with s=2. LCA systems need the
 	// user to know which students share courses; GKS returns the three
 	// courses as LCE nodes, each exposing its Name attribute as context.
-	resp, err := sys.Search("student karen mike john harry", 2)
+	ctx := context.Background()
+	q4 := gks.ParseQuery("student karen mike john harry")
+	resp, err := sys.Search(ctx, gks.SearchRequest{Query: q4, S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func main() {
 	// §2.3 perfect query: GKS returns the Course entity; SLCA returns the
 	// context-free <Students> node.
 	q5 := gks.NewQuery("student", "karen", "mike", "john")
-	perfect, err := sys.SearchQuery(q5, 4)
+	perfect, err := sys.Search(ctx, gks.SearchRequest{Query: q5, S: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,12 +77,12 @@ func main() {
 
 	// §6.1: refinement suggestions split an over-constrained query into
 	// the sub-queries the data actually supports.
-	mixed, err := sys.Search("karen julie serena", 2)
+	mixed, err := sys.Search(ctx, gks.SearchRequest{Query: gks.ParseQuery("karen julie serena"), S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nrefinements for {karen, julie, serena}:")
-	for _, ref := range sys.Refinements(mixed, 3) {
+	for _, ref := range gks.Refinements(mixed, 3) {
 		fmt.Printf("  {%s}\n", ref)
 	}
 }

@@ -13,7 +13,8 @@
 //
 //	doc, _ := gks.ParseDocument(strings.NewReader(xmlData), "catalog.xml")
 //	sys, _ := gks.IndexDocuments(doc)
-//	resp, _ := sys.Search(`"Peter Buneman" "Wenfei Fan" 2001`, 1)
+//	q := gks.ParseQuery(`"Peter Buneman" "Wenfei Fan" 2001`)
+//	resp, _ := sys.Search(context.Background(), gks.SearchRequest{Query: q, S: 1})
 //	for _, r := range resp.Results {
 //	    fmt.Println(r.ID, r.Label, r.Rank)
 //	}
@@ -57,6 +58,9 @@ type (
 	Query = core.Query
 	// Keyword is one unit of a query.
 	Keyword = core.Keyword
+	// SearchRequest is one query as Searcher.Search takes it: Q, the
+	// threshold s or best effort, and how many results to return.
+	SearchRequest = core.SearchRequest
 	// Response is a ranked GKS search response R_Q(s).
 	Response = core.Response
 	// Result is one ranked response node.
@@ -296,7 +300,8 @@ func newSystem(ix *index.Index, repo *xmltree.Repository) *System {
 // across live ingestion: upserts extend the pack incrementally at
 // O(document) cost against the existing shape table, deletes tombstone,
 // and the accumulated drift from the canonical pack is measured by
-// PackDebt and paid down by RepackIfNeeded (gksd runs it at checkpoints).
+// System.PackDebt and paid down by RepackIfNeeded (gksd runs it at
+// checkpoints).
 func (s *System) Packed() *System {
 	if s.ix.IsPacked() {
 		return s
@@ -383,63 +388,48 @@ func ParseQuery(input string) Query { return core.ParseQuery(input) }
 // become phrase keywords.
 func NewQuery(terms ...string) Query { return core.NewQuery(terms...) }
 
-// Search parses the query string and runs GKS with the given threshold s
-// (clamped to [1, |Q|]).
-func (s *System) Search(query string, threshold int) (*Response, error) {
-	return s.engine.Search(ParseQuery(query), threshold)
+// Search answers one request: the k best results of R_Q(s) (TopK = k; 0
+// returns all of them), at the request's threshold s clamped to [1, |Q|]
+// or, with BestEffort, at the largest s with a non-empty response — as
+// much of the query as the data supports; the effective s is reported in
+// Response.S. Cancellation is cooperative: the engine polls ctx inside the
+// S_L merge, the window scan and the rank sweep, so a timed-out request
+// frees its CPU at the next checkpoint rather than completing in the
+// background.
+func (s *System) Search(ctx context.Context, req SearchRequest) (*Response, error) {
+	q, k := req.Query, req.TopK
+	if !req.BestEffort {
+		return s.engine.SearchTopKCtx(ctx, q, req.S, k)
+	}
+	return core.BestEffort(ctx, q,
+		func(ctx context.Context, t int) (bool, error) { return s.engine.HasResultsCtx(ctx, q, t) },
+		func(ctx context.Context, t int) (*Response, error) { return s.engine.SearchTopKCtx(ctx, q, t, k) })
 }
 
-// SearchQuery runs GKS for an already-built query.
-func (s *System) SearchQuery(q Query, threshold int) (*Response, error) {
-	return s.engine.Search(q, threshold)
-}
-
-// SearchBestEffort finds the largest threshold s with a non-empty response
-// and returns it — best-effort AND semantics: as much of the query as the
-// data supports. The effective s is reported in Response.S.
-func (s *System) SearchBestEffort(query string) (*Response, error) {
-	return s.engine.SearchBestEffort(ParseQuery(query))
-}
-
-// SearchTopK returns the k highest-ranked response nodes: the k-prefix of
-// Search's response, with only those k results materialised.
-func (s *System) SearchTopK(query string, threshold, k int) (*Response, error) {
-	return s.engine.SearchTopK(ParseQuery(query), threshold, k)
-}
-
-// SearchContext is Search honoring cancellation and deadlines from ctx.
-// Cancellation is cooperative: the engine polls ctx inside the S_L merge,
-// the window scan and the rank sweep, so a timed-out request frees its
-// CPU at the next checkpoint rather than completing in the background.
+// SearchContext parses the query string and searches it at threshold s.
+// It is kept, off the Searcher interface, for the benchmark harness until
+// that harness wraps Search; new code calls Search.
 func (s *System) SearchContext(ctx context.Context, query string, threshold int) (*Response, error) {
-	return s.engine.SearchCtx(ctx, ParseQuery(query), threshold)
+	return s.Search(ctx, SearchRequest{Query: ParseQuery(query), S: threshold})
 }
 
-// SearchBestEffortContext is SearchBestEffort honoring ctx.
-func (s *System) SearchBestEffortContext(ctx context.Context, query string) (*Response, error) {
-	return s.engine.SearchBestEffortCtx(ctx, ParseQuery(query))
-}
-
-// SearchTopKContext is SearchTopK honoring ctx.
-func (s *System) SearchTopKContext(ctx context.Context, query string, threshold, k int) (*Response, error) {
-	return s.engine.SearchTopKCtx(ctx, ParseQuery(query), threshold, k)
-}
-
-// ExplainContext is Explain honoring ctx. Cancellation is cooperative
-// like the search paths: the engine polls ctx between pipeline stages, so
-// a timed-out explain frees its CPU instead of finishing detached.
-func (s *System) ExplainContext(ctx context.Context, query string, threshold int) (*Explanation, error) {
-	return s.engine.ExplainCtx(ctx, ParseQuery(query), threshold)
+// SearchQuery searches an already-built query at threshold s. Like
+// SearchContext it is kept for the benchmark harness; new code calls
+// Search.
+func (s *System) SearchQuery(q Query, threshold int) (*Response, error) {
+	return s.Search(context.Background(), SearchRequest{Query: q, S: threshold})
 }
 
 // Explanation traces a search through the GKS pipeline (posting sizes,
 // |S_L|, window blocks, candidates, witness survivors and stage timings).
 type Explanation = core.Explanation
 
-// Explain runs the query while recording pipeline diagnostics; the embedded
-// Response is identical to Search's.
-func (s *System) Explain(query string, threshold int) (*Explanation, error) {
-	return s.engine.Explain(ParseQuery(query), threshold)
+// Explain runs q at threshold s while recording pipeline diagnostics; the
+// embedded Response is identical to Search's. The engine polls ctx between
+// pipeline stages, so a timed-out explain frees its CPU instead of
+// finishing detached.
+func (s *System) Explain(ctx context.Context, q Query, threshold int) (*Explanation, error) {
+	return s.engine.ExplainCtx(ctx, q, threshold)
 }
 
 // Insights discovers the top-m Deeper Analytical Insights of a response
@@ -451,21 +441,23 @@ func (s *System) Insights(resp *Response, m int) []Insight {
 // InsightRound is one step of recursive DI discovery.
 type InsightRound = di.Round
 
-// InsightsRecursive applies DI discovery recursively (§2.3): each round
-// feeds the previous round's top-m insight values back as a query.
-func (s *System) InsightsRecursive(q Query, threshold, m, rounds int) ([]InsightRound, error) {
-	return s.an.DiscoverRecursive(q, threshold, m, rounds)
+// InsightsRecursive applies DI discovery recursively (§2.3) on any
+// Searcher: each round searches at threshold s and feeds the previous
+// round's top-m insight values back as a query.
+func InsightsRecursive(ctx context.Context, sys Searcher, q Query, threshold, m, rounds int) ([]InsightRound, error) {
+	search := func(q Query) (*Response, error) {
+		return sys.Search(ctx, SearchRequest{Query: q, S: threshold})
+	}
+	return di.DiscoverRecursive(q, m, rounds, search, sys.Insights)
 }
 
 // Refinements proposes sub-queries matching the keyword subsets of the
-// top-ranked results (§6.1).
-func (s *System) Refinements(resp *Response, topK int) []Query {
-	return di.Refinements(resp, topK)
-}
+// top-ranked results of a response (§6.1).
+func Refinements(resp *Response, topK int) []Query { return di.Refinements(resp, topK) }
 
 // Augmentations combines a query with top insight values — the "adding
 // keywords" refinement direction of §7.4.
-func (s *System) Augmentations(q Query, insights []Insight, topK int) []Query {
+func Augmentations(q Query, insights []Insight, topK int) []Query {
 	return di.Augmentations(q, insights, topK)
 }
 

@@ -48,9 +48,14 @@ func university(t *testing.T) *System {
 	return sys
 }
 
+// searchAt runs the query string at threshold s through the one entry point.
+func searchAt(sys Searcher, query string, s int) (*Response, error) {
+	return sys.Search(context.Background(), SearchRequest{Query: ParseQuery(query), S: s})
+}
+
 func TestEndToEndSearch(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.Search("karen mike john", 3)
+	resp, err := searchAt(sys, "karen mike john", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestEndToEndSearch(t *testing.T) {
 
 func TestEndToEndInsights(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.Search("karen", 1)
+	resp, err := searchAt(sys, "karen", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +98,11 @@ func TestEndToEndInsights(t *testing.T) {
 
 func TestEndToEndRefinements(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.Search("karen julie mike", 2)
+	resp, err := searchAt(sys, "karen julie mike", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := sys.Refinements(resp, 3)
+	refs := Refinements(resp, 3)
 	if len(refs) == 0 {
 		t.Fatal("no refinement suggestions")
 	}
@@ -136,7 +141,7 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := loaded.Search("karen mike", 2)
+	resp, err := searchAt(loaded, "karen mike", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestIndexFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := sys.Search("karen", 1)
+	resp, err := searchAt(sys, "karen", 1)
 	if err != nil || len(resp.Results) == 0 {
 		t.Fatalf("search on file-built index: %v / %d results", err, len(resp.Results))
 	}
@@ -215,7 +220,7 @@ func TestBuilderAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := sys.Search("ann", 1)
+	resp, err := searchAt(sys, "ann", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func TestBuilderAPI(t *testing.T) {
 
 func TestRecursiveInsights(t *testing.T) {
 	sys := university(t)
-	rounds, err := sys.InsightsRecursive(NewQuery("karen"), 1, 2, 2)
+	rounds, err := InsightsRecursive(context.Background(), sys, NewQuery("karen"), 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func writeFile(path, content string) error {
 
 func TestFacadeBestEffortAndTopK(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.SearchBestEffort("karen mike john harry")
+	resp, err := sys.Search(context.Background(), SearchRequest{Query: ParseQuery("karen mike john harry"), BestEffort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +254,7 @@ func TestFacadeBestEffortAndTopK(t *testing.T) {
 	if resp.S != 3 {
 		t.Errorf("best-effort s = %d, want 3", resp.S)
 	}
-	topk, err := sys.SearchTopK("karen mike john", 1, 1)
+	topk, err := sys.Search(context.Background(), SearchRequest{Query: ParseQuery("karen mike john"), S: 1, TopK: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +281,7 @@ func TestFacadeSchema(t *testing.T) {
 	// Re-categorization on this regular document changes little but must
 	// keep searches working.
 	sys.ApplySchemaCategorization()
-	resp, err := sys.Search("karen", 1)
+	resp, err := searchAt(sys, "karen", 1)
 	if err != nil || len(resp.Results) == 0 {
 		t.Fatalf("search after schema apply: %v / %d", err, len(resp.Results))
 	}
@@ -293,7 +298,7 @@ func TestFacadeXPath(t *testing.T) {
 	}
 	// Cross-check: the GKS result for the same intent covers exactly these
 	// students' course.
-	resp, err := sys.Search("karen mike john", 3)
+	resp, err := searchAt(sys, "karen mike john", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +327,7 @@ func TestFacadeXPath(t *testing.T) {
 
 func TestFacadeExplain(t *testing.T) {
 	sys := university(t)
-	ex, err := sys.Explain("karen mike", 2)
+	ex, err := sys.Explain(context.Background(), ParseQuery("karen mike"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +338,7 @@ func TestFacadeExplain(t *testing.T) {
 
 func TestFacadeAddDocuments(t *testing.T) {
 	sys := university(t)
-	before, err := sys.Search("zoe", 1)
+	before, err := searchAt(sys, "zoe", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +360,7 @@ func TestFacadeAddDocuments(t *testing.T) {
 	if err := sys.AddDocuments(extra); err != nil {
 		t.Fatal(err)
 	}
-	after, err := sys.Search("zoe", 1)
+	after, err := searchAt(sys, "zoe", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +371,7 @@ func TestFacadeAddDocuments(t *testing.T) {
 		t.Errorf("zoe found in doc %d, want 1", after.Results[0].ID.Doc)
 	}
 	// Old content still searchable, and chunks resolve across documents.
-	both, err := sys.Search("karen", 1)
+	both, err := searchAt(sys, "karen", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +385,7 @@ func TestFacadeAddDocuments(t *testing.T) {
 
 func TestFacadeSnippet(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.Search("karen mike", 2)
+	resp, err := searchAt(sys, "karen mike", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +438,7 @@ func TestFacadeSuggestAndTypes(t *testing.T) {
 
 func TestFacadePrunedChunk(t *testing.T) {
 	sys := university(t)
-	resp, err := sys.Search("karen", 1)
+	resp, err := searchAt(sys, "karen", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +472,11 @@ func TestIndexFilesStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := streamed.Search("karen mike john", 3)
+	a, err := searchAt(streamed, "karen mike john", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := treed.Search("karen mike john", 3)
+	b, err := searchAt(treed, "karen mike john", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +519,7 @@ func TestFacadeSmallWrappers(t *testing.T) {
 	if len(ins) == 0 {
 		t.Fatal("no insights")
 	}
-	augs := sys.Augmentations(NewQuery("karen"), ins, 1)
+	augs := Augmentations(NewQuery("karen"), ins, 1)
 	if len(augs) != 1 || augs[0].Len() != 2 {
 		t.Errorf("Augmentations = %+v", augs)
 	}
@@ -528,7 +533,7 @@ func TestSearchContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sys.Search("karen mike", 2)
+	plain, err := searchAt(sys, "karen mike", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,14 +541,14 @@ func TestSearchContext(t *testing.T) {
 		t.Errorf("SearchContext returned %d results, Search %d", len(resp.Results), len(plain.Results))
 	}
 
-	if resp, err := sys.SearchBestEffortContext(ctx, "karen julie mike"); err != nil || resp.S < 2 {
-		t.Errorf("SearchBestEffortContext = (%+v, %v)", resp, err)
+	if resp, err := sys.Search(ctx, SearchRequest{Query: ParseQuery("karen julie mike"), BestEffort: true}); err != nil || resp.S < 2 {
+		t.Errorf("best-effort Search = (%+v, %v)", resp, err)
 	}
-	if _, err := sys.SearchTopKContext(ctx, "karen", 1, 1); err != nil {
-		t.Errorf("SearchTopKContext: %v", err)
+	if _, err := sys.Search(ctx, SearchRequest{Query: ParseQuery("karen"), S: 1, TopK: 1}); err != nil {
+		t.Errorf("top-k Search: %v", err)
 	}
-	if ex, err := sys.ExplainContext(ctx, "karen mike", 2); err != nil || ex.SLSize == 0 {
-		t.Errorf("ExplainContext = (%+v, %v)", ex, err)
+	if ex, err := sys.Explain(ctx, ParseQuery("karen mike"), 2); err != nil || ex.SLSize == 0 {
+		t.Errorf("Explain = (%+v, %v)", ex, err)
 	}
 }
 
@@ -552,10 +557,16 @@ func TestSearchContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() error{
-		"SearchContext":           func() error { _, err := sys.SearchContext(ctx, "karen", 1); return err },
-		"SearchBestEffortContext": func() error { _, err := sys.SearchBestEffortContext(ctx, "karen"); return err },
-		"SearchTopKContext":       func() error { _, err := sys.SearchTopKContext(ctx, "karen", 1, 1); return err },
-		"ExplainContext":          func() error { _, err := sys.ExplainContext(ctx, "karen", 1); return err },
+		"SearchContext": func() error { _, err := sys.SearchContext(ctx, "karen", 1); return err },
+		"Search best effort": func() error {
+			_, err := sys.Search(ctx, SearchRequest{Query: ParseQuery("karen"), BestEffort: true})
+			return err
+		},
+		"Search top-k": func() error {
+			_, err := sys.Search(ctx, SearchRequest{Query: ParseQuery("karen"), S: 1, TopK: 1})
+			return err
+		},
+		"Explain": func() error { _, err := sys.Explain(ctx, ParseQuery("karen"), 1); return err },
 	} {
 		if err := run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with canceled ctx: err = %v, want context.Canceled", name, err)
@@ -590,7 +601,7 @@ func TestIndexFilesLenient(t *testing.T) {
 			t.Errorf("FileError should carry cause and name the file: %v", fe)
 		}
 	}
-	resp, err := sys.Search("karen", 1)
+	resp, err := searchAt(sys, "karen", 1)
 	if err != nil || len(resp.Results) == 0 {
 		t.Fatalf("search on lenient-built index: %v / %+v", err, resp)
 	}

@@ -3,7 +3,9 @@ package gks
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,12 +66,12 @@ func TestUpsertRemoveLifecycle(t *testing.T) {
 			if err != nil || replaced {
 				t.Fatalf("add: replaced=%v err=%v", replaced, err)
 			}
-			if resp, err := next.Search("cherry", 1); err != nil || len(resp.Results) == 0 {
+			if resp, err := searchAt(next, "cherry", 1); err != nil || len(resp.Results) == 0 {
 				t.Fatalf("added document not searchable: %d results, err=%v",
 					len(resp.Results), err)
 			}
 			// The old system never saw it.
-			if resp, _ := sys.Search("cherry", 1); len(resp.Results) != 0 {
+			if resp, _ := searchAt(sys, "cherry", 1); len(resp.Results) != 0 {
 				t.Fatal("mutation leaked into the receiver")
 			}
 
@@ -78,10 +80,10 @@ func TestUpsertRemoveLifecycle(t *testing.T) {
 			if err != nil || !replaced {
 				t.Fatalf("replace: replaced=%v err=%v", replaced, err)
 			}
-			if resp, _ := next2.Search("cherry", 1); len(resp.Results) != 0 {
+			if resp, _ := searchAt(next2, "cherry", 1); len(resp.Results) != 0 {
 				t.Fatal("replaced content still searchable")
 			}
-			if resp, _ := next2.Search("quince", 1); len(resp.Results) == 0 {
+			if resp, _ := searchAt(next2, "quince", 1); len(resp.Results) == 0 {
 				t.Fatal("replacement content not searchable")
 			}
 
@@ -101,8 +103,8 @@ func TestUpsertRemoveLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range []string{"pear", "apple plum", "quince"} {
-				want, err1 := ref.Search(q, 1)
-				got, err2 := next3.Search(q, 1)
+				want, err1 := searchAt(ref, q, 1)
+				got, err2 := searchAt(next3, q, 1)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("q=%q: err1=%v err2=%v", q, err1, err2)
 				}
@@ -130,16 +132,26 @@ func TestUpsertRemoveLifecycle(t *testing.T) {
 	}
 }
 
-// fakeSearcher satisfies Searcher via embedding but supports no mutation.
-type fakeSearcher struct{ Searcher }
+// A type embedding *System is a Searcher: the shape a tracing or gating
+// wrapper has, with every mutation and probe of the system it wraps.
+var _ Searcher = struct{ *System }{}
 
-func TestUpsertUnsupportedSearcher(t *testing.T) {
-	doc := ingestDoc(t, "x.xml", "apple")
-	if _, _, err := Upsert(&fakeSearcher{}, doc); !errors.Is(err, ErrNoLiveIngestion) {
-		t.Fatalf("Upsert on unsupported type: err = %v, want ErrNoLiveIngestion", err)
+// TestSearcherSurface: the interface stays one query entry point, one
+// explain, ten other reads and five writes; a method added to it fails
+// here first.
+func TestSearcherSurface(t *testing.T) {
+	it := reflect.TypeOf((*Searcher)(nil)).Elem()
+	if n := it.NumMethod(); n > 17 {
+		t.Fatalf("Searcher has %d methods, want at most 17", n)
 	}
-	if _, err := Remove(&fakeSearcher{}, "x.xml"); !errors.Is(err, ErrNoLiveIngestion) {
-		t.Fatalf("Remove on unsupported type: err = %v, want ErrNoLiveIngestion", err)
+	var search []string
+	for i := 0; i < it.NumMethod(); i++ {
+		if name := it.Method(i).Name; strings.Contains(name, "Search") || strings.Contains(name, "Explain") {
+			search = append(search, name)
+		}
+	}
+	if !reflect.DeepEqual(search, []string{"Explain", "Search"}) {
+		t.Fatalf("search surface %v, want [Explain Search]", search)
 	}
 }
 
@@ -186,7 +198,7 @@ func TestConcurrentMutationUnderSearch(t *testing.T) {
 						default:
 						}
 						cur := box.Load().s
-						resp, err := cur.Search(queries[i%len(queries)], 1)
+						resp, err := searchAt(cur, queries[i%len(queries)], 1)
 						if err != nil {
 							t.Errorf("search failed: %v", err)
 							return
@@ -249,9 +261,8 @@ func TestConcurrentMutationUnderSearch(t *testing.T) {
 }
 
 // TestDocHolds: the probe the response cache evicts by answers the same on
-// every layout that supports live ingestion — single index, shard set,
-// segment-backed — takes a query's normalized tokens, and reports a
-// searcher it cannot inspect as unknown.
+// every layout — single index, shard set, segment-backed, and a wrapper
+// embedding a system — and takes a query's normalized tokens.
 func TestDocHolds(t *testing.T) {
 	docs := func() []*Document {
 		return []*Document{
@@ -271,7 +282,8 @@ func TestDocHolds(t *testing.T) {
 	_, segment := segmentPair(t, 1<<20, docs()...)
 
 	token := func(raw string) string { return ParseQuery(raw).Keywords[0].Tokens[0] }
-	for name, sys := range map[string]Searcher{"single": single, "sharded": sharded, "segment": segment} {
+	type wrapper struct{ Searcher }
+	for name, sys := range map[string]Searcher{"single": single, "sharded": sharded, "segment": segment, "wrapped": wrapper{single}} {
 		for _, tc := range []struct {
 			doc, raw string
 			want     bool
@@ -280,18 +292,9 @@ func TestDocHolds(t *testing.T) {
 			{"a.xml", "banana", false}, {"b.xml", "banana", true}, {"c.xml", "shared", false},
 			{"c.xml", "cherry", true}, {"nope.xml", "shared", false},
 		} {
-			holds, ok := DocHolds(sys, tc.doc)
-			if !ok {
-				t.Fatalf("%s: DocHolds does not know a %T", name, sys)
-			}
-			if got := holds(token(tc.raw)); got != tc.want {
+			if got := sys.DocHolds(tc.doc)(token(tc.raw)); got != tc.want {
 				t.Errorf("%s: %s holds %q = %v, want %v", name, tc.doc, tc.raw, got, tc.want)
 			}
 		}
-	}
-
-	type wrapper struct{ Searcher }
-	if holds, ok := DocHolds(wrapper{single}, "a.xml"); ok || holds != nil {
-		t.Error("a wrapped searcher must be reported as unknown")
 	}
 }

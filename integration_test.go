@@ -2,6 +2,7 @@ package gks_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,7 +76,7 @@ func TestFullPipeline(t *testing.T) {
 				continue
 			}
 			q := gks.NewQuery(pq.Terms...)
-			resp, err := loaded.SearchQuery(q, 1)
+			resp, err := loaded.Search(context.Background(), gks.SearchRequest{Query: q, S: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestBinaryIndexThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := sys.Search("ann bob", 2)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery("ann bob"), S: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestConcurrentFacadeSearches(t *testing.T) {
 	done := make(chan error, 24)
 	for i := 0; i < 24; i++ {
 		go func(i int) {
-			resp, err := sys.Search(queries[i%len(queries)], 1)
+			resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery(queries[i%len(queries)]), S: 1})
 			if err == nil && len(resp.Results) == 0 {
 				err = os.ErrNotExist
 			}

@@ -144,6 +144,18 @@ func (q Query) TokenSet() map[string]bool {
 	return set
 }
 
+// SearchRequest is one GKS query as a searcher takes it: the keyword query
+// Q at threshold s (§3), or, with BestEffort, at the largest s for which
+// R_Q(s) is non-empty (S is then ignored). TopK > 0 asks for only the k
+// best results, the k-prefix of the whole response; 0 asks for all of
+// them. Either way Response.Total counts the whole response.
+type SearchRequest struct {
+	Query      Query
+	S          int
+	TopK       int
+	BestEffort bool
+}
+
 // Validate reports structural problems with the query.
 func (q Query) Validate() error {
 	if len(q.Keywords) == 0 {

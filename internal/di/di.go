@@ -151,23 +151,24 @@ type Round struct {
 	Insights []Insight
 }
 
-// DiscoverRecursive runs the recursive DI procedure of §2.3: round 0
-// searches q and extracts top-m insights; each following round feeds the
-// previous round's top-m insight values back to GKS as a new query. It
-// stops early when a round yields no insights. rounds is the total number
-// of rounds (>= 1).
-func (a *Analyzer) DiscoverRecursive(q core.Query, s, m, rounds int) ([]Round, error) {
+// DiscoverRecursive runs the recursive DI procedure of §2.3 over any
+// searcher: round 0 searches q and extracts the top-m insights of the
+// response; each following round feeds the previous round's top-m insight
+// values back to GKS as a new query. It stops early when a round yields no
+// insights. rounds is the total number of rounds (>= 1). search runs one
+// query at the caller's threshold, and insights must accept its responses.
+func DiscoverRecursive(q core.Query, m, rounds int, search func(core.Query) (*core.Response, error), insights func(*core.Response, int) []Insight) ([]Round, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
 	var out []Round
 	cur := q
 	for r := 0; r < rounds; r++ {
-		resp, err := a.eng.Search(cur, s)
+		resp, err := search(cur)
 		if err != nil {
 			return out, fmt.Errorf("di: round %d: %w", r, err)
 		}
-		ins := a.Discover(resp, m)
+		ins := insights(resp, m)
 		out = append(out, Round{Query: cur, Response: resp, Insights: ins})
 		if len(ins) == 0 {
 			break

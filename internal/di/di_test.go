@@ -128,8 +128,9 @@ func TestDITopM(t *testing.T) {
 }
 
 func TestDiscoverRecursive(t *testing.T) {
-	_, an := fig2aAnalyzer(t)
-	rounds, err := an.DiscoverRecursive(core.NewQuery("karen", "mike"), 1, 2, 3)
+	eng, an := fig2aAnalyzer(t)
+	search := func(q core.Query) (*core.Response, error) { return eng.Search(q, 1) }
+	rounds, err := DiscoverRecursive(core.NewQuery("karen", "mike"), 2, 3, search, an.Discover)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package di_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -134,7 +135,7 @@ func TestLateExclusionMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sharded, err := set.SearchQuery(q, s)
+			sharded, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: s})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -386,8 +386,8 @@ func (s *Suite) RecursiveDI(rounds int) ([]RecursiveDIRound, error) {
 		return nil, err
 	}
 	georgakopoulos, morrison, _ := datagen.RefinementAuthors()
-	an := di.New(d.Engine)
-	all, err := an.DiscoverRecursive(core.NewQuery(georgakopoulos, morrison), 1, 3, rounds)
+	search := func(q core.Query) (*core.Response, error) { return d.Engine.Search(q, 1) }
+	all, err := di.DiscoverRecursive(core.NewQuery(georgakopoulos, morrison), 3, rounds, search, di.New(d.Engine).Discover)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/xmltree"
 )
@@ -29,6 +30,29 @@ var ErrNotFound = errors.New("index: document not found")
 // Index always holds at least one document (Build rejects empty
 // repositories), so the caller must rebuild from scratch instead.
 var ErrLastDocument = errors.New("index: cannot delete the last live document")
+
+// ErrInvalidDocName reports an upsert whose document name no index can
+// hold. Names route deletes, dedupe replacements, key WAL records and
+// appear in snapshot manifests and log lines, so an empty or
+// control-character name would create a document that is unroutable,
+// undeletable, or corrupts a line-oriented format.
+var ErrInvalidDocName = errors.New("index: invalid document name")
+
+// ValidateDocName enforces the document-name rules every ingestion layer
+// shares: non-blank, at most 512 bytes, no NUL/CR/LF. Every searcher's
+// Upsert checks it, so no caller can add a document it cannot address
+// again.
+func ValidateDocName(name string) error {
+	switch {
+	case strings.TrimSpace(name) == "":
+		return fmt.Errorf("%w: empty name", ErrInvalidDocName)
+	case len(name) > 512:
+		return fmt.Errorf("%w: %d bytes (max 512)", ErrInvalidDocName, len(name))
+	case strings.ContainsAny(name, "\x00\n\r"):
+		return fmt.Errorf("%w: name contains control characters", ErrInvalidDocName)
+	}
+	return nil
+}
 
 // tombstones is the per-document delete mask carried by a mutated index.
 // All ranges are half-open ordinal intervals, sorted and disjoint.

@@ -250,7 +250,7 @@ func TestSaveCompactsTombstones(t *testing.T) {
 }
 
 // TestRandomMutationsEqualRebuild drives a random interleaving of appends,
-// replaces (delete+append, as System.UpsertDocument performs them) and
+// replaces (delete+append, as System.Upsert performs them) and
 // deletes, checking after every step that the compacted live index is
 // semantically identical to a cold rebuild from the surviving documents
 // with their document ids preserved.

@@ -334,7 +334,7 @@ func waitReady(t *testing.T, label string, f *node) {
 // the internal document IDs, which boot replay may legally renumber.
 func docInsensitiveResults(t *testing.T, sys gks.Searcher, q string) []string {
 	t.Helper()
-	resp, err := sys.Search(q, 1)
+	resp, err := sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery(q), S: 1})
 	if err != nil {
 		t.Fatalf("search %q: %v", q, err)
 	}

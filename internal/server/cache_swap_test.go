@@ -167,18 +167,18 @@ func TestCacheDifferential(t *testing.T) {
 }
 
 // gatedSearcher blocks every search inside the "engine" until gate is
-// closed, announcing each arrival on entered. It wraps the one method the
-// handler searches through for s >= 1.
+// closed, announcing each arrival on entered. It wraps Search, the one
+// method the handler searches through.
 type gatedSearcher struct {
 	gks.Searcher
 	entered chan struct{}
 	gate    chan struct{}
 }
 
-func (g *gatedSearcher) SearchTopKContext(ctx context.Context, q string, s, k int) (*gks.Response, error) {
+func (g *gatedSearcher) Search(ctx context.Context, req gks.SearchRequest) (*gks.Response, error) {
 	g.entered <- struct{}{}
 	<-g.gate
-	return g.Searcher.SearchTopKContext(ctx, q, s, k)
+	return g.Searcher.Search(ctx, req)
 }
 
 // within receives from ch, failing the test when nothing arrives within
@@ -245,7 +245,7 @@ func TestCacheFillRace(t *testing.T) {
 	// after generation 2 cached the query's /search view. It must not join
 	// that entry as a second view.
 	sys1 := testSystem(t)
-	sys2, _, err := sys1.UpsertDocument(gks.BuildDocument("night.xml", gks.E("Dept", gks.E("Course",
+	sys2, _, err := sys1.Upsert(gks.BuildDocument("night.xml", gks.E("Dept", gks.E("Course",
 		gks.ET("Name", "Quantum"), gks.E("Students", gks.ET("Student", "Mike"), gks.ET("Student", "Zed"))))))
 	if err != nil {
 		t.Fatal(err)
@@ -484,16 +484,34 @@ func TestCacheReplicaApplyEvictsLikeLeader(t *testing.T) {
 	}
 }
 
-// TestSwapDocUnknownSearcherPurges: a searcher whose documents cannot be
-// inspected gets the full purge.
-func TestSwapDocUnknownSearcherPurges(t *testing.T) {
-	h := NewWithCache(&partialSearcher{Searcher: testSystem(t)}, 8)
-	get(t, h, "/search?q=karen&s=1")
-	if _, dropped := h.SwapDoc(testSystem(t), "unrelated.xml"); dropped != 1 {
-		t.Fatalf("dropped %d entries, want the full purge of 1", dropped)
+// TestSwapDocWrappedSearcherEvictsSelectively: a wrapper embedding the
+// served system (a tracer, a gate) inherits its DocHolds, so SwapDoc drops
+// only the entries whose tokens the document holds, exactly as for the bare
+// system — it does not purge.
+func TestSwapDocWrappedSearcherEvictsSelectively(t *testing.T) {
+	sys := testSystem(t)
+	next, _, err := sys.Upsert(gks.BuildDocument("new.xml", gks.E("r", gks.ET("v", "karen"))))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if invalidated, purges := h.CacheEvictions(); invalidated != 0 || purges != 1 {
-		t.Fatalf("invalidated=%d purges=%d, want 0/1", invalidated, purges)
+	for name, pair := range map[string][2]gks.Searcher{
+		"bare":    {sys, next},
+		"wrapped": {&partialSearcher{Searcher: sys}, &partialSearcher{Searcher: next}},
+	} {
+		h := NewWithCache(pair[0], 8)
+		get(t, h, "/search?q=karen&s=1")
+		get(t, h, "/search?q=julie&s=1")
+		if _, dropped := h.SwapDoc(pair[1], "new.xml"); dropped != 1 {
+			t.Fatalf("%s: dropped %d entries, want the one holding karen", name, dropped)
+		}
+		if invalidated, purges := h.CacheEvictions(); invalidated != 1 || purges != 0 {
+			t.Fatalf("%s: invalidated=%d purges=%d, want 1/0", name, invalidated, purges)
+		}
+		hits, _ := h.CacheStats()
+		get(t, h, "/search?q=julie&s=1")
+		if after, _ := h.CacheStats(); after != hits+1 {
+			t.Fatalf("%s: the answer over untouched tokens did not survive", name)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func NewCheckpointer(rl *Reloader, l *wal.Log, persist func(gks.Searcher) error,
 
 // EnableRepack arms background pack maintenance: each checkpoint measures
 // the serving system's pack debt (the fraction of the node table that is
-// delta-appended or tombstoned; see gks.PackDebt) and, at or past
+// delta-appended or tombstoned; see gks.Searcher.PackDebt) and, at or past
 // threshold, rebuilds a canonically packed system and swaps it into
 // service before persisting — so the snapshot that reaches disk is the
 // repacked one, and boot never replays onto a bloated table. A threshold
@@ -154,7 +154,7 @@ func (c *Checkpointer) Checkpoint() error {
 				time.Since(repStart).Round(time.Millisecond), st.Documents, st.ElementNodes)
 		}
 	}
-	c.reg.SetPackBloat(gks.PackDebt(sys))
+	c.reg.SetPackBloat(sys.PackDebt())
 
 	if err := c.persist(sys); err != nil {
 		c.reg.ObserveCheckpoint(false, 0, time.Since(start))

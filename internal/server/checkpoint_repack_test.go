@@ -49,7 +49,7 @@ func TestCheckpointRepack(t *testing.T) {
 	}
 	// Debt > 0 proves the upserts went through the delta path on a still-
 	// packed table (the legacy splice re-packs canonically, debt 0).
-	if debt := gks.PackDebt(h.Searcher()); debt == 0 {
+	if debt := h.Searcher().PackDebt(); debt == 0 {
 		t.Fatal("upserts on the packed base accrued no pack debt; delta path not engaged")
 	}
 
@@ -63,7 +63,7 @@ func TestCheckpointRepack(t *testing.T) {
 	if bloat != 0 {
 		t.Errorf("post-repack bloat gauge = %v, want 0", bloat)
 	}
-	if debt := gks.PackDebt(h.Searcher()); debt != 0 {
+	if debt := h.Searcher().PackDebt(); debt != 0 {
 		t.Errorf("serving system still carries pack debt %v after repack", debt)
 	}
 	if n := searchTotal(t, h, "neutrino"); n == 0 {

@@ -173,15 +173,11 @@ func (ing *Ingester) handleUpsert(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	ing.rl.mu.Lock()
-	next, replaced, err := gks.Upsert(ing.rl.h.Searcher(), doc)
+	next, replaced, err := ing.rl.h.Searcher().Upsert(doc)
 	if err != nil {
 		ing.rl.mu.Unlock()
 		ing.observe("upsert", false, start)
-		if errors.Is(err, gks.ErrNoLiveIngestion) {
-			serverError(w, err)
-		} else {
-			clientError(w, err)
-		}
+		clientError(w, err)
 		return
 	}
 	op := "add"
@@ -194,7 +190,7 @@ func (ing *Ingester) handleUpsert(w http.ResponseWriter, r *http.Request) {
 func (ing *Ingester) handleDelete(w http.ResponseWriter, name string) {
 	start := time.Now()
 	ing.rl.mu.Lock()
-	next, err := gks.Remove(ing.rl.h.Searcher(), name)
+	next, err := ing.rl.h.Searcher().Remove(name)
 	if err != nil {
 		ing.rl.mu.Unlock()
 		ing.observe("delete", false, start)

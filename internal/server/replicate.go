@@ -167,10 +167,10 @@ func (a *ReplicaApplier) Apply(rec wal.Record) error {
 		var doc *gks.Document
 		doc, err = gks.ParseDocumentString(rec.Doc, rec.Name)
 		if err == nil {
-			next, _, err = gks.Upsert(sys, doc)
+			next, _, err = sys.Upsert(doc)
 		}
 	case wal.OpDelete:
-		next, err = gks.Remove(sys, rec.Name)
+		next, err = sys.Remove(rec.Name)
 	default:
 		err = fmt.Errorf("unknown op %d", rec.Op)
 	}

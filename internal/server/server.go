@@ -248,28 +248,22 @@ func (h *Handler) Swap(sys gks.Searcher) int64 {
 }
 
 // SwapDoc is Swap for a successor that differs from the served system in
-// the one document named name — added, replaced or deleted. Documents are
-// separate trees, a node's category and rank are computed inside its own
-// subtree, and a document root is never returned, so an answer can change
-// only if the document, before or after, holds one of the query's tokens:
-// SwapDoc drops exactly those entries and reports how many. When either
-// system's documents cannot be inspected (gks.DocHolds: a wrapper) it
-// purges like Swap.
+// the one document named name — added, replaced or deleted. An answer can
+// change only if the document, before or after, holds one of the query's
+// tokens (gks.Searcher.DocHolds), so SwapDoc drops exactly those entries
+// and reports how many.
 func (h *Handler) SwapDoc(next gks.Searcher, name string) (gen int64, dropped int) {
 	cur := h.sys.Load()
 	var stale func(string, cachedAnswer) bool
 	if h.respCache != nil {
-		before, okBefore := gks.DocHolds(cur.s, name)
-		after, okAfter := gks.DocHolds(next, name)
-		if okBefore && okAfter {
-			stale = func(_ string, a cachedAnswer) bool {
-				for _, tok := range a.tokens {
-					if before(tok) || after(tok) {
-						return true
-					}
+		before, after := cur.s.DocHolds(name), next.DocHolds(name)
+		stale = func(_ string, a cachedAnswer) bool {
+			for _, tok := range a.tokens {
+				if before(tok) || after(tok) {
+					return true
 				}
-				return false
 			}
+			return false
 		}
 	}
 	h.mu.Lock()
@@ -344,20 +338,14 @@ func queryTokens(q string) []string {
 	return toks
 }
 
-// search runs one query against sys with ctx-aware cancellation, in one
-// engine call: the k best results (k <= 0: all of them), or, for s <= 0,
-// the whole best-effort response. Engine errors (empty query, too many
-// keywords) are client errors; context expiry passes through for the 504
-// path. Successful engine runs report their per-stage timings and |S_L| to
-// the handler's SearchObserver (cache hits never reach here).
+// search runs one query against sys in one engine call, ctx-aware: the k
+// best results (k <= 0: all of them), at threshold s or, for s <= 0, at the
+// best-effort threshold. Engine errors (empty query, too many keywords) are
+// client errors; context expiry passes through for the 504 path.
+// Successful engine runs report their per-stage timings and |S_L| to the
+// handler's SearchObserver (cache hits never reach here).
 func (h *Handler) search(ctx context.Context, sys gks.Searcher, q string, s, k int) (*gks.Response, error) {
-	var resp *gks.Response
-	var err error
-	if s <= 0 {
-		resp, err = sys.SearchBestEffortContext(ctx, q)
-	} else {
-		resp, err = sys.SearchTopKContext(ctx, q, s, k)
-	}
+	resp, err := sys.Search(ctx, gks.SearchRequest{Query: gks.ParseQuery(q), S: s, TopK: k, BestEffort: s <= 0})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		err = badRequest(err)
 	}
@@ -435,9 +423,9 @@ func (h *Handler) handleInsights(w http.ResponseWriter, r *http.Request) {
 
 // handleRefine keeps the partial-visibility contract of /insights.
 func (h *Handler) handleRefine(w http.ResponseWriter, r *http.Request) {
-	h.serveCached(w, r, "top", 5, maxTop, false, func(sys gks.Searcher, resp *gks.Response, top int) any {
+	h.serveCached(w, r, "top", 5, maxTop, false, func(_ gks.Searcher, resp *gks.Response, top int) any {
 		var out []string
-		for _, rq := range sys.Refinements(resp, top) {
+		for _, rq := range gks.Refinements(resp, top) {
 			out = append(out, rq.String())
 		}
 		return map[string]interface{}{
@@ -546,7 +534,7 @@ func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s <= 0 {
 		s = 1
 	}
-	ex, err := h.Searcher().ExplainContext(r.Context(), q, s)
+	ex, err := h.Searcher().Explain(r.Context(), gks.ParseQuery(q), s)
 	if err != nil {
 		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 			err = badRequest(err)

@@ -468,15 +468,15 @@ func TestCachedSearch(t *testing.T) {
 
 // partialSearcher wraps a Searcher and, while degraded, marks every
 // search response partial — simulating a shard set degrading under a
-// transient shard failure with -partial-results. It wraps the one method
-// the handler searches through for s >= 1.
+// transient shard failure with -partial-results. It wraps Search, the one
+// method the handler searches through.
 type partialSearcher struct {
 	gks.Searcher
 	degraded atomic.Bool
 }
 
-func (p *partialSearcher) SearchTopKContext(ctx context.Context, q string, s, k int) (*gks.Response, error) {
-	resp, err := p.Searcher.SearchTopKContext(ctx, q, s, k)
+func (p *partialSearcher) Search(ctx context.Context, req gks.SearchRequest) (*gks.Response, error) {
+	resp, err := p.Searcher.Search(ctx, req)
 	if err == nil && p.degraded.Load() {
 		c := *resp
 		c.Partial = true

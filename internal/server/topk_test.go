@@ -46,8 +46,8 @@ func figureSystem(tb testing.TB, scale int) *gks.System {
 
 // TestSearchTopKBodiesMatchFullResponse: /search asks the engine for top
 // results only, yet every body is the one the parent rendered from the
-// whole response — buildSearchJSON over SearchContext's (or, at s = 0,
-// SearchBestEffortContext's) answer, with total = len(Results) — for every
+// whole response — buildSearchJSON over Search's answer with TopK 0 (at
+// s = 0, best effort), with total = len(Results) — for every
 // top around both ends of |R| and maxTop, cached (fill and hit) or not, on
 // every kind of served system.
 func TestSearchTopKBodiesMatchFullResponse(t *testing.T) {
@@ -79,12 +79,7 @@ func TestSearchTopKBodiesMatchFullResponse(t *testing.T) {
 		want := map[string]string{} // URL -> the parent's body
 		for _, q := range queries {
 			for _, s := range []int{0, 1, 2} {
-				var full *gks.Response
-				if s == 0 {
-					full, err = sy.sys.SearchBestEffortContext(context.Background(), q)
-				} else {
-					full, err = sy.sys.SearchContext(context.Background(), q, s)
-				}
+				full, err := sy.sys.Search(context.Background(), gks.SearchRequest{Query: gks.ParseQuery(q), S: s, BestEffort: s == 0})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -13,7 +12,7 @@ import (
 	"repro/internal/textproc"
 )
 
-// The analysis surface of gks.System, reproduced over the shard set. Every
+// The analysis surface of Searcher, reproduced over the shard set. Every
 // method reduces to per-shard computations merged so the output equals the
 // single-index result: DI resolves each result to its owning shard, result
 // types sum label-keyed frequency tables, LCA baselines sort the per-shard
@@ -25,48 +24,6 @@ import (
 // interpreted in the shard owning the result's document.
 func (s *Set) Insights(resp *core.Response, m int) []di.Insight {
 	return di.DiscoverIndexed(s.indexOfResult, resp, m)
-}
-
-// InsightsRecursive applies DI discovery recursively (§2.3): each round
-// feeds the previous round's top-m insight values back as a query.
-func (s *Set) InsightsRecursive(q core.Query, threshold, m, rounds int) ([]di.Round, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	var out []di.Round
-	cur := q
-	for r := 0; r < rounds; r++ {
-		resp, err := s.SearchQuery(cur, threshold)
-		if err != nil {
-			return out, fmt.Errorf("di: round %d: %w", r, err)
-		}
-		ins := s.Insights(resp, m)
-		out = append(out, di.Round{Query: cur, Response: resp, Insights: ins})
-		if len(ins) == 0 {
-			break
-		}
-		terms := make([]string, 0, len(ins))
-		for _, in := range ins {
-			terms = append(terms, in.Value)
-		}
-		next := core.NewQuery(terms...)
-		if next.Len() == 0 {
-			break
-		}
-		cur = next
-	}
-	return out, nil
-}
-
-// Refinements proposes sub-queries matching the keyword subsets of the
-// top-ranked results (§6.1). Operates on the merged response only.
-func (s *Set) Refinements(resp *core.Response, topK int) []core.Query {
-	return di.Refinements(resp, topK)
-}
-
-// Augmentations combines a query with top insight values (§7.4).
-func (s *Set) Augmentations(q core.Query, insights []di.Insight, topK int) []core.Query {
-	return di.Augmentations(q, insights, topK)
 }
 
 // SLCA runs the Smallest-LCA baseline across all shards and returns the

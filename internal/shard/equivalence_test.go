@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -170,7 +171,7 @@ func TestShardedSearchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := set.SearchQuery(q, s)
+			got, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +198,7 @@ func TestShardedSearchEquivalence(t *testing.T) {
 				if k > 0 && k < n {
 					wantK.Results = want.Results[:k]
 				}
-				gotK, err := set.SearchTopK(queryStr, s, k)
+				gotK, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: s, TopK: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,16 +206,24 @@ func TestShardedSearchEquivalence(t *testing.T) {
 			}
 		}
 
-		// Best effort settles on the same threshold and the same response.
+		// Best effort settles on the same threshold and the same response,
+		// and best-effort top-k is its k-prefix with the same Total.
 		wantBE, err := eng.SearchBestEffort(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotBE, err := set.SearchBestEffort(queryStr)
-		if err != nil {
-			t.Fatal(err)
+		n := len(wantBE.Results)
+		for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+			wantK := *wantBE
+			if k > 0 && k < n {
+				wantK.Results = wantBE.Results[:k]
+			}
+			gotK, err := set.Search(context.Background(), core.SearchRequest{Query: q, TopK: k, BestEffort: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResponse(t, fmt.Sprintf("trial %d best-effort k=%d", trial, k), &wantK, gotK)
 		}
-		sameResponse(t, fmt.Sprintf("trial %d best-effort", trial), wantBE, gotBE)
 
 		// LCA baselines and inferred result types.
 		sameStrings(t, fmt.Sprintf("trial %d SLCA", trial),
@@ -292,7 +301,7 @@ func TestShardedSchemaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := set.SearchQuery(q, 1)
+		got, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

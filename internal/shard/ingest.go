@@ -11,12 +11,12 @@ import (
 )
 
 // Live ingestion over a shard set. Mutations are copy-on-write, like the
-// underlying indexes: WithDocument and WithoutDocument return a new *Set
-// sharing every untouched shard (index AND engine, so their warmed query
-// arenas survive) with the receiver, which keeps serving unchanged. Only
-// the shard the document routes to is rebuilt — an append is a partial-
-// index merge on that shard, a delete a tombstone mask — so the cost of a
-// mutation scales with one shard, not the corpus.
+// underlying indexes: Upsert and Remove return a new *Set sharing every
+// untouched shard (index AND engine, so their warmed query arenas survive)
+// with the receiver, which keeps serving unchanged. Only the shard the
+// document routes to is rebuilt — an append is a partial-index merge on
+// that shard, a delete a tombstone mask — so the cost of a mutation scales
+// with one shard, not the corpus.
 
 // RouteShard returns the shard an incoming document with the given name
 // routes to: the same FNV-1a name hash Partition uses, so a live add lands
@@ -51,15 +51,18 @@ func (s *Set) ContainsDoc(name string) bool {
 	return false
 }
 
-// WithDocument returns a new set with doc added, replacing any live
+// Upsert returns a new set with doc added, replacing any live
 // document(s) of the same name (replaced reports whether one existed).
 // The receiver is unchanged. The document is renumbered to the set's next
 // free document id; on failure the caller's document is left as passed
 // in. Untouched shards are shared; the target shard (and any shard a
 // replace tombstones) gets a fresh engine.
-func (s *Set) WithDocument(doc *xmltree.Document) (*Set, bool, error) {
+func (s *Set) Upsert(doc *xmltree.Document) (Searcher, bool, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, false, fmt.Errorf("shard: add of empty document")
+	}
+	if err := index.ValidateDocName(doc.Name); err != nil {
+		return nil, false, err
 	}
 	shards, engines, replaced, err := deleteByName(s.shards, s.engines, doc.Name)
 	if err != nil {
@@ -91,18 +94,18 @@ func (s *Set) WithDocument(doc *xmltree.Document) (*Set, bool, error) {
 		shards[target] = next
 		engines[target] = core.NewEngine(next)
 	}
-	set, err := s.withShards(shards, engines)
+	next, err := s.withShards(shards, engines)
 	if err != nil {
 		return nil, false, err
 	}
-	return set, replaced, nil
+	return next, replaced, nil
 }
 
-// WithoutDocument returns a new set with every live document named name
-// removed; the receiver is unchanged. It fails with index.ErrNotFound when
-// no shard holds the document and with index.ErrLastDocument when the
-// delete would empty the whole set.
-func (s *Set) WithoutDocument(name string) (*Set, error) {
+// Remove returns a new set with every live document named name removed;
+// the receiver is unchanged. It fails with index.ErrNotFound when no shard
+// holds the document and with index.ErrLastDocument when the delete would
+// empty the whole set.
+func (s *Set) Remove(name string) (Searcher, error) {
 	shards, engines, removed, err := deleteByName(s.shards, s.engines, name)
 	if err != nil {
 		return nil, err
@@ -115,6 +118,29 @@ func (s *Set) WithoutDocument(name string) (*Set, error) {
 	}
 	return s.withShards(shards, engines)
 }
+
+// DocHolds ORs the probes of every shard: a name lives in one shard, and a
+// shard that does not hold it answers false.
+func (s *Set) DocHolds(name string) func(token string) bool {
+	probes := make([]func(string) bool, len(s.shards))
+	for i, ix := range s.shards {
+		probes[i] = ix.DocHolds(name)
+	}
+	return func(token string) bool {
+		for _, p := range probes {
+			if p(token) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// PackDebt is 0: shard indexes are not repacked in service.
+func (s *Set) PackDebt() float64 { return 0 }
+
+// Repacked returns the set itself, which has no pack debt to pay.
+func (s *Set) Repacked() Searcher { return s }
 
 // deleteByName tombstones every live document named name, returning fresh
 // shard/engine slices. Shards the delete would empty are dropped from the
@@ -148,7 +174,7 @@ func deleteByName(shards []*index.Index, engines []*core.Engine, name string) ([
 // receiver's serving configuration over and recomputing the document
 // routing table (which also revalidates the one-shard-per-document
 // invariant).
-func (s *Set) withShards(shards []*index.Index, engines []*core.Engine) (*Set, error) {
+func (s *Set) withShards(shards []*index.Index, engines []*core.Engine) (Searcher, error) {
 	docShard, err := computeDocShard(shards)
 	if err != nil {
 		return nil, err

@@ -78,32 +78,32 @@ func TestLiveMutationEquivalence(t *testing.T) {
 				name := fmt.Sprintf("doc-%03d.xml", next)
 				next++
 				doc := randomDoc(rng, name, rng.Intn(2) == 0)
-				out, replaced, err := set.WithDocument(doc)
+				out, replaced, err := set.Upsert(doc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if replaced {
 					t.Fatalf("add of fresh name %q reported replaced", name)
 				}
-				set, live[name] = out, doc
+				set, live[name] = out.(*Set), doc
 			case op == 1: // replace
 				name := names[rng.Intn(len(names))]
 				doc := randomDoc(rng, name, rng.Intn(2) == 0)
-				out, replaced, err := set.WithDocument(doc)
+				out, replaced, err := set.Upsert(doc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !replaced {
 					t.Fatalf("replace of live name %q not reported as replaced", name)
 				}
-				set, live[name] = out, doc
+				set, live[name] = out.(*Set), doc
 			default: // delete
 				name := names[rng.Intn(len(names))]
-				out, err := set.WithoutDocument(name)
+				out, err := set.Remove(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				set = out
+				set = out.(*Set)
 				delete(live, name)
 			}
 
@@ -123,7 +123,7 @@ func TestLiveMutationEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := set.SearchQuery(q, s)
+				got, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: s})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,12 +170,13 @@ func TestMutationsAreCopyOnWrite(t *testing.T) {
 	docBefore := set.NumShards()
 
 	doc := randomDoc(rng, "cow-new.xml", false)
-	next, _, err := set.WithDocument(doc)
+	out, _, err := set.Upsert(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	next := out.(*Set)
 	if set.Stats() != statsBefore || set.NumShards() != docBefore || set.ContainsDoc("cow-new.xml") {
-		t.Fatal("WithDocument mutated the receiver")
+		t.Fatal("Upsert mutated the receiver")
 	}
 	target := RouteShard("cow-new.xml", set.NumShards())
 	for i := range set.shards {
@@ -190,14 +191,14 @@ func TestMutationsAreCopyOnWrite(t *testing.T) {
 		}
 	}
 
-	del, err := next.WithoutDocument("cow-new.xml")
+	del, err := next.Remove("cow-new.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !next.ContainsDoc("cow-new.xml") {
-		t.Fatal("WithoutDocument mutated the receiver")
+		t.Fatal("Remove mutated the receiver")
 	}
-	if del.ContainsDoc("cow-new.xml") {
+	if del.(*Set).ContainsDoc("cow-new.xml") {
 		t.Fatal("delete left the document live")
 	}
 }
@@ -212,14 +213,14 @@ func TestWithoutDocumentErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.WithoutDocument("missing.xml"); !errors.Is(err, index.ErrNotFound) {
+	if _, err := set.Remove("missing.xml"); !errors.Is(err, index.ErrNotFound) {
 		t.Fatalf("unknown name: err = %v, want index.ErrNotFound", err)
 	}
-	one, err := set.WithoutDocument("e-0.xml")
+	one, err := set.Remove("e-0.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := one.WithoutDocument("e-1.xml"); !errors.Is(err, index.ErrLastDocument) {
+	if _, err := one.Remove("e-1.xml"); !errors.Is(err, index.ErrLastDocument) {
 		t.Fatalf("deleting the last document: err = %v, want index.ErrLastDocument", err)
 	}
 }
@@ -242,7 +243,7 @@ func TestExplainContextEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := set.ExplainContext(context.Background(), "apple pear", 1)
+	got, err := set.Explain(context.Background(), core.ParseQuery("apple pear"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestExplainContextEquivalence(t *testing.T) {
 	set.SetAllowPartial(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := set.ExplainContext(ctx, "apple pear", 1); !errors.Is(err, context.Canceled) {
+	if _, err := set.Explain(ctx, core.ParseQuery("apple pear"), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled explain returned %v, want context.Canceled", err)
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -54,11 +55,11 @@ func TestManifestRoundTrip(t *testing.T) {
 
 	// The reloaded set answers exactly like the original.
 	q := core.NewQuery("apple", "pear")
-	want, err := set.SearchQuery(q, 1)
+	want, err := set.Search(context.Background(), core.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.SearchQuery(q, 1)
+	got, err := loaded.Search(context.Background(), core.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestScatterFailFast(t *testing.T) {
 	m := &recordingMetrics{}
 	set.SetMetrics(m)
 
-	_, partial, err := set.scatter(context.Background(), failShard(set, 1))
+	_, partial, err := scatterShards(context.Background(), set, failShard(set, 1))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want the shard's own error (not context.Canceled)", err)
 	}
@@ -75,7 +75,7 @@ func TestScatterPartialResults(t *testing.T) {
 	set.SetMetrics(m)
 	set.SetAllowPartial(true)
 
-	resps, partial, err := set.scatter(context.Background(), failShard(set, 2))
+	resps, partial, err := scatterShards(context.Background(), set, failShard(set, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPartialTopKTotal(t *testing.T) {
 		t.Fatalf("answering shards hold %d of %d results: the failed shard must hold some, the others too", answering, all)
 	}
 	for _, k := range []int{0, 1, 10, answering - 1, answering, answering + 1} {
-		resps, partial, err := set.scatter(context.Background(), func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
+		resps, partial, err := scatterShards(context.Background(), set, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
 			if eng == set.engines[bad] {
 				return nil, errBoom
 			}
@@ -153,7 +153,7 @@ func TestPartialTopKTotal(t *testing.T) {
 func TestScatterAllShardsFailing(t *testing.T) {
 	set := buildTestSet(t, 3)
 	set.SetAllowPartial(true)
-	_, _, err := set.scatter(context.Background(), func(context.Context, *core.Engine) (*core.Response, error) {
+	_, _, err := scatterShards(context.Background(), set, func(context.Context, *core.Engine) (*core.Response, error) {
 		return nil, errBoom
 	})
 	if !errors.Is(err, errBoom) {
@@ -172,7 +172,7 @@ func TestScatterCancelledIsNotPartial(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, partial, err := set.scatter(ctx, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
+	_, partial, err := scatterShards(ctx, set, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
 		return eng.SearchCtx(ctx, core.NewQuery("apple"), 1)
 	})
 	if partial {
@@ -224,7 +224,7 @@ func TestSearchContextCancelled(t *testing.T) {
 	set := buildTestSet(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := set.SearchContext(ctx, "apple pear", 1); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := set.Search(ctx, core.SearchRequest{Query: core.ParseQuery("apple pear"), S: 1}); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled or nil", err)
 	}
 }
@@ -236,7 +236,7 @@ func TestScatterConcurrentSearches(t *testing.T) {
 	set := buildTestSet(t, 4)
 	m := &recordingMetrics{}
 	set.SetMetrics(m)
-	want, err := set.Search("apple pear plum", 1)
+	want, err := set.Search(context.Background(), core.SearchRequest{Query: core.ParseQuery("apple pear plum"), S: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestScatterConcurrentSearches(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				got, err := set.Search("apple pear plum", 1)
+				got, err := set.Search(context.Background(), core.SearchRequest{Query: core.ParseQuery("apple pear plum"), S: 1})
 				if err != nil {
 					errs[i] = err
 					return
@@ -290,11 +290,11 @@ func TestBuildWorkerPoolRespectsBounds(t *testing.T) {
 			serial.NumShards(), parallel.NumShards())
 	}
 	q := core.NewQuery("apple", "pear")
-	a, err := serial.SearchQuery(q, 1)
+	a, err := serial.Search(context.Background(), core.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.SearchQuery(q, 1)
+	b, err := parallel.Search(context.Background(), core.SearchRequest{Query: q, S: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

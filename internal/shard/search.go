@@ -11,49 +11,31 @@ import (
 	"repro/internal/core"
 )
 
-// Search parses the query string and runs a scatter-gather GKS search with
-// threshold s, mirroring gks.System.Search.
-func (s *Set) Search(query string, threshold int) (*core.Response, error) {
-	return s.SearchQueryCtx(context.Background(), core.ParseQuery(query), threshold)
-}
-
-// SearchContext is Search honoring ctx: the fan-out propagates ctx to
-// every shard, and each shard's engine polls it cooperatively.
-func (s *Set) SearchContext(ctx context.Context, query string, threshold int) (*core.Response, error) {
-	return s.SearchQueryCtx(ctx, core.ParseQuery(query), threshold)
-}
-
-// SearchQuery runs a scatter-gather search for an already-built query.
-func (s *Set) SearchQuery(q core.Query, threshold int) (*core.Response, error) {
-	return s.SearchQueryCtx(context.Background(), q, threshold)
-}
-
-// SearchQueryCtx fans the search out to every shard in parallel and merges
-// the per-shard ranked lists into one globally ordered response.
-func (s *Set) SearchQueryCtx(ctx context.Context, q core.Query, threshold int) (*core.Response, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
+// Search fans the request out to every shard in parallel and merges the
+// per-shard ranked lists into one globally ordered response. With TopK = k
+// each shard ranks only its own top k: every global top-k result is within
+// the top k of its own shard, so the global top k is a prefix of their
+// merge. The best-effort scan runs at the set level, over merged
+// responses, so the effective s is decided by the whole corpus exactly as
+// on a single index (a per-shard best effort could settle on different
+// thresholds per shard).
+func (s *Set) Search(ctx context.Context, req core.SearchRequest) (*core.Response, error) {
+	q, k := req.Query, req.TopK
+	search := func(ctx context.Context, threshold int) (*core.Response, error) {
+		if err := q.Validate(); err != nil {
+			return nil, err
+		}
+		resps, partial, err := scatterShards(ctx, s, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
+			return eng.SearchTopKCtx(ctx, q, threshold, k)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return s.gather(q, resps, partial, k), nil
 	}
-	resps, partial, err := s.scatter(ctx, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
-		return eng.SearchCtx(ctx, q, threshold)
-	})
-	if err != nil {
-		return nil, err
+	if !req.BestEffort {
+		return search(ctx, req.S)
 	}
-	return s.gather(q, resps, partial, 0), nil
-}
-
-// SearchBestEffort finds the largest threshold with a non-empty response —
-// the binary scan runs at the set level, over merged responses, so the
-// effective s is decided by the whole corpus exactly as on a single index
-// (a per-shard best effort could settle on different thresholds per shard).
-func (s *Set) SearchBestEffort(query string) (*core.Response, error) {
-	return s.SearchBestEffortContext(context.Background(), query)
-}
-
-// SearchBestEffortContext is SearchBestEffort honoring ctx.
-func (s *Set) SearchBestEffortContext(ctx context.Context, query string) (*core.Response, error) {
-	q := core.ParseQuery(query)
 	return bestEffortPartialAware(ctx, q,
 		func(ctx context.Context, threshold int) (bool, bool, error) {
 			// A probe runs every shard's candidate stages and ranks nothing.
@@ -61,10 +43,7 @@ func (s *Set) SearchBestEffortContext(ctx context.Context, query string) (*core.
 				return eng.HasResultsCtx(ctx, q, threshold)
 			})
 			return slices.Contains(hits, true), partial, err
-		},
-		func(ctx context.Context, threshold int) (*core.Response, error) {
-			return s.SearchQueryCtx(ctx, q, threshold)
-		})
+		}, search)
 }
 
 // bestEffortPartialAware runs the core.BestEffort threshold scan over
@@ -92,45 +71,15 @@ func bestEffortPartialAware(ctx context.Context, q core.Query, probe func(contex
 	return resp, nil
 }
 
-// SearchTopK returns the k highest-ranked response nodes. Each shard
-// computes its own top k; the global top k is a
-// prefix of the merge of per-shard top-k lists, because every global
-// top-k result is by definition within the top k of its own shard.
-func (s *Set) SearchTopK(query string, threshold, k int) (*core.Response, error) {
-	return s.SearchTopKContext(context.Background(), query, threshold, k)
-}
-
-// SearchTopKContext is SearchTopK honoring ctx.
-func (s *Set) SearchTopKContext(ctx context.Context, query string, threshold, k int) (*core.Response, error) {
-	q := core.ParseQuery(query)
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	resps, partial, err := s.scatter(ctx, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
-		return eng.SearchTopKCtx(ctx, q, threshold, k)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.gather(q, resps, partial, k), nil
-}
-
-// scatter runs one search function against every shard engine
-// concurrently. Without AllowPartial the first shard error cancels the
-// remaining shards and fails the search; with it, failed shards are
-// dropped and the response is flagged partial (unless every shard failed,
-// which is still an error). The returned slice has one entry per shard;
-// failed shards are nil.
-func (s *Set) scatter(ctx context.Context, run func(ctx context.Context, eng *core.Engine) (*core.Response, error)) ([]*core.Response, bool, error) {
-	return scatterShards(ctx, s, run)
-}
-
-// scatterShards is the generic scatter fan-out shared by searches and
-// explains (a free function because methods cannot carry type
-// parameters). It owns all the fan-out policy: per-shard latency
-// observation, first-error cancellation, degrade-to-partial under
-// AllowPartial with the all-shards-failed and caller-cancelled
-// exclusions. Failed shards leave the zero T in the result slice.
+// scatterShards runs one function against every shard engine concurrently
+// and returns one result per shard; failed shards leave the zero T. Without
+// AllowPartial the first shard error cancels the remaining shards and fails
+// the call; with it, failed shards are dropped and the result is flagged
+// partial (unless every shard failed, which is still an error). Searches,
+// probes and explains share it (a free function because methods cannot
+// carry type parameters), so it owns all the fan-out policy: per-shard
+// latency observation, first-error cancellation, degrade-to-partial under
+// AllowPartial with the all-shards-failed and caller-cancelled exclusions.
 func scatterShards[T any](ctx context.Context, s *Set, run func(ctx context.Context, eng *core.Engine) (T, error)) ([]T, bool, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -251,20 +200,14 @@ func (h *resultHeap) Pop() any {
 	return x
 }
 
-// Explain runs the query on every shard while recording pipeline
-// statistics, and aggregates them: counters and stage times sum across
-// shards, and the embedded response is the scatter-gather merge.
-func (s *Set) Explain(query string, threshold int) (*core.Explanation, error) {
-	return s.ExplainContext(context.Background(), query, threshold)
-}
-
-// ExplainContext is Explain honoring ctx. Shards are explained through
-// the same scatter fan-out as searches: they run in parallel, per-shard
+// Explain runs q on every shard while recording pipeline statistics, and
+// aggregates them: counters and stage times sum across shards, and the
+// embedded response is the scatter-gather merge. Shards are explained
+// through the same fan-out as searches: they run in parallel, per-shard
 // latency reaches the metrics sink, a failing shard cancels its siblings,
 // and under AllowPartial the trace degrades like a search would (failed
 // shards contribute nothing; the embedded response is flagged partial).
-func (s *Set) ExplainContext(ctx context.Context, query string, threshold int) (*core.Explanation, error) {
-	q := core.ParseQuery(query)
+func (s *Set) Explain(ctx context.Context, q core.Query, threshold int) (*core.Explanation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

@@ -67,8 +67,7 @@ type Metrics interface {
 }
 
 // Set is a searchable collection of index shards. Like gks.System it is
-// safe for concurrent readers once built; its search and analysis methods
-// mirror System's signatures so both satisfy the gks.Searcher interface.
+// safe for concurrent readers once built, and it implements Searcher.
 type Set struct {
 	shards  []*index.Index
 	engines []*core.Engine
@@ -83,7 +82,7 @@ type Set struct {
 	allowPartial bool
 	metrics      Metrics
 	// ixOpts is the per-shard index build configuration, retained so live
-	// ingestion (WithDocument) builds partial indexes exactly like the
+	// ingestion (Upsert) builds partial indexes exactly like the
 	// original shards were built.
 	ixOpts index.Options
 

@@ -1,6 +1,7 @@
 package gks
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -69,8 +70,8 @@ func normExplain(e *Explanation) Explanation {
 
 func diffExplain(t *testing.T, a, b *System, query string, s int) {
 	t.Helper()
-	ea, errA := a.Explain(query, s)
-	eb, errB := b.Explain(query, s)
+	ea, errA := a.Explain(context.Background(), ParseQuery(query), s)
+	eb, errB := b.Explain(context.Background(), ParseQuery(query), s)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("Explain(%q,%d) error mismatch: flat=%v packed=%v", query, s, errA, errB)
 	}
@@ -397,7 +398,7 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 	queries := randomQueries(rng, vocab(packed), 12)
 	want := make([]Response, len(queries))
 	for i, q := range queries {
-		r, err := packed.Search(q, 2)
+		r, err := searchAt(packed, q, 2)
 		if err != nil {
 			t.Fatalf("oracle %q: %v", q, err)
 		}
@@ -418,7 +419,7 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 				default:
 				}
 				for i, q := range queries {
-					r, err := packed.Search(q, 2)
+					r, err := searchAt(packed, q, 2)
 					if err != nil {
 						errc <- fmt.Errorf("goroutine %d: Search(%q): %v", g, q, err)
 						return
@@ -435,12 +436,12 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 	// Writer: chain delta appends from the generation the readers hold.
 	sys := packed
 	for i := 0; i < 12; i++ {
-		next, _, err := sys.UpsertDocument(bagDoc(fmt.Sprintf("w%d", i), rng, words))
+		next, _, err := sys.Upsert(bagDoc(fmt.Sprintf("w%d", i), rng, words))
 		if err != nil {
 			t.Errorf("writer append %d: %v", i, err)
 			break
 		}
-		sys = next
+		sys = next.(*System)
 		if !sys.ix.IsPacked() {
 			t.Error("writer append lost the packed representation")
 			break
@@ -480,7 +481,7 @@ func TestPackedSearchConcurrent(t *testing.T) {
 	}
 	want := make([]oracle, len(queries))
 	for i, q := range queries {
-		r, err := flat.Search(q, 2)
+		r, err := searchAt(flat, q, 2)
 		if err != nil {
 			want[i] = oracle{err: err.Error()}
 			continue
@@ -495,7 +496,7 @@ func TestPackedSearchConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, q := range queries {
-				r, err := packed.Search(q, 2)
+				r, err := searchAt(packed, q, 2)
 				switch {
 				case err != nil && want[i].err == "":
 					errc <- fmt.Errorf("goroutine %d: Search(%q): unexpected error %v", g, q, err)

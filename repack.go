@@ -10,31 +10,27 @@ package gks
 // amortization that bounds both memory bloat and the per-query cost of
 // skipping dead ordinals.
 
-// PackDebt reports the fraction of sys's node table that is garbage or
-// past the canonical pack: tombstoned rows plus delta-appended rows,
-// over total rows, in [0, 1]. Zero for sharded systems and freshly
-// packed (or flat, tombstone-free) indexes.
-func PackDebt(sys Searcher) float64 {
-	if s, ok := sys.(*System); ok {
-		return s.ix.PackDebt()
-	}
-	return 0
-}
+// PackDebt reports the fraction of the node table that is garbage or past
+// the canonical pack: tombstoned rows plus delta-appended rows, over total
+// rows, in [0, 1]. Zero for freshly packed (or flat, tombstone-free)
+// indexes.
+func (s *System) PackDebt() float64 { return s.ix.PackDebt() }
 
-// RepackIfNeeded returns a system whose pack debt has been paid — one
-// full deterministic repack of the surviving documents — when sys is a
-// single-index system at or past threshold; otherwise it returns sys
-// unchanged. The rebuilt system is a copy-on-write successor: sys keeps
-// serving searches until the caller swaps the result in. A threshold
-// at or below zero disables repacking (repacking on every mutation
-// would reintroduce the O(N)-per-append collapse this exists to fix).
+// Repacked returns a system whose pack debt has been paid: tombstones
+// compacted away and a packed table rebuilt by one full deterministic pack
+// of the surviving documents (index.Index.Repacked). The receiver keeps
+// serving unchanged.
+func (s *System) Repacked() Searcher { return newSystem(s.ix.Repacked(), s.repo) }
+
+// RepackIfNeeded returns sys.Repacked() when sys's pack debt is at or past
+// threshold; otherwise it returns sys unchanged. The rebuilt system is a
+// copy-on-write successor: sys keeps serving searches until the caller
+// swaps the result in. A threshold at or below zero disables repacking
+// (repacking on every mutation would reintroduce the O(N)-per-append
+// collapse this exists to fix).
 func RepackIfNeeded(sys Searcher, threshold float64) (Searcher, bool) {
-	s, ok := sys.(*System)
-	if !ok || threshold <= 0 {
+	if threshold <= 0 || sys.PackDebt() < threshold {
 		return sys, false
 	}
-	if s.ix.PackDebt() < threshold {
-		return sys, false
-	}
-	return newSystem(s.ix.Repacked(), s.repo), true
+	return sys.Repacked(), true
 }

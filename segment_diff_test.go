@@ -1,6 +1,7 @@
 package gks
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -120,8 +121,8 @@ func normResp(r *Response) Response {
 
 func diffSearchSurface(t *testing.T, eager, lazy *System, query string, s int) {
 	t.Helper()
-	re, errE := eager.Search(query, s)
-	rl, errL := lazy.Search(query, s)
+	re, errE := searchAt(eager, query, s)
+	rl, errL := searchAt(lazy, query, s)
 	if (errE == nil) != (errL == nil) {
 		t.Fatalf("Search(%q,%d) error mismatch: eager=%v lazy=%v", query, s, errE, errL)
 	}
@@ -137,18 +138,18 @@ func diffSearchSurface(t *testing.T, eager, lazy *System, query string, s int) {
 	if ie, il := eager.Insights(re, 5), lazy.Insights(rl, 5); !reflect.DeepEqual(ie, il) {
 		t.Fatalf("Insights(%q) differ:\neager: %+v\nlazy:  %+v", query, ie, il)
 	}
-	if fe, fl := eager.Refinements(re, 3), lazy.Refinements(rl, 3); !reflect.DeepEqual(fe, fl) {
+	if fe, fl := Refinements(re, 3), Refinements(rl, 3); !reflect.DeepEqual(fe, fl) {
 		t.Fatalf("Refinements(%q) differ: eager=%v lazy=%v", query, fe, fl)
 	}
-	ke, errE := eager.SearchTopK(query, s, 5)
-	kl, errL := lazy.SearchTopK(query, s, 5)
+	ke, errE := eager.Search(context.Background(), SearchRequest{Query: ParseQuery(query), S: s, TopK: 5})
+	kl, errL := lazy.Search(context.Background(), SearchRequest{Query: ParseQuery(query), S: s, TopK: 5})
 	if (errE == nil) != (errL == nil) || (errE == nil && !reflect.DeepEqual(normResp(ke), normResp(kl))) {
-		t.Fatalf("SearchTopK(%q) differ: eager=%+v/%v lazy=%+v/%v", query, ke, errE, kl, errL)
+		t.Fatalf("top-k Search(%q) differ: eager=%+v/%v lazy=%+v/%v", query, ke, errE, kl, errL)
 	}
-	be, errE := eager.SearchBestEffort(query)
-	bl, errL := lazy.SearchBestEffort(query)
+	be, errE := eager.Search(context.Background(), SearchRequest{Query: ParseQuery(query), BestEffort: true})
+	bl, errL := lazy.Search(context.Background(), SearchRequest{Query: ParseQuery(query), BestEffort: true})
 	if (errE == nil) != (errL == nil) || (errE == nil && !reflect.DeepEqual(normResp(be), normResp(bl))) {
-		t.Fatalf("SearchBestEffort(%q) differ: eager=%+v/%v lazy=%+v/%v", query, be, errE, bl, errL)
+		t.Fatalf("best-effort Search(%q) differ: eager=%+v/%v lazy=%+v/%v", query, be, errE, bl, errL)
 	}
 	q := ParseQuery(query)
 	if se, sl := eager.SLCA(q), lazy.SLCA(q); !reflect.DeepEqual(se, sl) {
@@ -234,7 +235,7 @@ func TestSegmentEvictionMidQueryConcurrent(t *testing.T) {
 	}
 	want := make([]oracle, len(queries))
 	for i, q := range queries {
-		r, err := eager.Search(q, 2)
+		r, err := searchAt(eager, q, 2)
 		if err != nil {
 			want[i] = oracle{err: err.Error()}
 			continue
@@ -249,7 +250,7 @@ func TestSegmentEvictionMidQueryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, q := range queries {
-				r, err := lazy.Search(q, 2)
+				r, err := searchAt(lazy, q, 2)
 				switch {
 				case err != nil && want[i].err == "":
 					errc <- fmt.Errorf("goroutine %d: Search(%q): unexpected error %v", g, q, err)

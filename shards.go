@@ -1,44 +1,21 @@
 package gks
 
 import (
-	"context"
-
 	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
 // Searcher is the serving surface shared by a single-index System and a
-// sharded index set: everything the HTTP layer needs to search, analyze
-// and introspect, independent of how the index is physically laid out.
-// Both *System and *ShardedSystem satisfy it.
-type Searcher interface {
-	Search(query string, threshold int) (*Response, error)
-	SearchContext(ctx context.Context, query string, threshold int) (*Response, error)
-	SearchBestEffort(query string) (*Response, error)
-	SearchBestEffortContext(ctx context.Context, query string) (*Response, error)
-	SearchTopK(query string, threshold, k int) (*Response, error)
-	SearchTopKContext(ctx context.Context, query string, threshold, k int) (*Response, error)
-	Explain(query string, threshold int) (*Explanation, error)
-	ExplainContext(ctx context.Context, query string, threshold int) (*Explanation, error)
-	Insights(resp *Response, m int) []Insight
-	InsightsRecursive(q Query, threshold, m, rounds int) ([]InsightRound, error)
-	Refinements(resp *Response, topK int) []Query
-	Augmentations(q Query, insights []Insight, topK int) []Query
-	SLCA(q Query) []string
-	ELCA(q Query) []string
-	InferResultTypes(query string, topK int) []TypeScore
-	Suggest(keyword string, maxDist, topK int) []Suggestion
-	HasMatches(keyword string) bool
-	Schema() []SchemaEdge
-	ApplySchemaCategorization() int
-	Stats() IndexStats
-	ValidateIndex() error
-}
+// sharded index set: one query entry point (Search), the analyses and
+// introspection gksd serves, and copy-on-write mutation (Upsert, Remove,
+// DocHolds, PackDebt, Repacked) — everything the HTTP layer needs,
+// independent of how the index is physically laid out. A type embedding a
+// *System is a Searcher too, with every mutation and probe of the system
+// it wraps. The interface is declared in internal/shard, the lowest
+// package that can name its own type in the mutations' results.
+type Searcher = shard.Searcher
 
-var (
-	_ Searcher = (*System)(nil)
-	_ Searcher = (*ShardedSystem)(nil)
-)
+var _ Searcher = (*System)(nil)
 
 // ShardedSystem is a set of independent index shards searched with a
 // parallel scatter-gather whose merged responses are identical to a

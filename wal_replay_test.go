@@ -17,12 +17,11 @@ import (
 	"repro/internal/wal"
 )
 
-// TestUpsertRejectsInvalidDocName is the regression test for the
-// validation gap where only the HTTP parser checked names: the library
-// layer (gks add, direct API callers) accepted empty and
-// control-character names, creating documents no delete or replace could
-// ever address. Both physical layouts must reject them with the typed
-// error.
+// TestUpsertRejectsInvalidDocName: the document-name rules hold below the
+// interface. Both implementations reject each bad name with the typed
+// error when their Upsert method is called directly, not only through the
+// package function, so no caller can create a document that no delete or
+// replace could ever address.
 func TestUpsertRejectsInvalidDocName(t *testing.T) {
 	single, err := IndexDocuments(ingestDoc(t, "a.xml", "apple"))
 	if err != nil {
@@ -35,24 +34,24 @@ func TestUpsertRejectsInvalidDocName(t *testing.T) {
 	}
 	bad := []string{"", "   ", "\t\n", "name\nwith\nnewlines", "nul\x00byte", "cr\rname",
 		strings.Repeat("x", 513)}
-	for _, name := range bad {
-		doc := ingestDoc(t, "placeholder", "apple")
-		doc.Name = name
-		if _, _, err := single.UpsertDocument(doc); !errors.Is(err, ErrInvalidDocName) {
-			t.Fatalf("System.UpsertDocument(%q): err = %v, want ErrInvalidDocName", name, err)
-		}
-		for _, sys := range []Searcher{single, sharded} {
+	for _, sys := range []Searcher{single, sharded} {
+		for _, name := range bad {
+			doc := ingestDoc(t, "placeholder", "apple")
+			doc.Name = name
+			if _, _, err := sys.Upsert(doc); !errors.Is(err, ErrInvalidDocName) {
+				t.Fatalf("%T.Upsert(%q): err = %v, want ErrInvalidDocName", sys, name, err)
+			}
 			if _, _, err := Upsert(sys, doc); !errors.Is(err, ErrInvalidDocName) {
 				t.Fatalf("Upsert(%T, %q): err = %v, want ErrInvalidDocName", sys, name, err)
 			}
 		}
-	}
-	// The boundary cases stay accepted.
-	for _, name := range []string{"a", strings.Repeat("x", 512), "spaces inside.xml"} {
-		doc := ingestDoc(t, "placeholder", "apple")
-		doc.Name = name
-		if _, _, err := single.UpsertDocument(doc); err != nil {
-			t.Fatalf("UpsertDocument(%q): unexpected reject: %v", name, err)
+		// The boundary cases stay accepted.
+		for _, name := range []string{"a", strings.Repeat("x", 512), "spaces inside.xml"} {
+			doc := ingestDoc(t, "placeholder", "apple")
+			doc.Name = name
+			if _, _, err := sys.Upsert(doc); err != nil {
+				t.Fatalf("%T.Upsert(%q): unexpected reject: %v", sys, name, err)
+			}
 		}
 	}
 }
@@ -65,7 +64,7 @@ func TestUpsertRejectsInvalidDocName(t *testing.T) {
 // label, rank, and matched keyword set of every result.
 func docInsensitiveResults(t *testing.T, sys Searcher, q string) []string {
 	t.Helper()
-	resp, err := sys.Search(q, 1)
+	resp, err := searchAt(sys, q, 1)
 	if err != nil {
 		t.Fatalf("search %q: %v", q, err)
 	}

@@ -89,6 +89,8 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 	if len(upserts) == 0 && len(deletes) == 0 {
 		return sys, 0, nil
 	}
+	// A batch fast path for a single index, not a refusal: any other
+	// Searcher replays record by record below.
 	if s, ok := sys.(*System); ok {
 		next, applied, err := s.replayBatch(upserts, deletes)
 		if err != nil {
@@ -98,7 +100,7 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 	}
 	applied := 0
 	for _, doc := range upserts {
-		next, _, err := Upsert(sys, doc)
+		next, _, err := sys.Upsert(doc)
 		if err != nil {
 			return nil, 0, fmt.Errorf("gks: wal replay: upsert %q: %w", doc.Name, err)
 		}
@@ -106,7 +108,7 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 		applied++
 	}
 	for _, name := range deletes {
-		next, err := Remove(sys, name)
+		next, err := sys.Remove(name)
 		if errors.Is(err, ErrDocNotFound) {
 			continue // the snapshot never held it, or a replayed state already dropped it
 		}
