@@ -39,16 +39,17 @@ segment-smoke:
 	$(GO) test -race -count=1 ./internal/segment
 	$(GO) test -race -count=1 -run 'TestSegment|TestReadIndexStats' .
 
-# Packed node-table smoke: the differential property tests for the
-# DAG-compressed representation — a packed system must answer the entire
-# read surface identically to the flat system, across random mutation
-# histories (packed Compacted() vs cold rebuild) and under concurrent
-# search — plus the segment differentials, which exercise the packed meta
-# codec through save/reload churn (the GKS4 writer packs by default). All
-# under the race detector.
+# Packed node-table smoke: the accessor oracle (every accessor at every
+# ordinal against the builder's flat rows, fresh, along random mutation
+# histories and after re-categorization), the pin that every index
+# constructor returns a packed table, and the differential property tests
+# — built vs reloaded systems, mutation histories (Compacted() vs cold
+# rebuild), delta append vs splice, concurrent search — plus the segment
+# differentials, which exercise the packed meta codec through save/reload
+# churn. All under the race detector.
 dag-smoke:
 	$(GO) test -race -count=1 -run 'TestPacked|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
-	$(GO) test -race -count=1 -run 'TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
+	$(GO) test -race -count=1 -run 'TestAccessorOracle|TestEveryConstructorReturnsPacked|TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
 
 # Live-ingestion smoke: the full HTTP mutation lifecycle (add → replace →
 # delete, persistence round-trips, durability failure modes, metrics), the

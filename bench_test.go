@@ -242,24 +242,9 @@ func BenchmarkSchemaCategorization(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := schema.Infer(ix)
-		if cats := s.Categorize(ix); len(cats) != len(ix.Nodes) {
+		if cats := s.Categorize(ix); len(cats) != ix.NodeCount() {
 			b.Fatal("bad categorization")
 		}
-	}
-}
-
-// BenchmarkParallelIndexBuild compares serial and parallel multi-document
-// index construction.
-func BenchmarkParallelIndexBuild(b *testing.B) {
-	repo := datagen.Plays(datagen.Config{Seed: 42, Scale: 8 * benchScale()})
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := index.BuildParallel(repo, index.DefaultOptions(), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

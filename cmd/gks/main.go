@@ -555,9 +555,8 @@ func cmdStats(args []string) {
 	walDir := fs.String("wal-dir", "", "gksd write-ahead log to fold in before reporting (default: -index path + \".wal\" when present; \"off\" ignores it)")
 	fs.Parse(args)
 	// Fast path: plain stats over a single-index file with no WAL tail to
-	// fold in are answered from the snapshot's framing alone — the GKS4
-	// footer or a streaming skim of the GKS3 payload — without decoding a
-	// single posting list or resident node table.
+	// fold in come from gks.ReadIndexStats — a GKS4 segment's footer alone,
+	// or one verified load of a GKS3 snapshot — without building a system.
 	if *top == 0 && *files == "" && *indexPath != "" && !isManifest(*indexPath) && !hasWALTail(*indexPath, *walDir) {
 		st, err := gks.ReadIndexStats(*indexPath)
 		if err != nil {

@@ -32,8 +32,6 @@ import (
 	"io"
 	"sync"
 
-	"errors"
-
 	"repro/internal/core"
 	"repro/internal/di"
 	"repro/internal/index"
@@ -294,20 +292,9 @@ func newSystem(ix *index.Index, repo *xmltree.Repository) *System {
 	return &System{ix: ix, engine: eng, an: di.New(eng), repo: repo}
 }
 
-// Packed returns a system serving the same documents through the
-// DAG-compressed packed node table; the receiver is unchanged (and
-// returned as-is when already packed). A packed system stays packed
-// across live ingestion: upserts extend the pack incrementally at
-// O(document) cost against the existing shape table, deletes tombstone,
-// and the accumulated drift from the canonical pack is measured by
-// System.PackDebt and paid down by RepackIfNeeded (gksd runs it at
-// checkpoints).
-func (s *System) Packed() *System {
-	if s.ix.IsPacked() {
-		return s
-	}
-	return newSystem(s.ix.Pack(), s.repo)
-}
+// Packed returns s: every system serves from the DAG-compressed packed
+// node table. It is kept for the benchmark harness, which still calls it.
+func (s *System) Packed() *System { return s }
 
 // SaveIndexFile persists the index ("a onetime activity", §2.4) to a file
 // in the checksummed snapshot format (v3), atomically: a crash or full
@@ -333,21 +320,12 @@ func (s *System) SaveSegmentFile(path string) error {
 }
 
 // ReadIndexStats returns the statistics of a persisted index at path
-// without building a searchable system, using the cheapest path the
-// format allows: a GKS4 segment reads only its footer (no posting block,
-// not even the node table is decoded); a GKS3 snapshot is skimmed in one
-// streaming, CRC-verified pass with O(1) memory; legacy GKSI/gob files
-// fall back to a full decode.
+// without building a searchable system: a GKS4 segment reads only its
+// footer (no posting block, not even the node table is decoded); a GKS3,
+// GKSI or gob file is loaded in full, which verifies it.
 func ReadIndexStats(path string) (IndexStats, error) {
 	if segment.IsSegmentFile(path) {
 		return segment.ReadStats(path)
-	}
-	st, err := index.SkimSnapshotStats(path)
-	if err == nil {
-		return st, nil
-	}
-	if !errors.Is(err, index.ErrSkimUnsupported) {
-		return IndexStats{}, err
 	}
 	ix, err := index.LoadFile(path)
 	if err != nil {
@@ -516,10 +494,8 @@ func (s *System) ApplySchemaCategorization() int {
 	return schema.Apply(s.ix, schema.Infer(s.ix).Categorize(s.ix))
 }
 
-// NodeTableBytes reports the exact heap footprint of the index's node
-// table backing storage — flat NodeInfo records or the packed
-// (DAG-compressed) arrays, whichever representation the system serves
-// from. See index.NodeTableBytes.
+// NodeTableBytes reports the exact heap footprint of the index's packed
+// (DAG-compressed) node table. See index.NodeTableBytes.
 func (s *System) NodeTableBytes() int64 { return s.ix.NodeTableBytes() }
 
 // CategoryOf reports the node categorization of the element with the given

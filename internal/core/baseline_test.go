@@ -164,46 +164,44 @@ func requireSameResponse(t *testing.T, label string, got, want *Response) {
 	}
 }
 
-// requireMatchesBaseline holds every ranked entry point of the flat and the
-// packed engine over ix against the retained seed pipeline, whose ranks come
+// requireMatchesBaseline holds every ranked entry point of the engine over
+// ix against the retained seed pipeline, whose ranks come
 // from rank.Scorer one candidate at a time: Search and Explain must equal it,
 // and SearchTopK must equal its k-prefix around both ends of |R| — with
 // Total still |R| (the baseline's len(Results)) whatever k is.
 func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query) {
 	t.Helper()
-	flat := NewEngine(ix)
+	eng := NewEngine(ix)
 	for s := 1; s <= q.Len(); s++ {
-		want, err := flat.SearchBaseline(q, s)
+		want, err := eng.SearchBaseline(q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := len(want.Results)
-		for name, eng := range map[string]*Engine{"flat": flat, "packed": NewEngine(ix.Pack())} {
-			label := fmt.Sprintf("%s %s s=%d", label, name, s)
-			got, err := eng.Search(q, s)
+		label := fmt.Sprintf("%s s=%d", label, s)
+		got, err := eng.Search(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResponse(t, label, got, want)
+		ex, err := eng.Explain(q, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResponse(t, label+" explain", ex.Response, want)
+		if ex.Survivors != n {
+			t.Fatalf("%s: explain survivors %d, want %d", label, ex.Survivors, n)
+		}
+		for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+			topk, err := eng.SearchTopK(q, s, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameResponse(t, label, got, want)
-			ex, err := eng.Explain(q, s)
-			if err != nil {
-				t.Fatal(err)
+			prefix := *want
+			if k > 0 && k < n {
+				prefix.Results = want.Results[:k]
 			}
-			requireSameResponse(t, label+" explain", ex.Response, want)
-			if ex.Survivors != n {
-				t.Fatalf("%s: explain survivors %d, want %d", label, ex.Survivors, n)
-			}
-			for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
-				topk, err := eng.SearchTopK(q, s, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prefix := *want
-				if k > 0 && k < n {
-					prefix.Results = want.Results[:k]
-				}
-				requireSameResponse(t, fmt.Sprintf("%s topk=%d", label, k), topk, &prefix)
-			}
+			requireSameResponse(t, fmt.Sprintf("%s topk=%d", label, k), topk, &prefix)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // Tests of the one-sweep rank stage (rankAll). The reference is rank.Scorer
 // through SearchBaseline: requireMatchesBaseline compares every rank with
-// math.Float64bits on the flat and the packed node table.
+// math.Float64bits.
 
 // TestRankSweepHandCases pins the shapes the sweep's terminal bookkeeping has
 // to get right; each case also states one rank worked by hand.
@@ -128,9 +128,6 @@ func TestRankUnchangedByWrapping(t *testing.T) {
 			ix, err := index.BuildDocument(doc, index.Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if trial%3 == 0 {
-				ix = ix.Pack()
 			}
 			return NewEngine(ix)
 		}

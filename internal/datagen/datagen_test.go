@@ -110,7 +110,7 @@ func queryCounts(t *testing.T, eng *core.Engine, terms []string) (gks1, gksHalf,
 	// Table 7 reports SLCA = 0 where "the response of an SLCA technique is
 	// either null or document root" (§7.3) — roots are not counted.
 	for _, ord := range lca.SLCA(eng.Index(), eng.PostingLists(q)) {
-		if len(eng.Index().Nodes[ord].ID.Path) > 1 {
+		if eng.Index().DepthOf(ord) > 0 {
 			slcaN++
 		}
 	}

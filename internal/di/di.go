@@ -89,12 +89,14 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 		}
 		ix := ixOf(r)
 		for _, attr := range ix.ValueNodesUnder(r.Ord) {
-			info := ix.Info(attr)
+			value := ix.ValueAt(attr)
 			path := ix.PathLabels(r.Ord, attr)
-			k := key{path: strings.Join(path, "/"), value: info.Value}
+			k := key{path: strings.Join(path, "/"), value: value}
 			in := acc[k]
 			if in == nil {
-				in = &Insight{Value: info.Value, Path: path, Example: info.ID}
+				// The Dewey path is materialized once per insight, not per
+				// occurrence.
+				in = &Insight{Value: value, Path: path, Example: ix.IDOf(attr)}
 				acc[k] = in
 			}
 			in.Weight += r.Rank

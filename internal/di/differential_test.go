@@ -31,17 +31,17 @@ func discoverEager(ix *index.Index, resp *core.Response, m int) []di.Insight {
 		}
 	attrs:
 		for _, attr := range ix.ValueNodesUnder(r.Ord) {
-			info := ix.Info(attr)
-			for _, tok := range textproc.Tokenize(info.Value) {
+			value := ix.ValueAt(attr)
+			for _, tok := range textproc.Tokenize(value) {
 				if queryTokens[textproc.Stem(tok)] {
 					continue attrs
 				}
 			}
 			path := ix.PathLabels(r.Ord, attr)
-			k := key{path: strings.Join(path, "/"), value: info.Value}
+			k := key{path: strings.Join(path, "/"), value: value}
 			in := acc[k]
 			if in == nil {
-				in = &di.Insight{Value: info.Value, Path: path, Example: info.ID}
+				in = &di.Insight{Value: value, Path: path, Example: ix.IDOf(attr)}
 				acc[k] = in
 			}
 			in.Weight += r.Rank

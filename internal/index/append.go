@@ -12,10 +12,8 @@ import (
 // The document is renumbered to the next free live document id.
 //
 // Because documents are independent subtrees under distinct Dewey document
-// numbers, appending reduces to the same partial-index merge used by the
-// parallel builder: the new document's ordinals all sort after the
-// existing ones, so posting lists stay sorted and subtree ranges stay
-// contiguous.
+// numbers, the new document's ordinals all sort after the existing ones,
+// so posting lists stay sorted and subtree ranges stay contiguous.
 //
 // On failure the caller's document is left exactly as it was passed in,
 // so it can be retried against another index.
@@ -31,13 +29,13 @@ func Append(ix *Index, doc *xmltree.Document, opts Options) (*Index, error) {
 // table would fall out of Dewey order; callers that don't care should use
 // Append, which picks the next free id.
 //
-// On a packed base the delta-maintaining pack (packed_append.go) applies
-// whenever it can: the new document is packed against the existing shape
-// table at O(document) cost, tombstones survive, and the base is never
-// flattened. When the delta path declines — the document number collides
-// with a tombstoned document's, or a sibling append already extended this
-// generation's arrays — the legacy flatten-splice-repack path below runs
-// instead, which also compacts any tombstones away.
+// The delta-maintaining pack (packed_append.go) applies whenever it can:
+// the new document is packed against the existing shape table at
+// O(document) cost, tombstones survive, and the base is never flattened.
+// When the delta path declines — the document number collides with a
+// tombstoned document's, or a sibling append already extended this
+// generation's arrays — the flatten-splice-repack path runs instead, which
+// also compacts any tombstones away.
 func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
@@ -52,36 +50,23 @@ func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Ind
 	// Validation (and any Build failure) happens before the base is
 	// touched and restores doc on error; only a fully built partial index
 	// reaches the merge, which cannot fail on well-formed parts.
-	partial, err := BuildDocumentAs(doc, docID, opts)
+	partial, err := buildDocumentAs(doc, docID, opts)
 	if err != nil {
 		return nil, err
 	}
-	if ix.IsPacked() {
-		if out, ok := ix.appendPacked(partial); ok {
-			return out, nil
-		}
+	if out, ok := ix.appendPacked(partial); ok {
+		return out, nil
 	}
-	return appendMerged(ix, partial)
-}
-
-// appendMerged is the legacy splice: flatten (compacting tombstones),
-// merge the flat tables, and re-pack when the base was packed.
-func appendMerged(ix, partial *Index) (*Index, error) {
-	repack := ix.IsPacked()
-	merged, err := mergePartials([]*Index{ix.Compacted().Unpacked(), partial})
-	if err != nil || !repack {
-		return merged, err
-	}
-	return merged.Pack(), nil
+	return mergePartials([]*Index{ix.flat(), partial}).pack(), nil
 }
 
 // AppendBatch indexes docs — renumbered sequentially from the base's next
 // free document id, in slice order — and merges them in a single splice:
-// the base is flattened once, every partial merges in one mergePartials
-// call, and a packed base re-packs exactly once at the end. This is the
-// WAL-replay batch path: replaying K records used to pay K full
-// unpack/repack cycles (O(N·K)); now boot replay packs once regardless of
-// K. An empty batch returns the base itself, a lazy one still lazy.
+// the base is flattened once (compacting its tombstones), every partial
+// merges in one mergePartials call, and the result packs exactly once.
+// This is the WAL-replay batch path: boot replay packs once however many
+// records survived. An empty batch returns the base itself, a lazy one
+// still lazy.
 func AppendBatch(ix *Index, docs []*xmltree.Document, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
@@ -93,24 +78,64 @@ func AppendBatch(ix *Index, docs []*xmltree.Document, opts Options) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	repack := ix.IsPacked()
-	// Unpacked preserves the tombstone mask; compacting the flat table
-	// removes the dead rows without triggering a re-pack.
-	flat := ix.Unpacked().Compacted()
 	parts := make([]*Index, 0, len(docs)+1)
-	parts = append(parts, flat)
-	id := flat.NextDocID()
+	parts = append(parts, ix.flat())
+	id := ix.NextDocID()
 	for _, doc := range docs {
-		part, err := BuildDocumentAs(doc, id, opts)
+		part, err := buildDocumentAs(doc, id, opts)
 		if err != nil {
 			return nil, err
 		}
 		id++
 		parts = append(parts, part)
 	}
-	merged, err := mergePartials(parts)
-	if err != nil || !repack {
-		return merged, err
+	return mergePartials(parts).pack(), nil
+}
+
+// mergePartials concatenates flat per-document indexes in order into one
+// flat index; the caller packs it.
+func mergePartials(parts []*Index) *Index {
+	out := &Index{
+		Postings: make(map[string][]int32),
+		labelIDs: make(map[string]int32),
 	}
-	return merged.Pack(), nil
+	for _, p := range parts {
+		base := int32(len(out.nodes))
+
+		// Remap the partial's label table into the global one.
+		labelMap := make([]int32, len(p.Labels))
+		for i, l := range p.Labels {
+			if id, ok := out.labelIDs[l]; ok {
+				labelMap[i] = id
+				continue
+			}
+			id := int32(len(out.Labels))
+			out.Labels = append(out.Labels, l)
+			out.labelIDs[l] = id
+			labelMap[i] = id
+		}
+
+		for i := range p.nodes {
+			n := p.nodes[i] // copy
+			n.Label = labelMap[n.Label]
+			if n.Parent >= 0 {
+				n.Parent += base
+			}
+			out.nodes = append(out.nodes, n)
+		}
+		for key, list := range p.Postings {
+			dst := out.Postings[key]
+			for _, ord := range list {
+				dst = append(dst, ord+base)
+			}
+			out.Postings[key] = dst
+		}
+		out.DocNames = append(out.DocNames, p.DocNames...)
+		if p.Stats.MaxDepth > out.Stats.MaxDepth {
+			out.Stats.MaxDepth = p.Stats.MaxDepth
+		}
+		out.Stats.TextNodes += p.Stats.TextNodes
+	}
+	out.finalizeStats()
+	return out
 }

@@ -49,17 +49,17 @@ func TestAppendImmutability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodesBefore := len(ix.Nodes)
+	nodesBefore := ix.NodeCount()
 	karenBefore := len(ix.Lookup("karen"))
 	ix2, err := Append(ix, xmltree.BuildFigure2a(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Nodes) != nodesBefore || len(ix.Lookup("karen")) != karenBefore {
+	if ix.NodeCount() != nodesBefore || len(ix.Lookup("karen")) != karenBefore {
 		t.Error("Append mutated the original index")
 	}
-	if len(ix2.Nodes) != 2*nodesBefore {
-		t.Errorf("appended index has %d nodes, want %d", len(ix2.Nodes), 2*nodesBefore)
+	if ix2.NodeCount() != 2*nodesBefore {
+		t.Errorf("appended index has %d nodes, want %d", ix2.NodeCount(), 2*nodesBefore)
 	}
 	if ix2.Stats.Documents != 2 {
 		t.Errorf("documents = %d", ix2.Stats.Documents)

@@ -11,34 +11,30 @@ import (
 	"repro/internal/postings"
 )
 
-// Binary index format ("GKSI", version 2): a compact, self-describing
-// serialization that stores posting lists delta-varint compressed
-// (internal/postings) and Dewey IDs with the varint codec
-// (internal/dewey). It is substantially smaller and faster to decode than
-// the gob format (format v1), which is retained for compatibility; Load
-// and LoadFile auto-detect the format from the leading magic bytes.
+// Binary index format ("GKSI"): a compact, self-describing serialization
+// that stores posting lists delta-varint compressed (internal/postings).
+// It is substantially smaller and faster to decode than the legacy gob
+// format (v1); Load and LoadFile auto-detect the format from the leading
+// magic bytes.
 //
 // Layout (all integers unsigned varints unless noted):
 //
 //	magic "GKSI" | version
 //	labels:   count, then len+bytes each
 //	docs:     count, then len+bytes each
-//	nodes:    count, then per node:
-//	            dewey(binary codec) label cat(byte) childCount subtree
-//	            parent+1 hasValue(byte) [valueLen valueBytes]
+//	nodes:    the node table (see writeMetaPacked and readFlatNodes)
 //	postings: count, then per keyword:
 //	            keyLen keyBytes n deltaVarints...
 //	stats:    fixed sequence of varints
 const binaryMagic = "GKSI"
 
-// binaryVersion is the flat-table encoding; binaryVersionPacked marks a
-// stream whose node section is the DAG-compressed layout of packed.go
-// (same labels/docs/postings/stats framing, packed node arrays in place of
-// the per-node records). SaveBinary picks the version from the index's
-// representation, so a packed index round-trips without materializing a
-// flat table and a flat one stays byte-identical to format v2.
+// SaveBinary writes version 3, whose node section is the DAG-compressed
+// layout of packed.go. Version 2 stored the flat table, one record per
+// node — dewey(binary codec) label cat(byte) childCount subtree parent+1
+// hasValue(byte) [valueLen valueBytes] — and is still read: the loader
+// packs it.
 const (
-	binaryVersion       = 2
+	binaryVersionFlat   = 2
 	binaryVersionPacked = 3
 )
 
@@ -59,43 +55,12 @@ func (w *binWriter) str(s string) {
 	w.bw.WriteString(s)
 }
 
-// writeMeta writes the labels/docs/nodes sections in the v2 encoding —
-// the part of the format shared between SaveBinary and the GKS4 segment
-// meta section.
-func (w *binWriter) writeMeta(ix *Index) {
-	w.uvarint(uint64(len(ix.Labels)))
-	for _, l := range ix.Labels {
-		w.str(l)
-	}
-	w.uvarint(uint64(len(ix.DocNames)))
-	for _, d := range ix.DocNames {
-		w.str(d)
-	}
-
-	w.uvarint(uint64(len(ix.Nodes)))
-	for i := range ix.Nodes {
-		n := &ix.Nodes[i]
-		w.scratch = n.ID.AppendBinary(w.scratch[:0])
-		w.bw.Write(w.scratch)
-		w.uvarint(uint64(n.Label))
-		w.bw.WriteByte(byte(n.Cat))
-		w.uvarint(uint64(n.ChildCount))
-		w.uvarint(uint64(n.Subtree))
-		w.uvarint(uint64(n.Parent + 1))
-		if n.HasValue {
-			w.bw.WriteByte(1)
-			w.str(n.Value)
-		} else {
-			w.bw.WriteByte(0)
-		}
-	}
-}
-
 // writeMetaPacked writes the labels/docs sections followed by the packed
-// node arrays. Negative-capable fields are stored +1 so plain uvarints
-// suffice. The per-ordinal dispatch array is NOT written: instance ranges
-// plus the rule that spine slots are assigned in ascending ordinal order
-// (which is how packNodes emits them) reconstruct it exactly.
+// node arrays — the part of the format shared between SaveBinary and the
+// GKS4 segment meta section. Negative-capable fields are stored +1 so
+// plain uvarints suffice. The per-ordinal dispatch array is NOT written:
+// instance ranges plus the rule that spine slots are assigned in ascending
+// ordinal order (which is how packNodes emits them) reconstruct it exactly.
 func (w *binWriter) writeMetaPacked(ix *Index) {
 	p := ix.packed
 	w.uvarint(uint64(len(ix.Labels)))
@@ -160,27 +125,21 @@ func (w *binWriter) writeMetaPacked(ix *Index) {
 	}
 }
 
-// metaPackedSentinel distinguishes a packed meta section from the flat v2
-// layout: a flat section starts with the label count, which is at least 1
-// on any buildable index, so a leading 0 byte can only mean "packed
-// follows" (then a version varint for future evolution).
+// metaPackedVersion follows the leading 0 of a packed meta section. The 0
+// tells it from the flat layout older writers produced, which starts with
+// the label count, at least 1 on any buildable index.
 const metaPackedVersion = 1
 
 // EncodeMeta writes the labels, document names and node table without
-// magic framing. A flat index uses the v2 encoding unchanged; a packed
-// index writes a 0 sentinel, a packed-meta version and the packed arrays.
-// This is the GKS4 segment meta section (internal/segment); DecodeMeta is
-// its inverse and auto-detects the variant. A tombstoned index must be
-// compacted by the caller first.
+// magic framing: a 0 sentinel, the packed-meta version and the packed
+// arrays. This is the GKS4 segment meta section (internal/segment);
+// DecodeMeta is its inverse. A tombstoned index must be compacted by the
+// caller first.
 func EncodeMeta(w io.Writer, ix *Index) error {
 	bw := &binWriter{bw: bufio.NewWriter(w)}
-	if ix.packed != nil {
-		bw.uvarint(0)
-		bw.uvarint(metaPackedVersion)
-		bw.writeMetaPacked(ix)
-	} else {
-		bw.writeMeta(ix)
-	}
+	bw.uvarint(0)
+	bw.uvarint(metaPackedVersion)
+	bw.writeMetaPacked(ix)
 	return bw.bw.Flush()
 }
 
@@ -193,34 +152,35 @@ func (ix *Index) SaveBinary(w io.Writer) error {
 	bw := &binWriter{bw: bufio.NewWriter(w)}
 
 	bw.bw.WriteString(binaryMagic)
-	if ix.packed != nil {
-		bw.uvarint(binaryVersionPacked)
-		bw.writeMetaPacked(ix)
-	} else {
-		bw.uvarint(binaryVersion)
-		bw.writeMeta(ix)
+	bw.uvarint(binaryVersionPacked)
+	bw.writeMetaPacked(ix)
+	if err := bw.writePostingsAndStats(ix); err != nil {
+		return err
 	}
+	return bw.bw.Flush()
+}
 
-	// Keywords are written sorted so the format is deterministic. A
-	// separate buffer keeps list encoding off bw.scratch, which the
-	// uvarint helper reuses.
+// writePostingsAndStats writes the sections that follow the node table.
+// Keywords are written sorted so the format is deterministic. A separate
+// buffer keeps list encoding off w.scratch, which the uvarint helper
+// reuses.
+func (w *binWriter) writePostingsAndStats(ix *Index) error {
 	var encBuf []byte
-	bw.uvarint(uint64(ix.keywordCount()))
+	w.uvarint(uint64(ix.keywordCount()))
 	err := ix.ForEachKeywordSorted(func(k string, list []int32) error {
-		bw.str(k)
-		bw.uvarint(uint64(len(list)))
+		w.str(k)
+		w.uvarint(uint64(len(list)))
 		encBuf = postings.Encode(encBuf[:0], list)
-		bw.bw.Write(encBuf)
+		w.bw.Write(encBuf)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
 	for _, v := range ix.Stats.fields() {
-		bw.uvarint(uint64(v))
+		w.uvarint(uint64(v))
 	}
-	return bw.bw.Flush()
+	return nil
 }
 
 // fields flattens Stats for serialization; order is part of the format.
@@ -275,86 +235,107 @@ func boundedCount(what string, n uint64, minBytes, size int64, absCap uint64) (i
 	return int(n), nil
 }
 
-// loadBinaryAfterMagic decodes a v2 stream whose magic has been consumed.
-// size bounds the bytes plausibly remaining in br (< 0 when unknown); all
+// fail types a decode error as corruption, naming the field it hit.
+func fail(what string, err error) error {
+	if errors.Is(err, ErrCorrupt) {
+		return err
+	}
+	return corruptf("binary load: %s: %v", what, err)
+}
+
+// decoder reads the varint framing every binary section shares. size
+// bounds the bytes plausibly remaining in br (< 0 when unknown); all
 // pre-allocations are capped against it so corrupt counts fail with
 // ErrCorrupt instead of demanding multi-GB allocations.
-func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	fail := func(what string, err error) (*Index, error) {
-		if errors.Is(err, ErrCorrupt) {
-			return nil, err
-		}
-		return nil, corruptf("binary load: %s: %v", what, err)
-	}
+type decoder struct {
+	br   *bufio.Reader
+	size int64
+}
 
-	version, err := readUvarint()
+func (d *decoder) uvarint() (uint64, error) { return binary.ReadUvarint(d.br) }
+
+func (d *decoder) str() (string, error) {
+	n, err := d.uvarint()
 	if err != nil {
-		return fail("version", err)
+		return "", err
 	}
-	ix := &Index{Postings: make(map[string][]int32), labelIDs: make(map[string]int32)}
-	switch version {
-	case binaryVersion:
-		if err := readMetaInto(br, size, ix); err != nil {
-			return nil, err
-		}
-	case binaryVersionPacked:
-		if err := readMetaPackedInto(br, size, ix); err != nil {
-			return nil, err
-		}
-	default:
+	if n > 1<<28 || (d.size >= 0 && n > uint64(d.size)) {
+		return "", corruptf("binary load: implausible string length %d", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(d.br, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// count reads an element count and bounds it as boundedCount does.
+func (d *decoder) count(what string, minBytes int64, absCap uint64) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, fail(what, err)
+	}
+	return boundedCount(what, n, minBytes, d.size, absCap)
+}
+
+// i32 decodes a uvarint that was written as value+bias and must land in
+// int32 range after unbiasing.
+func (d *decoder) i32(what string, bias int64) (int32, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, fail(what, err)
+	}
+	u := int64(v) - bias
+	if u < -1 || u > 1<<31-1 {
+		return 0, corruptf("binary load: %s: value %d out of range", what, u)
+	}
+	return int32(u), nil
+}
+
+// loadBinaryAfterMagic decodes a GKSI stream whose magic has been consumed;
+// size bounds the bytes plausibly remaining in br (< 0 when unknown).
+func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
+	d := &decoder{br: br, size: size}
+	version, err := d.uvarint()
+	if err != nil {
+		return nil, fail("version", err)
+	}
+	if version != binaryVersionFlat && version != binaryVersionPacked {
 		return nil, corruptf("binary load: unsupported version %d", version)
 	}
-
-	nKeys, err := readUvarint()
-	if err != nil {
-		return fail("keyword count", err)
-	}
-	if _, err := boundedCount("keyword count", nKeys, 1, size, 1<<31); err != nil {
+	ix := &Index{Postings: make(map[string][]int32), labelIDs: make(map[string]int32)}
+	if err := d.readMeta(ix, version == binaryVersionPacked); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nKeys; i++ {
-		key, err := readString()
+
+	nKeys, err := d.count("keyword count", 1, 1<<31)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < nKeys; i++ {
+		key, err := d.str()
 		if err != nil {
-			return fail("keyword", err)
+			return nil, fail("keyword", err)
 		}
-		rawN, err := readUvarint()
-		if err != nil {
-			return fail("posting count", err)
-		}
-		n, err := boundedCount("posting count", rawN, 1, size, 1<<31)
+		n, err := d.count("posting count", 1, 1<<31)
 		if err != nil {
 			return nil, err
 		}
 		list := make([]int32, 0, min(n, preallocCap))
 		prev := int32(-1)
 		for j := 0; j < n; j++ {
-			d, err := readUvarint()
+			delta, err := d.uvarint()
 			if err != nil {
-				return fail("posting delta", err)
+				return nil, fail("posting delta", err)
 			}
 			// A zero delta would decode a duplicate ordinal — lists are
 			// strictly increasing by invariant, and the save-path codec
 			// enforces it, so accepting one here would plant a panic in a
 			// later save.
-			if d == 0 {
+			if delta == 0 {
 				return nil, corruptf("binary load: keyword %q: zero posting delta", key)
 			}
-			prev += int32(d)
+			prev += int32(delta)
 			list = append(list, prev)
 		}
 		ix.Postings[key] = list
@@ -362,9 +343,9 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 
 	vals := make([]int, statsFieldCount)
 	for i := range vals {
-		v, err := readUvarint()
+		v, err := d.uvarint()
 		if err != nil {
-			return fail("stats", err)
+			return nil, fail("stats", err)
 		}
 		vals[i] = int(v)
 	}
@@ -373,230 +354,144 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 }
 
 // DecodeMeta reads the labels/docs/nodes sections written by EncodeMeta
-// into a fresh Index with no posting lists and zero statistics — the
-// skeleton internal/segment hands to NewLazy. The flat (v2) and packed
-// variants are auto-detected from the leading sentinel byte. size bounds
+// into a fresh packed Index with no posting lists and zero statistics —
+// the skeleton internal/segment hands to NewLazy. A flat meta section from
+// an older writer (no leading 0) is packed on the way in. size bounds
 // allocations as in Load; damaged input fails with ErrCorrupt.
 func DecodeMeta(r io.Reader, size int64) (*Index, error) {
-	br := bufio.NewReader(r)
-	ix := &Index{labelIDs: make(map[string]int32)}
-	lead, err := br.Peek(1)
+	d := &decoder{br: bufio.NewReader(r), size: size}
+	lead, err := d.br.Peek(1)
 	if err != nil {
 		return nil, corruptf("binary load: meta lead: %v", err)
 	}
-	if lead[0] == 0 {
-		br.Discard(1)
-		ver, err := binary.ReadUvarint(br)
+	packed := lead[0] == 0
+	if packed {
+		d.br.Discard(1)
+		ver, err := d.uvarint()
 		if err != nil {
 			return nil, corruptf("binary load: packed meta version: %v", err)
 		}
 		if ver != metaPackedVersion {
 			return nil, corruptf("binary load: unsupported packed meta version %d", ver)
 		}
-		if err := readMetaPackedInto(br, size, ix); err != nil {
-			return nil, err
-		}
-		return ix, nil
 	}
-	if err := readMetaInto(br, size, ix); err != nil {
+	ix := &Index{labelIDs: make(map[string]int32)}
+	if err := d.readMeta(ix, packed); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// readMetaInto decodes the labels/docs/nodes sections (the writeMeta
-// layout) into ix. size bounds pre-allocations as in loadBinaryAfterMagic.
-func readMetaInto(br *bufio.Reader, size int64, ix *Index) error {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	fail := func(what string, err error) error {
-		if errors.Is(err, ErrCorrupt) {
-			return err
-		}
-		return corruptf("binary load: %s: %v", what, err)
-	}
-
-	nLabels, err := readUvarint()
+// readMeta decodes the labels, document names and node table into ix.
+func (d *decoder) readMeta(ix *Index, packed bool) error {
+	nLabels, err := d.count("label count", 1, 1<<31)
 	if err != nil {
-		return fail("label count", err)
-	}
-	if _, err := boundedCount("label count", nLabels, 1, size, 1<<31); err != nil {
 		return err
 	}
-	for i := uint64(0); i < nLabels; i++ {
-		l, err := readString()
+	for i := 0; i < nLabels; i++ {
+		l, err := d.str()
 		if err != nil {
 			return fail("label", err)
 		}
 		ix.labelIDs[l] = int32(len(ix.Labels))
 		ix.Labels = append(ix.Labels, l)
 	}
-	nDocs, err := readUvarint()
+	nDocs, err := d.count("doc count", 1, 1<<31)
 	if err != nil {
-		return fail("doc count", err)
-	}
-	if _, err := boundedCount("doc count", nDocs, 1, size, 1<<31); err != nil {
 		return err
 	}
-	for i := uint64(0); i < nDocs; i++ {
-		d, err := readString()
+	for i := 0; i < nDocs; i++ {
+		name, err := d.str()
 		if err != nil {
 			return fail("doc name", err)
 		}
-		ix.DocNames = append(ix.DocNames, d)
+		ix.DocNames = append(ix.DocNames, name)
 	}
+	if packed {
+		return d.readPackedNodes(ix)
+	}
+	return d.readFlatNodes(ix)
+}
 
-	rawNodes, err := readUvarint()
-	if err != nil {
-		return fail("node count", err)
-	}
+// readFlatNodes decodes a version-2 flat node table — one record per node
+// — and packs it.
+func (d *decoder) readFlatNodes(ix *Index) error {
 	// A serialized node is at least 8 bytes (2 dewey varints + label +
 	// category + child count + subtree + parent + has-value flag).
-	nNodes, err := boundedCount("node count", rawNodes, 8, size, 1<<31)
+	nNodes, err := d.count("node count", 8, 1<<31)
 	if err != nil {
 		return err
 	}
-	ix.Nodes = make([]NodeInfo, 0, min(nNodes, preallocCap))
+	ix.nodes = make([]NodeInfo, 0, min(nNodes, preallocCap))
 	for i := 0; i < nNodes; i++ {
 		var n NodeInfo
-		id, err := readDewey(br)
-		if err != nil {
+		if n.ID, err = readDewey(d.br); err != nil {
 			return fail("dewey", err)
 		}
-		n.ID = id
-		label, err := readUvarint()
-		if err != nil {
-			return fail("node label", err)
+		if n.Label, err = d.i32("node label", 0); err != nil {
+			return err
 		}
-		n.Label = int32(label)
-		cat, err := br.ReadByte()
+		cat, err := d.br.ReadByte()
 		if err != nil {
 			return fail("node category", err)
 		}
 		n.Cat = Category(cat)
-		cc, err := readUvarint()
-		if err != nil {
-			return fail("child count", err)
+		if n.ChildCount, err = d.i32("child count", 0); err != nil {
+			return err
 		}
-		n.ChildCount = int32(cc)
-		st, err := readUvarint()
-		if err != nil {
-			return fail("subtree", err)
+		if n.Subtree, err = d.i32("subtree", 0); err != nil {
+			return err
 		}
-		n.Subtree = int32(st)
-		parent, err := readUvarint()
-		if err != nil {
-			return fail("parent", err)
+		if n.Parent, err = d.i32("parent", 1); err != nil {
+			return err
 		}
-		n.Parent = int32(parent) - 1
-		hv, err := br.ReadByte()
+		hv, err := d.br.ReadByte()
 		if err != nil {
 			return fail("has-value flag", err)
 		}
 		if hv == 1 {
 			n.HasValue = true
-			if n.Value, err = readString(); err != nil {
+			if n.Value, err = d.str(); err != nil {
 				return fail("value", err)
 			}
 		}
-		ix.Nodes = append(ix.Nodes, n)
+		ix.nodes = append(ix.nodes, n)
+	}
+	return ix.packImported()
+}
+
+// packImported packs the flat table of a legacy image — flat GKSI v2, gob
+// v1 or a flat GKS4 meta section, the only places a flat table is read.
+// packNodes walks subtree ranges and Dewey paths blindly, so those are
+// checked first; the packed result must then pass the full validation.
+func (ix *Index) packImported() error {
+	n := len(ix.nodes)
+	for i := range ix.nodes {
+		nd := &ix.nodes[i]
+		if nd.Subtree < 1 || int64(i)+int64(nd.Subtree) > int64(n) {
+			return corruptf("binary load: flat node %d: subtree size %d overruns %d nodes", i, nd.Subtree, n)
+		}
+		if len(nd.ID.Path) == 0 {
+			return corruptf("binary load: flat node %d: empty Dewey path", i)
+		}
+	}
+	if err := ix.pack().validateNodes(); err != nil {
+		return corruptf("binary load: %v", err)
 	}
 	return nil
 }
 
-// readMetaPackedInto decodes the writeMetaPacked layout into ix.packed.
-// The per-ordinal dispatch array is reconstructed from the instance ranges
+// readPackedNodes decodes the writeMetaPacked node arrays into ix.packed. The
+// per-ordinal dispatch array is reconstructed from the instance ranges
 // and the ascending-ordinal spine rule, and the result must pass the full
 // packed validation before it is accepted — the O(1) accessors index
 // blindly, so a decoded image that would make them misbehave is rejected
 // here as ErrCorrupt.
-func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	fail := func(what string, err error) error {
-		if errors.Is(err, ErrCorrupt) {
-			return err
-		}
-		return corruptf("binary load: packed %s: %v", what, err)
-	}
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	// readI32 decodes a uvarint that was written as value+bias and must
-	// land in int32 range after unbiasing.
-	readI32 := func(what string, bias int64) (int32, error) {
-		v, err := readUvarint()
-		if err != nil {
-			return 0, fail(what, err)
-		}
-		u := int64(v) - bias
-		if u < -1 || u > 1<<31-1 {
-			return 0, corruptf("binary load: packed %s: value %d out of range", what, u)
-		}
-		return int32(u), nil
-	}
-
-	nLabels, err := readUvarint()
-	if err != nil {
-		return fail("label count", err)
-	}
-	if _, err := boundedCount("label count", nLabels, 1, size, 1<<31); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nLabels; i++ {
-		l, err := readString()
-		if err != nil {
-			return fail("label", err)
-		}
-		ix.labelIDs[l] = int32(len(ix.Labels))
-		ix.Labels = append(ix.Labels, l)
-	}
-	nDocs, err := readUvarint()
-	if err != nil {
-		return fail("doc count", err)
-	}
-	if _, err := boundedCount("doc count", nDocs, 1, size, 1<<31); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nDocs; i++ {
-		d, err := readString()
-		if err != nil {
-			return fail("doc name", err)
-		}
-		ix.DocNames = append(ix.DocNames, d)
-	}
-
-	rawN, err := readUvarint()
-	if err != nil {
-		return fail("node count", err)
-	}
+func (d *decoder) readPackedNodes(ix *Index) error {
 	// Every node costs at least one byte somewhere (spine record, shape
 	// record amortized over instances, or dispatch coverage); 1 is the only
 	// safe per-node floor for a heavily deduplicated table.
-	n, err := boundedCount("node count", rawN, 1, size, 1<<31)
+	n, err := d.count("node count", 1, 1<<31)
 	if err != nil {
 		return err
 	}
@@ -606,11 +501,7 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 	// image owes nothing until it delta-appends again.
 	p.app = &appendState{owner: p}
 
-	rawSpine, err := readUvarint()
-	if err != nil {
-		return fail("spine count", err)
-	}
-	nSpine, err := boundedCount("spine count", rawSpine, 8, size, uint64(n))
+	nSpine, err := d.count("spine count", 8, uint64(n))
 	if err != nil {
 		return err
 	}
@@ -624,35 +515,35 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 	p.spDepth = make([]int32, 0, cap8(nSpine))
 	p.spVal = make([]int32, 0, cap8(nSpine))
 	for i := 0; i < nSpine; i++ {
-		label, err := readI32("spine label", 0)
+		label, err := d.i32("spine label", 0)
 		if err != nil {
 			return err
 		}
-		cat, err := br.ReadByte()
+		cat, err := d.br.ReadByte()
 		if err != nil {
 			return fail("spine category", err)
 		}
-		child, err := readI32("spine child count", 0)
+		child, err := d.i32("spine child count", 0)
 		if err != nil {
 			return err
 		}
-		subtree, err := readI32("spine subtree", 0)
+		subtree, err := d.i32("spine subtree", 0)
 		if err != nil {
 			return err
 		}
-		parent, err := readI32("spine parent", 1)
+		parent, err := d.i32("spine parent", 1)
 		if err != nil {
 			return err
 		}
-		last, err := readI32("spine last component", 0)
+		last, err := d.i32("spine last component", 0)
 		if err != nil {
 			return err
 		}
-		depth, err := readI32("spine depth", 0)
+		depth, err := d.i32("spine depth", 0)
 		if err != nil {
 			return err
 		}
-		val, err := readI32("spine value id", 1)
+		val, err := d.i32("spine value id", 1)
 		if err != nil {
 			return err
 		}
@@ -666,11 +557,7 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		p.spVal = append(p.spVal, val)
 	}
 
-	rawInst, err := readUvarint()
-	if err != nil {
-		return fail("instance count", err)
-	}
-	nInst, err := boundedCount("instance count", rawInst, 5, size, uint64(n))
+	nInst, err := d.count("instance count", 5, uint64(n))
 	if err != nil {
 		return err
 	}
@@ -680,23 +567,23 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 	p.inLast = make([]int32, 0, cap8(nInst))
 	p.inDepth = make([]int32, 0, cap8(nInst))
 	for i := 0; i < nInst; i++ {
-		start, err := readI32("instance start", 0)
+		start, err := d.i32("instance start", 0)
 		if err != nil {
 			return err
 		}
-		shape, err := readI32("instance shape", 0)
+		shape, err := d.i32("instance shape", 0)
 		if err != nil {
 			return err
 		}
-		parent, err := readI32("instance parent", 1)
+		parent, err := d.i32("instance parent", 1)
 		if err != nil {
 			return err
 		}
-		last, err := readI32("instance last component", 0)
+		last, err := d.i32("instance last component", 0)
 		if err != nil {
 			return err
 		}
-		depth, err := readI32("instance depth", 0)
+		depth, err := d.i32("instance depth", 0)
 		if err != nil {
 			return err
 		}
@@ -707,22 +594,14 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		p.inDepth = append(p.inDepth, depth)
 	}
 
-	rawShapes, err := readUvarint()
-	if err != nil {
-		return fail("shape count", err)
-	}
-	nShapes, err := boundedCount("shape count", rawShapes, 9, size, uint64(n)+1)
+	nShapes, err := d.count("shape count", 9, uint64(n)+1)
 	if err != nil {
 		return err
 	}
 	p.shOff = make([]int32, 0, cap8(nShapes+1))
 	p.shOff = append(p.shOff, 0)
 	for s := 0; s < nShapes; s++ {
-		rawSize, err := readUvarint()
-		if err != nil {
-			return fail("shape size", err)
-		}
-		shSize, err := boundedCount("shape size", rawSize, 8, size, uint64(n))
+		shSize, err := d.count("shape size", 8, uint64(n))
 		if err != nil {
 			return err
 		}
@@ -730,35 +609,35 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 			return corruptf("binary load: packed shape %d: empty shape", s)
 		}
 		for k := 0; k < shSize; k++ {
-			label, err := readI32("shape label", 0)
+			label, err := d.i32("shape label", 0)
 			if err != nil {
 				return err
 			}
-			cat, err := br.ReadByte()
+			cat, err := d.br.ReadByte()
 			if err != nil {
 				return fail("shape category", err)
 			}
-			child, err := readI32("shape child count", 0)
+			child, err := d.i32("shape child count", 0)
 			if err != nil {
 				return err
 			}
-			subtree, err := readI32("shape subtree", 0)
+			subtree, err := d.i32("shape subtree", 0)
 			if err != nil {
 				return err
 			}
-			parent, err := readI32("shape parent", 1)
+			parent, err := d.i32("shape parent", 1)
 			if err != nil {
 				return err
 			}
-			last, err := readI32("shape last component", 0)
+			last, err := d.i32("shape last component", 0)
 			if err != nil {
 				return err
 			}
-			depth, err := readI32("shape depth", 0)
+			depth, err := d.i32("shape depth", 0)
 			if err != nil {
 				return err
 			}
-			val, err := readI32("shape value id", 1)
+			val, err := d.i32("shape value id", 1)
 			if err != nil {
 				return err
 			}
@@ -774,30 +653,26 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		p.shOff = append(p.shOff, int32(len(p.shLabel)))
 	}
 
-	rawVals, err := readUvarint()
-	if err != nil {
-		return fail("value count", err)
-	}
-	nVals, err := boundedCount("value count", rawVals, 1, size, 1<<31)
+	nVals, err := d.count("value count", 1, 1<<31)
 	if err != nil {
 		return err
 	}
-	arenaLen, err := readUvarint()
+	arenaLen, err := d.uvarint()
 	if err != nil {
 		return fail("value arena length", err)
 	}
-	if arenaLen > 1<<31 || (size >= 0 && arenaLen > uint64(size)) {
+	if arenaLen > 1<<31 || (d.size >= 0 && arenaLen > uint64(d.size)) {
 		return corruptf("binary load: packed value arena length %d exceeds input", arenaLen)
 	}
 	p.valArena = make([]byte, arenaLen)
-	if _, err := io.ReadFull(br, p.valArena); err != nil {
+	if _, err := io.ReadFull(d.br, p.valArena); err != nil {
 		return fail("value arena", err)
 	}
 	p.valOff = make([]int32, 0, cap8(nVals+1))
 	p.valOff = append(p.valOff, 0)
 	off := int64(0)
 	for v := 0; v < nVals; v++ {
-		l, err := readUvarint()
+		l, err := d.uvarint()
 		if err != nil {
 			return fail("value length", err)
 		}
@@ -811,22 +686,18 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		return corruptf("binary load: packed value lengths cover %d of %d arena bytes", off, arenaLen)
 	}
 
-	rawRoots, err := readUvarint()
-	if err != nil {
-		return fail("doc root count", err)
-	}
-	nRoots, err := boundedCount("doc root count", rawRoots, 2, size, uint64(n))
+	nRoots, err := d.count("doc root count", 2, uint64(n))
 	if err != nil {
 		return err
 	}
 	p.docStart = make([]int32, 0, cap8(nRoots))
 	p.docNum = make([]int32, 0, cap8(nRoots))
 	for k := 0; k < nRoots; k++ {
-		start, err := readI32("doc root start", 0)
+		start, err := d.i32("doc root start", 0)
 		if err != nil {
 			return err
 		}
-		num, err := readI32("doc root number", 0)
+		num, err := d.i32("doc root number", 0)
 		if err != nil {
 			return err
 		}
@@ -871,17 +742,10 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		return corruptf("binary load: packed table uses %d of %d spine slots", slot, nSpine)
 	}
 
-	if err := p.validatePacked(); err != nil {
+	ix.packed = p
+	if err := ix.validateNodes(); err != nil {
 		return corruptf("binary load: %v", err)
 	}
-	for _, arr := range [][]int32{p.spLabel, p.shLabel} {
-		for _, l := range arr {
-			if l < 0 || int(l) >= len(ix.Labels) {
-				return corruptf("binary load: packed node label %d out of range [0,%d)", l, len(ix.Labels))
-			}
-		}
-	}
-	ix.packed = p
 	return nil
 }
 

@@ -117,11 +117,12 @@ func TestBinaryDeterministic(t *testing.T) {
 
 func assertIndexesEqual(t *testing.T, a, b *Index) {
 	t.Helper()
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("node counts differ: %d vs %d", len(a.Nodes), len(b.Nodes))
+	ra, rb := rows(a), rows(b)
+	if len(ra) != len(rb) {
+		t.Fatalf("node counts differ: %d vs %d", len(ra), len(rb))
 	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
+	for i := range ra {
+		na, nb := &ra[i], &rb[i]
 		if !dewey.Equal(na.ID, nb.ID) || na.Label != nb.Label || na.Cat != nb.Cat ||
 			na.ChildCount != nb.ChildCount || na.Subtree != nb.Subtree ||
 			na.Parent != nb.Parent || na.HasValue != nb.HasValue || na.Value != nb.Value {

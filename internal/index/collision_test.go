@@ -46,7 +46,7 @@ func TestLabelValueCollisionDedup(t *testing.T) {
 	}
 	assertStrictlyIncreasing(t, tree)
 
-	stream, err := BuildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions())
+	stream, err := buildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// FuzzLoad drives the auto-detecting loader with mutated images of all
-// three snapshot formats (gob v1, binary v2, checksummed v3) plus
-// adversarial stubs. The contract under fuzzing: Load returns an index or
+// FuzzLoad drives the auto-detecting loader with mutated images of every
+// format it reads — gob v1, GKSI and the checksummed GKS3 envelope, each
+// with the flat node table older builds wrote and (GKSI, GKS3) with the
+// packed one written today — plus adversarial stubs. The contract under fuzzing: Load returns an index or
 // an error — it never panics, and the bounded pre-allocation means a
 // corrupt header cannot demand an unbounded slice (the harness would OOM).
 // An input that happens to decode must also survive Validate and a
@@ -19,33 +20,22 @@ func FuzzLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var bin, snap, binP, snapP bytes.Buffer
-	gob := bytes.NewBuffer(gobV1Image(f, ix))
-	if err := ix.SaveBinary(&bin); err != nil {
+	var binP, snapP bytes.Buffer
+	if err := ix.SaveBinary(&binP); err != nil {
 		f.Fatal(err)
 	}
-	if err := ix.SaveSnapshot(&snap); err != nil {
+	if err := ix.SaveSnapshot(&snapP); err != nil {
 		f.Fatal(err)
 	}
-	// Packed-codec seeds: the same index in the DAG-compressed node-table
-	// encoding (GKSI v3 and its snapshot envelope).
-	packed := ix.Pack()
-	if err := packed.SaveBinary(&binP); err != nil {
-		f.Fatal(err)
+	images := [][]byte{gobV1Image(f, ix), flatGKSI(f, ix), flatGKS3(f, ix), binP.Bytes(), snapP.Bytes()}
+	for _, img := range images {
+		f.Add(img)
 	}
-	if err := packed.SaveSnapshot(&snapP); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gob.Bytes())
-	f.Add(bin.Bytes())
-	f.Add(snap.Bytes())
-	f.Add(binP.Bytes())
-	f.Add(snapP.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte(snapshotMagic))
 	// Truncations and flips of each format seed the interesting paths.
-	for _, img := range [][]byte{gob.Bytes(), bin.Bytes(), snap.Bytes(), binP.Bytes(), snapP.Bytes()} {
+	for _, img := range images {
 		f.Add(img[:len(img)/2])
 		f.Add(img[:min(len(img), 10)])
 		flipped := bytes.Clone(img)

@@ -8,7 +8,9 @@
 // The index is built in a single pass over a parsed repository. Element
 // nodes are stored in pre-order, which equals Dewey (document) order, so the
 // subtree of a node occupies a contiguous ordinal range — the invariant the
-// GKS search algorithm exploits.
+// GKS search algorithm exploits. The node table every index serves from is
+// the DAG-compressed packed table of packed.go; the flat []NodeInfo form
+// exists only while a builder fills it.
 package index
 
 import (
@@ -92,8 +94,6 @@ type NodeInfo struct {
 type Index struct {
 	// Labels is the interned element-label table.
 	Labels []string
-	// Nodes lists all element nodes in pre-order (Dewey order).
-	Nodes []NodeInfo
 	// Postings maps a normalized keyword to the sorted ordinals of the
 	// element nodes that directly contain it (text keywords) or carry it
 	// as their tag (element-name keywords).
@@ -116,10 +116,15 @@ type Index struct {
 	// set together with tomb: mutations materialize first. See lazy.go.
 	lazy *lazyState
 
-	// packed, when non-nil, holds the DAG-compressed node table and Nodes
-	// is nil: all structural reads go through the accessor methods below,
-	// which resolve against the packed arrays. See packed.go.
+	// packed is the DAG-compressed node table: every element node in
+	// pre-order (Dewey order), read through the accessor methods below.
+	// See packed.go.
 	packed *packedNodes
+
+	// nodes is the builders' scratch: the flat pre-order table of an index
+	// under construction. pack turns it into packed and drops it, so no
+	// index a constructor returns holds it.
+	nodes []NodeInfo
 }
 
 // Stats aggregates the counters reported in the paper's §7.1–7.2.
@@ -152,9 +157,9 @@ type Options struct {
 
 // SizeHint carries expected sizes for Build's backing structures.
 type SizeHint struct {
-	// Nodes is the expected element-node count (capacity of Index.Nodes —
-	// NodeInfo is large, so avoiding re-growth of this table is the
-	// biggest single saving).
+	// Nodes is the expected element-node count (capacity of the builder's
+	// flat node table — NodeInfo is large, so avoiding re-growth of this
+	// table is the biggest single saving).
 	Nodes int
 	// Terms is the expected number of distinct keywords (initial size of
 	// the postings map).
@@ -169,6 +174,12 @@ func DefaultOptions() Options { return Options{IndexElementNames: true} }
 
 // Build indexes the repository in one pass.
 func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
+	return packing(buildFlat(repo, opts))
+}
+
+// buildFlat is Build without the final pack: the builders' flat table,
+// which mergePartials and the delta append consume.
+func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
 	if repo == nil || len(repo.Docs) == 0 {
 		return nil, fmt.Errorf("index: empty repository")
 	}
@@ -177,7 +188,7 @@ func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
 		labelIDs: make(map[string]int32),
 	}
 	if opts.Hint.Nodes > 0 {
-		ix.Nodes = make([]NodeInfo, 0, opts.Hint.Nodes)
+		ix.nodes = make([]NodeInfo, 0, opts.Hint.Nodes)
 	}
 	b := builder{ix: ix, opts: opts}
 	if opts.Hint.Terms > 0 && opts.Hint.Postings > opts.Hint.Terms {
@@ -217,8 +228,8 @@ type builder struct {
 // repeating-node endpoint.
 func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qualAttr, repVis bool) {
 	ix := b.ix
-	ord := int32(len(ix.Nodes))
-	ix.Nodes = append(ix.Nodes, NodeInfo{
+	ord := int32(len(ix.nodes))
+	ix.nodes = append(ix.nodes, NodeInfo{
 		ID:         n.ID,
 		Label:      b.labelID(n.Label),
 		ChildCount: int32(len(n.Children)),
@@ -282,8 +293,8 @@ func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qu
 		}
 	}
 
-	info := &ix.Nodes[ord]
-	info.Subtree = int32(len(ix.Nodes)) - ord
+	info := &ix.nodes[ord]
+	info.Subtree = int32(len(ix.nodes)) - ord
 	if hasText {
 		info.HasValue = true
 		info.Value = value
@@ -389,11 +400,15 @@ func (b *builder) post(keyword string, ord int32) {
 	b.ix.Postings[keyword] = append(list, ord)
 }
 
+// finalizeStats completes a builder's statistics from its flat table.
 func (ix *Index) finalizeStats() {
 	s := &ix.Stats
 	s.Documents = len(ix.DocNames)
-	s.ElementNodes = ix.NodeCount()
-	ix.RefreshCategoryStats()
+	s.ElementNodes = len(ix.nodes)
+	s.AttributeNodes, s.RepeatingNodes, s.EntityNodes, s.ConnectingNodes = 0, 0, 0, 0
+	for i := range ix.nodes {
+		s.addCategory(ix.nodes[i].Cat)
+	}
 	s.DistinctKeywords = len(ix.Postings)
 	s.PostingEntries = 0
 	for _, p := range ix.Postings {
@@ -401,29 +416,32 @@ func (ix *Index) finalizeStats() {
 	}
 }
 
-// RefreshCategoryStats recomputes the category counters after an external
-// re-categorization (e.g. internal/schema's schema-level pass). Only live
-// nodes are counted, so a tombstoned index reports the statistics of its
-// surviving documents.
-func (ix *Index) RefreshCategoryStats() {
+// refreshCategoryStats recomputes the category counters after a
+// re-categorization. Only live nodes are counted, so a tombstoned index
+// reports the statistics of its surviving documents.
+func (ix *Index) refreshCategoryStats() {
 	s := &ix.Stats
 	s.AttributeNodes, s.RepeatingNodes, s.EntityNodes, s.ConnectingNodes = 0, 0, 0, 0
 	for _, sp := range ix.LiveSpans() {
 		for ord := sp[0]; ord < sp[1]; ord++ {
-			c := ix.CatOf(ord)
-			if c&Attribute != 0 {
-				s.AttributeNodes++
-			}
-			if c&Repeating != 0 {
-				s.RepeatingNodes++
-			}
-			if c&Entity != 0 {
-				s.EntityNodes++
-			}
-			if c&Connecting != 0 {
-				s.ConnectingNodes++
-			}
+			s.addCategory(ix.CatOf(ord))
 		}
+	}
+}
+
+// addCategory counts one node of category c.
+func (s *Stats) addCategory(c Category) {
+	if c&Attribute != 0 {
+		s.AttributeNodes++
+	}
+	if c&Repeating != 0 {
+		s.RepeatingNodes++
+	}
+	if c&Entity != 0 {
+		s.EntityNodes++
+	}
+	if c&Connecting != 0 {
+		s.ConnectingNodes++
 	}
 }
 
@@ -443,98 +461,43 @@ func (ix *Index) LabelOf(ord int32) string { return ix.Labels[ix.LabelIDOf(ord)]
 
 // LabelIDOf returns the interned label id (index into Labels) of the node
 // at ord.
-func (ix *Index) LabelIDOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.labelOf(ord)
-	}
-	return ix.Nodes[ord].Label
-}
+func (ix *Index) LabelIDOf(ord int32) int32 { return ix.packed.labelOf(ord) }
 
 // CatOf returns the category bit set of the node at ord.
-func (ix *Index) CatOf(ord int32) Category {
-	if ix.packed != nil {
-		return ix.packed.catOf(ord)
-	}
-	return ix.Nodes[ord].Cat
-}
+func (ix *Index) CatOf(ord int32) Category { return ix.packed.catOf(ord) }
 
 // ChildCountOf returns the direct child count (elements and text nodes) of
 // the node at ord.
-func (ix *Index) ChildCountOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.childCountOf(ord)
-	}
-	return ix.Nodes[ord].ChildCount
-}
+func (ix *Index) ChildCountOf(ord int32) int32 { return ix.packed.childCountOf(ord) }
 
 // SubtreeSizeOf returns the element count of the subtree rooted at ord,
 // including ord itself.
-func (ix *Index) SubtreeSizeOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.subtreeOf(ord)
-	}
-	return ix.Nodes[ord].Subtree
-}
+func (ix *Index) SubtreeSizeOf(ord int32) int32 { return ix.packed.subtreeOf(ord) }
 
 // DepthOf returns the Dewey depth of the node at ord (document roots are
-// depth 0). On both representations this is O(1): the flat table stores
-// full paths, the packed table stores depths explicitly.
-func (ix *Index) DepthOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.depthOf(ord)
-	}
-	return int32(ix.Nodes[ord].ID.Depth())
-}
+// depth 0) in O(1): the packed table stores depths explicitly.
+func (ix *Index) DepthOf(ord int32) int32 { return ix.packed.depthOf(ord) }
 
 // HasValueAt reports whether the node at ord directly contains text.
-func (ix *Index) HasValueAt(ord int32) bool {
-	if ix.packed != nil {
-		return ix.packed.valIDOf(ord) >= 0
-	}
-	return ix.Nodes[ord].HasValue
-}
+func (ix *Index) HasValueAt(ord int32) bool { return ix.packed.valIDOf(ord) >= 0 }
 
 // ValueAt returns the concatenated direct text of the node at ord ("" when
 // HasValueAt is false).
 func (ix *Index) ValueAt(ord int32) string {
-	if ix.packed != nil {
-		if v := ix.packed.valIDOf(ord); v >= 0 {
-			return ix.packed.value(v)
-		}
-		return ""
+	if v := ix.packed.valIDOf(ord); v >= 0 {
+		return ix.packed.value(v)
 	}
-	return ix.Nodes[ord].Value
+	return ""
 }
 
-// IDOf returns the Dewey identifier of the node at ord. On a packed index
-// the path is materialized by a parent-chain walk (lazy expansion); result
-// formatting is the only hot caller, so the allocation stays off the
-// query's merge/window path.
-func (ix *Index) IDOf(ord int32) dewey.ID {
-	if ix.packed != nil {
-		return ix.packed.idOf(ord)
-	}
-	return ix.Nodes[ord].ID
-}
+// IDOf returns the Dewey identifier of the node at ord. The path is
+// materialized by a parent-chain walk (lazy expansion); result formatting
+// is the only hot caller, so the allocation stays off the query's
+// merge/window path.
+func (ix *Index) IDOf(ord int32) dewey.ID { return ix.packed.idOf(ord) }
 
 // DocOf returns the Dewey document number of the node at ord.
-func (ix *Index) DocOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.docOf(ord)
-	}
-	return ix.Nodes[ord].ID.Doc
-}
-
-// Info returns the NodeInfo at ord. On a packed index the record is
-// materialized on the fly; callers that need a single field should prefer
-// the field accessors, which do not allocate.
-func (ix *Index) Info(ord int32) *NodeInfo {
-	if ix.packed != nil {
-		n := ix.packed.nodeInfo(ord)
-		return &n
-	}
-	return &ix.Nodes[ord]
-}
+func (ix *Index) DocOf(ord int32) int32 { return ix.packed.docOf(ord) }
 
 // IsEntity mirrors the paper's isEntity(DeweyId) helper: it returns the
 // number of direct children when the node is an entity node, and 0
@@ -558,18 +521,10 @@ func (ix *Index) IsElement(ord int32) int32 {
 // OrdinalOf locates the element with the given Dewey ID by binary search
 // over the pre-order node table. Tombstoned nodes are not found.
 func (ix *Index) OrdinalOf(id dewey.ID) (int32, bool) {
-	if p := ix.packed; p != nil {
-		n := len(p.ordInst)
-		i := sort.Search(n, func(i int) bool { return p.compareID(int32(i), id) >= 0 })
-		if i < n && p.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
-			return int32(i), true
-		}
-		return 0, false
-	}
-	i := sort.Search(len(ix.Nodes), func(i int) bool {
-		return dewey.Compare(ix.Nodes[i].ID, id) >= 0
-	})
-	if i < len(ix.Nodes) && dewey.Equal(ix.Nodes[i].ID, id) && ix.LiveOrd(int32(i)) {
+	p := ix.packed
+	n := len(p.ordInst)
+	i := sort.Search(n, func(i int) bool { return p.compareID(int32(i), id) >= 0 })
+	if i < n && p.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
 		return int32(i), true
 	}
 	return 0, false
@@ -601,12 +556,7 @@ func (ix *Index) LowestEntityAncestorOrSelf(ord int32) (int32, bool) {
 }
 
 // ParentOf returns the ordinal of ord's parent element, or -1 at a root.
-func (ix *Index) ParentOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.parentOf(ord)
-	}
-	return ix.Nodes[ord].Parent
-}
+func (ix *Index) ParentOf(ord int32) int32 { return ix.packed.parentOf(ord) }
 
 // PathLabels returns the element labels on the path from (and including)
 // anc down to (and including) desc. It is used to expose DI semantics —
@@ -649,43 +599,17 @@ func (ix *Index) ValueNodesUnder(e int32) []int32 {
 }
 
 // Validate checks the structural invariants a healthy index satisfies:
-// labels in range, parents preceding their children (pre-order), subtree
-// ranges inside the node table, and posting lists strictly increasing
-// within bounds. A decoded snapshot that passes the checksum but was
-// written by a buggy or hostile producer is caught here before it is
+// the packed node table's (labels in range, parents preceding their
+// children, subtree ranges inside the table) and posting lists strictly
+// increasing within bounds. A decoded snapshot that passes the checksum but
+// was written by a buggy or hostile producer is caught here before it is
 // swapped into a serving system; reload paths call this between load and
 // swap.
 func (ix *Index) Validate() error {
-	nNodes := ix.NodeCount()
-	nLabels := int32(len(ix.Labels))
-	if p := ix.packed; p != nil {
-		if err := p.validatePacked(); err != nil {
-			return err
-		}
-		for _, arr := range [][]int32{p.spLabel, p.shLabel} {
-			for i, l := range arr {
-				if l < 0 || l >= nLabels {
-					return fmt.Errorf("index: validate: packed node record %d: label %d out of range [0,%d)", i, l, nLabels)
-				}
-			}
-		}
-	} else {
-		for i := range ix.Nodes {
-			n := &ix.Nodes[i]
-			if n.Label < 0 || n.Label >= nLabels {
-				return fmt.Errorf("index: validate: node %d: label %d out of range [0,%d)", i, n.Label, nLabels)
-			}
-			if n.Parent < -1 || n.Parent >= int32(i) {
-				return fmt.Errorf("index: validate: node %d: parent %d is not a preceding ordinal", i, n.Parent)
-			}
-			if n.ChildCount < 0 {
-				return fmt.Errorf("index: validate: node %d: negative child count %d", i, n.ChildCount)
-			}
-			if n.Subtree < 1 || int64(i)+int64(n.Subtree) > int64(nNodes) {
-				return fmt.Errorf("index: validate: node %d: subtree size %d overruns %d nodes", i, n.Subtree, nNodes)
-			}
-		}
+	if err := ix.validateNodes(); err != nil {
+		return fmt.Errorf("index: validate: %w", err)
 	}
+	nNodes := ix.NodeCount()
 	for kw, list := range ix.Postings {
 		prev := int32(-1)
 		for _, ord := range list {

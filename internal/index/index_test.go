@@ -26,7 +26,7 @@ func catOf(t *testing.T, ix *Index, id string) Category {
 	if !ok {
 		t.Fatalf("node %s not found", id)
 	}
-	return ix.Nodes[ord].Cat
+	return ix.CatOf(ord)
 }
 
 func TestFigure2aCategories(t *testing.T) {
@@ -93,7 +93,7 @@ func TestPostingsTable3(t *testing.T) {
 		t.Fatalf("karen postings = %d entries, want %d", len(karen), len(want))
 	}
 	for i, ord := range karen {
-		if got := ix.Nodes[ord].ID.String(); got != want[i] {
+		if got := ix.IDOf(ord).String(); got != want[i] {
 			t.Errorf("karen[%d] = %s, want %s", i, got, want[i])
 		}
 	}
@@ -190,7 +190,7 @@ func TestLowestEntityAncestorOrSelf(t *testing.T) {
 	if !ok {
 		t.Fatal("student must have an entity ancestor")
 	}
-	if got := ix.Nodes[e].ID.String(); got != "0.0.1.1.0" {
+	if got := ix.IDOf(e).String(); got != "0.0.1.1.0" {
 		t.Errorf("LCE lift of student = %s, want Course 0.0.1.1.0", got)
 	}
 	// An entity node lifts to itself.
@@ -254,10 +254,10 @@ func TestValueNodesUnder(t *testing.T) {
 
 func TestOrdinalOf(t *testing.T) {
 	ix := buildFig2a(t)
-	for ord := range ix.Nodes {
-		got, ok := ix.OrdinalOf(ix.Nodes[ord].ID)
-		if !ok || got != int32(ord) {
-			t.Fatalf("OrdinalOf(%s) = %d/%v, want %d", ix.Nodes[ord].ID, got, ok, ord)
+	for ord := int32(0); ord < int32(ix.NodeCount()); ord++ {
+		got, ok := ix.OrdinalOf(ix.IDOf(ord))
+		if !ok || got != ord {
+			t.Fatalf("OrdinalOf(%s) = %d/%v, want %d", ix.IDOf(ord), got, ok, ord)
 		}
 	}
 	if _, ok := ix.OrdinalOf(dewey.MustParse("0.0.9.9")); ok {
@@ -291,7 +291,7 @@ func TestMultiDocumentIndex(t *testing.T) {
 	if len(karen) != 4 {
 		t.Fatalf("karen across documents = %d, want 4", len(karen))
 	}
-	last := ix.Nodes[karen[len(karen)-1]].ID
+	last := ix.IDOf(karen[len(karen)-1])
 	if last.Doc != 1 {
 		t.Errorf("last karen posting in doc %d, want 1", last.Doc)
 	}
@@ -313,16 +313,17 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// gobV1Image encodes a flat, eager index in the legacy gob format (v1).
-// The writer is gone from the package; Load must keep reading the images
-// older builds left behind, so the tests make their own.
+// gobV1Image encodes an eager index in the legacy gob format (v1), whose
+// node table is flat. The writer is gone from the package; Load must keep
+// reading the images older builds left behind, so the tests make their
+// own.
 func gobV1Image(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	p := persisted{
 		Version:  formatVersion,
 		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
+		Nodes:    rows(ix),
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
@@ -340,8 +341,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Nodes) != len(ix.Nodes) {
-		t.Fatalf("nodes %d != %d", len(back.Nodes), len(ix.Nodes))
+	if back.NodeCount() != ix.NodeCount() {
+		t.Fatalf("nodes %d != %d", back.NodeCount(), ix.NodeCount())
 	}
 	if back.Stats != ix.Stats {
 		t.Errorf("stats differ: %+v vs %+v", back.Stats, ix.Stats)
@@ -377,14 +378,10 @@ func TestSizeBytes(t *testing.T) {
 }
 
 // TestSizeBytesPacked pins that SizeBytes reports the shipping v3 size of
-// a packed index without flattening it: the count must equal the bytes
-// SaveSnapshot writes for the packed form (which serializes the packed
-// node section directly), not the legacy flattened gob encoding.
+// a table whose shapes deduplicate: the count must equal the bytes
+// SaveSnapshot writes, which serializes the packed node section as it is.
 func TestSizeBytesPacked(t *testing.T) {
-	packed := buildFig2a(t).Pack()
-	if !packed.IsPacked() {
-		t.Fatal("Pack() did not pack")
-	}
+	packed := packedCorpora(t)["replicated"].ix
 	n, err := packed.SizeBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -395,9 +392,6 @@ func TestSizeBytesPacked(t *testing.T) {
 	}
 	if n != int64(buf.Len()) {
 		t.Errorf("packed SizeBytes = %d, snapshot encoded = %d", n, buf.Len())
-	}
-	if !packed.IsPacked() {
-		t.Error("SizeBytes flattened the packed index")
 	}
 }
 
@@ -441,10 +435,10 @@ func TestSizeBytesLazy(t *testing.T) {
 	}
 	meta := &Index{
 		Labels:   eager.Labels,
-		Nodes:    eager.Nodes,
 		DocNames: eager.DocNames,
 		Stats:    eager.Stats,
 		labelIDs: eager.labelIDs,
+		packed:   eager.packed,
 	}
 	lazy := NewLazy(meta, &memSource{posts: eager.Postings})
 	got, err := lazy.SizeBytes()

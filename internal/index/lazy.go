@@ -8,10 +8,10 @@ import (
 // Lazily-backed indexes: an Index whose posting lists live behind a
 // PostingSource (a GKS4 segment reader, internal/segment) instead of the
 // in-memory Postings map. The node table, labels, document names and
-// statistics are always resident — the search engine walks Nodes directly
-// — but posting lists are fetched on demand, which is what bounds the
-// resident memory of a serving process to the block cache rather than the
-// corpus.
+// statistics are always resident — the search engine reads the node table
+// directly — but posting lists are fetched on demand, which is what bounds
+// the resident memory of a serving process to the block cache rather than
+// the corpus.
 //
 // A lazy index answers every read-path accessor (PostingsFor,
 // ForEachKeyword, LiveSpans, Lookup, ...) identically to its materialized
@@ -96,7 +96,6 @@ func (ix *Index) Materialized() (*Index, error) {
 	src := ix.lazy.src
 	cp := &Index{
 		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
 		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
 		labelIDs: ix.labelIDs,
@@ -166,11 +165,11 @@ func (ix *Index) ForEachKeywordSorted(f func(keyword string, list []int32) error
 	return nil
 }
 
-// Fields returns the statistics in the serialization order of format v2 —
+// Fields returns the statistics in the serialization order of GKSI —
 // exported for sibling on-disk formats (the GKS4 segment footer).
 func (s *Stats) Fields() []int { return s.fields() }
 
-// SetFields assigns the statistics from the format-v2 serialization
+// SetFields assigns the statistics from the GKSI serialization
 // order; v must hold StatsFieldCount values.
 func (s *Stats) SetFields(v []int) { s.setFields(v) }
 

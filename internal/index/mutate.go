@@ -18,9 +18,9 @@ import (
 // ordinal range. Search-facing accessors (PostingsFor, Lookup, OrdinalOf,
 // LiveSpans) filter against the mask, so a tombstoned index answers
 // queries exactly as if the dead documents had never been indexed.
-// Tombstones are never persisted: Save/SaveBinary/SaveSnapshot compact
-// first, and Append merges onto a compacted base, so the mask lives only
-// between a delete and the next save or append.
+// Tombstones are never persisted: SaveBinary/SaveSnapshot compact first,
+// so the mask lives only between a delete and the next save, splice or
+// repack (a delta append carries it forward).
 
 // ErrNotFound reports a mutation against a document name that is not live
 // in the index.
@@ -59,7 +59,7 @@ func ValidateDocName(name string) error {
 type tombstones struct {
 	// dead holds the coalesced ordinal ranges of deleted documents.
 	dead [][2]int32
-	// live is the complement of dead within [0, len(Nodes)).
+	// live is the complement of dead within [0, NodeCount()).
 	live [][2]int32
 	// deadPosts counts dead entries per posting list; only keys with at
 	// least one dead entry are present, so the zero lookup keeps the
@@ -70,7 +70,7 @@ type tombstones struct {
 }
 
 // Tombstoned reports whether the index carries a tombstone mask (i.e. has
-// live deletes that a Save or Append would compact away).
+// live deletes that a save would compact away).
 func (ix *Index) Tombstoned() bool { return ix.tomb != nil }
 
 // LiveSpans returns the sorted, disjoint, half-open ordinal ranges of the
@@ -363,7 +363,6 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 
 	out := &Index{
 		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
 		labelIDs: ix.labelIDs,
@@ -390,19 +389,7 @@ func (ix *Index) recomputeLiveStats() {
 			if d := int(ix.DepthOf(ord)); d > st.MaxDepth {
 				st.MaxDepth = d
 			}
-			c := ix.CatOf(ord)
-			if c&Attribute != 0 {
-				st.AttributeNodes++
-			}
-			if c&Repeating != 0 {
-				st.RepeatingNodes++
-			}
-			if c&Entity != 0 {
-				st.EntityNodes++
-			}
-			if c&Connecting != 0 {
-				st.ConnectingNodes++
-			}
+			st.addCategory(ix.CatOf(ord))
 		}
 		// ChildCount counts element and text children alike; every element
 		// in the span except its document roots is somebody's child, so the
@@ -419,45 +406,52 @@ func (ix *Index) recomputeLiveStats() {
 }
 
 // Compacted returns an index with the tombstoned documents physically
-// removed: live nodes are re-packed contiguously (ordinals shift down,
-// Dewey IDs — including sparse document numbers — are preserved), posting
-// lists are filtered and re-based, and dead document names are dropped.
-// Without tombstones it returns ix itself. The result is a plain
-// immutable index, byte-identical in nodes and postings to a cold rebuild
-// from the surviving documents; only the label table may retain interned
-// labels that no surviving document uses. A packed index compacts by
-// materializing the surviving nodes and re-packing the result — packing
-// is deterministic, so the re-packed table equals a cold rebuild's pack.
+// removed: live nodes are packed contiguously (ordinals shift down, Dewey
+// IDs — including sparse document numbers — are preserved), posting lists
+// are filtered and re-based, and dead document names are dropped. Without
+// tombstones it returns ix itself. The result is a plain immutable index
+// whose node table and postings equal a cold rebuild's from the surviving
+// documents — packing is deterministic — and only the label table may
+// retain interned labels that no surviving document uses.
 func (ix *Index) Compacted() *Index {
 	if ix.tomb == nil {
 		return ix
 	}
+	return ix.flat().pack()
+}
+
+// flat expands the live documents of ix into the builders' flat form:
+// surviving rows re-based onto contiguous ordinals, postings filtered and
+// re-based, dead document names dropped. Without tombstones that is every
+// row, and the postings and names are shared. Compaction, the append
+// splice and a full repack pack this.
+func (ix *Index) flat() *Index {
 	out := &Index{
 		Labels:   ix.Labels,
 		labelIDs: ix.labelIDs,
-		Postings: make(map[string][]int32, len(ix.Postings)),
+		Postings: ix.Postings,
+		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
+		nodes:    make([]NodeInfo, 0, ix.NodeCount()),
 	}
-	out.Nodes = make([]NodeInfo, 0, ix.Stats.ElementNodes)
-	for _, sp := range ix.tomb.live {
+	for _, sp := range ix.LiveSpans() {
 		// Nodes before this span shifted down by the dead mass before it.
-		shift := sp[0] - int32(len(out.Nodes))
+		shift := sp[0] - int32(len(out.nodes))
 		for ord := sp[0]; ord < sp[1]; ord++ {
-			var n NodeInfo
-			if ix.packed != nil {
-				n = ix.packed.nodeInfo(ord)
-			} else {
-				n = ix.Nodes[ord] // copy
-			}
+			n := ix.packed.nodeInfo(ord)
 			if n.Parent >= 0 {
 				// A non-root's parent is in the same document, hence the
 				// same live span and the same shift.
 				n.Parent -= shift
 			}
-			out.Nodes = append(out.Nodes, n)
+			out.nodes = append(out.nodes, n)
 		}
 	}
+	if ix.tomb == nil {
+		return out
+	}
 
+	out.Postings = make(map[string][]int32, len(ix.Postings))
 	dead := ix.tomb.dead
 	for kw, list := range ix.Postings {
 		live := len(list) - int(ix.tomb.deadPosts[kw])
@@ -481,29 +475,24 @@ func (ix *Index) Compacted() *Index {
 	}
 
 	out.DocNames = make([]string, 0, ix.LiveDocCount())
-	k := 0
-	for ord, n := int32(0), int32(ix.NodeCount()); ord < n && k < len(ix.DocNames); k++ {
-		size := ix.SubtreeSizeOf(ord)
-		if size <= 0 {
-			break
-		}
-		if ix.LiveOrd(ord) {
-			out.DocNames = append(out.DocNames, ix.DocNames[k])
-		}
-		ord += size
-	}
-	if ix.packed != nil {
-		return out.Pack()
+	for _, sp := range ix.LiveDocSpans() {
+		out.DocNames = append(out.DocNames, sp.Name)
 	}
 	return out
 }
 
 // BuildDocumentAs indexes a single document under an explicit Dewey
-// document number. Unlike the old Append it validates everything that can
-// fail before touching the caller's tree, and restores the document's
-// prior numbering if the build fails anyway — a failed build must leave
-// the caller's document usable for a retry elsewhere.
+// document number. It validates everything that can fail before touching
+// the caller's tree, and restores the document's prior numbering if the
+// build fails anyway — a failed build must leave the caller's document
+// usable for a retry elsewhere.
 func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
+	return packing(buildDocumentAs(doc, docID, opts))
+}
+
+// buildDocumentAs is BuildDocumentAs without the final pack: the flat
+// partial an append merges.
+func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("index: build of empty document")
 	}
@@ -516,7 +505,7 @@ func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, 
 	oldID := doc.DocID
 	doc.DocID = docID
 	doc.AssignIDs()
-	ix, err := BuildDocument(doc, opts)
+	ix, err := buildFlat(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
 	if err != nil {
 		doc.DocID = oldID
 		doc.AssignIDs()

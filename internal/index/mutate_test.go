@@ -40,11 +40,12 @@ func rebuildFrom(t *testing.T, docs ...*xmltree.Document) *Index {
 // document names.
 func assertLiveEqual(t *testing.T, label string, want, got *Index) {
 	t.Helper()
-	if len(want.Nodes) != len(got.Nodes) {
-		t.Fatalf("%s: %d nodes, want %d", label, len(got.Nodes), len(want.Nodes))
+	wantRows, gotRows := rows(want), rows(got)
+	if len(wantRows) != len(gotRows) {
+		t.Fatalf("%s: %d nodes, want %d", label, len(gotRows), len(wantRows))
 	}
-	for i := range want.Nodes {
-		w, g := &want.Nodes[i], &got.Nodes[i]
+	for i := range wantRows {
+		w, g := &wantRows[i], &gotRows[i]
 		if !dewey.Equal(w.ID, g.ID) || want.Labels[w.Label] != got.Labels[g.Label] ||
 			w.Cat != g.Cat || w.ChildCount != g.ChildCount || w.Subtree != g.Subtree ||
 			w.Parent != g.Parent || w.HasValue != g.HasValue || w.Value != g.Value {
@@ -84,7 +85,7 @@ func TestDeleteDocTombstoneSemantics(t *testing.T) {
 	b := wordDoc("b.xml", 1, "banana", "shared")
 	c := wordDoc("c.xml", 2, "cherry", "shared")
 	ix := rebuildFrom(t, a, b, c)
-	nodesBefore := len(ix.Nodes)
+	nodesBefore := ix.NodeCount()
 	sharedBefore := len(ix.Lookup("shared"))
 
 	del, err := ix.DeleteDoc("b.xml")
@@ -93,7 +94,7 @@ func TestDeleteDocTombstoneSemantics(t *testing.T) {
 	}
 
 	// The receiver is untouched — old searchers keep a complete view.
-	if len(ix.Nodes) != nodesBefore || len(ix.Lookup("shared")) != sharedBefore ||
+	if ix.NodeCount() != nodesBefore || len(ix.Lookup("shared")) != sharedBefore ||
 		!ix.ContainsDoc("b.xml") || ix.Tombstoned() {
 		t.Fatal("DeleteDoc mutated the receiver")
 	}
@@ -186,13 +187,17 @@ func TestDeleteThenAppendEqualsRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Tombstoned() {
-		t.Fatal("append did not compact the tombstones away")
+	// The delta append carries the tombstone forward.
+	if !next.Tombstoned() || next.ContainsDoc("a.xml") {
+		t.Fatalf("append dropped the tombstone: live docs %v", next.LiveDocs())
 	}
 	// The appended document takes id 3 (one past the max live id, keeping
 	// the node table in Dewey order despite the hole at id 0).
 	want := rebuildFrom(t, b, c, wordDoc("n.xml", 3, "nectarine", "shared"))
-	assertLiveEqual(t, "delete+append", want, next)
+	if next.Stats != want.Stats {
+		t.Fatalf("delete+append: stats %+v, want %+v", next.Stats, want.Stats)
+	}
+	assertLiveEqual(t, "delete+append", want, next.Compacted())
 }
 
 // TestAppendFailureLeavesDocumentUntouched is the regression test for the
@@ -331,7 +336,7 @@ func TestRandomMutationsEqualRebuild(t *testing.T) {
 }
 
 // TestDocHolds checks the probe against every index state a serving system
-// can be in: plain, tombstoned, duplicate names, packed and lazily backed.
+// can be in: plain, tombstoned, duplicate names and lazily backed.
 func TestDocHolds(t *testing.T) {
 	a := wordDoc("a.xml", 0, "apple", "shared")
 	b := wordDoc("b.xml", 1, "banana", "shared")
@@ -356,21 +361,18 @@ func TestDocHolds(t *testing.T) {
 		check(label, ix, "c.xml", map[string]bool{"cherry": true, "item": true, "shared": false, "blueberry": false})
 		check(label, ix, "nope.xml", map[string]bool{"apple": false, "item": false})
 	}
-	every("flat", ix)
-	every("packed", ix.Pack())
+	every("plain", ix)
 	every("lazy", NewLazy(&Index{
-		Labels: ix.Labels, Nodes: ix.Nodes, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs,
+		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, packed: ix.packed,
 	}, &memSource{posts: ix.Postings}))
 
-	for label, base := range map[string]*Index{"tombstoned": ix, "tombstoned packed": ix.Pack()} {
-		del, err := base.DeleteDoc("b.xml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label, del, "b.xml", map[string]bool{"banana": false, "shared": false, "item": false})
-		check(label, del, "a.xml", map[string]bool{"apple": true, "shared": true, "banana": false})
-		check(label, del, "c.xml", map[string]bool{"cherry": true, "shared": false})
+	del, err := ix.DeleteDoc("b.xml")
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("tombstoned", del, "b.xml", map[string]bool{"banana": false, "shared": false, "item": false})
+	check("tombstoned", del, "a.xml", map[string]bool{"apple": true, "shared": true, "banana": false})
+	check("tombstoned", del, "c.xml", map[string]bool{"cherry": true, "shared": false})
 }
 
 // failingSource is a PostingSource whose storage is gone.
@@ -383,7 +385,7 @@ func (failingSource) Postings(string) ([]int32, error) { return nil, errors.New(
 func TestDocHoldsLazyFetchFailure(t *testing.T) {
 	ix := rebuildFrom(t, wordDoc("a.xml", 0, "apple"), wordDoc("b.xml", 1, "banana"))
 	lazy := NewLazy(&Index{
-		Labels: ix.Labels, Nodes: ix.Nodes, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs,
+		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, packed: ix.packed,
 	}, &failingSource{})
 	if !lazy.DocHolds("a.xml")("banana") {
 		t.Error("an unreadable list was reported as not held")

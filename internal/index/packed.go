@@ -21,10 +21,12 @@ import (
 // 4-byte-per-node dispatch array — and expansion to a full NodeInfo (Dewey
 // path included) happens lazily at result-lift/snippet time.
 //
-// The packed table is a read-only serving form. Mutation entry points
-// materialize the flat table first (mirroring how lazy posting sources are
-// materialized before mutation) and Compacted() re-packs, so a packed
-// index survives delete/compact churn without losing its representation.
+// It is the only node table an index serves from. Builders fill a flat
+// []NodeInfo and pack it (pack, packing); deletes tombstone against the
+// packed table, appends extend it in place (packed_append.go), and the
+// paths that must rewrite rows — compaction, a full repack, schema
+// re-categorization — expand the rows they keep, edit them flat and pack
+// the result.
 //
 // Layout. Every ordinal is either a *spine* node (stored individually) or
 // part of an *instance* (a subtree that shares a shape with at least one
@@ -91,18 +93,9 @@ type packedNodes struct {
 	app        *appendState
 }
 
-// IsPacked reports whether the node table is DAG-compressed.
-func (ix *Index) IsPacked() bool { return ix.packed != nil }
-
-// NodeCount returns the number of element nodes in the table, packed or
-// flat. It replaces len(ix.Nodes) everywhere a reader must work on both
-// representations.
-func (ix *Index) NodeCount() int {
-	if ix.packed != nil {
-		return len(ix.packed.ordInst)
-	}
-	return len(ix.Nodes)
-}
+// NodeCount returns the number of element nodes (rows) in the table,
+// tombstoned rows included.
+func (ix *Index) NodeCount() int { return len(ix.packed.ordInst) }
 
 // --- O(1) per-ordinal field resolution ---------------------------------
 
@@ -252,8 +245,8 @@ func (p *packedNodes) compareID(ord int32, id dewey.ID) int {
 	return 0
 }
 
-// nodeInfo materializes the full NodeInfo of ord — the lazy expansion used
-// at result-lift/snippet time and by flat materialization.
+// nodeInfo materializes the full NodeInfo of ord — the expansion the
+// row-rewriting paths (flat, unpack) edit before packing again.
 func (p *packedNodes) nodeInfo(ord int32) NodeInfo {
 	n := NodeInfo{
 		ID:         p.idOf(ord),
@@ -272,81 +265,55 @@ func (p *packedNodes) nodeInfo(ord int32) NodeInfo {
 
 // --- packing ------------------------------------------------------------
 
-// Pack returns an index serving from the DAG-compressed node table. The
-// posting lists, label table, document names and statistics are shared
-// with ix (they are immutable); only the node storage changes shape. A
-// tombstoned index is compacted first — the packed form has no delete
-// mask — and packing an already-packed index returns it unchanged.
-// Packing is deterministic: equal flat tables pack to equal packed tables.
-func (ix *Index) Pack() *Index {
-	if ix.packed != nil {
-		return ix
-	}
-	ix = ix.Compacted()
-	out := &Index{
-		Labels:   ix.Labels,
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-		labelIDs: ix.labelIDs,
-		lazy:     ix.lazy,
-		packed:   packNodes(ix.Nodes),
-	}
-	return out
-}
-
-// Unpacked returns a flat-table equivalent of the index: every node is
-// materialized into a fresh []NodeInfo. An already-flat index is returned
-// as-is. Mutation paths that must edit node records in place (appends,
-// schema re-categorization) call this before operating and may re-Pack
-// afterwards.
-func (ix *Index) Unpacked() *Index {
-	if ix.packed == nil {
-		return ix
-	}
-	p := ix.packed
+// unpack expands every row of the table, tombstoned ones included, into
+// the builders' flat form; ordinals are unchanged.
+func (p *packedNodes) unpack() []NodeInfo {
 	nodes := make([]NodeInfo, len(p.ordInst))
 	for ord := range nodes {
 		nodes[ord] = p.nodeInfo(int32(ord))
 	}
-	return &Index{
-		Labels:   ix.Labels,
-		Nodes:    nodes,
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-		labelIDs: ix.labelIDs,
-		lazy:     ix.lazy,
-		tomb:     ix.tomb,
-	}
+	return nodes
 }
 
-// UnpackInPlace materializes the flat node table into ix itself and drops
-// the packed form. Unlike Unpacked it mutates the receiver, keeping
-// ordinals, the tombstone mask and the shared postings untouched — the
-// entry half of the unpack→edit→RepackInPlace dance used by in-place
-// mutators such as schema re-categorization.
-func (ix *Index) UnpackInPlace() {
-	if ix.packed == nil {
-		return
-	}
-	p := ix.packed
-	nodes := make([]NodeInfo, len(p.ordInst))
-	for ord := range nodes {
-		nodes[ord] = p.nodeInfo(int32(ord))
-	}
-	ix.Nodes, ix.packed = nodes, nil
+// pack replaces the builders' flat table with the packed one, in place,
+// and returns ix. Packing is deterministic: equal flat tables pack to equal
+// packed tables.
+func (ix *Index) pack() *Index {
+	ix.packed = packNodes(ix.nodes)
+	ix.nodes = nil
+	return ix
 }
 
-// RepackInPlace re-derives the packed node table from ix.Nodes without
-// compacting, so ordinals (and any tombstone mask over them) are
-// preserved. No-op on an already-packed index.
-func (ix *Index) RepackInPlace() {
-	if ix.packed != nil || ix.Nodes == nil {
-		return
+// packing packs a builder's result, passing its error through.
+func packing(ix *Index, err error) (*Index, error) {
+	if err != nil {
+		return nil, err
 	}
-	ix.packed = packNodes(ix.Nodes)
-	ix.Nodes = nil
+	return ix.pack(), nil
+}
+
+// SetCategories installs cats — one category per ordinal, as
+// schema.Summary.Categorize computes them — on the live nodes and returns
+// how many of them changed. The rows are expanded, edited and packed again
+// in place: ordinals, the tombstone mask and the postings stay as they are,
+// so an engine bound to ix sees the new categories at once. Tombstoned rows
+// keep theirs. The category statistics are refreshed.
+func (ix *Index) SetCategories(cats []Category) int {
+	nodes := ix.packed.unpack()
+	changed := 0
+	for _, sp := range ix.LiveSpans() {
+		for ord := sp[0]; ord < sp[1]; ord++ {
+			if nodes[ord].Cat != cats[ord] {
+				nodes[ord].Cat = cats[ord]
+				changed++
+			}
+		}
+	}
+	if changed > 0 {
+		ix.packed = packNodes(nodes)
+	}
+	ix.refreshCategoryStats()
+	return changed
 }
 
 // packNodes builds the packed representation from a flat pre-order table.
@@ -486,38 +453,45 @@ func lastComp(n *NodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
 
 // --- accounting ---------------------------------------------------------
 
-// NodeTableBytes returns the exact heap footprint of the node table's
-// backing storage: for a packed index the sum of its arrays, for a flat
-// one the NodeInfo structs plus every per-node Dewey path backing array
-// and value string. This is the benchmark's index.node_table_mib —
-// computed, not sampled, so it is stable across GC timing.
+// NodeTableBytes returns the exact heap footprint of the packed node
+// table's arrays. This is the benchmark's index.node_table_mib — computed,
+// not sampled, so it is stable across GC timing.
 func (ix *Index) NodeTableBytes() int64 {
-	if p := ix.packed; p != nil {
-		b := int64(len(p.ordInst)) * 4
-		b += int64(len(p.spLabel))*4 + int64(len(p.spCat)) + int64(len(p.spChild))*4 +
-			int64(len(p.spSubtree))*4 + int64(len(p.spParent))*4 + int64(len(p.spLast))*4 +
-			int64(len(p.spDepth))*4 + int64(len(p.spVal))*4
-		b += int64(len(p.inStart))*4 + int64(len(p.inShape))*4 + int64(len(p.inParent))*4 +
-			int64(len(p.inLast))*4 + int64(len(p.inDepth))*4
-		b += int64(len(p.shOff))*4 + int64(len(p.shLabel))*4 + int64(len(p.shCat)) +
-			int64(len(p.shChild))*4 + int64(len(p.shSubtree))*4 + int64(len(p.shParent))*4 +
-			int64(len(p.shLast))*4 + int64(len(p.shDepth))*4 + int64(len(p.shVal))*4
-		b += int64(len(p.valOff))*4 + int64(len(p.valArena))
-		b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4
-		return b
-	}
-	const nodeInfoSize = 72 // unsafe.Sizeof(NodeInfo{}) on 64-bit
-	b := int64(len(ix.Nodes)) * nodeInfoSize
-	for i := range ix.Nodes {
-		n := &ix.Nodes[i]
-		b += int64(len(n.ID.Path)) * 4
-		b += int64(len(n.Value))
-	}
+	p := ix.packed
+	b := int64(len(p.ordInst)) * 4
+	b += int64(len(p.spLabel))*4 + int64(len(p.spCat)) + int64(len(p.spChild))*4 +
+		int64(len(p.spSubtree))*4 + int64(len(p.spParent))*4 + int64(len(p.spLast))*4 +
+		int64(len(p.spDepth))*4 + int64(len(p.spVal))*4
+	b += int64(len(p.inStart))*4 + int64(len(p.inShape))*4 + int64(len(p.inParent))*4 +
+		int64(len(p.inLast))*4 + int64(len(p.inDepth))*4
+	b += int64(len(p.shOff))*4 + int64(len(p.shLabel))*4 + int64(len(p.shCat)) +
+		int64(len(p.shChild))*4 + int64(len(p.shSubtree))*4 + int64(len(p.shParent))*4 +
+		int64(len(p.shLast))*4 + int64(len(p.shDepth))*4 + int64(len(p.shVal))*4
+	b += int64(len(p.valOff))*4 + int64(len(p.valArena))
+	b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4
 	return b
 }
 
-// validatePacked checks the structural invariants of the packed arrays,
-// mirroring what Validate checks on the flat table. Every derived lookup
+// validateNodes checks the packed table's structure and that every label
+// id it holds names an entry of Labels.
+func (ix *Index) validateNodes() error {
+	p := ix.packed
+	if err := p.validatePacked(); err != nil {
+		return err
+	}
+	for _, arr := range [][]int32{p.spLabel, p.shLabel} {
+		for i, l := range arr {
+			if l < 0 || int(l) >= len(ix.Labels) {
+				return fmt.Errorf("packed node record %d: label %d out of range [0,%d)", i, l, len(ix.Labels))
+			}
+		}
+	}
+	return nil
+}
+
+// validatePacked checks the structural invariants of the packed arrays:
+// parents precede children, subtree ranges stay inside the table and
+// every cross-array index is in range. Every derived lookup
 // (shapeSlot, parentOf, docOf) indexes blindly for speed, so a decoded
 // packed image must pass here before it serves.
 func (p *packedNodes) validatePacked() error {
@@ -529,7 +503,7 @@ func (p *packedNodes) validatePacked() error {
 	nVals := int32(len(p.valOff)) - 1
 
 	if nShapes < 0 || nVals < 0 {
-		return fmt.Errorf("index: validate packed: missing offset sentinel")
+		return fmt.Errorf("packed table: missing offset sentinel")
 	}
 	for _, ls := range [][2]int{
 		{len(p.spCat), int(nSpine)}, {len(p.spChild), int(nSpine)},
@@ -545,14 +519,14 @@ func (p *packedNodes) validatePacked() error {
 		{len(p.docNum), len(p.docStart)},
 	} {
 		if ls[0] != ls[1] {
-			return fmt.Errorf("index: validate packed: parallel array length mismatch (%d vs %d)", ls[0], ls[1])
+			return fmt.Errorf("packed table: parallel array length mismatch (%d vs %d)", ls[0], ls[1])
 		}
 	}
 	prev := int32(0)
 	for s := int32(0); s <= nShapes; s++ {
 		off := p.shOff[s]
 		if off < prev || off > nShapeNodes {
-			return fmt.Errorf("index: validate packed: shape offset %d out of order", off)
+			return fmt.Errorf("packed table: shape offset %d out of order", off)
 		}
 		prev = off
 	}
@@ -560,68 +534,68 @@ func (p *packedNodes) validatePacked() error {
 	for v := int32(0); v <= nVals; v++ {
 		off := p.valOff[v]
 		if off < prev || int(off) > len(p.valArena) {
-			return fmt.Errorf("index: validate packed: value offset %d out of order", off)
+			return fmt.Errorf("packed table: value offset %d out of order", off)
 		}
 		prev = off
 	}
 	for i := int32(0); i < nInst; i++ {
 		s := p.inShape[i]
 		if s < 0 || s >= nShapes {
-			return fmt.Errorf("index: validate packed: instance %d: shape %d out of range [0,%d)", i, s, nShapes)
+			return fmt.Errorf("packed table: instance %d: shape %d out of range [0,%d)", i, s, nShapes)
 		}
 		size := p.shOff[s+1] - p.shOff[s]
 		if size < 1 {
-			return fmt.Errorf("index: validate packed: shape %d is empty", s)
+			return fmt.Errorf("packed table: shape %d is empty", s)
 		}
 		start := p.inStart[i]
 		if start < 0 || int64(start)+int64(size) > int64(n) {
-			return fmt.Errorf("index: validate packed: instance %d: range [%d,%d) overruns %d nodes", i, start, start+size, n)
+			return fmt.Errorf("packed table: instance %d: range [%d,%d) overruns %d nodes", i, start, start+size, n)
 		}
 		if par := p.inParent[i]; par < -1 || par >= start {
-			return fmt.Errorf("index: validate packed: instance %d: parent %d is not a preceding ordinal", i, par)
+			return fmt.Errorf("packed table: instance %d: parent %d is not a preceding ordinal", i, par)
 		}
 		if p.inDepth[i] < 0 {
-			return fmt.Errorf("index: validate packed: instance %d: negative depth", i)
+			return fmt.Errorf("packed table: instance %d: negative depth", i)
 		}
 	}
 	for k := int32(0); k < nShapeNodes; k++ {
 		if p.shVal[k] < -1 || p.shVal[k] >= nVals {
-			return fmt.Errorf("index: validate packed: shape node %d: value id %d out of range [−1,%d)", k, p.shVal[k], nVals)
+			return fmt.Errorf("packed table: shape node %d: value id %d out of range [−1,%d)", k, p.shVal[k], nVals)
 		}
 		if p.shSubtree[k] < 1 {
-			return fmt.Errorf("index: validate packed: shape node %d: subtree size %d < 1", k, p.shSubtree[k])
+			return fmt.Errorf("packed table: shape node %d: subtree size %d < 1", k, p.shSubtree[k])
 		}
 		if p.shChild[k] < 0 || p.shDepth[k] < 0 {
-			return fmt.Errorf("index: validate packed: shape node %d: negative child count or depth", k)
+			return fmt.Errorf("packed table: shape node %d: negative child count or depth", k)
 		}
 	}
 	for s := int32(0); s < nShapes; s++ {
 		base, end := p.shOff[s], p.shOff[s+1]
 		if p.shParent[base] != -1 {
-			return fmt.Errorf("index: validate packed: shape %d: root parent %d != -1", s, p.shParent[base])
+			return fmt.Errorf("packed table: shape %d: root parent %d != -1", s, p.shParent[base])
 		}
 		if p.shDepth[base] != 0 {
-			return fmt.Errorf("index: validate packed: shape %d: root depth %d != 0", s, p.shDepth[base])
+			return fmt.Errorf("packed table: shape %d: root depth %d != 0", s, p.shDepth[base])
 		}
 		if p.shSubtree[base] != end-base {
-			return fmt.Errorf("index: validate packed: shape %d: root subtree %d != shape size %d", s, p.shSubtree[base], end-base)
+			return fmt.Errorf("packed table: shape %d: root subtree %d != shape size %d", s, p.shSubtree[base], end-base)
 		}
 		for k := base + 1; k < end; k++ {
 			rel := p.shParent[k]
 			if rel < 0 || rel >= k-base {
-				return fmt.Errorf("index: validate packed: shape %d node %d: parent offset %d is not a preceding offset", s, k-base, rel)
+				return fmt.Errorf("packed table: shape %d node %d: parent offset %d is not a preceding offset", s, k-base, rel)
 			}
 			if int64(k-base)+int64(p.shSubtree[k]) > int64(end-base) {
-				return fmt.Errorf("index: validate packed: shape %d node %d: subtree overruns shape", s, k-base)
+				return fmt.Errorf("packed table: shape %d node %d: subtree overruns shape", s, k-base)
 			}
 		}
 	}
 	for v := int32(0); v < nSpine; v++ {
 		if p.spVal[v] < -1 || p.spVal[v] >= nVals {
-			return fmt.Errorf("index: validate packed: spine %d: value id %d out of range [−1,%d)", v, p.spVal[v], nVals)
+			return fmt.Errorf("packed table: spine %d: value id %d out of range [−1,%d)", v, p.spVal[v], nVals)
 		}
 		if p.spSubtree[v] < 1 || p.spChild[v] < 0 || p.spDepth[v] < 0 {
-			return fmt.Errorf("index: validate packed: spine %d: negative or zero structural field", v)
+			return fmt.Errorf("packed table: spine %d: negative or zero structural field", v)
 		}
 	}
 	// The dispatch array must tile [0,n) consistently: spine slots and
@@ -632,44 +606,44 @@ func (p *packedNodes) validatePacked() error {
 		if v < 0 {
 			slot := ^v
 			if slot >= nSpine {
-				return fmt.Errorf("index: validate packed: ordinal %d: spine slot %d out of range [0,%d)", ord, slot, nSpine)
+				return fmt.Errorf("packed table: ordinal %d: spine slot %d out of range [0,%d)", ord, slot, nSpine)
 			}
 			if par := p.spParent[slot]; par < -1 || par >= ord {
-				return fmt.Errorf("index: validate packed: ordinal %d: parent %d is not a preceding ordinal", ord, par)
+				return fmt.Errorf("packed table: ordinal %d: parent %d is not a preceding ordinal", ord, par)
 			}
 			if int64(ord)+int64(p.spSubtree[slot]) > int64(n) {
-				return fmt.Errorf("index: validate packed: ordinal %d: subtree overruns %d nodes", ord, n)
+				return fmt.Errorf("packed table: ordinal %d: subtree overruns %d nodes", ord, n)
 			}
 			continue
 		}
 		if v >= nInst {
-			return fmt.Errorf("index: validate packed: ordinal %d: instance %d out of range [0,%d)", ord, v, nInst)
+			return fmt.Errorf("packed table: ordinal %d: instance %d out of range [0,%d)", ord, v, nInst)
 		}
 		if k := ord - p.inStart[v]; k < 0 || k >= p.shOff[p.inShape[v]+1]-p.shOff[p.inShape[v]] {
-			return fmt.Errorf("index: validate packed: ordinal %d: outside instance %d's range", ord, v)
+			return fmt.Errorf("packed table: ordinal %d: outside instance %d's range", ord, v)
 		}
 		if v != seenInst && ord != p.inStart[v] {
-			return fmt.Errorf("index: validate packed: instance %d entered mid-range at ordinal %d", v, ord)
+			return fmt.Errorf("packed table: instance %d entered mid-range at ordinal %d", v, ord)
 		}
 		seenInst = v
 	}
 	if len(p.docStart) == 0 && n > 0 {
-		return fmt.Errorf("index: validate packed: no document roots for %d nodes", n)
+		return fmt.Errorf("packed table: no document roots for %d nodes", n)
 	}
 	prev = -1
 	for k, start := range p.docStart {
 		if start < 0 || start >= n || start <= prev {
-			return fmt.Errorf("index: validate packed: document root %d out of order or out of range", start)
+			return fmt.Errorf("packed table: document root %d out of order or out of range", start)
 		}
 		if p.ordInst[start] < 0 {
 			if p.spParent[^p.ordInst[start]] != -1 {
-				return fmt.Errorf("index: validate packed: document root ordinal %d has a parent", start)
+				return fmt.Errorf("packed table: document root ordinal %d has a parent", start)
 			}
 		} else if p.inParent[p.ordInst[start]] != -1 || p.inStart[p.ordInst[start]] != start {
-			return fmt.Errorf("index: validate packed: document root ordinal %d has a parent", start)
+			return fmt.Errorf("packed table: document root ordinal %d has a parent", start)
 		}
 		if k > 0 && p.docNum[k] <= p.docNum[k-1] {
-			return fmt.Errorf("index: validate packed: document numbers out of order at root %d", start)
+			return fmt.Errorf("packed table: document numbers out of order at root %d", start)
 		}
 		prev = start
 	}

@@ -11,117 +11,131 @@ import (
 	"repro/internal/xmltree"
 )
 
-// packedCorpora builds the corpora the packed-table tests sweep: the
+// packedRepos builds the repositories the packed-table tests sweep: the
 // paper's running examples, a repetitive replicated repository (whole
 // documents dedup into instances) and low-repetition generator shapes.
-func packedCorpora(t *testing.T) map[string]*Index {
+// Every call builds fresh documents, so a caller may mutate them.
+func packedRepos() map[string]*xmltree.Repository {
+	multi := &xmltree.Repository{}
+	multi.Add(xmltree.BuildFigure2a())
+	multi.Add(xmltree.BuildFigure1())
+	fig2a := &xmltree.Repository{}
+	fig2a.Add(xmltree.BuildFigure2a())
+	return map[string]*xmltree.Repository{
+		"fig2a": fig2a,
+		"multi": multi,
+		"replicated": datagen.Replicate(func() *xmltree.Document {
+			return datagen.SigmodRecord(datagen.BibConfig{Config: datagen.Config{Seed: 7}, Entries: 40})
+		}, 4),
+		"dblp": datagen.Repo(datagen.DBLP(datagen.BibConfig{
+			Config: datagen.Config{Seed: 11}, Entries: 150,
+		})),
+		"dblp-dup": datagen.Repo(datagen.DBLP(datagen.BibConfig{
+			Config: datagen.Config{Seed: 11}, Entries: 150, DupFraction: 0.6,
+		})),
+		"mondial": datagen.Repo(datagen.Mondial(datagen.Config{Seed: 5})),
+	}
+}
+
+// packedCorpus is one packedRepos entry built both ways: the served index
+// and the builder's flat table it must reproduce.
+type packedCorpus struct {
+	ix   *Index
+	flat *Index
+}
+
+func packedCorpora(t *testing.T) map[string]packedCorpus {
 	t.Helper()
-	build := func(repo *xmltree.Repository) *Index {
+	out := map[string]packedCorpus{}
+	for name, repo := range packedRepos() {
 		ix, err := Build(repo, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		out[name] = packedCorpus{ix: ix, flat: flatBuild(t, repo)}
 	}
-	multi := &xmltree.Repository{}
-	multi.Add(xmltree.BuildFigure2a())
-	multi.Add(xmltree.BuildFigure1())
-	return map[string]*Index{
-		"fig2a": buildFig2a(t),
-		"multi": build(multi),
-		"replicated": build(datagen.Replicate(func() *xmltree.Document {
-			return datagen.SigmodRecord(datagen.BibConfig{Config: datagen.Config{Seed: 7}, Entries: 40})
-		}, 4)),
-		"dblp": build(datagen.Repo(datagen.DBLP(datagen.BibConfig{
-			Config: datagen.Config{Seed: 11}, Entries: 150,
-		}))),
-		"dblp-dup": build(datagen.Repo(datagen.DBLP(datagen.BibConfig{
-			Config: datagen.Config{Seed: 11}, Entries: 150, DupFraction: 0.6,
-		}))),
-		"mondial": build(datagen.Repo(datagen.Mondial(datagen.Config{Seed: 5}))),
-	}
+	return out
 }
 
-// assertAccessorsEqual compares every per-ordinal accessor of two indexes
-// that must describe identical logical tables (one may be packed).
-func assertAccessorsEqual(t *testing.T, flat, packed *Index) {
+// assertAccessorsMatch is the accessor oracle: every per-ordinal accessor
+// of ix must return the field of the flat reference row at the same
+// ordinal, for every row of the table.
+func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 	t.Helper()
-	if flat.NodeCount() != packed.NodeCount() {
-		t.Fatalf("node counts differ: %d vs %d", flat.NodeCount(), packed.NodeCount())
+	if n := ix.NodeCount(); n != len(want.nodes) {
+		t.Fatalf("%s: %d rows, want %d", label, n, len(want.nodes))
 	}
-	for ord := int32(0); ord < int32(flat.NodeCount()); ord++ {
-		if a, b := flat.LabelIDOf(ord), packed.LabelIDOf(ord); a != b {
-			t.Fatalf("ord %d: label %d vs %d", ord, a, b)
+	for i := range want.nodes {
+		w, ord := &want.nodes[i], int32(i)
+		switch {
+		case ix.Labels[ix.LabelIDOf(ord)] != want.Labels[w.Label]:
+			t.Fatalf("%s: ord %d: label %q, want %q", label, ord, ix.Labels[ix.LabelIDOf(ord)], want.Labels[w.Label])
+		case ix.CatOf(ord) != w.Cat:
+			t.Fatalf("%s: ord %d: cat %v, want %v", label, ord, ix.CatOf(ord), w.Cat)
+		case ix.ChildCountOf(ord) != w.ChildCount:
+			t.Fatalf("%s: ord %d: child count %d, want %d", label, ord, ix.ChildCountOf(ord), w.ChildCount)
+		case ix.SubtreeSizeOf(ord) != w.Subtree:
+			t.Fatalf("%s: ord %d: subtree %d, want %d", label, ord, ix.SubtreeSizeOf(ord), w.Subtree)
+		case ix.ParentOf(ord) != w.Parent:
+			t.Fatalf("%s: ord %d: parent %d, want %d", label, ord, ix.ParentOf(ord), w.Parent)
+		case ix.DepthOf(ord) != int32(w.ID.Depth()):
+			t.Fatalf("%s: ord %d: depth %d, want %d", label, ord, ix.DepthOf(ord), w.ID.Depth())
+		case ix.HasValueAt(ord) != w.HasValue:
+			t.Fatalf("%s: ord %d: has-value %v, want %v", label, ord, ix.HasValueAt(ord), w.HasValue)
+		case ix.ValueAt(ord) != w.Value:
+			t.Fatalf("%s: ord %d: value %q, want %q", label, ord, ix.ValueAt(ord), w.Value)
+		case !dewey.Equal(ix.IDOf(ord), w.ID):
+			t.Fatalf("%s: ord %d: id %v, want %v", label, ord, ix.IDOf(ord), w.ID)
+		case ix.DocOf(ord) != w.ID.Doc:
+			t.Fatalf("%s: ord %d: doc %d, want %d", label, ord, ix.DocOf(ord), w.ID.Doc)
 		}
-		if a, b := flat.CatOf(ord), packed.CatOf(ord); a != b {
-			t.Fatalf("ord %d: cat %v vs %v", ord, a, b)
-		}
-		if a, b := flat.ChildCountOf(ord), packed.ChildCountOf(ord); a != b {
-			t.Fatalf("ord %d: child count %d vs %d", ord, a, b)
-		}
-		if a, b := flat.SubtreeSizeOf(ord), packed.SubtreeSizeOf(ord); a != b {
-			t.Fatalf("ord %d: subtree %d vs %d", ord, a, b)
-		}
-		if a, b := flat.ParentOf(ord), packed.ParentOf(ord); a != b {
-			t.Fatalf("ord %d: parent %d vs %d", ord, a, b)
-		}
-		if a, b := flat.DepthOf(ord), packed.DepthOf(ord); a != b {
-			t.Fatalf("ord %d: depth %d vs %d", ord, a, b)
-		}
-		if a, b := flat.HasValueAt(ord), packed.HasValueAt(ord); a != b {
-			t.Fatalf("ord %d: has-value %v vs %v", ord, a, b)
-		}
-		if a, b := flat.ValueAt(ord), packed.ValueAt(ord); a != b {
-			t.Fatalf("ord %d: value %q vs %q", ord, a, b)
-		}
-		if a, b := flat.IDOf(ord), packed.IDOf(ord); !dewey.Equal(a, b) {
-			t.Fatalf("ord %d: id %v vs %v", ord, a, b)
-		}
-		if a, b := flat.DocOf(ord), packed.DocOf(ord); a != b {
-			t.Fatalf("ord %d: doc %d vs %d", ord, a, b)
+		got, ok := ix.OrdinalOf(w.ID)
+		if live := ix.LiveOrd(ord); ok != live || (ok && got != ord) {
+			t.Fatalf("%s: ord %d (live %v): OrdinalOf(%v) = %d, %v", label, ord, live, w.ID, got, ok)
 		}
 	}
 }
 
 func TestPackAccessorsMatchFlat(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
-			if !packed.IsPacked() || flat.IsPacked() {
-				t.Fatal("Pack must produce a packed copy and leave the flat source flat")
-			}
-			if err := packed.Validate(); err != nil {
+			if err := c.ix.Validate(); err != nil {
 				t.Fatalf("packed index fails validation: %v", err)
 			}
-			assertAccessorsEqual(t, flat, packed)
+			assertAccessorsMatch(t, name, c.flat, c.ix)
 
-			p := packed.packed
+			p := c.ix.packed
 			t.Logf("%s: %d nodes → %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B); %d B vs flat %d B",
 				name, len(p.ordInst), len(p.spLabel), len(p.inStart), len(p.shOff)-1, len(p.shLabel),
-				len(p.valOff)-1, len(p.valArena), packed.NodeTableBytes(), flat.NodeTableBytes())
+				len(p.valOff)-1, len(p.valArena), c.ix.NodeTableBytes(), flatNodeBytes(c.flat.nodes))
 		})
 	}
 }
 
+// TestPackUnpackedRoundTrip: expanding the packed table gives back exactly
+// the rows the builder packed.
 func TestPackUnpackedRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			back := flat.Pack().Unpacked()
-			if back.IsPacked() {
-				t.Fatal("Unpacked must return a flat index")
+			got := rows(c.ix)
+			for i := range c.flat.nodes {
+				w, g := &c.flat.nodes[i], &got[i]
+				if !dewey.Equal(w.ID, g.ID) || w.Label != g.Label || w.Cat != g.Cat ||
+					w.ChildCount != g.ChildCount || w.Subtree != g.Subtree ||
+					w.Parent != g.Parent || w.HasValue != g.HasValue || w.Value != g.Value {
+					t.Fatalf("row %d: %+v, want %+v", i, g, w)
+				}
 			}
-			assertIndexesEqual(t, flat, back)
 		})
 	}
 }
 
 func TestPackIsDeterministic(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
 	var a, b bytes.Buffer
-	if err := flat.Pack().SaveBinary(&a); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := flat.Pack().SaveBinary(&b); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -130,16 +144,15 @@ func TestPackIsDeterministic(t *testing.T) {
 }
 
 func TestPackedOrdinalOf(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-	for ord := int32(0); ord < int32(flat.NodeCount()); ord++ {
-		got, ok := packed.OrdinalOf(flat.IDOf(ord))
-		if !ok || got != ord {
-			t.Fatalf("ord %d: OrdinalOf(%v) = %d, %v", ord, flat.IDOf(ord), got, ok)
+	c := packedCorpora(t)["replicated"]
+	for i := range c.flat.nodes {
+		got, ok := c.ix.OrdinalOf(c.flat.nodes[i].ID)
+		if !ok || got != int32(i) {
+			t.Fatalf("ord %d: OrdinalOf(%v) = %d, %v", i, c.flat.nodes[i].ID, got, ok)
 		}
 	}
 	// A Dewey ID that is not in the table must not be found.
-	if _, ok := packed.OrdinalOf(dewey.ID{Doc: 9999, Path: []int32{1, 2, 3}}); ok {
+	if _, ok := c.ix.OrdinalOf(dewey.ID{Doc: 9999, Path: []int32{1, 2, 3}}); ok {
 		t.Fatal("absent id must not resolve")
 	}
 }
@@ -147,81 +160,67 @@ func TestPackedOrdinalOf(t *testing.T) {
 func TestPackedDedupsReplicatedDocs(t *testing.T) {
 	// Four identical replicas: at least three document roots must collapse
 	// into instances of the first replica's shape.
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-	if n := len(packed.packed.inStart); n < 3 {
+	c := packedCorpora(t)["replicated"]
+	if n := len(c.ix.packed.inStart); n < 3 {
 		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", n)
 	}
-	if fb, pb := flat.NodeTableBytes(), packed.NodeTableBytes(); pb*2 > fb {
+	if fb, pb := flatNodeBytes(c.flat.nodes), c.ix.NodeTableBytes(); pb*2 > fb {
 		t.Errorf("replicated corpus should pack to <1/2 of flat: packed %d B vs flat %d B", pb, fb)
 	}
 }
 
 func TestPackedBinaryRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
 			var buf bytes.Buffer
-			if err := packed.SaveBinary(&buf); err != nil {
+			if err := c.ix.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
 			back, err := Load(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !back.IsPacked() {
-				t.Fatal("v3 image must load packed")
-			}
 			if err := back.Validate(); err != nil {
 				t.Fatalf("loaded packed index fails validation: %v", err)
 			}
-			assertAccessorsEqual(t, flat, back)
-			assertIndexesEqual(t, flat, back.Unpacked())
+			assertAccessorsMatch(t, name, c.flat, back)
+			assertIndexesEqual(t, c.ix, back)
 		})
 	}
 }
 
 func TestPackedSnapshotRoundTrip(t *testing.T) {
-	flat := packedCorpora(t)["dblp-dup"]
-	packed := flat.Pack()
+	c := packedCorpora(t)["dblp-dup"]
 	var buf bytes.Buffer
-	if err := packed.SaveSnapshot(&buf); err != nil {
+	if err := c.ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.IsPacked() {
-		t.Fatal("snapshot of a packed index must load packed")
-	}
-	assertAccessorsEqual(t, flat, back)
+	assertAccessorsMatch(t, "snapshot", c.flat, back)
 }
 
 func TestPackedMetaRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
 			var buf bytes.Buffer
-			if err := EncodeMeta(&buf, packed); err != nil {
+			if err := EncodeMeta(&buf, c.ix); err != nil {
 				t.Fatal(err)
 			}
 			back, err := DecodeMeta(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !back.IsPacked() {
-				t.Fatal("packed meta must decode packed")
-			}
-			assertAccessorsEqual(t, flat, back)
+			assertAccessorsMatch(t, name, c.flat, back)
 		})
 	}
 }
 
 func TestPackedCodecRejectsDamage(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
 	var buf bytes.Buffer
-	if err := flat.Pack().SaveBinary(&buf); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -256,42 +255,44 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestPackedDeleteAndCompact: a delete tombstones against the shared
+// packed table, and compaction re-packs the survivors into exactly the
+// table a cold build of them produces.
 func TestPackedDeleteAndCompact(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-
-	delP, err := packed.DeleteDoc(packed.DocNames[1])
+	repo := packedRepos()["replicated"]
+	ix, err := Build(repo, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delP.IsPacked() {
-		t.Fatal("deleting from a packed index must keep it packed")
-	}
-	delF, err := flat.DeleteDoc(flat.DocNames[1])
+	del, err := ix.DeleteDoc(ix.DocNames[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delP.Stats != delF.Stats {
-		t.Fatalf("tombstoned stats differ: %+v vs %+v", delP.Stats, delF.Stats)
+	if del.packed != ix.packed {
+		t.Fatal("a delete must share the predecessor's node table")
+	}
+	survivors := &xmltree.Repository{Docs: append([]*xmltree.Document{repo.Docs[0]}, repo.Docs[2:]...)}
+	cold, err := Build(survivors, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del.Stats != cold.Stats {
+		t.Fatalf("tombstoned stats %+v, want %+v", del.Stats, cold.Stats)
 	}
 
-	compP, compF := delP.Compacted(), delF.Compacted()
-	if !compP.IsPacked() {
-		t.Fatal("compacting a packed index must re-pack")
-	}
-	assertAccessorsEqual(t, compF, compP)
-	assertIndexesEqual(t, compF, compP.Unpacked())
+	comp := del.Compacted()
+	assertAccessorsMatch(t, "compacted", flatBuild(t, survivors), comp)
 
-	// The re-packed table must byte-match a cold rebuild's pack.
+	// The re-packed table must byte-match a cold build's pack.
 	var a, b bytes.Buffer
-	if err := compP.SaveBinary(&a); err != nil {
+	if err := comp.SaveBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := compF.Pack().SaveBinary(&b); err != nil {
+	if err := cold.SaveBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("compacted re-pack must byte-match packing the compacted flat table")
+		t.Fatal("compacted re-pack must byte-match a cold build of the survivors")
 	}
 }
 
@@ -311,22 +312,20 @@ func TestPackedTextInterleavingNotMerged(t *testing.T) {
 		a2.Append(xmltree.T("text before"))
 		root.Append(a2)
 	}
-	doc := xmltree.NewDocument("interleave.xml", 0, root)
-	flat, err := BuildDocument(doc, DefaultOptions())
+	repo := &xmltree.Repository{Docs: []*xmltree.Document{xmltree.NewDocument("interleave.xml", 0, root)}}
+	ix, err := Build(repo, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := flat.Pack()
-	if err := packed.Validate(); err != nil {
+	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	assertAccessorsEqual(t, flat, packed)
+	assertAccessorsMatch(t, "interleave", flatBuild(t, repo), ix)
 }
 
 func TestNodeTableBytesAccounting(t *testing.T) {
-	flat := packedCorpora(t)["dblp-dup"]
-	packed := flat.Pack()
-	fb, pb := flat.NodeTableBytes(), packed.NodeTableBytes()
+	c := packedCorpora(t)["dblp-dup"]
+	fb, pb := flatNodeBytes(c.flat.nodes), c.ix.NodeTableBytes()
 	if fb <= 0 || pb <= 0 {
 		t.Fatalf("node table byte accounting must be positive: flat %d, packed %d", fb, pb)
 	}

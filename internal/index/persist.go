@@ -24,9 +24,10 @@ type persisted struct {
 const formatVersion = 1
 
 // Load reads an index in the legacy gob format (v1, no longer written),
-// or one written by SaveBinary (compact binary, format v2) or SaveSnapshot
-// (checksummed envelope, format v3); the format is auto-detected from the
-// leading bytes. Damaged input fails with an ErrCorrupt-wrapped error;
+// or one written by SaveBinary (compact binary, GKSI) or SaveSnapshot
+// (checksummed envelope, GKS3); the format is auto-detected from the
+// leading bytes. The index comes back packed whatever table the image
+// stored. Damaged input fails with an ErrCorrupt-wrapped error;
 // v1/v2 streams detect damage on decode, while v3 verifies a CRC32 before
 // decoding.
 func Load(r io.Reader) (*Index, error) {
@@ -76,17 +77,20 @@ func loadGob(r io.Reader) (ix *Index, err error) {
 	}
 	ix = &Index{
 		Labels:   p.Labels,
-		Nodes:    p.Nodes,
 		Postings: p.Postings,
 		DocNames: p.DocNames,
 		Stats:    p.Stats,
 		labelIDs: make(map[string]int32, len(p.Labels)),
+		nodes:    p.Nodes,
 	}
 	if ix.Postings == nil {
 		ix.Postings = make(map[string][]int32)
 	}
 	for i, l := range ix.Labels {
 		ix.labelIDs[l] = int32(i)
+	}
+	if err := ix.packImported(); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -125,12 +129,9 @@ func LoadFile(path string) (*Index, error) {
 
 // SizeBytes returns the size of the serialized index — the "Index Size"
 // column of Table 4 — as written by SaveSnapshot, the v3 checksummed
-// format everything actually ships. It used to measure the legacy gob v1
-// encoding, which forced a Materialized()+Unpacked() flattening of the
-// whole index and reported a format nothing writes anymore; the snapshot
-// writer streams lazy postings straight from their source and serializes
-// a packed node table without unpacking it, so this is cheap on every
-// representation.
+// format everything actually ships. The snapshot writer streams lazy
+// postings straight from their source and serializes the packed node
+// table as it is, so this never materializes anything.
 func (ix *Index) SizeBytes() (int64, error) {
 	var cw countWriter
 	if err := ix.SaveSnapshot(&cw); err != nil {

@@ -25,7 +25,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // Snapshot format ("GKS3", version 3): a durability envelope around the
-// compact binary codec (format v2, binary.go). The v2 payload is framed by a
+// compact binary codec (GKSI, binary.go). The GKSI payload is framed by a
 // self-describing header and sealed with a trailing checksum so that
 // truncation and bit flips are detected up front — the loader never decodes
 // damaged bytes into a serving index.
@@ -37,7 +37,7 @@ func corruptf(format string, args ...any) error {
 //	header (headerLen bytes):
 //	    envelope version (= 3)            uvarint
 //	    payloadLen                        uvarint
-//	payload (payloadLen bytes):           a complete v2 image ("GKSI"...)
+//	payload (payloadLen bytes):           a complete GKSI image
 //	crc32                                 4 bytes little-endian,
 //	                                      IEEE over header ++ payload
 const snapshotMagic = "GKS3"
@@ -50,19 +50,25 @@ const maxSnapshotHeader = 1 << 10
 
 // SaveSnapshot writes the index in the checksummed snapshot format (v3).
 // This is the durable on-disk format used by SaveFile; SaveBinary remains
-// available for raw v2 streams and Save for the legacy gob format.
+// available for raw GKSI streams.
 func (ix *Index) SaveSnapshot(w io.Writer) error {
 	var payload bytes.Buffer
 	if err := ix.SaveBinary(&payload); err != nil {
 		return err
 	}
+	return sealSnapshot(w, payload.Bytes())
+}
+
+// sealSnapshot writes payload, a complete GKSI image, in the GKS3
+// envelope.
+func sealSnapshot(w io.Writer, payload []byte) error {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, snapshotVersion)
-	hdr = binary.AppendUvarint(hdr, uint64(payload.Len()))
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
 
 	crc := crc32.NewIEEE()
 	crc.Write(hdr)
-	crc.Write(payload.Bytes())
+	crc.Write(payload)
 
 	var frame []byte
 	frame = append(frame, snapshotMagic...)
@@ -71,7 +77,7 @@ func (ix *Index) SaveSnapshot(w io.Writer) error {
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("index: save snapshot: %w", err)
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return fmt.Errorf("index: save snapshot: %w", err)
 	}
 	var tail [4]byte
@@ -135,7 +141,7 @@ func loadSnapshotAfterMagic(br *bufio.Reader) (*Index, error) {
 	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
 		return nil, corruptf("snapshot checksum mismatch: stored %08x, computed %08x", got, want)
 	}
-	// The payload is a verified, complete v2 image; decode it with its
+	// The payload is a verified, complete GKSI image; decode it with its
 	// exact size as the allocation bound.
 	return loadSized(bytes.NewReader(payload), int64(len(payload)))
 }

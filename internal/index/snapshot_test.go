@@ -65,6 +65,37 @@ func TestSnapshotDetectsTruncation(t *testing.T) {
 	}
 }
 
+// TestSnapshotTruncationTypedAtEveryBoundary is the regression for the
+// loader's truncation reporting: a snapshot cut at ANY byte boundary —
+// including inside the final length-framed payload section, which used to
+// surface as a generic unexpected-EOF I/O error — must load as a typed
+// ErrCorrupt, and the file-level loader must name the file.
+func TestSnapshotTruncationTypedAtEveryBoundary(t *testing.T) {
+	ix := buildFig2a(t)
+	var buf bytes.Buffer
+	if err := ix.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "trunc.gksidx")
+	for cut := 0; cut < len(good); cut++ {
+		_, err := Load(bytes.NewReader(good[:cut]))
+		if err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes loaded without error", cut, len(good))
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at byte %d: error not typed ErrCorrupt: %v", cut, err)
+		}
+
+		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("cut at byte %d: LoadFile error %v does not name %s as corrupt", cut, err, path)
+		}
+	}
+}
+
 // failAfterWriter errors once n bytes have been written — the simulated
 // crash / full disk in the middle of a snapshot save.
 type failAfterWriter struct {
@@ -259,12 +290,12 @@ func TestValidateCatchesDamage(t *testing.T) {
 	}
 
 	mutate := map[string]func(*Index){
-		"label out of range":   func(ix *Index) { ix.Nodes[0].Label = int32(len(ix.Labels)) },
-		"parent not preceding": func(ix *Index) { ix.Nodes[1].Parent = 1 },
-		"subtree overruns":     func(ix *Index) { ix.Nodes[0].Subtree = int32(len(ix.Nodes)) + 5 },
+		"label out of range":   func(ix *Index) { ix.packed.spLabel[0] = int32(len(ix.Labels)) },
+		"parent not preceding": func(ix *Index) { ix.packed.spParent[1] = int32(ix.NodeCount()) },
+		"subtree overruns":     func(ix *Index) { ix.packed.spSubtree[0] = int32(ix.NodeCount()) + 5 },
 		"posting out of range": func(ix *Index) {
 			for kw := range ix.Postings {
-				ix.Postings[kw] = []int32{int32(len(ix.Nodes))}
+				ix.Postings[kw] = []int32{int32(ix.NodeCount())}
 				break
 			}
 		},

@@ -12,7 +12,7 @@ import (
 	"repro/internal/textproc"
 )
 
-// Streaming index construction: BuildStream consumes an XML token stream
+// Streaming index construction: buildStream consumes an XML token stream
 // directly, without materializing the document tree — the paper's "single
 // pass over the data" (§2.2: "XML documents follow pre-order arrival of
 // nodes. Hence, different node types are identified in a single pass")
@@ -48,9 +48,9 @@ type childSummary struct {
 	bothC       int
 }
 
-// BuildStream indexes one XML document from r as document docID of a
-// repository, in a single pass.
-func BuildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
+// buildStream indexes one XML document from r as document docID of a
+// repository, in a single pass, into a flat partial.
+func buildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
 	ix := &Index{
 		Postings: make(map[string][]int32),
 		labelIDs: make(map[string]int32),
@@ -70,14 +70,14 @@ func BuildStream(r io.Reader, docID int32, name string, opts Options) (*Index, e
 	return ix, nil
 }
 
-// BuildStreamFile indexes the XML file at path in a single pass.
-func BuildStreamFile(path string, docID int32, opts Options) (*Index, error) {
+// buildStreamFile is buildStream over the XML file at path.
+func buildStreamFile(path string, docID int32, opts Options) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	return BuildStream(f, docID, path, opts)
+	return buildStream(f, docID, path, opts)
 }
 
 // BuildStreamFiles streams every file and merges the partial indexes into
@@ -88,13 +88,13 @@ func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 	}
 	parts := make([]*Index, len(paths))
 	for i, p := range paths {
-		ix, err := BuildStreamFile(p, int32(i), opts)
+		ix, err := buildStreamFile(p, int32(i), opts)
 		if err != nil {
 			return nil, err
 		}
 		parts[i] = ix
 	}
-	return mergePartials(parts)
+	return mergePartials(parts).pack(), nil
 }
 
 type streamBuilder struct {
@@ -196,13 +196,13 @@ type openedFrame struct {
 // openElement appends the NodeInfo shell and posts the label keyword.
 func (b *streamBuilder) openElement(label string, path []int32, depth int) openedFrame {
 	ix := b.ix
-	ord := int32(len(ix.Nodes))
+	ord := int32(len(ix.nodes))
 	labelID := b.labelID(label)
 	id := dewey.ID{Doc: b.docID, Path: append([]int32(nil), path...)}
 	// Parent ordinals are assigned when the parent closes (closeElement);
 	// until then every node carries -1, which is also the final value for
 	// document roots.
-	ix.Nodes = append(ix.Nodes, NodeInfo{ID: id, Label: labelID, Parent: -1})
+	ix.nodes = append(ix.nodes, NodeInfo{ID: id, Label: labelID, Parent: -1})
 	if depth > ix.Stats.MaxDepth {
 		ix.Stats.MaxDepth = depth
 	}
@@ -261,8 +261,8 @@ func (b *streamBuilder) attrChild(stack []*streamFrame, path *[]int32, name, val
 // frame's visibility tallies, returning the summary for its parent.
 func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
 	ix := b.ix
-	info := &ix.Nodes[f.ord]
-	info.Subtree = int32(len(ix.Nodes)) - f.ord
+	info := &ix.nodes[f.ord]
+	info.Subtree = int32(len(ix.nodes)) - f.ord
 	info.ChildCount = f.childCount
 	if len(f.textChunks) > 0 {
 		info.HasValue = true
@@ -275,8 +275,8 @@ func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
 	for _, cs := range f.children {
 		isRep := f.labelCount[cs.label] > 1
 		cat := classify(cs.directValue, isRep, cs.attrC, cs.repC, cs.bothC)
-		ix.Nodes[cs.ord].Cat = cat
-		ix.Nodes[cs.ord].Parent = f.ord
+		ix.nodes[cs.ord].Cat = cat
+		ix.nodes[cs.ord].Parent = f.ord
 		qa, rv := visibility(cat, cs.attrC, cs.repC, cs.bothC)
 		switch {
 		case qa && rv:
@@ -292,13 +292,13 @@ func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
 	// repeating).
 	if f.depth == 0 {
 		directValue := info.Subtree == 1 && info.HasValue && info.ChildCount == 1
-		ix.Nodes[f.ord].Cat = classify(directValue, false, attrC, repC, bothC)
-		ix.Nodes[f.ord].Parent = -1
+		ix.nodes[f.ord].Cat = classify(directValue, false, attrC, repC, bothC)
+		ix.nodes[f.ord].Parent = -1
 	}
 
 	return childSummary{
 		ord:         f.ord,
-		label:       ix.Nodes[f.ord].Label,
+		label:       ix.nodes[f.ord].Label,
 		directValue: info.Subtree == 1 && info.HasValue && info.ChildCount == 1,
 		attrC:       attrC,
 		repC:        repC,

@@ -23,7 +23,7 @@ func buildBothWays(t *testing.T, src string) (*Index, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := BuildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions())
+	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestStreamErrors(t *testing.T) {
 		"<a>",
 	}
 	for _, src := range bad {
-		if _, err := BuildStream(strings.NewReader(src), 0, "bad", DefaultOptions()); err == nil {
-			t.Errorf("BuildStream(%q): expected error", src)
+		if _, err := buildStream(strings.NewReader(src), 0, "bad", DefaultOptions()); err == nil {
+			t.Errorf("buildStream(%q): expected error", src)
 		}
 	}
 }

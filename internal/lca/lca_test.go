@@ -75,7 +75,7 @@ func TestSLCASection23(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("SLCA = %v, want single node", labels(ix, got))
 	}
-	if id := ix.Nodes[got[0]].ID.String(); id != "0.0.1.1.0.1" {
+	if id := ix.IDOf(got[0]).String(); id != "0.0.1.1.0.1" {
 		t.Errorf("SLCA = %s, want Students 0.0.1.1.0.1", id)
 	}
 }
@@ -113,7 +113,7 @@ func TestELCAIsSupersetOfSLCA(t *testing.T) {
 		}
 		for _, o := range s {
 			if !inE[o] {
-				t.Errorf("query %v: SLCA node %s missing from ELCA", q, ix.Nodes[o].ID)
+				t.Errorf("query %v: SLCA node %s missing from ELCA", q, ix.IDOf(o))
 			}
 		}
 	}
@@ -150,7 +150,7 @@ func TestNaiveGKSSubsetSemantics(t *testing.T) {
 			}
 		}
 		if distinct < 2 {
-			t.Errorf("naive node %s has %d distinct keywords", ix.Nodes[o].ID, distinct)
+			t.Errorf("naive node %s has %d distinct keywords", ix.IDOf(o), distinct)
 		}
 	}
 	// x2, x3, x4 must all be found (they are SLCAs of subsets).
@@ -221,8 +221,8 @@ func TestSLCARandomTreesAgainstBruteForce(t *testing.T) {
 
 		// Brute force: qualifying nodes with no qualifying descendant.
 		var want []int32
-		for ord := range ix.Nodes {
-			start, end := ix.SubtreeRange(int32(ord))
+		for ord := int32(0); ord < int32(ix.NodeCount()); ord++ {
+			start, end := ix.SubtreeRange(ord)
 			if countInRange(lists[0], start, end) == 0 || countInRange(lists[1], start, end) == 0 {
 				continue
 			}

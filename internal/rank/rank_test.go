@@ -137,9 +137,9 @@ func TestRankIndependentOfAbsoluteDepth(t *testing.T) {
 	score := func(doc *xmltree.Document) float64 {
 		ix := build(t, doc)
 		var box int32 = -1
-		for ord := range ix.Nodes {
-			if ix.LabelOf(int32(ord)) == "box" {
-				box = int32(ord)
+		for ord := int32(0); ord < int32(ix.NodeCount()); ord++ {
+			if ix.LabelOf(ord) == "box" {
+				box = ord
 			}
 		}
 		if box < 0 {

@@ -247,33 +247,10 @@ func entityTest(attr, rep, both int) bool {
 }
 
 // Apply installs schema-level categories into the index and refreshes its
-// category statistics. It returns the number of nodes whose category
-// changed. The search engine picks the new entity structure up
-// immediately (LCE lifting reads ix.Nodes[i].Cat).
+// category statistics. It returns the number of live nodes whose category
+// changed. The packed node table is expanded, edited and packed again in
+// place (index.SetCategories), so the search engine picks the new entity
+// structure up immediately; tombstoned documents keep their categories.
 func Apply(ix *index.Index, cats []index.Category) int {
-	// A packed node table is immutable; flatten it, write the categories,
-	// then repack. RepackInPlace preserves ordinals, so the live-span
-	// restriction below and the caller's cats slice stay aligned.
-	repack := ix.IsPacked()
-	if repack {
-		ix.UnpackInPlace()
-	}
-	changed := 0
-	// Restrict writes and the changed count to live nodes: tombstoned
-	// documents are invisible to search and must not inflate the count,
-	// and leaving their categories untouched keeps a tombstoned index's
-	// shared node table byte-stable for readers of the predecessor.
-	for _, sp := range ix.LiveSpans() {
-		for ord := sp[0]; ord < sp[1]; ord++ {
-			if ix.Nodes[ord].Cat != cats[ord] {
-				ix.Nodes[ord].Cat = cats[ord]
-				changed++
-			}
-		}
-	}
-	ix.RefreshCategoryStats()
-	if repack {
-		ix.RepackInPlace()
-	}
-	return changed
+	return ix.SetCategories(cats)
 }

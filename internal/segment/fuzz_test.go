@@ -23,11 +23,11 @@ func FuzzLoadSegment(f *testing.F) {
 	}
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed.gks4")
-	// Both meta variants are seeded: the default packed node table and the
-	// flat v2 encoding (FlatNodes), at several block sizes.
-	for _, opts := range []WriterOptions{
-		{}, {BlockSize: 256}, {BlockSize: 64}, {FlatNodes: true}, {BlockSize: 256, FlatNodes: true},
-	} {
+	// Both meta variants are seeded: the packed node table at several block
+	// sizes, and the flat per-node records of segments written before the
+	// packed table was the only one (testdata).
+	var seeds [][]byte
+	for _, opts := range []WriterOptions{{}, {BlockSize: 256}, {BlockSize: 64}} {
 		if err := WriteFileOpts(seedPath, ix, opts); err != nil {
 			f.Fatal(err)
 		}
@@ -35,6 +35,16 @@ func FuzzLoadSegment(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		seeds = append(seeds, good)
+	}
+	for _, name := range []string{"fig2a-flat-meta.gks4", "multi-flat-meta.gks4"} {
+		flat, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, flat)
+	}
+	for _, good := range seeds {
 		f.Add(good)
 		// Seed targeted damage so the fuzzer starts at the interesting
 		// boundaries: bit flips in the trailer, the footer and the first

@@ -5,8 +5,8 @@
 // A GKS3 snapshot decodes the entire index — node table AND every posting
 // list — into RAM at boot, so boot latency and resident memory scale
 // linearly with corpus size. A GKS4 segment splits the index into an
-// eagerly-decoded meta section (labels, document names, the pre-order node
-// table the search engine walks directly) and posting blocks that stay on
+// eagerly-decoded meta section (labels, document names, the packed
+// pre-order node table the search engine reads directly) and posting blocks that stay on
 // disk until a query asks for a term. Opening a segment reads only the
 // footer and the raw meta section; posting blocks are fetched by pread on
 // demand, verified, decompressed, and held in a byte-capacity LRU cache
@@ -19,25 +19,19 @@
 //
 //	magic "GKS4"                      4 bytes
 //	version (= 1)                     uvarint
-//	meta section                      raw (uncompressed), CRC-protected.
-//	  Two variants, self-describing by the leading uvarint:
-//	  flat (leading label count >= 1):
-//	    labels:   count, len+bytes each
-//	    docs:     count, len+bytes each
-//	    nodes:    count, then per node the v2 encoding:
-//	              dewey(binary codec) label cat(byte) childCount subtree
-//	              parent+1 hasValue(byte) [valueLen valueBytes]
-//	  packed (leading uvarint 0, impossible as a label count):
-//	    the DAG-compressed node table of index.EncodeMeta — spine /
-//	    instance / shape / value-arena arrays; shared subtrees stored
-//	    once. The writer emits this variant by default (see
-//	    WriterOptions.FlatNodes) and the reader accepts both.
+//	meta section                      raw (uncompressed), CRC-protected:
+//	    uvarint 0, packed-meta version, labels, document names and the
+//	    DAG-compressed node table of index.EncodeMeta — spine / instance /
+//	    shape / value-arena arrays; shared subtrees stored once. Segments
+//	    written before the packed table was the only one start with the
+//	    label count instead and store the flat per-node records; the reader
+//	    packs those on open.
 //	posting blocks                    concatenated, each flate-compressed;
 //	                                  decompressed form: the delta-varint
 //	                                  posting lists of whole terms, packed
 //	                                  back to back
 //	footer:
-//	    stats                         10 uvarints (field order of format v2)
+//	    stats                         10 uvarints (field order of GKSI)
 //	    metaOff metaLen               uvarints
 //	    metaCRC                       uvarint (CRC32-IEEE of meta bytes)
 //	    blockCount                    uvarint, then per block:

@@ -67,6 +67,44 @@ func assertSamePostings(t *testing.T, ix *index.Index, r *Reader) {
 	}
 }
 
+// TestOpenFlatMetaSegment: a segment whose meta section holds the flat
+// per-node records (the testdata images, written before the packed table
+// was the only one) opens into a packed index answering exactly like a
+// fresh build of the same documents.
+func TestOpenFlatMetaSegment(t *testing.T) {
+	multi := &xmltree.Repository{}
+	multi.Add(xmltree.BuildFigure2a())
+	multi.Add(xmltree.BuildFigure1())
+	for name, repo := range map[string]*xmltree.Repository{
+		"fig2a-flat-meta.gks4": datagen.Repo(xmltree.BuildFigure2a()),
+		"multi-flat-meta.gks4": multi,
+	} {
+		want, err := index.Build(repo, index.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFile(filepath.Join("testdata", name), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := r.Index()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Stats != want.Stats || got.NodeCount() != want.NodeCount() {
+			t.Fatalf("%s: stats %+v over %d rows, want %+v over %d", name, got.Stats, got.NodeCount(), want.Stats, want.NodeCount())
+		}
+		for ord := int32(0); ord < int32(want.NodeCount()); ord++ {
+			if got.IDOf(ord).String() != want.IDOf(ord).String() || got.LabelOf(ord) != want.LabelOf(ord) ||
+				got.CatOf(ord) != want.CatOf(ord) || got.ValueAt(ord) != want.ValueAt(ord) {
+				t.Fatalf("%s: row %d differs from a fresh build", name, ord)
+			}
+		}
+		assertSamePostings(t, want, r)
+		r.Close()
+	}
+}
+
 func TestRoundTripTiny(t *testing.T) {
 	ix := tinyIndex(t)
 	path := writeTemp(t, ix, WriterOptions{})
@@ -300,10 +338,7 @@ func TestLazySaveSnapshotEquals(t *testing.T) {
 	dir := t.TempDir()
 	fromEager := filepath.Join(dir, "eager.gksidx")
 	fromLazy := filepath.Join(dir, "lazy.gksidx")
-	// The segment writer packs the node table by default, so the lazy index
-	// snapshots in the packed encoding; packing is deterministic, so the
-	// eager index packs to the same bytes.
-	if err := ix.Pack().SaveFile(fromEager); err != nil {
+	if err := ix.SaveFile(fromEager); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Index().SaveFile(fromLazy); err != nil {

@@ -135,7 +135,7 @@ func singleBaseline(ix *index.Index, eng *core.Engine, q core.Query,
 	ords := f(ix, eng.PostingLists(q))
 	out := make([]string, len(ords))
 	for i, ord := range ords {
-		out[i] = ix.Nodes[ord].ID.String()
+		out[i] = ix.IDOf(ord).String()
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/index"
@@ -136,11 +137,31 @@ func (s *Set) DocHolds(name string) func(token string) bool {
 	}
 }
 
-// PackDebt is 0: shard indexes are not repacked in service.
-func (s *Set) PackDebt() float64 { return 0 }
+// PackDebt is the largest pack debt among the shards: every upsert
+// delta-appends to one shard and every delete tombstones one, so the set
+// owes a repack as soon as any single shard does.
+func (s *Set) PackDebt() float64 {
+	debt := 0.0
+	for _, ix := range s.shards {
+		debt = max(debt, ix.PackDebt())
+	}
+	return debt
+}
 
-// Repacked returns the set itself, which has no pack debt to pay.
-func (s *Set) Repacked() Searcher { return s }
+// Repacked returns a set whose shards with pack debt are repacked (see
+// index.Index.Repacked). A shard without debt keeps its index and its
+// engine, warmed query arenas included. Repacking moves no document
+// between shards, so the routing table carries over.
+func (s *Set) Repacked() Searcher {
+	shards, engines := slices.Clone(s.shards), slices.Clone(s.engines)
+	for i, ix := range shards {
+		if ix.PackDebt() > 0 {
+			shards[i] = ix.Repacked()
+			engines[i] = core.NewEngine(shards[i])
+		}
+	}
+	return s.derive(shards, engines, s.docShard)
+}
 
 // deleteByName tombstones every live document named name, returning fresh
 // shard/engine slices. Shards the delete would empty are dropped from the
@@ -170,15 +191,20 @@ func deleteByName(shards []*index.Index, engines []*core.Engine, name string) ([
 	return outS, outE, removed, nil
 }
 
-// withShards assembles a new set around mutated shard slices, carrying the
-// receiver's serving configuration over and recomputing the document
-// routing table (which also revalidates the one-shard-per-document
-// invariant).
+// withShards assembles a new set around mutated shard slices, recomputing
+// the document routing table (which also revalidates the
+// one-shard-per-document invariant).
 func (s *Set) withShards(shards []*index.Index, engines []*core.Engine) (Searcher, error) {
 	docShard, err := computeDocShard(shards)
 	if err != nil {
 		return nil, err
 	}
+	return s.derive(shards, engines, docShard), nil
+}
+
+// derive assembles a new set around shard slices and their routing table,
+// carrying the receiver's serving configuration over.
+func (s *Set) derive(shards []*index.Index, engines []*core.Engine, docShard []int32) *Set {
 	return &Set{
 		shards:       shards,
 		engines:      engines,
@@ -187,5 +213,5 @@ func (s *Set) withShards(shards []*index.Index, engines []*core.Engine) (Searche
 		allowPartial: s.allowPartial,
 		metrics:      s.metrics,
 		ixOpts:       s.ixOpts,
-	}, nil
+	}
 }

@@ -153,6 +153,114 @@ func TestLiveMutationEquivalence(t *testing.T) {
 	}
 }
 
+// sameAnswers diffs two sets over a sweep of queries: responses with exact
+// rank floats, insights, baselines and stats.
+func sameAnswers(t *testing.T, label string, want, got *Set) {
+	t.Helper()
+	for i := range corpusWords {
+		q := core.NewQuery(corpusWords[i], corpusWords[(i+3)%len(corpusWords)], corpusWords[(i+5)%len(corpusWords)])
+		for s := 1; s <= q.Len(); s++ {
+			w, err := want.Search(context.Background(), core.SearchRequest{Query: q, S: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := got.Search(context.Background(), core.SearchRequest{Query: q, S: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResponse(t, fmt.Sprintf("%s %v s=%d", label, q, s), w, g)
+			sameInsights(t, fmt.Sprintf("%s %v s=%d insights", label, q, s), want.Insights(w, 5), got.Insights(g, 5))
+		}
+		sameStrings(t, label+" SLCA", want.SLCA(q), got.SLCA(q))
+		sameStrings(t, label+" ELCA", want.ELCA(q), got.ELCA(q))
+	}
+	if want.Stats() != got.Stats() {
+		t.Fatalf("%s: stats %+v, want %+v", label, got.Stats(), want.Stats())
+	}
+}
+
+// TestRepackedPaysShardDebt: a random sharded upsert/delete history piles
+// delta appends and tombstones onto the shards until the set's pack debt —
+// its worst shard's — crosses a checkpoint threshold. Repacked then leaves
+// no debt and answers every query as the set did before it; a later
+// repack touches only the shard a mutation gave debt, and every other
+// shard keeps its index and engine.
+func TestRepackedPaysShardDebt(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	docs := make([]*xmltree.Document, 8)
+	for i := range docs {
+		docs[i] = randomDoc(rng, fmt.Sprintf("doc-%03d.xml", i), true)
+	}
+	set, err := Build(docs, DefaultOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(docs))
+	for i, d := range docs {
+		names[i] = d.Name
+	}
+	const threshold = 0.3
+	for step := 0; set.PackDebt() < threshold; step++ {
+		if step == 200 {
+			t.Fatalf("history never crossed pack debt %.2f (at %.2f)", threshold, set.PackDebt())
+		}
+		var out Searcher
+		switch op := rng.Intn(3); {
+		case op == 2 && len(names) > 2:
+			i := rng.Intn(len(names))
+			out, err = set.Remove(names[i])
+			names = append(names[:i], names[i+1:]...)
+		case op == 1:
+			out, _, err = set.Upsert(randomDoc(rng, names[rng.Intn(len(names))], true))
+		default:
+			name := fmt.Sprintf("add-%03d.xml", step)
+			out, _, err = set.Upsert(randomDoc(rng, name, true))
+			names = append(names, name)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		set = out.(*Set)
+	}
+	worst := 0.0
+	for _, ix := range set.Indexes() {
+		worst = max(worst, ix.PackDebt())
+	}
+	if set.PackDebt() != worst {
+		t.Fatalf("set pack debt %.3f, worst shard %.3f", set.PackDebt(), worst)
+	}
+
+	repacked := set.Repacked().(*Set)
+	if debt := repacked.PackDebt(); debt != 0 {
+		t.Fatalf("pack debt %.3f survives Repacked", debt)
+	}
+	if err := repacked.ValidateIndex(); err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "repacked", set, repacked)
+
+	out, _, err := repacked.Upsert(randomDoc(rng, "late.xml", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := out.(*Set)
+	again := mutated.Repacked().(*Set)
+	indebted := 0
+	for i, ix := range mutated.shards {
+		if ix.PackDebt() > 0 {
+			indebted++
+			continue
+		}
+		if again.shards[i] != ix || again.engines[i] != mutated.engines[i] {
+			t.Fatalf("shard %d had no debt but Repacked replaced its index or engine", i)
+		}
+	}
+	if indebted != 1 || again.PackDebt() != 0 {
+		t.Fatalf("one upsert left %d indebted shards; after Repacked the debt is %.3f", indebted, again.PackDebt())
+	}
+	sameAnswers(t, "repacked again", mutated, again)
+}
+
 // TestMutationsAreCopyOnWrite: every mutation leaves the receiver serving
 // its old corpus, and shards the mutation never touched share their engine
 // (and its warmed arenas) with the successor.

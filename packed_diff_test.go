@@ -1,6 +1,7 @@
 package gks
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -15,27 +16,21 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Differential tests for the packed (DAG-compressed) node table: a system
-// serving from the packed representation must be observationally identical
-// to the flat system it was packed from, across the entire read surface
-// and across mutation histories. The segment differential suite already
-// exercises the packed form implicitly (the GKS4 writer packs meta by
-// default); this file pins the property directly, without a file format in
-// between, so a future codec change cannot mask an accessor bug.
+// Differential tests for the packed (DAG-compressed) node table, the only
+// one a system serves from. The accessor oracle in internal/index pins
+// every accessor against the builder's flat rows; this file pins the whole
+// read surface of systems whose packed tables were reached different ways
+// — built, reloaded, delta-appended, spliced, compacted, repacked — against
+// each other and against cold rebuilds, and under concurrent search.
 
-// packedPair builds a flat in-memory system from docs and a second system
-// serving the Pack()ed form of the same index.
-func packedPair(t *testing.T, docs ...*Document) (flat, packed *System) {
+// indexDocs is IndexDocuments for a test: it fails t on error.
+func indexDocs(t *testing.T, docs ...*Document) *System {
 	t.Helper()
-	flat, err := IndexDocuments(docs...)
+	sys, err := IndexDocuments(docs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed = newSystem(flat.ix.Pack(), flat.repo)
-	if !packed.ix.IsPacked() {
-		t.Fatal("Pack() did not produce a packed index")
-	}
-	return flat, packed
+	return sys
 }
 
 // packedCorpora extends the segment corpora with a duplicate-heavy DBLP
@@ -73,82 +68,88 @@ func diffExplain(t *testing.T, a, b *System, query string, s int) {
 	ea, errA := a.Explain(context.Background(), ParseQuery(query), s)
 	eb, errB := b.Explain(context.Background(), ParseQuery(query), s)
 	if (errA == nil) != (errB == nil) {
-		t.Fatalf("Explain(%q,%d) error mismatch: flat=%v packed=%v", query, s, errA, errB)
+		t.Fatalf("Explain(%q,%d) error mismatch: %v vs %v", query, s, errA, errB)
 	}
 	if errA != nil {
 		if errA.Error() != errB.Error() {
-			t.Fatalf("Explain(%q,%d) error text: flat=%v packed=%v", query, s, errA, errB)
+			t.Fatalf("Explain(%q,%d) error text: %v vs %v", query, s, errA, errB)
 		}
 		return
 	}
 	if !reflect.DeepEqual(normExplain(ea), normExplain(eb)) {
-		t.Fatalf("Explain(%q,%d) differ:\nflat:   %+v\npacked: %+v", query, s, normExplain(ea), normExplain(eb))
+		t.Fatalf("Explain(%q,%d) differ:\n%+v\n%+v", query, s, normExplain(ea), normExplain(eb))
 	}
 }
 
 // diffAggregates compares every whole-index summary the System exposes.
-func diffAggregates(t *testing.T, flat, packed *System) {
+func diffAggregates(t *testing.T, a, b *System) {
 	t.Helper()
-	if !reflect.DeepEqual(flat.Stats(), packed.Stats()) {
-		t.Fatalf("Stats differ:\nflat:   %+v\npacked: %+v", flat.Stats(), packed.Stats())
+	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
+		t.Fatalf("Stats differ:\n%+v\n%+v", a.Stats(), b.Stats())
 	}
-	if se, sp := flat.Schema(), packed.Schema(); !reflect.DeepEqual(se, sp) {
-		t.Fatalf("Schema differ: flat=%v packed=%v", se, sp)
+	if sa, sb := a.Schema(), b.Schema(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("Schema differ: %v vs %v", sa, sb)
 	}
-	if ke, kp := flat.TopKeywords(10), packed.TopKeywords(10); !reflect.DeepEqual(ke, kp) {
-		t.Fatalf("TopKeywords differ: flat=%v packed=%v", ke, kp)
+	if ka, kb := a.TopKeywords(10), b.TopKeywords(10); !reflect.DeepEqual(ka, kb) {
+		t.Fatalf("TopKeywords differ: %v vs %v", ka, kb)
 	}
-	if le, lp := flat.LabelHistogram(), packed.LabelHistogram(); !reflect.DeepEqual(le, lp) {
-		t.Fatalf("LabelHistogram differ: flat=%v packed=%v", le, lp)
+	if la, lb := a.LabelHistogram(), b.LabelHistogram(); !reflect.DeepEqual(la, lb) {
+		t.Fatalf("LabelHistogram differ: %v vs %v", la, lb)
 	}
-	if de, dp := flat.DepthHistogram(), packed.DepthHistogram(); !reflect.DeepEqual(de, dp) {
-		t.Fatalf("DepthHistogram differ: flat=%v packed=%v", de, dp)
+	if da, db := a.DepthHistogram(), b.DepthHistogram(); !reflect.DeepEqual(da, db) {
+		t.Fatalf("DepthHistogram differ: %v vs %v", da, db)
 	}
-	if ve, vp := flat.ValidateIndex(), packed.ValidateIndex(); ve != nil || vp != nil {
-		t.Fatalf("ValidateIndex: flat=%v packed=%v", ve, vp)
+	if va, vb := a.ValidateIndex(), b.ValidateIndex(); va != nil || vb != nil {
+		t.Fatalf("ValidateIndex: %v, %v", va, vb)
 	}
 }
 
 // TestPackedDifferentialSearch is the central packed-node-table property
 // test: over randomized corpora (including a duplicate-heavy one) and
-// seeded random queries, the packed system answers the entire read surface
-// — search, top-k, best effort, insights, refinements, explain, SLCA,
-// ELCA, schema and every histogram — identically to the flat system.
+// seeded random queries, a built system and the same index reloaded from
+// its GKS3 snapshot answer the entire read surface — search, top-k, best
+// effort, insights, refinements, explain, SLCA, ELCA, schema and every
+// histogram — identically, before and after both re-pack their tables
+// for schema-level categorization.
 func TestPackedDifferentialSearch(t *testing.T) {
 	for name, docs := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			flat, packed := packedPair(t, docs...)
-			diffAggregates(t, flat, packed)
+			built := indexDocs(t, docs...)
+			var snap bytes.Buffer
+			if err := built.SaveSnapshot(&snap); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadIndex(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffAggregates(t, built, loaded)
 
-			kws := vocab(flat)
+			kws := vocab(built)
 			rng := rand.New(rand.NewSource(77))
 			for i, query := range randomQueries(rng, kws, 40) {
 				s := 1 + rng.Intn(3)
-				diffSearchSurface(t, flat, packed, query, s)
+				diffSearchSurface(t, built, loaded, query, s)
 				if i%5 == 0 {
-					diffExplain(t, flat, packed, query, s)
+					diffExplain(t, built, loaded, query, s)
 				}
 			}
 			for i := 0; i < 5; i++ {
 				kw := kws[rng.Intn(len(kws))] + "x"
-				if se, sp := flat.Suggest(kw, 2, 3), packed.Suggest(kw, 2, 3); !reflect.DeepEqual(se, sp) {
-					t.Fatalf("Suggest(%q) differ: flat=%v packed=%v", kw, se, sp)
+				if sb, sl := built.Suggest(kw, 2, 3), loaded.Suggest(kw, 2, 3); !reflect.DeepEqual(sb, sl) {
+					t.Fatalf("Suggest(%q) differ: built=%v loaded=%v", kw, sb, sl)
 				}
 			}
 
-			// Schema-driven recategorization mutates categories in place;
-			// the packed system must apply it through unpack/repack and
-			// stay packed — and stay identical to the flat system after.
-			ce, cp := flat.ApplySchemaCategorization(), packed.ApplySchemaCategorization()
-			if ce != cp {
-				t.Fatalf("ApplySchemaCategorization: flat recategorized %d, packed %d", ce, cp)
+			// Schema-driven recategorization re-packs each table in place;
+			// the two systems must stay identical after.
+			cb, cl := built.ApplySchemaCategorization(), loaded.ApplySchemaCategorization()
+			if cb != cl {
+				t.Fatalf("ApplySchemaCategorization: built recategorized %d, loaded %d", cb, cl)
 			}
-			if !packed.ix.IsPacked() {
-				t.Fatal("ApplySchemaCategorization lost the packed representation")
-			}
-			diffAggregates(t, flat, packed)
+			diffAggregates(t, built, loaded)
 			for _, query := range randomQueries(rng, kws, 10) {
-				diffSearchSurface(t, flat, packed, query, 2)
+				diffSearchSurface(t, built, loaded, query, 2)
 			}
 		})
 	}
@@ -169,8 +170,7 @@ func bagDoc(name string, rng *rand.Rand, words []string) *Document {
 }
 
 // TestPackedMutationHistoryDifferential drives random mutation histories
-// (add, replace, delete) against a packed system and pins two properties:
-// every mutation preserves the packed representation, and the compacted
+// (add, replace, delete) against a system and pins that the compacted
 // survivor — Compacted() over whatever tombstones and appends accumulated
 // — answers the full search surface identically to a cold rebuild from the
 // surviving documents.
@@ -189,7 +189,7 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 				docs = append(docs, bagDoc(name, rng, words))
 				names = append(names, name)
 			}
-			_, sys := packedPair(t, docs...)
+			sys := indexDocs(t, docs...)
 			nextName := len(names)
 
 			for step := 0; step < 30; step++ {
@@ -223,15 +223,9 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 					sys = next.(*System)
 					names = append(names[:i], names[i+1:]...)
 				}
-				if !sys.ix.IsPacked() {
-					t.Fatalf("step %d: mutation lost the packed representation", step)
-				}
 			}
 
 			comp := newSystem(sys.ix.Compacted(), sys.repo)
-			if !comp.ix.IsPacked() {
-				t.Fatal("Compacted() over a packed index is not packed")
-			}
 			// Cold rebuild from the survivors with their document ids
 			// preserved (Repository.Add would renumber); Build requires
 			// Dewey document order.
@@ -259,11 +253,11 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 // TestPackedDeltaAppendEquivalence is the differential oracle for the
 // delta-maintaining pack: the same random append/replace/delete history
 // is driven through the fast path (AppendAs, which extends the pack
-// incrementally) and through the pre-delta flatten-splice-repack
-// (Compacted().Unpacked() → AppendAs on the flat table → Pack()), with
-// identical document numbering on both sides. At every checkpoint the two must hold the same logical state —
-// statistics, document sets, doc-insensitive results — and after a final
-// Compacted() the fast side's flat node table and postings must be
+// incrementally) and through the flatten-splice-repack (AppendBatch of one
+// document), with identical document numbering on both sides. At every
+// checkpoint the two must hold the same logical state — statistics,
+// document sets, doc-insensitive results — and after a final Compacted()
+// the fast side's image (node table, postings, names) must be
 // byte-for-byte the slow side's. Mid-history the fast side crosses the
 // repack threshold and pays its debt via Repacked(), so the equivalence
 // also covers resuming delta appends on a repacked table.
@@ -280,8 +274,7 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				docs = append(docs, bagDoc(fmt.Sprintf("d%d", i), rng, words))
 			}
-			_, fastSys := packedPair(t, docs...)
-			fast := fastSys.ix
+			fast := indexDocs(t, docs...).ix
 			slow := fast // same starting generation
 			names := []string{"d0", "d1", "d2", "d3"}
 			nextName := len(names)
@@ -297,11 +290,11 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fast append %s: %v", doc.Name, err)
 				}
-				s, err := index.AppendAs(slow.Compacted().Unpacked(), doc, sid, index.DefaultOptions())
+				s, err := index.AppendBatch(slow, []*Document{doc}, index.DefaultOptions())
 				if err != nil {
 					t.Fatalf("slow append %s: %v", doc.Name, err)
 				}
-				fast, slow = f, s.Pack()
+				fast, slow = f, s
 			}
 			deleteBoth := func(name string) {
 				t.Helper()
@@ -336,9 +329,6 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 					deleteBoth(names[i])
 					names = append(names[:i], names[i+1:]...)
 				}
-				if !fast.IsPacked() {
-					t.Fatalf("step %d: fast side lost the packed representation", step)
-				}
 				if err := fast.Validate(); err != nil {
 					t.Fatalf("step %d: fast validate: %v", step, err)
 				}
@@ -365,15 +355,19 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				t.Error("history never crossed the repack threshold")
 			}
 
-			fc, sc := fast.Compacted().Unpacked(), slow.Compacted().Unpacked()
-			if !reflect.DeepEqual(fc.Nodes, sc.Nodes) {
-				t.Fatal("compacted node tables diverge between delta and full-repack histories")
-			}
-			if !reflect.DeepEqual(fc.Postings, sc.Postings) {
-				t.Fatal("compacted postings diverge between delta and full-repack histories")
-			}
+			fc, sc := fast.Compacted(), slow.Compacted()
 			if !reflect.DeepEqual(fc.DocNames, sc.DocNames) {
 				t.Fatalf("compacted doc names diverge: fast=%v slow=%v", fc.DocNames, sc.DocNames)
+			}
+			var fb, sb bytes.Buffer
+			if err := fc.SaveBinary(&fb); err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.SaveBinary(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
+				t.Fatal("compacted images diverge between delta and full-repack histories")
 			}
 		})
 	}
@@ -393,7 +387,7 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		docs = append(docs, bagDoc(fmt.Sprintf("d%d", i), rng, words))
 	}
-	_, packed := packedPair(t, docs...)
+	packed := indexDocs(t, docs...)
 
 	queries := randomQueries(rng, vocab(packed), 12)
 	want := make([]Response, len(queries))
@@ -442,10 +436,6 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 			break
 		}
 		sys = next.(*System)
-		if !sys.ix.IsPacked() {
-			t.Error("writer append lost the packed representation")
-			break
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -461,7 +451,7 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 // TestPackedSearchConcurrent hammers one packed system from many
 // goroutines (run under -race by make dag-smoke): packed serving is
 // read-only and must be race-free, and every response must still match the
-// flat oracle.
+// answer the same system gave before the goroutines started.
 func TestPackedSearchConcurrent(t *testing.T) {
 	docs := []*Document{
 		datagen.DBLP(datagen.BibConfig{
@@ -470,9 +460,9 @@ func TestPackedSearchConcurrent(t *testing.T) {
 		}),
 		datagen.Mondial(datagen.Config{Seed: 8, Scale: 1}),
 	}
-	flat, packed := packedPair(t, docs...)
+	packed := indexDocs(t, docs...)
 
-	kws := vocab(flat)
+	kws := vocab(packed)
 	rng := rand.New(rand.NewSource(55))
 	queries := randomQueries(rng, kws, 24)
 	type oracle struct {
@@ -481,7 +471,7 @@ func TestPackedSearchConcurrent(t *testing.T) {
 	}
 	want := make([]oracle, len(queries))
 	for i, q := range queries {
-		r, err := searchAt(flat, q, 2)
+		r, err := searchAt(packed, q, 2)
 		if err != nil {
 			want[i] = oracle{err: err.Error()}
 			continue

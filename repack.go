@@ -12,8 +12,7 @@ package gks
 
 // PackDebt reports the fraction of the node table that is garbage or past
 // the canonical pack: tombstoned rows plus delta-appended rows, over total
-// rows, in [0, 1]. Zero for freshly packed (or flat, tombstone-free)
-// indexes.
+// rows, in [0, 1]. Zero for a freshly packed, tombstone-free index.
 func (s *System) PackDebt() float64 { return s.ix.PackDebt() }
 
 // Repacked returns a system whose pack debt has been paid: tombstones

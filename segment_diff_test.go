@@ -2,12 +2,14 @@ package gks
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -363,29 +365,60 @@ func TestSegmentMutationMaterializes(t *testing.T) {
 	}
 }
 
-// TestReadIndexStats checks the no-decode stats fast path against the
-// full loads for both physical formats.
+// TestReadIndexStatsBothFormats checks ReadIndexStats against the stats
+// of the system that wrote each file: GKS3 snapshots — including a packed
+// one and the post-mutation checkpoint a gksd writes — load in full, a
+// GKS4 segment reads its footer only. A damaged snapshot fails with the
+// typed corruption error naming the file.
 func TestReadIndexStatsBothFormats(t *testing.T) {
 	sys, err := IndexDocuments(datagen.Mondial(datagen.Config{Seed: 4, Scale: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	next, _, err := sys.Packed().Upsert(ingestDoc(t, "extra.xml", "apple", "pear"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := next.(*System)
 	dir := t.TempDir()
-	g3 := filepath.Join(dir, "m.gksidx")
-	g4 := filepath.Join(dir, "m.gks4")
-	if err := sys.SaveIndexFile(g3); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		file string
+		save func(string) error
+		want IndexStats
+	}{
+		{"m.gksidx", sys.SaveIndexFile, sys.Stats()},
+		{"packed.gksidx", sys.Packed().SaveIndexFile, sys.Stats()},
+		{"checkpoint.gksidx", checkpoint.SaveIndexFile, checkpoint.Stats()},
+		{"m.gks4", sys.SaveSegmentFile, sys.Stats()},
 	}
-	if err := sys.SaveSegmentFile(g4); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{g3, g4} {
+	for _, c := range cases {
+		path := filepath.Join(dir, c.file)
+		if err := c.save(path); err != nil {
+			t.Fatal(err)
+		}
 		st, err := ReadIndexStats(path)
 		if err != nil {
 			t.Fatalf("ReadIndexStats(%s): %v", path, err)
 		}
-		if !reflect.DeepEqual(st, sys.Stats()) {
-			t.Fatalf("ReadIndexStats(%s) = %+v, want %+v", path, st, sys.Stats())
+		if !reflect.DeepEqual(st, c.want) {
+			t.Fatalf("ReadIndexStats(%s) = %+v, want %+v", path, st, c.want)
+		}
+	}
+
+	good, err := os.ReadFile(filepath.Join(dir, "packed.gksidx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pos := range []int{5, len(good) / 2, len(good) - 2} {
+		bad := append([]byte(nil), good...)
+		bad[pos] ^= 0x40
+		path := filepath.Join(dir, fmt.Sprintf("flipped-%d.gksidx", pos))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadIndexStats(path)
+		if !errors.Is(err, ErrCorruptIndex) || !strings.Contains(fmt.Sprint(err), path) {
+			t.Fatalf("flip at byte %d: err = %v, want ErrCorruptIndex naming %s", pos, err, path)
 		}
 	}
 }

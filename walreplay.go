@@ -39,13 +39,10 @@ import (
 //
 // A single-index system replays the whole collapsed tail as one batch:
 // every replaced or deleted document tombstones first, then all upserts
-// splice in through a single index.AppendBatch merge, so a packed
-// snapshot re-packs at most once no matter how many records survived.
-// The per-record path below it used to pay a full unpack/repack cycle
-// per upsert — O(snapshot × records) boot cost, the same write collapse
-// the delta pack fixes for live ingestion. Sharded systems still replay
-// record by record (each record touches one shard, there is no shared
-// table to amortize).
+// splice in through a single index.AppendBatch merge, so the snapshot
+// re-packs at most once no matter how many records survived. Sharded
+// systems replay record by record (each record touches one shard and
+// appends to it at O(document) cost).
 //
 // Damage in the log (ErrCorrupt) or an unparsable logged document fails
 // the whole recovery: serving a partial history would silently drop
@@ -125,12 +122,11 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 // final deletes) to a single-index system in one splice. Replaced and
 // deleted documents tombstone against the shared base — no unpack, no
 // copy — and the upserts then merge through one AppendBatch call, which
-// flattens the base once and re-packs a packed base exactly once. The
+// flattens the base once and packs the result exactly once. The
 // applied count matches per-record replay: every upsert counts, a delete
 // counts only when the document existed.
 func (s *System) replayBatch(upserts []*Document, deletes []string) (*System, int, error) {
 	opts := index.DefaultOptions()
-	wasPacked := s.ix.IsPacked()
 	work := s.ix
 	applied := len(upserts)
 	freshRebuild := false
@@ -179,22 +175,18 @@ func (s *System) replayBatch(upserts []*Document, deletes []string) (*System, in
 	var next *index.Index
 	var err error
 	if freshRebuild {
-		next, err = index.BuildDocumentAs(upserts[0], 0, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: upsert %q: %w", upserts[0].Name, err)
+		// The upserts are the whole corpus: number them from 0, as the
+		// batch append onto an emptied base would, and build once.
+		fresh := &xmltree.Repository{}
+		for _, d := range upserts {
+			fresh.Add(d)
 		}
-		next, err = index.AppendBatch(next, upserts[1:], opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
-		}
-		if wasPacked {
-			next = next.Pack()
-		}
+		next, err = index.Build(fresh, opts)
 	} else {
 		next, err = index.AppendBatch(work, upserts, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
-		}
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
 	}
 
 	repo := s.repo
