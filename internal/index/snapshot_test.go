@@ -96,6 +96,60 @@ func TestSnapshotTruncationTypedAtEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestSkimSnapshotStats checks that the statistics a saved GKS3 snapshot
+// reports through LoadFile (the path `gks stats` takes) are exactly those
+// of the index that wrote it.
+func TestSkimSnapshotStats(t *testing.T) {
+	ix := buildFig2a(t)
+	path := filepath.Join(t.TempDir(), "fig2a.gksidx")
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Stats != ix.Stats {
+		t.Fatalf("LoadFile stats = %+v, want %+v", back.Stats, ix.Stats)
+	}
+}
+
+// TestSkimSnapshotStatsBitFlips flips one bit in every byte of a saved
+// snapshot: the whole payload goes through the checksum, so any damage —
+// even in sections the stats do not come from — must surface as an
+// ErrCorrupt naming the file rather than silently wrong statistics.
+func TestSkimSnapshotStatsBitFlips(t *testing.T) {
+	ix := buildFig2a(t)
+	path := filepath.Join(t.TempDir(), "flip.gksidx")
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ix.Stats
+	for i := range good {
+		damaged := bytes.Clone(good)
+		damaged[i] ^= 0x01
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadFile(path)
+		switch {
+		case err == nil:
+			// A single-bit flip cannot checksum clean under CRC32; getting
+			// here means a framing field was read before the checksum could
+			// object — the stats must still never be silently wrong.
+			if back.Stats != want {
+				t.Fatalf("flip at %d: LoadFile returned wrong stats without error: %+v", i, back.Stats)
+			}
+		case !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path):
+			t.Fatalf("flip at %d: error %v is not ErrCorrupt naming %s", i, err, path)
+		}
+	}
+}
+
 // failAfterWriter errors once n bytes have been written — the simulated
 // crash / full disk in the middle of a snapshot save.
 type failAfterWriter struct {
