@@ -13,9 +13,9 @@
 //	gks stats   -index repo.gksidx
 //	gks convert -in repo.gksidx -out repo.gks4 -format gks4
 //
-// -format gks4 writes the block-compressed GKS4 segment layout: postings
-// live in fixed-size compressed blocks fetched lazily at query time behind
-// a bounded block cache, so serving memory stays far below the index size.
+// -format gks4 writes the GKS4 segment layout: postings live in
+// fixed-size blocks fetched lazily at query time behind a bounded block
+// cache, so serving memory stays far below the index size.
 // convert rewrites an existing snapshot between the formats. add and remove
 // preserve the format of the file they mutate.
 //
@@ -99,7 +99,7 @@ func cmdIndex(args []string) {
 	lenient := fs.Bool("lenient", false, "skip unparsable XML files (reported on stderr) instead of failing the batch")
 	shards := fs.Int("shards", 1, "partition the documents into N index shards built in parallel; writes a manifest plus one snapshot per shard")
 	byTokens := fs.Bool("balance-tokens", false, "with -shards: balance shards by token count instead of hashing document names")
-	format := fs.String("format", "gks3", "snapshot format: gks3 (in-memory snapshot) or gks4 (block-compressed segment, lazily loaded)")
+	format := fs.String("format", "gks3", "snapshot format: gks3 (in-memory snapshot) or gks4 (block segment, lazily loaded)")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		fatal(fmt.Errorf("no input files"))

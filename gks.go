@@ -311,7 +311,7 @@ func (s *System) SaveIndexFile(path string) error { return s.ix.SaveFile(path) }
 // a corpus larger than RAM stays memory-bounded here too.
 func (s *System) SaveSnapshot(w io.Writer) error { return s.ix.SaveSnapshot(w) }
 
-// SaveSegmentFile persists the index as a GKS4 block-compressed segment
+// SaveSegmentFile persists the index as a GKS4 segment
 // at path, atomically. A segment-loaded system round-trips without
 // materializing its postings; an in-memory system converts down. This is
 // the `gks index -format=gks4` / `gks convert` backend.

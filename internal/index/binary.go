@@ -61,7 +61,9 @@ func (w *binWriter) str(s string) {
 // plain uvarints suffice. The per-ordinal dispatch array is NOT written:
 // instance ranges plus the rule that spine slots are assigned in ascending
 // ordinal order (which is how packNodes emits them) reconstruct it exactly.
-func (w *binWriter) writeMetaPacked(ix *Index) {
+// When inlineArena is false the value arena's bytes are left out (its
+// length is still written): the caller stores them elsewhere.
+func (w *binWriter) writeMetaPacked(ix *Index, inlineArena bool) {
 	p := ix.packed
 	w.uvarint(uint64(len(ix.Labels)))
 	for _, l := range ix.Labels {
@@ -113,7 +115,9 @@ func (w *binWriter) writeMetaPacked(ix *Index) {
 
 	w.uvarint(uint64(len(p.valOff) - 1))
 	w.uvarint(uint64(len(p.valArena)))
-	w.bw.Write(p.valArena)
+	if inlineArena {
+		w.bw.Write(p.valArena)
+	}
 	for v := 0; v+1 < len(p.valOff); v++ {
 		w.uvarint(uint64(p.valOff[v+1] - p.valOff[v]))
 	}
@@ -125,22 +129,35 @@ func (w *binWriter) writeMetaPacked(ix *Index) {
 	}
 }
 
-// metaPackedVersion follows the leading 0 of a packed meta section. The 0
-// tells it from the flat layout older writers produced, which starts with
-// the label count, at least 1 on any buildable index.
-const metaPackedVersion = 1
+// The packed-meta version follows the leading 0 of a packed meta section.
+// The 0 tells it from the flat layout older writers produced, which starts
+// with the label count, at least 1 on any buildable index. Version 1 holds
+// the value arena inline (GKS4 version 1); version 2 holds only its length
+// and takes the bytes from outside (GKS4 version 2's values section).
+const (
+	metaInlineArena   = 1
+	metaExternalArena = 2
+)
 
 // EncodeMeta writes the labels, document names and node table without
-// magic framing: a 0 sentinel, the packed-meta version and the packed
-// arrays. This is the GKS4 segment meta section (internal/segment);
-// DecodeMeta is its inverse. A tombstoned index must be compacted by the
-// caller first.
-func EncodeMeta(w io.Writer, ix *Index) error {
+// magic framing: a 0 sentinel, packed-meta version 2 and the packed arrays
+// without the value arena's bytes, which it returns for the caller to
+// store. This is the GKS4 segment meta section (internal/segment);
+// DecodeMeta is its inverse. The returned arena is the index's own and
+// must not be modified. A tombstoned index must be compacted by the caller
+// first.
+func EncodeMeta(w io.Writer, ix *Index) (arena []byte, err error) {
 	bw := &binWriter{bw: bufio.NewWriter(w)}
 	bw.uvarint(0)
-	bw.uvarint(metaPackedVersion)
-	bw.writeMetaPacked(ix)
-	return bw.bw.Flush()
+	bw.uvarint(metaExternalArena)
+	bw.writeMetaPacked(ix, false)
+	// Non-nil even when empty: DecodeMeta tells the two meta versions
+	// apart by whether an arena is given.
+	arena = ix.packed.valArena
+	if arena == nil {
+		arena = []byte{}
+	}
+	return arena, bw.bw.Flush()
 }
 
 // SaveBinary writes the index in the compact binary format. A tombstoned
@@ -153,7 +170,7 @@ func (ix *Index) SaveBinary(w io.Writer) error {
 
 	bw.bw.WriteString(binaryMagic)
 	bw.uvarint(binaryVersionPacked)
-	bw.writeMetaPacked(ix)
+	bw.writeMetaPacked(ix, true)
 	if err := bw.writePostingsAndStats(ix); err != nil {
 		return err
 	}
@@ -304,7 +321,7 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 		return nil, corruptf("binary load: unsupported version %d", version)
 	}
 	ix := &Index{Postings: make(map[string][]int32), labelIDs: make(map[string]int32)}
-	if err := d.readMeta(ix, version == binaryVersionPacked); err != nil {
+	if err := d.readMeta(ix, version == binaryVersionPacked, nil); err != nil {
 		return nil, err
 	}
 
@@ -355,35 +372,45 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 
 // DecodeMeta reads the labels/docs/nodes sections written by EncodeMeta
 // into a fresh packed Index with no posting lists and zero statistics —
-// the skeleton internal/segment hands to NewLazy. A flat meta section from
-// an older writer (no leading 0) is packed on the way in. size bounds
-// allocations as in Load; damaged input fails with ErrCorrupt.
-func DecodeMeta(r io.Reader, size int64) (*Index, error) {
+// the skeleton internal/segment hands to NewLazy. arena is the value arena
+// EncodeMeta returned, and becomes the index's own; it must be nil for a
+// meta section that holds its arena inline (packed-meta version 1, or a
+// flat meta section from an older writer, which is packed on the way in).
+// size bounds allocations as in Load; damaged input fails with ErrCorrupt.
+func DecodeMeta(r io.Reader, size int64, arena []byte) (*Index, error) {
 	d := &decoder{br: bufio.NewReader(r), size: size}
 	lead, err := d.br.Peek(1)
 	if err != nil {
 		return nil, corruptf("binary load: meta lead: %v", err)
 	}
-	packed := lead[0] == 0
+	packed, external := lead[0] == 0, false
 	if packed {
 		d.br.Discard(1)
 		ver, err := d.uvarint()
 		if err != nil {
 			return nil, corruptf("binary load: packed meta version: %v", err)
 		}
-		if ver != metaPackedVersion {
+		if ver != metaInlineArena && ver != metaExternalArena {
 			return nil, corruptf("binary load: unsupported packed meta version %d", ver)
 		}
+		external = ver == metaExternalArena
+	}
+	if external && arena == nil {
+		return nil, corruptf("binary load: packed meta version %d needs its value arena", metaExternalArena)
+	}
+	if !external && arena != nil {
+		return nil, corruptf("binary load: meta holds its value arena inline, but one was given")
 	}
 	ix := &Index{labelIDs: make(map[string]int32)}
-	if err := d.readMeta(ix, packed); err != nil {
+	if err := d.readMeta(ix, packed, arena); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// readMeta decodes the labels, document names and node table into ix.
-func (d *decoder) readMeta(ix *Index, packed bool) error {
+// readMeta decodes the labels, document names and node table into ix. A
+// non-nil arena replaces the packed table's inline value arena.
+func (d *decoder) readMeta(ix *Index, packed bool, arena []byte) error {
 	nLabels, err := d.count("label count", 1, 1<<31)
 	if err != nil {
 		return err
@@ -408,7 +435,7 @@ func (d *decoder) readMeta(ix *Index, packed bool) error {
 		ix.DocNames = append(ix.DocNames, name)
 	}
 	if packed {
-		return d.readPackedNodes(ix)
+		return d.readPackedNodes(ix, arena)
 	}
 	return d.readFlatNodes(ix)
 }
@@ -487,7 +514,7 @@ func (ix *Index) packImported() error {
 // packed validation before it is accepted — the O(1) accessors index
 // blindly, so a decoded image that would make them misbehave is rejected
 // here as ErrCorrupt.
-func (d *decoder) readPackedNodes(ix *Index) error {
+func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 	// Every node costs at least one byte somewhere (spine record, shape
 	// record amortized over instances, or dispatch coverage); 1 is the only
 	// safe per-node floor for a heavily deduplicated table.
@@ -661,12 +688,19 @@ func (d *decoder) readPackedNodes(ix *Index) error {
 	if err != nil {
 		return fail("value arena length", err)
 	}
-	if arenaLen > 1<<31 || (d.size >= 0 && arenaLen > uint64(d.size)) {
-		return corruptf("binary load: packed value arena length %d exceeds input", arenaLen)
-	}
-	p.valArena = make([]byte, arenaLen)
-	if _, err := io.ReadFull(d.br, p.valArena); err != nil {
-		return fail("value arena", err)
+	if arena != nil {
+		if arenaLen != uint64(len(arena)) {
+			return corruptf("binary load: packed value arena length %d, given %d bytes", arenaLen, len(arena))
+		}
+		p.valArena = arena
+	} else {
+		if arenaLen > 1<<31 || (d.size >= 0 && arenaLen > uint64(d.size)) {
+			return corruptf("binary load: packed value arena length %d exceeds input", arenaLen)
+		}
+		p.valArena = make([]byte, arenaLen)
+		if _, err := io.ReadFull(d.br, p.valArena); err != nil {
+			return fail("value arena", err)
+		}
 	}
 	p.valOff = make([]int32, 0, cap8(nVals+1))
 	p.valOff = append(p.valOff, 0)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"repro/internal/textproc"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestLabelValueCollisionDedup(t *testing.T) {
 	}
 	assertStrictlyIncreasing(t, tree)
 
-	stream, err := buildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions())
+	stream, err := buildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions(), textproc.NewMemo())
 	if err != nil {
 		t.Fatal(err)
 	}

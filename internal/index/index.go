@@ -190,7 +190,7 @@ func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
 	if opts.Hint.Nodes > 0 {
 		ix.nodes = make([]NodeInfo, 0, opts.Hint.Nodes)
 	}
-	b := builder{ix: ix, opts: opts}
+	b := builder{ix: ix, opts: opts, norm: textproc.NewMemo()}
 	if opts.Hint.Terms > 0 && opts.Hint.Postings > opts.Hint.Terms {
 		b.listCap = opts.Hint.Postings / opts.Hint.Terms
 	}
@@ -216,6 +216,7 @@ func BuildDocument(doc *xmltree.Document, opts Options) (*Index, error) {
 type builder struct {
 	ix   *Index
 	opts Options
+	norm *textproc.Memo
 	// listCap seeds the capacity of new posting lists (average postings
 	// per term from Options.Hint), 0 to grow on demand.
 	listCap int
@@ -247,7 +248,7 @@ func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qu
 	// and the codec enforces it.
 	var labelKey string
 	if b.opts.IndexElementNames {
-		if key := textproc.NormalizeKeyword(n.Label); key != "" {
+		if key := b.norm.NormalizeKeyword(n.Label); key != "" {
 			b.post(key, ord)
 			labelKey = key
 		}
@@ -259,7 +260,7 @@ func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qu
 		if labelKey != "" {
 			seen[labelKey] = true
 		}
-		for _, tok := range textproc.Normalize(value) {
+		for _, tok := range b.norm.Normalize(value) {
 			if !seen[tok] {
 				seen[tok] = true
 				b.post(tok, ord)

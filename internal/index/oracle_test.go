@@ -269,11 +269,12 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 		check("LoadFile "+name, got, err, base)
 	}
 	var meta bytes.Buffer
-	if err := EncodeMeta(&meta, base); err != nil {
+	arena, err := EncodeMeta(&meta, base)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, img := range map[string][]byte{"packed": meta.Bytes(), "flat": flatMeta(t, base)} {
-		got, err := DecodeMeta(bytes.NewReader(img), int64(len(img)))
+	for name, c := range map[string]struct{ img, arena []byte }{"packed": {meta.Bytes(), bytes.Clone(arena)}, "flat": {flatMeta(t, base), nil}} {
+		got, err := DecodeMeta(bytes.NewReader(c.img), int64(len(c.img)), c.arena)
 		check("DecodeMeta "+name, got, err, nil)
 		assertAccessorsMatch(t, "DecodeMeta "+name, flatBuild(t, repo), got)
 	}

@@ -206,10 +206,11 @@ func TestPackedMetaRoundTrip(t *testing.T) {
 	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := EncodeMeta(&buf, c.ix); err != nil {
+			arena, err := EncodeMeta(&buf, c.ix)
+			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := DecodeMeta(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			back, err := DecodeMeta(bytes.NewReader(buf.Bytes()), int64(buf.Len()), bytes.Clone(arena))
 			if err != nil {
 				t.Fatal(err)
 			}

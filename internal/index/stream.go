@@ -49,14 +49,15 @@ type childSummary struct {
 }
 
 // buildStream indexes one XML document from r as document docID of a
-// repository, in a single pass, into a flat partial.
-func buildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
+// repository, in a single pass, into a flat partial. norm is the build's
+// stem memo, shared by every document of one build.
+func buildStream(r io.Reader, docID int32, name string, opts Options, norm *textproc.Memo) (*Index, error) {
 	ix := &Index{
 		Postings: make(map[string][]int32),
 		labelIDs: make(map[string]int32),
 		DocNames: []string{name},
 	}
-	b := &streamBuilder{ix: ix, opts: opts, docID: docID}
+	b := &streamBuilder{ix: ix, opts: opts, docID: docID, norm: norm}
 	if err := b.run(r, name); err != nil {
 		return nil, err
 	}
@@ -71,13 +72,13 @@ func buildStream(r io.Reader, docID int32, name string, opts Options) (*Index, e
 }
 
 // buildStreamFile is buildStream over the XML file at path.
-func buildStreamFile(path string, docID int32, opts Options) (*Index, error) {
+func buildStreamFile(path string, docID int32, opts Options, norm *textproc.Memo) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	return buildStream(f, docID, path, opts)
+	return buildStream(f, docID, path, opts, norm)
 }
 
 // BuildStreamFiles streams every file and merges the partial indexes into
@@ -87,8 +88,9 @@ func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("index: no input files")
 	}
 	parts := make([]*Index, len(paths))
+	norm := textproc.NewMemo()
 	for i, p := range paths {
-		ix, err := buildStreamFile(p, int32(i), opts)
+		ix, err := buildStreamFile(p, int32(i), opts, norm)
 		if err != nil {
 			return nil, err
 		}
@@ -101,6 +103,7 @@ type streamBuilder struct {
 	ix    *Index
 	opts  Options
 	docID int32
+	norm  *textproc.Memo
 }
 
 func (b *streamBuilder) run(r io.Reader, name string) error {
@@ -171,7 +174,7 @@ func (b *streamBuilder) run(r io.Reader, name string) error {
 			top.childCount++
 			top.elemOrder++
 			b.ix.Stats.TextNodes++
-			for _, tok := range textproc.Normalize(text) {
+			for _, tok := range b.norm.Normalize(text) {
 				if !top.seenTokens[tok] {
 					top.seenTokens[tok] = true
 					b.post(tok, top.ord)
@@ -212,7 +215,7 @@ func (b *streamBuilder) openElement(label string, path []int32, depth int) opene
 	// are strictly increasing by invariant, and the codec enforces it.
 	seen := map[string]bool{}
 	if b.opts.IndexElementNames {
-		if key := textproc.NormalizeKeyword(label); key != "" {
+		if key := b.norm.NormalizeKeyword(label); key != "" {
 			b.post(key, ord)
 			seen[key] = true
 		}
@@ -244,7 +247,7 @@ func (b *streamBuilder) attrChild(stack []*streamFrame, path *[]int32, name, val
 		f.childCount++
 		f.elemOrder++
 		b.ix.Stats.TextNodes++
-		for _, tok := range textproc.Normalize(text) {
+		for _, tok := range b.norm.Normalize(text) {
 			if !f.seenTokens[tok] {
 				f.seenTokens[tok] = true
 				b.post(tok, f.ord)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"os"
+	"repro/internal/textproc"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func buildBothWays(t *testing.T, src string) (*Index, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
+	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions(), textproc.NewMemo()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestStreamErrors(t *testing.T) {
 		"<a>",
 	}
 	for _, src := range bad {
-		if _, err := buildStream(strings.NewReader(src), 0, "bad", DefaultOptions()); err == nil {
+		if _, err := buildStream(strings.NewReader(src), 0, "bad", DefaultOptions(), textproc.NewMemo()); err == nil {
 			t.Errorf("buildStream(%q): expected error", src)
 		}
 	}

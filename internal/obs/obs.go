@@ -112,8 +112,8 @@ func NewRegistry() *Registry {
 	r.declare(&seg, counter, "gks_segment_block_cache_hits_total", "Posting-block fetches served from the block cache.", nil)
 	r.declare(&seg, counter, "gks_segment_block_cache_misses_total", "Posting-block fetches read from disk.", nil)
 	r.declare(&seg, counter, "gks_segment_block_cache_evictions_total", "Blocks evicted to respect the cache byte capacity.", nil)
-	r.declare(&seg, gauge, "gks_segment_block_cache_resident_bytes", "Decompressed posting-block bytes resident in the cache.", nil)
-	r.declare(nil, histogram, "gks_segment_block_fetch_duration_seconds", "Disk block fetch latency (pread + CRC + decompress).", stageBuckets)
+	r.declare(&seg, gauge, "gks_segment_block_cache_resident_bytes", "Posting-block bytes resident in the cache.", nil)
+	r.declare(nil, histogram, "gks_segment_block_fetch_duration_seconds", "Disk block fetch latency (pread + CRC; GKS4 version 1 adds inflate).", stageBuckets)
 	r.declare(&fsync, histogram, "gks_wal_fsync_duration_seconds", "Group-commit fsync latency.", requestBuckets)
 	r.declare(&fsync, histogram, "gks_wal_fsync_batch_records", "Log records made durable per fsync (group-commit batch size).", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512})
 	r.declare(nil, histogram, "gks_wal_checkpoint_duration_seconds", "Checkpoint persist+truncate latency.", requestBuckets)
@@ -304,7 +304,8 @@ func (r *Registry) IncReplicaReconnect()       { r.at("gks_replica_reconnects_to
 func (r *Registry) IncReplicaSnapshotInstall() { r.at("gks_replica_snapshot_installs_total").add(1) }
 
 // segment.Metrics: the posting-block cache of a GKS4 segment. Resident bytes
-// are decompressed bytes; a fetch is pread + CRC + inflate, misses only.
+// are block payload bytes (a version-2 block as stored, a version-1 block
+// inflated); a fetch is pread + CRC (+ inflate on version 1), misses only.
 func (r *Registry) BlockCacheHit()             { r.at("gks_segment_block_cache_hits_total").add(1) }
 func (r *Registry) BlockCacheMiss()            { r.at("gks_segment_block_cache_misses_total").add(1) }
 func (r *Registry) BlockCacheEvict()           { r.at("gks_segment_block_cache_evictions_total").add(1) }

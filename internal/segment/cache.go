@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// cacheKey identifies one decompressed block: the owning reader's unique
+// cacheKey identifies one posting block: the owning reader's unique
 // id plus the block index inside that reader's segment. Reader ids are
 // never reused, so a reloaded segment at the same path cannot alias stale
 // cached blocks.
@@ -19,11 +19,13 @@ type cacheEntry struct {
 	data []byte
 }
 
-// BlockCache is a byte-capacity LRU cache of decompressed posting blocks.
+// BlockCache is a byte-capacity LRU cache of posting blocks as the reader
+// decodes terms from them: a version-2 block's file bytes, a version-1
+// block's inflated bytes.
 // It is safe for concurrent use and designed to be shared: one cache can
 // back many readers (all shards, successive hot-reload generations), so
 // the resident-block budget is a single process-wide number rather than
-// per-segment. Capacity counts decompressed payload bytes; an entry larger
+// per-segment. Capacity counts block payload bytes; an entry larger
 // than the whole capacity is admitted and immediately evicted, so
 // oversized blocks pass through without wedging the cache.
 type BlockCache struct {
@@ -36,7 +38,7 @@ type BlockCache struct {
 	bytes int64
 }
 
-// NewBlockCache returns a cache bounded to capacity decompressed bytes.
+// NewBlockCache returns a cache bounded to capacity block payload bytes.
 // A non-positive capacity yields a cache that stores nothing (every fetch
 // is a miss) — useful in tests that must force disk reads.
 func NewBlockCache(capacity int64) *BlockCache {
@@ -133,7 +135,7 @@ func (c *BlockCache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes returns the resident decompressed payload bytes.
+// Bytes returns the resident block payload bytes.
 func (c *BlockCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

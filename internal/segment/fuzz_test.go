@@ -23,9 +23,9 @@ func FuzzLoadSegment(f *testing.F) {
 	}
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed.gks4")
-	// Both meta variants are seeded: the packed node table at several block
-	// sizes, and the flat per-node records of segments written before the
-	// packed table was the only one (testdata).
+	// Both versions are seeded: version 2 at several block sizes, and the
+	// version-1 testdata images, packed meta and the flat per-node records
+	// of segments written before the packed table was the only one.
 	var seeds [][]byte
 	for _, opts := range []WriterOptions{{}, {BlockSize: 256}, {BlockSize: 64}} {
 		if err := WriteFileOpts(seedPath, ix, opts); err != nil {
@@ -37,12 +37,15 @@ func FuzzLoadSegment(f *testing.F) {
 		}
 		seeds = append(seeds, good)
 	}
-	for _, name := range []string{"fig2a-flat-meta.gks4", "multi-flat-meta.gks4"} {
-		flat, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, bad := range valuesDamage(f, seeds[0]) {
+		f.Add(bad)
+	}
+	for _, name := range v1Fixtures {
+		v1, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, flat)
+		seeds = append(seeds, v1)
 	}
 	for _, good := range seeds {
 		f.Add(good)

@@ -36,7 +36,10 @@ type Options struct {
 // nextRID hands out process-unique reader ids for cache keying.
 var nextRID atomic.Uint64
 
-// blockMeta locates one compressed block inside the file.
+// blockMeta locates one stored section inside the file: a posting block,
+// the meta section or the values section. cLen is the stored length and
+// uLen the length after inflating; they are equal for what is stored raw
+// (a version-2 posting block, the meta section).
 type blockMeta struct {
 	off  int64
 	cLen int64
@@ -73,8 +76,13 @@ type Reader struct {
 	nNodes int
 	blocks []blockMeta
 	terms  []termEntry
+	// inflateBlocks is set for version 1, whose posting blocks are
+	// flate streams; version-2 blocks are used as read.
+	inflateBlocks bool
 
 	blockReads atomic.Int64
+	bytesRead  atomic.Int64 // stored bytes of the blocks read
+	inflates   atomic.Int64 // flate streams read: one at open on version 2
 	closed     atomic.Bool
 	closeOnce  sync.Once
 	closeErr   error
@@ -83,24 +91,25 @@ type Reader struct {
 // openFile isolates the os dependency for the magic sniffer.
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
-// OpenFile opens a GKS4 segment. Only the footer, term directory and the
-// raw meta section are read — no posting block is touched, nothing is
-// inflated — so open time and resident memory are independent of the
-// posting volume. Damaged files fail with index.ErrCorrupt naming the
-// file.
+// OpenFile opens a GKS4 segment of either version. Only the footer, term
+// directory, the raw meta section and (version 2) the values section are
+// read — no posting block is touched — so open time and resident memory
+// are independent of the posting volume. Damaged files fail with
+// index.ErrCorrupt naming the file.
 func OpenFile(path string, opts Options) (*Reader, error) {
-	f, _, hdrLen, foot, err := openFooter(path)
+	f, hdrLen, foot, err := openFooter(path)
 	if err != nil {
 		return nil, err
 	}
 	r := &Reader{
-		f:       f,
-		path:    path,
-		rid:     nextRID.Add(1),
-		metrics: opts.Metrics,
-		stats:   foot.stats,
-		blocks:  foot.blocks,
-		terms:   foot.terms,
+		f:             f,
+		path:          path,
+		rid:           nextRID.Add(1),
+		metrics:       opts.Metrics,
+		stats:         foot.stats,
+		blocks:        foot.blocks,
+		terms:         foot.terms,
+		inflateBlocks: foot.version == 1,
 	}
 	if r.metrics == nil {
 		r.metrics = nopMetrics{}
@@ -119,17 +128,26 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 		return nil, err
 	}
 
-	if foot.metaOff != int64(hdrLen) {
-		return fail(corruptf("segment %s: footer meta offset %d does not match header length %d", path, foot.metaOff, hdrLen))
+	if foot.meta.off != int64(hdrLen) {
+		return fail(corruptf("segment %s: footer meta offset %d does not match header length %d", path, foot.meta.off, hdrLen))
 	}
-	metaBuf := make([]byte, foot.metaLen)
-	if _, err := f.ReadAt(metaBuf, foot.metaOff); err != nil {
-		return fail(corruptf("segment %s: read meta: %v", path, err))
+	metaBuf, err := r.readSection("meta", foot.meta)
+	if err != nil {
+		return fail(err)
 	}
-	if crc32.ChecksumIEEE(metaBuf) != foot.metaCRC {
-		return fail(corruptf("segment %s: meta checksum mismatch", path))
+	// Version 2 keeps the value arena in a flate section of its own, which
+	// becomes the resident arena as inflated.
+	var arena []byte
+	if foot.version >= 2 {
+		vbuf, err := r.readSection("values", foot.values)
+		if err != nil {
+			return fail(err)
+		}
+		if arena, err = r.inflate(vbuf, foot.values.uLen); err != nil {
+			return fail(corruptf("segment %s: values: %v", path, err))
+		}
 	}
-	meta, err := index.DecodeMeta(bytes.NewReader(metaBuf), int64(len(metaBuf)))
+	meta, err := index.DecodeMeta(bytes.NewReader(metaBuf), int64(len(metaBuf)), arena)
 	if err != nil {
 		if errIsCorrupt(err) {
 			return fail(fmt.Errorf("segment %s: %w", path, err))
@@ -153,26 +171,38 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 	return r, nil
 }
 
+// readSection reads one stored section and checks its CRC.
+func (r *Reader) readSection(what string, s blockMeta) ([]byte, error) {
+	buf := make([]byte, s.cLen)
+	if _, err := r.f.ReadAt(buf, s.off); err != nil {
+		return nil, corruptf("segment %s: read %s: %v", r.path, what, err)
+	}
+	if crc32.ChecksumIEEE(buf) != s.crc {
+		return nil, corruptf("segment %s: %s checksum mismatch", r.path, what)
+	}
+	return buf, nil
+}
+
 // footerData is the parsed, CRC-verified footer.
 type footerData struct {
+	version uint64
 	stats   index.Stats
-	metaOff int64
-	metaLen int64
-	metaCRC uint32
+	meta    blockMeta
+	values  blockMeta // version 2 only
 	blocks  []blockMeta
 	terms   []termEntry
 }
 
 // openFooter opens path and parses header, trailer and footer — shared by
 // OpenFile and ReadStats. On success the caller owns the returned file.
-func openFooter(path string) (*os.File, int64, int, *footerData, error) {
+func openFooter(path string) (*os.File, int, *footerData, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("segment: %w", err)
+		return nil, 0, nil, fmt.Errorf("segment: %w", err)
 	}
-	fail := func(err error) (*os.File, int64, int, *footerData, error) {
+	fail := func(err error) (*os.File, int, *footerData, error) {
 		f.Close()
-		return nil, 0, 0, nil, err
+		return nil, 0, nil, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
@@ -196,7 +226,7 @@ func openFooter(path string) (*os.File, int64, int, *footerData, error) {
 	if vn <= 0 {
 		return fail(corruptf("segment %s: truncated version", path))
 	}
-	if version != formatVersion {
+	if version != 1 && version != formatVersion {
 		return fail(corruptf("segment %s: unsupported version %d", path, version))
 	}
 	hdrLen := len(magic) + vn
@@ -210,7 +240,7 @@ func openFooter(path string) (*os.File, int64, int, *footerData, error) {
 		return fail(corruptf("segment %s: bad trailer magic %q", path, tail[8:12]))
 	}
 	footerLen := int64(binary.LittleEndian.Uint32(tail[0:4]))
-	footerCRC := binary.LittleEndian.Uint32(tail[4:8])
+	wantCRC := binary.LittleEndian.Uint32(tail[4:8])
 	if footerLen == 0 || footerLen > size-trailerSize-int64(hdrLen) {
 		return fail(corruptf("segment %s: implausible footer length %d in a %d-byte file", path, footerLen, size))
 	}
@@ -218,28 +248,41 @@ func openFooter(path string) (*os.File, int64, int, *footerData, error) {
 	if _, err := f.ReadAt(fbuf, size-trailerSize-footerLen); err != nil {
 		return fail(corruptf("segment %s: read footer: %v", path, err))
 	}
-	if crc32.ChecksumIEEE(fbuf) != footerCRC {
+	crc := crc32.ChecksumIEEE(fbuf)
+	if version >= 2 {
+		crc = footerCRC(hdr[:hdrLen], fbuf)
+	}
+	if crc != wantCRC {
 		return fail(corruptf("segment %s: footer checksum mismatch", path))
 	}
-	foot, err := parseFooter(fbuf, size, footerLen, path)
+	foot, err := parseFooter(fbuf, version, size, footerLen, path)
 	if err != nil {
 		return fail(err)
 	}
-	return f, size, hdrLen, foot, nil
+	return f, hdrLen, foot, nil
 }
 
-// parseFooter decodes and validates the CRC-verified footer bytes. Every
-// count is bounded against the bytes that could plausibly hold it and all
-// derived offsets are checked against the file size, so a corrupt footer
-// that survived the CRC (or a fuzzer-built one) fails typed instead of
-// demanding absurd allocations.
-func parseFooter(fbuf []byte, size, footerLen int64, path string) (*footerData, error) {
+// parseFooter decodes and validates the CRC-verified footer bytes of a
+// version-1 or version-2 segment. Every count is bounded against the bytes
+// that could plausibly hold it and all derived offsets are checked against
+// the file size, so a corrupt footer that survived the CRC (or a
+// fuzzer-built one) fails typed instead of demanding absurd allocations.
+func parseFooter(fbuf []byte, version uint64, size, footerLen int64, path string) (*footerData, error) {
 	c := cursor{buf: fbuf}
 	bad := func(format string, args ...any) (*footerData, error) {
 		return nil, corruptf("segment %s: footer: %s", path, fmt.Sprintf(format, args...))
 	}
 
-	var foot footerData
+	foot := footerData{version: version}
+	if version >= 2 {
+		v, err := c.uvarint()
+		if err != nil {
+			return bad("version: %v", err)
+		}
+		if v != version {
+			return bad("version %d, header says %d", v, version)
+		}
+	}
 	vals := make([]int, index.StatsFieldCount)
 	for i := range vals {
 		v, err := c.uvarint()
@@ -253,47 +296,61 @@ func parseFooter(fbuf []byte, size, footerLen int64, path string) (*footerData, 
 	}
 	foot.stats.SetFields(vals)
 
-	metaOff, err1 := c.uvarint()
-	metaLen, err2 := c.uvarint()
-	metaCRC, err3 := c.uvarint()
-	if err := errors.Join(err1, err2, err3); err != nil {
-		return bad("meta frame: %v", err)
+	// section reads the frame of a section stored at off: its stored
+	// length, its inflated length if it is a flate stream, and its CRC.
+	section := func(what string, off int64, inflated bool) (blockMeta, error) {
+		cLen, err1 := c.uvarint()
+		uLen, err2 := cLen, error(nil)
+		if inflated {
+			uLen, err2 = c.uvarint()
+		}
+		crc, err3 := c.uvarint()
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return blockMeta{}, fmt.Errorf("%s: %v", what, err)
+		}
+		if cLen > uint64(size-off) || (inflated && uLen > maxBlockULen) || crc > 1<<32-1 {
+			return blockMeta{}, fmt.Errorf("%s: implausible frame (length %d, inflated %d) at %d of a %d-byte file", what, cLen, uLen, off, size)
+		}
+		return blockMeta{off: off, cLen: int64(cLen), uLen: int64(uLen), crc: uint32(crc)}, nil
 	}
-	if metaOff > uint64(size) || metaLen > uint64(size) || metaOff+metaLen > uint64(size) {
-		return bad("meta frame [%d,+%d) exceeds %d-byte file", metaOff, metaLen, size)
+
+	metaOff, err := c.uvarint()
+	if err != nil {
+		return bad("meta offset: %v", err)
 	}
-	if metaCRC > 1<<32-1 {
-		return bad("implausible meta checksum %d", metaCRC)
+	if metaOff > uint64(size) {
+		return bad("meta offset %d past the %d-byte file", metaOff, size)
 	}
-	foot.metaOff = int64(metaOff)
-	foot.metaLen = int64(metaLen)
-	foot.metaCRC = uint32(metaCRC)
+	if foot.meta, err = section("meta", int64(metaOff), false); err != nil {
+		return bad("%v", err)
+	}
+	off := foot.meta.off + foot.meta.cLen
+	if version >= 2 {
+		if foot.values, err = section("values", off, true); err != nil {
+			return bad("%v", err)
+		}
+		off += foot.values.cLen
+	}
 
 	nBlocks, err := c.uvarint()
 	if err != nil {
 		return bad("block count: %v", err)
 	}
-	// Each block entry is at least 3 varint bytes of footer.
-	if nBlocks > uint64(c.remaining())/3 {
+	// Each block entry is at least 2 (version 2) or 3 varint bytes.
+	if nBlocks > uint64(c.remaining())/2 {
 		return bad("block count %d exceeds what %d footer bytes can hold", nBlocks, c.remaining())
 	}
 	foot.blocks = make([]blockMeta, nBlocks)
-	off := foot.metaOff + foot.metaLen
 	for i := range foot.blocks {
-		cLen, err1 := c.uvarint()
-		uLen, err2 := c.uvarint()
-		crc, err3 := c.uvarint()
-		if err := errors.Join(err1, err2, err3); err != nil {
-			return bad("block %d: %v", i, err)
+		bm, err := section(fmt.Sprintf("block %d", i), off, version == 1)
+		if err != nil {
+			return bad("%v", err)
 		}
-		if cLen == 0 || cLen > uint64(size) || uLen == 0 || uLen > maxBlockULen || crc > 1<<32-1 {
-			return bad("block %d: implausible frame (clen %d, ulen %d)", i, cLen, uLen)
+		if bm.cLen == 0 || bm.uLen == 0 {
+			return bad("block %d: empty frame", i)
 		}
-		foot.blocks[i] = blockMeta{off: off, cLen: int64(cLen), uLen: int64(uLen), crc: uint32(crc)}
-		off += int64(cLen)
-		if off > size {
-			return bad("block %d ends at %d, past the %d-byte file", i, off, size)
-		}
+		foot.blocks[i] = bm
+		off += bm.cLen
 	}
 	if off+footerLen+trailerSize != size {
 		return bad("sections end at %d but footer starts at %d", off, size-trailerSize-footerLen)
@@ -337,7 +394,7 @@ func parseFooter(fbuf []byte, size, footerLen int64, path string) (*footerData, 
 			return bad("term %q: block %d of %d", term, block, len(foot.blocks))
 		}
 		uLen := uint64(foot.blocks[block].uLen)
-		// Every posting occupies at least one byte of the decompressed
+		// Every posting occupies at least one byte of the (inflated)
 		// block, so offset + count must fit inside it.
 		if offIn > uLen || count > uLen-offIn {
 			return bad("term %q: %d postings at offset %d exceed block of %d bytes", term, count, offIn, uLen)
@@ -386,6 +443,7 @@ const maxInflateRatio = 1032
 // inflate decompresses a flate stream that must yield exactly uLen bytes,
 // into a slice of exactly that capacity: the block cache accounts a block
 // by len(data), so spare capacity would be resident memory it cannot see.
+// It serves the version-2 values section and version-1 posting blocks.
 func inflate(cbuf []byte, uLen int64) ([]byte, error) {
 	// A claim no stream of this size can meet is a corrupt frame, caught
 	// before the allocation it asks for.
@@ -408,6 +466,12 @@ func inflate(cbuf []byte, uLen int64) ([]byte, error) {
 		return nil, fmt.Errorf("inflate: %v", err)
 	}
 	return data, nil
+}
+
+// inflate is the package's inflate, counted.
+func (r *Reader) inflate(cbuf []byte, uLen int64) ([]byte, error) {
+	r.inflates.Add(1)
+	return inflate(cbuf, uLen)
 }
 
 // Index returns the lazily-backed index view of the segment: meta is
@@ -434,6 +498,9 @@ func (r *Reader) Cache() *BlockCache { return r.cache }
 // BlockReads returns the number of posting blocks fetched from disk so
 // far (cache misses) — the regression hook for "stats read no blocks".
 func (r *Reader) BlockReads() int64 { return r.blockReads.Load() }
+
+// BytesRead returns the file bytes those block fetches read.
+func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
 
 // ForEachTerm calls f for every term in sorted order with its posting
 // count. The directory is resident, so iteration performs no I/O; the
@@ -481,7 +548,8 @@ func (r *Reader) Postings(term string) ([]int32, error) {
 	return list, nil
 }
 
-// fetchBlock returns block b's decompressed bytes, via the cache.
+// fetchBlock returns block b's posting bytes, via the cache: a miss is one
+// pread plus a CRC, and on a version-1 file an inflate.
 func (r *Reader) fetchBlock(b int32) ([]byte, error) {
 	key := cacheKey{rid: r.rid, block: b}
 	if data, ok := r.cache.get(key); ok {
@@ -492,22 +560,25 @@ func (r *Reader) fetchBlock(b int32) ([]byte, error) {
 	}
 	bm := &r.blocks[b]
 	start := time.Now()
-	cbuf := make([]byte, bm.cLen)
-	if _, err := r.f.ReadAt(cbuf, bm.off); err != nil {
+	data := make([]byte, bm.cLen)
+	if _, err := r.f.ReadAt(data, bm.off); err != nil {
 		if errors.Is(err, os.ErrClosed) {
 			return nil, fmt.Errorf("segment %s: reader is closed", r.path)
 		}
 		return nil, corruptf("segment %s: block %d: read: %v", r.path, b, err)
 	}
-	if crc32.ChecksumIEEE(cbuf) != bm.crc {
+	if crc32.ChecksumIEEE(data) != bm.crc {
 		return nil, corruptf("segment %s: block %d: checksum mismatch", r.path, b)
 	}
-	data, err := inflate(cbuf, bm.uLen)
-	if err != nil {
-		return nil, corruptf("segment %s: block %d: %v", r.path, b, err)
+	if r.inflateBlocks {
+		var err error
+		if data, err = r.inflate(data, bm.uLen); err != nil {
+			return nil, corruptf("segment %s: block %d: %v", r.path, b, err)
+		}
 	}
 	r.metrics.ObserveBlockFetch(time.Since(start))
 	r.blockReads.Add(1)
+	r.bytesRead.Add(bm.cLen)
 	r.cache.put(key, data)
 	return data, nil
 }
@@ -531,7 +602,7 @@ func (r *Reader) finalize() { r.Close() }
 // only the trailer and footer — no posting block and not even the meta
 // section is touched, so `gks stats` on a huge segment is O(footer).
 func ReadStats(path string) (index.Stats, error) {
-	f, _, _, foot, err := openFooter(path)
+	f, _, foot, err := openFooter(path)
 	if err != nil {
 		return index.Stats{}, err
 	}

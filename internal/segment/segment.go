@@ -1,63 +1,86 @@
-// Package segment implements the GKS4 block-compressed segment format:
-// the lazily-loaded, bounded-memory on-disk representation of a GKS index
-// (ROADMAP item 3, in the spirit of sorted-string tables).
+// Package segment implements the GKS4 segment format: the lazily-loaded,
+// bounded-memory on-disk representation of a GKS index (ROADMAP item 3, in
+// the spirit of sorted-string tables).
 //
 // A GKS3 snapshot decodes the entire index — node table AND every posting
 // list — into RAM at boot, so boot latency and resident memory scale
 // linearly with corpus size. A GKS4 segment splits the index into an
 // eagerly-decoded meta section (labels, document names, the packed
-// pre-order node table the search engine reads directly) and posting blocks that stay on
-// disk until a query asks for a term. Opening a segment reads only the
-// footer and the raw meta section; posting blocks are fetched by pread on
-// demand, verified, decompressed, and held in a byte-capacity LRU cache
-// shared across queries (and, optionally, across reload generations).
-// The meta section is stored uncompressed on purpose: it is decoded at
-// every open, and inflating it would put flate on the boot path — the
-// posting blocks, which boot never touches, carry the compression.
+// pre-order node table the search engine reads directly) and posting
+// blocks that stay on disk until a query asks for a term. Opening a
+// segment reads the footer, the raw meta section and the values section;
+// posting blocks are fetched by pread on demand, CRC-checked and held in a
+// byte-capacity LRU cache shared across queries (and, optionally, across
+// reload generations).
 //
-// Layout (all integers unsigned varints unless noted):
+// Compression follows what is read, not what is large. The posting blocks
+// are read by every query, so version 2 stores them raw: a cache miss is
+// one pread plus one CRC, and the cache holds the file's bytes. The value
+// arena is read only at open (into the resident node table) and then by
+// DI, snippets and XPath, so it is the part that is flate-compressed.
+// Version 1, still read, did the opposite: flate posting blocks and the
+// arena raw inside the meta section.
+//
+// Layout of version 2 (all integers unsigned varints unless noted):
 //
 //	magic "GKS4"                      4 bytes
-//	version (= 1)                     uvarint
-//	meta section                      raw (uncompressed), CRC-protected:
-//	    uvarint 0, packed-meta version, labels, document names and the
-//	    DAG-compressed node table of index.EncodeMeta — spine / instance /
-//	    shape / value-arena arrays; shared subtrees stored once. Segments
-//	    written before the packed table was the only one start with the
-//	    label count instead and store the flat per-node records; the reader
-//	    packs those on open.
-//	posting blocks                    concatenated, each flate-compressed;
-//	                                  decompressed form: the delta-varint
-//	                                  posting lists of whole terms, packed
-//	                                  back to back
+//	version (= 2)                     uvarint
+//	meta section                      raw, CRC-protected: uvarint 0,
+//	                                  packed-meta version 2, labels,
+//	                                  document names and the DAG-compressed
+//	                                  node table of index.EncodeMeta —
+//	                                  spine / instance / shape arrays and
+//	                                  the value lengths, but not the value
+//	                                  arena's bytes
+//	values section                    the value arena, flate (BestSpeed),
+//	                                  CRC-protected
+//	posting blocks                    concatenated, each raw: the
+//	                                  delta-varint posting lists of whole
+//	                                  terms, packed back to back
 //	footer:
+//	    version (= 2)                 uvarint, must equal the header's
 //	    stats                         10 uvarints (field order of GKSI)
-//	    metaOff metaLen               uvarints
-//	    metaCRC                       uvarint (CRC32-IEEE of meta bytes)
+//	    metaOff metaLen metaCRC       uvarints (CRC32-IEEE of meta bytes)
+//	    valuesLen valuesULen valuesCRC
+//	                                  uvarints (stored and inflated length,
+//	                                  CRC over the stored bytes; the section
+//	                                  starts where meta ends)
 //	    blockCount                    uvarint, then per block:
-//	        cLen uLen crc             uvarints (CRC over compressed bytes;
-//	                                  offsets derive from metaOff+metaLen
-//	                                  and the running cLen sum)
+//	        len crc                   uvarints (offsets derive from the
+//	                                  values section's end and the running
+//	                                  length sum)
 //	    termCount                     uvarint, then per term, sorted:
 //	        sharedPrefixLen           uvarint (with the previous term)
 //	        suffixLen suffixBytes     prefix-compressed term key
 //	        blockDelta                uvarint (block index, delta-coded;
 //	                                  term indices are non-decreasing)
 //	        offsetInBlock count       uvarints (byte offset of the term's
-//	                                  list in the decompressed block, and
-//	                                  its posting count)
+//	                                  list in its block, and its posting
+//	                                  count)
 //	trailer:
 //	    footerLen                     4 bytes little-endian
-//	    footerCRC                     4 bytes little-endian (CRC32-IEEE)
+//	    footerCRC                     4 bytes little-endian: CRC32-IEEE over
+//	                                  the header (magic and version varint)
+//	                                  followed by the footer
 //	    trailer magic "4SKG"          4 bytes
 //
+// Version 1 differs in four places: there is no values section (the meta
+// section is packed-meta version 1, arena inline, or the flat per-node
+// records of writers older than the packed table, which the reader packs
+// on open); each posting block is a flate stream whose footer entry is
+// cLen uLen crc, with offsetInBlock counted in the inflated block; the
+// footer has no version field; and footerCRC covers the footer alone.
+// Because the two footer checksums cover different bytes, a header whose
+// version byte was rewritten fails the checksum instead of reading one
+// version's blocks as the other's.
+//
 // Every term's list lives wholly inside one block; the writer packs terms
-// into ~DefaultBlockSize uncompressed bytes per block and lets a single
-// oversized list overflow its own block rather than splitting it. The
-// footer is the only structure trusted before its CRC passes, and every
-// decoded posting list is re-validated (strictly increasing, within the
-// node table) at fetch time, so a damaged block surfaces as
-// index.ErrCorrupt — never a panic or a silently wrong result.
+// into ~DefaultBlockSize bytes per block and lets a single oversized list
+// overflow its own block rather than splitting it. The footer is the only
+// structure trusted before its CRC passes, and every decoded posting list
+// is re-validated (strictly increasing, within the node table) at fetch
+// time, so a damaged block surfaces as index.ErrCorrupt — never a panic or
+// a silently wrong result.
 //
 // GKS3 snapshots remain fully supported for migration; `gks index
 // -format=gks4` and `gks convert` produce segments, and index.Load paths
@@ -78,15 +101,16 @@ const (
 	// trailerMagic ends every segment file; the reader locates the footer
 	// from the file tail, so the trailer has its own magic.
 	trailerMagic = "4SKG"
-	// formatVersion is the GKS4 format version written and accepted.
-	formatVersion = 1
+	// formatVersion is the GKS4 format version written. The reader also
+	// accepts version 1.
+	formatVersion = 2
 	// trailerSize is footerLen(4) + footerCRC(4) + trailerMagic(4).
 	trailerSize = 12
 )
 
-// DefaultBlockSize is the target uncompressed size of one posting block.
-// Small enough that a point lookup decompresses little, large enough that
-// flate has context to squeeze delta varints.
+// DefaultBlockSize is the target size of one posting block: the unit of a
+// pread, a CRC and a cache entry. Half of all terms hold one posting, so a
+// block carries hundreds of terms.
 const DefaultBlockSize = 32 << 10
 
 // DefaultCacheBytes is the block-cache capacity used when the caller does
@@ -112,11 +136,11 @@ type Metrics interface {
 	BlockCacheMiss()
 	// BlockCacheEvict counts a block evicted to respect the byte capacity.
 	BlockCacheEvict()
-	// SetBlockCacheBytes reports the decompressed bytes resident in the
+	// SetBlockCacheBytes reports the posting-block bytes resident in the
 	// cache after an insert or eviction.
 	SetBlockCacheBytes(n int64)
 	// ObserveBlockFetch records the latency of one disk block fetch
-	// (pread + CRC + decompress), cache misses only.
+	// (pread + CRC, plus inflate on a version-1 file), cache misses only.
 	ObserveBlockFetch(d time.Duration)
 }
 

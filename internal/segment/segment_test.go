@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -72,14 +73,35 @@ func assertSamePostings(t *testing.T, ix *index.Index, r *Reader) {
 // was the only one) opens into a packed index answering exactly like a
 // fresh build of the same documents.
 func TestOpenFlatMetaSegment(t *testing.T) {
+	assertFixturesMatchFreshBuild(t, "fig2a-flat-meta.gks4", "multi-flat-meta.gks4")
+}
+
+// TestOpenPackedV1Segment: version-1 segments with a packed meta section
+// (inline value arena, flate posting blocks; the testdata images were
+// written by the version-1 writer, multi at a 64-byte block size) open
+// into an index answering exactly like a fresh build.
+func TestOpenPackedV1Segment(t *testing.T) {
+	assertFixturesMatchFreshBuild(t, "fig2a-packed-v1.gks4", "multi-packed-v1.gks4")
+}
+
+// fixtureRepo returns the documents a testdata segment indexes:
+// "fig2a-…" holds Figure 2(a), "multi-…" Figure 2(a) then Figure 1.
+func fixtureRepo(name string) *xmltree.Repository {
+	if strings.HasPrefix(name, "fig2a-") {
+		return datagen.Repo(xmltree.BuildFigure2a())
+	}
 	multi := &xmltree.Repository{}
 	multi.Add(xmltree.BuildFigure2a())
 	multi.Add(xmltree.BuildFigure1())
-	for name, repo := range map[string]*xmltree.Repository{
-		"fig2a-flat-meta.gks4": datagen.Repo(xmltree.BuildFigure2a()),
-		"multi-flat-meta.gks4": multi,
-	} {
-		want, err := index.Build(repo, index.DefaultOptions())
+	return multi
+}
+
+// assertFixturesMatchFreshBuild opens each testdata segment and checks
+// its stats, every row and every posting list against a fresh build.
+func assertFixturesMatchFreshBuild(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		want, err := index.Build(fixtureRepo(name), index.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,13 +16,14 @@ import (
 // ("2001", "vldb09") so year- and id-like keywords remain searchable.
 func Tokenize(s string) []string {
 	var tokens []string
+	forEachToken(s, func(raw string) { tokens = append(tokens, strings.ToLower(raw)) })
+	return tokens
+}
+
+// forEachToken calls f with each token of s as it appears in s, before
+// lower-casing.
+func forEachToken(s string, f func(raw string)) {
 	start := -1
-	flush := func(end int) {
-		if start >= 0 {
-			tokens = append(tokens, strings.ToLower(s[start:end]))
-			start = -1
-		}
-	}
 	for i, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			if start < 0 {
@@ -30,10 +31,14 @@ func Tokenize(s string) []string {
 			}
 			continue
 		}
-		flush(i)
+		if start >= 0 {
+			f(s[start:i])
+			start = -1
+		}
 	}
-	flush(len(s))
-	return tokens
+	if start >= 0 {
+		f(s[start:])
+	}
 }
 
 // stopwords is a compact English stop-word list. The paper does not publish
@@ -79,4 +84,57 @@ func NormalizeKeyword(s string) string {
 		return ""
 	}
 	return Stem(toks[0])
+}
+
+// Memo is Normalize and NormalizeKeyword with each distinct token
+// lower-cased, stop-word tested and stemmed once. An index build owns one
+// for its lifetime: a corpus repeats its vocabulary, so the build stems a
+// few thousand words instead of every occurrence. The query path keeps
+// calling the unmemoised functions, so user input cannot grow a map. A
+// Memo is not safe for concurrent use.
+type Memo struct {
+	words map[string]memoWord // raw token as cut from the text
+}
+
+type memoWord struct {
+	stem string
+	stop bool
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{words: make(map[string]memoWord)} }
+
+// word returns raw's stem and stop-word flag, computing them on first use.
+func (m *Memo) word(raw string) memoWord {
+	if w, ok := m.words[raw]; ok {
+		return w
+	}
+	lower := strings.ToLower(raw)
+	w := memoWord{stem: Stem(lower), stop: IsStopword(lower)}
+	// Clone the key: raw points into the caller's text, which the memo
+	// must not keep alive.
+	m.words[strings.Clone(raw)] = w
+	return w
+}
+
+// Normalize is Normalize(s).
+func (m *Memo) Normalize(s string) []string {
+	var out []string
+	forEachToken(s, func(raw string) {
+		if w := m.word(raw); !w.stop {
+			out = append(out, w.stem)
+		}
+	})
+	return out
+}
+
+// NormalizeKeyword is NormalizeKeyword(s).
+func (m *Memo) NormalizeKeyword(s string) string {
+	key, first := "", true
+	forEachToken(s, func(raw string) {
+		if first {
+			key, first = m.word(raw).stem, false
+		}
+	})
+	return key
 }

@@ -1,0 +1,108 @@
+package gks_test
+
+import (
+	"context"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	gks "repro"
+
+	"repro/internal/datagen"
+)
+
+// BenchmarkSegmentColdQuery is the in-process layer row of the
+// cold_segment workload: the four corpus analogs (seed 42, scale 16 by
+// default, GKS_BENCH_SCALE overrides) as one GKS4 segment behind a 1 MiB
+// block cache, asked 2–3-keyword AND queries whose keywords are drawn
+// from per-block strata of the vocabulary, so nearly every query needs a
+// block the cache does not hold. Besides ns/op it reports block reads and
+// file bytes read per query.
+func BenchmarkSegmentColdQuery(b *testing.B) {
+	scale := 16
+	if s := benchScale(); s > 1 {
+		scale = s
+	}
+	cfg := datagen.Config{Seed: 42, Scale: scale}
+	built, err := gks.IndexDocuments(datagen.NASA(cfg), datagen.SwissProt(cfg), datagen.PaperDBLP(scale), datagen.PaperSigmod(scale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "cold.gks4")
+	if err := built.SaveSegmentFile(path); err != nil {
+		b.Fatal(err)
+	}
+	built = nil
+	sys, err := gks.LoadIndexFileOpts(path, gks.SegmentOptions{CacheBytes: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.CloseIndex()
+	seg := sys.Segment()
+	queries := coldQueries(sys, seg.NumBlocks(), 4096)
+
+	ctx := context.Background()
+	search := func(q gks.Query) {
+		if _, err := sys.Search(ctx, gks.SearchRequest{Query: q, S: q.Len(), TopK: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range queries[:256] {
+		search(q)
+	}
+	reads, bytes := seg.BlockReads(), seg.BytesRead()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search(queries[i%len(queries)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(seg.BlockReads()-reads)/float64(b.N), "blocks/op")
+	b.ReportMetric(float64(seg.BytesRead()-bytes)/float64(b.N), "readB/op")
+}
+
+// coldQueries draws n distinct 2–3-keyword queries. The sorted vocabulary
+// is cut into as many equal shares of postings as the segment has blocks
+// (the writer fills blocks with whole lists in term order, so a share is
+// about one block); a keyword is a uniform share, then a uniform term of
+// it with at most 1000 postings that the query parser keeps unchanged.
+func coldQueries(sys *gks.System, blocks, n int) []gks.Query {
+	vocab := sys.TopKeywords(0)
+	sort.Slice(vocab, func(i, j int) bool { return vocab[i].Keyword < vocab[j].Keyword })
+	total := 0
+	for _, kf := range vocab {
+		total += kf.Count
+	}
+	strata := make([][]string, blocks)
+	seenMass := 0
+	for _, kf := range vocab {
+		s := min(seenMass*blocks/total, blocks-1)
+		seenMass += kf.Count
+		if q := gks.NewQuery(kf.Keyword); kf.Count <= 1000 && q.Len() == 1 && len(q.Keywords[0].Tokens) == 1 && q.Keywords[0].Tokens[0] == kf.Keyword {
+			strata[s] = append(strata[s], kf.Keyword)
+		}
+	}
+	nonEmpty := strata[:0]
+	for _, s := range strata {
+		if len(s) > 0 {
+			nonEmpty = append(nonEmpty, s)
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	seen := map[string]bool{}
+	var out []gks.Query
+	for len(out) < n {
+		terms := make([]string, 2+rng.Intn(2))
+		for i := range terms {
+			s := nonEmpty[rng.Intn(len(nonEmpty))]
+			terms[i] = s[rng.Intn(len(s))]
+		}
+		key := strings.Join(terms, " ")
+		if q := gks.NewQuery(terms...); q.Len() == len(terms) && !seen[key] {
+			seen[key] = true
+			out = append(out, q)
+		}
+	}
+	return out
+}

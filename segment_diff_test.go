@@ -170,7 +170,7 @@ func diffSearchSurface(t *testing.T, eager, lazy *System, query string, s int) {
 func TestSegmentDifferentialSearch(t *testing.T) {
 	for name, docs := range segmentCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			// 8 KiB cache: a handful of 32 KiB-uncompressed blocks never
+			// 8 KiB cache: a handful of 32 KiB blocks never
 			// fit, so every corpus beyond the toy one churns constantly.
 			eager, lazy := segmentPair(t, 8<<10, docs...)
 
