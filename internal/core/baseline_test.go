@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/merge"
 	"repro/internal/rank"
+	"repro/internal/segment"
 	"repro/internal/xmltree"
 )
 
@@ -142,6 +145,211 @@ func (e *Engine) lcpNodeDewey(a, b int32) (int32, bool) {
 		return 0, false
 	}
 	return e.ix.OrdinalOf(lca)
+}
+
+// lcpNode is the lockstep parent walk the window stage ran before
+// blockLCA: equalize the depths of a and b, then step both up together
+// until they meet. Unlike blockLCA it returns root LCAs too; false means
+// the two lie in different documents.
+func (e *Engine) lcpNode(a, b int32) (int32, bool) {
+	ix := e.ix
+	da, db := ix.DepthOf(a), ix.DepthOf(b)
+	for da > db {
+		a = ix.ParentOf(a)
+		da--
+	}
+	for db > da {
+		b = ix.ParentOf(b)
+		db--
+	}
+	for a != b {
+		pa, pb := ix.ParentOf(a), ix.ParentOf(b)
+		if pa < 0 || pb < 0 {
+			return 0, false // different documents: no common ancestor
+		}
+		a, b = pa, pb
+	}
+	return a, true
+}
+
+// windowOracle is what the window stage must produce for one S_L and s,
+// computed block by block with lcpNode.
+type windowOracle struct {
+	windowStats
+	// counts maps every non-root LCA to its number of blocks.
+	counts map[int32]int32
+	// rootLCPs is the number of distinct document roots that are the LCA
+	// of some block.
+	rootLCPs int
+}
+
+// oracleWindows resolves every block of sl with lcpNode, crosses each
+// answer with the Dewey-prefix LCA, and models the climbs blockLCA must
+// make: one per block whose LCA lies below the root unless the previous
+// climbed block had the same ends, and one per root-LCA block whose first
+// entry lies past the depth-1 subtree the latest such climb reached — so a
+// range test that lets a block through that it should have skipped shows
+// up as an extra climb.
+func oracleWindows(t *testing.T, e *Engine, sl []merge.Entry, s int) windowOracle {
+	t.Helper()
+	o := windowOracle{counts: map[int32]int32{}}
+	roots := map[int32]bool{}
+	var topEnd int32
+	memoFirst, memoLast := int32(-1), int32(-1)
+	merge.Windows(sl, s, func(l, r int) {
+		o.blocks++
+		first, last := sl[l].Ord, sl[r].Ord
+		ord, ok := e.lcpNode(first, last)
+		if dord, dok := e.lcpNodeDewey(first, last); dok != ok || (ok && dord != ord) {
+			t.Fatalf("blocks (%d,%d): lockstep LCA %d/%v, Dewey LCA %d/%v", first, last, ord, ok, dord, dok)
+		}
+		switch {
+		case !ok || e.ix.DepthOf(first) == 0:
+			o.pruned++
+			if ok {
+				roots[ord] = true
+			}
+		case e.ix.DepthOf(ord) == 0:
+			o.pruned++
+			roots[ord] = true
+			if first >= topEnd {
+				o.climbs++
+				id := e.ix.IDOf(first)
+				top, found := e.ix.OrdinalOf(dewey.ID{Doc: id.Doc, Path: id.Path[:2]})
+				if !found {
+					t.Fatalf("no depth-1 ancestor of %s", id)
+				}
+				_, topEnd = e.ix.SubtreeRange(top)
+			}
+		default:
+			o.counts[ord]++
+			if first != memoFirst || last != memoLast {
+				o.climbs++
+				memoFirst, memoLast = first, last
+			}
+		}
+	})
+	o.rootLCPs = len(roots)
+	return o
+}
+
+// requireWindowsMatchOracle runs the window stage over q's S_L at every
+// threshold and holds its per-node block counts, block, prune and climb
+// counts against oracleWindows.
+func requireWindowsMatchOracle(t *testing.T, label string, ix *index.Index, q Query) {
+	t.Helper()
+	e := NewEngine(ix)
+	sl := merge.Merge(e.PostingLists(q))
+	for s := 1; s <= q.Len(); s++ {
+		want := oracleWindows(t, e, sl, s)
+		a := e.acquireArena()
+		got, err := e.scanWindows(context.Background(), a, sl, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.windowStats {
+			t.Errorf("%s s=%d: blocks/pruned/climbs = %+v, oracle %+v", label, s, got, want.windowStats)
+		}
+		if len(a.touched) != len(want.counts) {
+			t.Errorf("%s s=%d: %d LCP nodes, oracle %d without roots", label, s, len(a.touched), len(want.counts))
+		}
+		for _, ord := range a.touched {
+			if a.lcpCount[ord] != want.counts[ord] {
+				t.Errorf("%s s=%d: LCP node %d counted %d blocks, oracle %d", label, s, ord, a.lcpCount[ord], want.counts[ord])
+			}
+		}
+		e.releaseArena(a)
+	}
+}
+
+// randomCorpus indexes two to five randomDocs with element names indexed,
+// so keywords land on roots and depth-1 nodes as well as leaves.
+func randomCorpus(rng *rand.Rand) (*index.Index, error) {
+	var repo xmltree.Repository
+	for i := 2 + rng.Intn(4); i > 0; i-- {
+		repo.Add(randomDoc(rng, fmt.Sprintf("d%d.xml", len(repo.Docs))))
+	}
+	return index.Build(&repo, index.Options{IndexElementNames: true})
+}
+
+// randomDoc builds a randomTree document or one of the shapes the window
+// prune must get right: a bare root holding a keyword, or a chain deeper
+// than 30. Tree roots may carry keyword attributes, and any root may be
+// named after a query keyword.
+func randomDoc(rng *rand.Rand, name string) *xmltree.Document {
+	words := []string{"apple", "pear", "plum", "fig"}
+	var root *xmltree.Node
+	switch rng.Intn(6) {
+	case 0:
+		root = xmltree.ET("bare", words[rng.Intn(len(words))])
+	case 1:
+		root = xmltree.E("chain")
+		cur := root
+		for d := 0; d < 31+rng.Intn(5); d++ {
+			if rng.Intn(4) == 0 {
+				cur.Append(xmltree.ET("leaf", words[rng.Intn(len(words))]))
+			}
+			next := xmltree.E("link")
+			cur.Append(next)
+			cur = next
+		}
+		cur.Append(xmltree.ET("leaf", words[rng.Intn(len(words))]))
+	default:
+		root = randomTree(rng, rng.Intn(2) == 0).Root
+		for k := rng.Intn(3); k > 0; k-- {
+			root.Append(xmltree.ET("title", words[rng.Intn(len(words))]))
+		}
+	}
+	if rng.Intn(3) == 0 {
+		root.Label = words[rng.Intn(len(words))]
+	}
+	return xmltree.NewDocument(name, 0, root)
+}
+
+// TestWindowPruneMatchesLockstep is the differential test of the pruned
+// window scan: over random multi-document corpora — fresh, with a
+// tombstoned document, with a delta-appended one and served from a GKS4
+// segment — every block's LCA count must equal the lockstep oracle's with
+// root LCAs removed, the pruned blocks must be exactly those whose LCA is
+// a root or missing, and the climbs must be exactly the ones the oracle
+// models.
+func TestWindowPruneMatchesLockstep(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	q := NewQuery("apple", "pear", "plum", "fig")
+	dir := t.TempDir()
+	for trial := 0; trial < 60; trial++ {
+		ix, err := randomCorpus(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d", trial)
+		requireWindowsMatchOracle(t, label, ix, q)
+		requireMatchesBaseline(t, label, ix, q)
+
+		dead, err := ix.DeleteDoc(ix.DocNames[rng.Intn(len(ix.DocNames))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireWindowsMatchOracle(t, label+" tombstoned", dead, q)
+
+		grown, err := index.Append(dead, randomDoc(rng, "added.xml"), index.Options{IndexElementNames: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireWindowsMatchOracle(t, label+" appended", grown, q)
+
+		path := filepath.Join(dir, fmt.Sprintf("t%d.gks4", trial))
+		if err := segment.WriteFile(path, grown); err != nil {
+			t.Fatal(err)
+		}
+		r, err := segment.OpenFile(path, segment.Options{CacheBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireWindowsMatchOracle(t, label+" segment", r.Index(), q)
+		requireMatchesBaseline(t, label+" segment", r.Index(), q)
+		r.Close()
+	}
 }
 
 // requireSameResponse diffs two responses field by field, ranks bit for bit

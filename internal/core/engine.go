@@ -139,13 +139,14 @@ func (e *Engine) Search(q Query, s int) (*Response, error) {
 // next checkpoint instead of completing a doomed search on a detached
 // goroutine. A cancelled search returns ctx.Err() and no response.
 func (e *Engine) SearchCtx(ctx context.Context, q Query, s int) (*Response, error) {
-	return e.search(ctx, q, s, 0)
+	return e.search(ctx, q, s, 0, nil)
 }
 
 // search runs the candidate stages, then the one rank stage every ranked
-// entry point shares (§5); k > 0 keeps only the k first results.
-func (e *Engine) search(ctx context.Context, q Query, s, k int) (*Response, error) {
-	resp, cands, a, err := e.collectCandidates(ctx, q, s)
+// entry point shares (§5); k > 0 keeps only the k first results, and a
+// non-nil counts receives the pipeline's intermediate sizes.
+func (e *Engine) search(ctx context.Context, q Query, s, k int, counts *explainCounts) (*Response, error) {
+	resp, cands, a, err := e.collectCandidates(ctx, q, s, counts)
 	if err != nil || len(cands) == 0 {
 		return resp, err
 	}
@@ -162,13 +163,14 @@ func (e *Engine) search(ctx context.Context, q Query, s, k int) (*Response, erro
 // collectCandidates runs stages 1–4 of the pipeline (merge, windows,
 // lifting, witness filter) and returns the surviving candidates in
 // pre-order, unranked. ctx is polled at stage boundaries and periodically
-// inside the merge and window scans.
+// inside the merge and window scans. A non-nil counts receives the sizes
+// of the intermediate stages (Explain reads them).
 //
 // All scratch state (including S_L, reachable as arena.sl) lives in the
 // returned arena; the caller must pass it to releaseArena once the
 // survivors have been consumed. On error or empty-survivor returns the
 // arena has already been released and comes back nil.
-func (e *Engine) collectCandidates(ctx context.Context, q Query, s int) (*Response, []*candidate, *queryArena, error) {
+func (e *Engine) collectCandidates(ctx context.Context, q Query, s int, counts *explainCounts) (*Response, []*candidate, *queryArena, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -189,6 +191,11 @@ func (e *Engine) collectCandidates(ctx context.Context, q Query, s int) (*Respon
 		lists = append(lists, e.postings(kw))
 	}
 	a.lists = lists
+	if counts != nil {
+		for _, list := range lists {
+			counts.postingSizes = append(counts.postingSizes, len(list))
+		}
+	}
 	// On a lazily-backed (segment) index a failed block fetch surfaces as
 	// an empty list plus a poisoned index; fail the query loudly rather
 	// than answering from partial postings.
@@ -209,44 +216,24 @@ func (e *Engine) collectCandidates(ctx context.Context, q Query, s int) (*Respon
 		return resp, nil, nil, nil
 	}
 
-	// 2. Slide the s-unique-keyword block over S_L and collect the longest
-	// common prefix of each block into the LCP candidate list (Lemma 6:
-	// for a Dewey-sorted block the common prefix of the first and last
-	// entries is the common prefix of the whole block). The LCP of the
-	// previous block is memoized: S_L repeats ordinals across keywords, so
-	// adjacent windows frequently share the same (first, last) ordinal
-	// pair and skip the Dewey LCA + ordinal lookup entirely.
+	// 2. Slide the s-unique-keyword block over S_L and count each block's
+	// longest common prefix on its LCP node (Lemma 6: for a Dewey-sorted
+	// block the common prefix of the first and last entries is the common
+	// prefix of the whole block). A document root is never a response (§1,
+	// Example 1), so a block whose ends lie in two documents or in two
+	// depth-1 subtrees of one document yields nothing: blockLCA skips it in
+	// O(1) and climbs from the first entry only for the rest.
 	start = time.Now()
-	windows, cancelled := 0, false
-	memoA, memoB := int32(-1), int32(-1)
-	var memoOrd int32
-	var memoOK bool
-	merge.Windows(sl, s, func(l, r int) {
-		windows++
-		if cancelled {
-			return
-		}
-		if windows&rankCheckMask == 0 && ctx.Err() != nil {
-			cancelled = true // skip the per-window LCP work for the rest
-			return
-		}
-		first, last := sl[l].Ord, sl[r].Ord
-		if first != memoA || last != memoB {
-			memoA, memoB = first, last
-			memoOrd, memoOK = e.lcpNode(first, last)
-		}
-		if memoOK {
-			if a.lcpCount[memoOrd] == 0 {
-				a.touched = append(a.touched, memoOrd)
-			}
-			a.lcpCount[memoOrd]++
-		}
-	})
-	if cancelled {
+	ws, err := e.scanWindows(ctx, a, sl, s)
+	if err != nil {
 		e.releaseArena(a)
-		return nil, nil, nil, ctx.Err()
+		return nil, nil, nil, err
 	}
 	resp.Stages.Windows = time.Since(start)
+	if counts != nil {
+		counts.windowStats = ws
+		counts.lcpNodes = len(a.touched)
+	}
 
 	// 3. Lift candidates: attribute nodes resolve to their parent
 	// (Def 2.1.1: "the parent node of an attribute node is considered the
@@ -295,6 +282,14 @@ func (e *Engine) collectCandidates(ctx context.Context, q Query, s int) (*Respon
 		cands = append(cands, &a.cands[i])
 	}
 	a.ptrs = cands
+	if counts != nil {
+		counts.candidates = len(cands)
+		for _, c := range cands {
+			if c.isEntity {
+				counts.entityCandidates++
+			}
+		}
+	}
 	slices.SortFunc(cands, func(x, y *candidate) int { return int(x.ord - y.ord) })
 	a.maskStack = computeMasks(e.ix, cands, sl, a.maskStack)
 	resp.Stages.Lift = time.Since(start)
@@ -343,6 +338,103 @@ func (e *Engine) collectCandidates(ctx context.Context, q Query, s int) (*Respon
 		return resp, nil, nil, nil
 	}
 	return resp, survivors, a, nil
+}
+
+// windowStats counts what the window stage did with S_L's blocks.
+type windowStats struct {
+	// blocks is the number of sliding-window blocks with s unique keywords.
+	blocks int
+	// pruned counts the blocks whose LCA is a document root or missing.
+	pruned int
+	// climbs counts the blocks that needed a parent climb: no range test
+	// skipped them and the memo did not answer them.
+	climbs int
+}
+
+// scanWindows runs stage 2 over sl: it counts every block's LCP node in
+// a.lcpCount, listing first touches in a.touched, and skips the blocks
+// that cannot yield a candidate. ctx is polled every rankCheckMask+1
+// blocks; a cancelled scan returns ctx.Err().
+func (e *Engine) scanWindows(ctx context.Context, a *queryArena, sl []merge.Entry, s int) (windowStats, error) {
+	var st windowStats
+	b := blockLCA{ix: e.ix, memoFirst: -1}
+	cancelled := false
+	merge.Windows(sl, s, func(l, r int) {
+		st.blocks++
+		if cancelled {
+			return
+		}
+		if st.blocks&rankCheckMask == 0 && ctx.Err() != nil {
+			cancelled = true // skip the per-block work for the rest
+			return
+		}
+		ord, ok := b.lca(sl[l].Ord, sl[r].Ord)
+		if !ok {
+			st.pruned++
+			return
+		}
+		if a.lcpCount[ord] == 0 {
+			a.touched = append(a.touched, ord)
+		}
+		a.lcpCount[ord]++
+	})
+	if cancelled {
+		return st, ctx.Err()
+	}
+	st.climbs = b.climbs
+	return st, nil
+}
+
+// blockLCA maps window blocks to the lowest common ancestor of their end
+// entries — the node whose Dewey ID is their longest common prefix — when
+// that ancestor lies below a document root; only such blocks can yield a
+// candidate, since the lift drops roots. Blocks must arrive with both ends
+// nondecreasing, as merge.Windows emits them over a pre-order S_L, so its
+// range cursors only move forward: the document lookup runs once per
+// document entered and a climb reaches depth 1 at most once per block.
+type blockLCA struct {
+	ix *index.Index
+	// docRoot and docEnd delimit the ordinal range of the document that
+	// holds the latest first entry.
+	docRoot, docEnd int32
+	// topEnd ends the depth-1 subtree the latest unsuccessful climb
+	// reached; that subtree starts at or before every later first entry.
+	topEnd int32
+	// memoFirst, memoLast and memoOrd remember the latest climbed pair: S_L
+	// repeats ordinals across keywords, so adjacent blocks often share
+	// their ends.
+	memoFirst, memoLast, memoOrd int32
+	climbs                       int
+}
+
+// lca returns the LCA of first ≤ last and true, or false when the two lie
+// in different documents or their LCA is the document root.
+func (b *blockLCA) lca(first, last int32) (int32, bool) {
+	if first >= b.docEnd {
+		b.docRoot, b.docEnd = b.ix.DocRange(first)
+	}
+	if last >= b.docEnd || first == b.docRoot || (first < b.topEnd && last >= b.topEnd) {
+		return 0, false
+	}
+	if first == b.memoFirst && last == b.memoLast {
+		return b.memoOrd, true
+	}
+	// The LCA is the first ancestor-or-self of first whose subtree range
+	// holds last (last ≥ first ≥ every ancestor's start).
+	b.climbs++
+	for cur := first; ; {
+		end := cur + b.ix.SubtreeSizeOf(cur)
+		if last < end {
+			b.memoFirst, b.memoLast, b.memoOrd = first, last, cur
+			return cur, true
+		}
+		parent := b.ix.ParentOf(cur)
+		if parent == b.docRoot {
+			b.topEnd = end
+			return 0, false
+		}
+		cur = parent
+	}
 }
 
 // maskOpen is one frame of the computeMasks sweep: an open candidate and
@@ -466,36 +558,4 @@ func intersectSorted(a, b []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// lcpNode maps the block's end ordinals to the node whose Dewey ID is their
-// longest common prefix. Blocks spanning two documents have no common
-// ancestor and produce no candidate.
-//
-// The longest common Dewey prefix of two nodes is their lowest common
-// ancestor in the tree, so instead of materializing a prefix ID and
-// binary-searching it back to an ordinal (which allocates the prefix path
-// on every block), the ancestor is found by walking the parent pointers of
-// the node table: equalize depths, then step both sides in lockstep. The
-// test oracle (SearchBaseline) retains the Dewey-prefix variant, so the
-// differential tests cross-check two independent LCA constructions.
-func (e *Engine) lcpNode(a, b int32) (int32, bool) {
-	ix := e.ix
-	da, db := ix.DepthOf(a), ix.DepthOf(b)
-	for da > db {
-		a = ix.ParentOf(a)
-		da--
-	}
-	for db > da {
-		b = ix.ParentOf(b)
-		db--
-	}
-	for a != b {
-		pa, pb := ix.ParentOf(a), ix.ParentOf(b)
-		if pa < 0 || pb < 0 {
-			return 0, false // different documents: no common ancestor
-		}
-		a, b = pa, pb
-	}
-	return a, true
 }

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"repro/internal/index"
-	"repro/internal/merge"
 )
 
 // Explanation traces one search through the GKS pipeline — the efficiency
@@ -22,7 +19,13 @@ type Explanation struct {
 	SLSize int
 	// Blocks is the number of sliding-window blocks with s unique keywords.
 	Blocks int
-	// LCPNodes is the number of distinct longest-common-prefix nodes.
+	// PrunedBlocks counts the blocks that yield no candidate because their
+	// ends lie in two documents or their LCA is a document root; the
+	// window stage skips them without an LCA walk.
+	PrunedBlocks int
+	// LCPNodes is the number of distinct longest-common-prefix nodes below
+	// a document root. Root LCP nodes are not counted: a root is never a
+	// candidate, and the window stage never resolves one.
 	LCPNodes int
 	// Candidates is the number of distinct candidates after lifting.
 	Candidates int
@@ -46,8 +49,8 @@ func (ex *Explanation) String() string {
 	fmt.Fprintf(&b, "query %s (|Q|=%d, s=%d)\n", ex.Query, ex.Query.Len(), ex.S)
 	fmt.Fprintf(&b, "  postings: %v -> |S_L| = %d (merge %v)\n",
 		ex.PostingSizes, ex.SLSize, ex.MergeTime.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  windows:  %d blocks -> %d LCP nodes -> %d candidates (%d LCE) (scan %v)\n",
-		ex.Blocks, ex.LCPNodes, ex.Candidates, ex.EntityCandidates, ex.ScanTime.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  windows:  %d blocks (%d pruned) -> %d LCP nodes -> %d candidates (%d LCE) (scan %v)\n",
+		ex.Blocks, ex.PrunedBlocks, ex.LCPNodes, ex.Candidates, ex.EntityCandidates, ex.ScanTime.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  witness:  %d survivors (rank %v)\n",
 		ex.Survivors, ex.RankTime.Round(time.Microsecond))
 	return b.String()
@@ -59,93 +62,42 @@ func (e *Engine) Explain(q Query, s int) (*Explanation, error) {
 	return e.ExplainCtx(context.Background(), q, s)
 }
 
-// ExplainCtx is Explain honoring ctx: the diagnostic pre-pass checks for
-// cancellation between stages, and the embedded real search is SearchCtx
-// itself, polls in the candidate stages and the rank sweep included. The shard
-// scatter-gather relies on this to cancel sibling explains when one
-// shard fails.
+// explainCounts receives the intermediate sizes of one search for Explain;
+// collectCandidates fills it when handed one.
+type explainCounts struct {
+	postingSizes []int
+	windowStats
+	lcpNodes, candidates, entityCandidates int
+}
+
+// ExplainCtx is Explain honoring ctx: the counts come from the real search,
+// SearchCtx's own pipeline, which polls ctx in the candidate stages and the
+// rank sweep. The shard scatter-gather relies on this to cancel sibling
+// explains when one shard fails.
 func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ex := &Explanation{Query: q}
-
-	// Diagnostic pre-pass: recompute the merged list, blocks and LCP set
-	// with maps to expose the intermediate counts the arena-based pipeline
-	// no longer materializes. Timings come from the real search below.
-	lists := make([][]int32, q.Len())
-	for i, kw := range q.Keywords {
-		lists[i] = e.postings(kw)
-		ex.PostingSizes = append(ex.PostingSizes, len(lists[i]))
-	}
-	if err := e.ix.LazyErr(); err != nil {
-		return nil, err
-	}
-	sl := merge.Merge(lists)
-	ex.SLSize = len(sl)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	if s < 1 {
-		s = 1
-	}
-	if s > q.Len() {
-		s = q.Len()
-	}
-	ex.S = s
-
-	lcp := map[int32]bool{}
-	merge.Windows(sl, s, func(l, r int) {
-		ex.Blocks++
-		if ord, ok := e.lcpNode(sl[l].Ord, sl[r].Ord); ok {
-			lcp[ord] = true
-		}
-	})
-	ex.LCPNodes = len(lcp)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	resp, err := e.SearchCtx(ctx, q, s)
+	var c explainCounts
+	resp, err := e.search(ctx, q, s, 0, &c)
 	if err != nil {
 		return nil, err
 	}
-	ex.Survivors = resp.Total
-	// Candidate statistics require the pre-filter view; recompute cheaply
-	// from the LCP set.
-	seen := map[int32]bool{}
-	for ord := range lcp {
-		lifted := ord
-		for e.ix.CatOf(lifted)&index.Attribute != 0 && e.ix.ParentOf(lifted) >= 0 {
-			lifted = e.ix.ParentOf(lifted)
-		}
-		final := lifted
-		isEntity := false
-		if ent, ok := e.ix.LowestEntityAncestorOrSelf(lifted); ok {
-			if e.ix.DepthOf(ent) > 0 {
-				final, isEntity = ent, true
-			}
-		}
-		if e.ix.DepthOf(final) == 0 {
-			continue
-		}
-		if !seen[final] {
-			seen[final] = true
-			ex.Candidates++
-			if isEntity {
-				ex.EntityCandidates++
-			}
-		}
-	}
-
-	ex.Stages = resp.Stages
-	ex.MergeTime = resp.Stages.Merge
-	ex.ScanTime = resp.Stages.Windows + resp.Stages.Lift + resp.Stages.Filter
-	ex.RankTime = resp.Stages.Rank
-	ex.Response = resp
-	return ex, nil
+	return &Explanation{
+		Query:            q,
+		S:                resp.S,
+		PostingSizes:     c.postingSizes,
+		SLSize:           resp.SLSize,
+		Blocks:           c.blocks,
+		PrunedBlocks:     c.pruned,
+		LCPNodes:         c.lcpNodes,
+		Candidates:       c.candidates,
+		EntityCandidates: c.entityCandidates,
+		Survivors:        resp.Total,
+		MergeTime:        resp.Stages.Merge,
+		ScanTime:         resp.Stages.Windows + resp.Stages.Lift + resp.Stages.Filter,
+		RankTime:         resp.Stages.Rank,
+		Stages:           resp.Stages,
+		Response:         resp,
+	}, nil
 }

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/index"
+	"repro/internal/merge"
 )
 
 func TestExplainMatchesSearch(t *testing.T) {
@@ -59,5 +65,108 @@ func TestExplainErrors(t *testing.T) {
 	e := figure2aEngine(t)
 	if _, err := e.Explain(Query{}, 1); err == nil {
 		t.Error("empty query must error")
+	}
+}
+
+// explainOracle is the diagnostic pre-pass Explain ran before the search
+// filled its counts: it recomputes the posting sizes, S_L, the blocks and
+// the LCP set with maps and the lockstep lcpNode, and lifts the LCP set a
+// second time. Root LCP nodes are included in its LCPNodes and counted
+// apart in rootLCPNodes; prunedBlocks counts the blocks whose LCA is a
+// root or missing.
+func explainOracle(t *testing.T, e *Engine, q Query, s int) (ex Explanation, rootLCPNodes, prunedBlocks int) {
+	t.Helper()
+	lists := make([][]int32, q.Len())
+	for i, kw := range q.Keywords {
+		lists[i] = e.postings(kw)
+		ex.PostingSizes = append(ex.PostingSizes, len(lists[i]))
+	}
+	sl := merge.Merge(lists)
+	ex.SLSize = len(sl)
+	if s < 1 {
+		s = 1
+	}
+	if s > q.Len() {
+		s = q.Len()
+	}
+	ex.S = s
+
+	lcp := map[int32]bool{}
+	merge.Windows(sl, s, func(l, r int) {
+		ex.Blocks++
+		ord, ok := e.lcpNode(sl[l].Ord, sl[r].Ord)
+		if ok {
+			lcp[ord] = true
+		}
+		if !ok || e.ix.DepthOf(ord) == 0 {
+			prunedBlocks++
+		}
+	})
+	ex.LCPNodes = len(lcp)
+	seen := map[int32]bool{}
+	for ord := range lcp {
+		if e.ix.DepthOf(ord) == 0 {
+			rootLCPNodes++
+		}
+		lifted := ord
+		for e.ix.CatOf(lifted)&index.Attribute != 0 && e.ix.ParentOf(lifted) >= 0 {
+			lifted = e.ix.ParentOf(lifted)
+		}
+		final := lifted
+		isEntity := false
+		if ent, ok := e.ix.LowestEntityAncestorOrSelf(lifted); ok {
+			if e.ix.DepthOf(ent) > 0 {
+				final, isEntity = ent, true
+			}
+		}
+		if e.ix.DepthOf(final) == 0 {
+			continue
+		}
+		if !seen[final] {
+			seen[final] = true
+			ex.Candidates++
+			if isEntity {
+				ex.EntityCandidates++
+			}
+		}
+	}
+	return ex, rootLCPNodes, prunedBlocks
+}
+
+// TestExplainCountsMatchOracle holds every count Explain reads from the
+// search against the retired pre-pass on random multi-document corpora:
+// all equal, except that LCPNodes leaves out the root LCP nodes.
+func TestExplainCountsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(4901))
+	q := NewQuery("apple", "pear", "plum", "fig")
+	for trial := 0; trial < 60; trial++ {
+		ix, err := randomCorpus(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ix)
+		for s := 0; s <= q.Len()+1; s++ {
+			label := fmt.Sprintf("trial %d s=%d", trial, s)
+			got, err := e.Explain(q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, roots, pruned := explainOracle(t, e, q, s)
+			if !slices.Equal(got.PostingSizes, want.PostingSizes) || got.SLSize != want.SLSize || got.S != want.S {
+				t.Errorf("%s: postings %v |S_L| %d s %d, oracle %v %d %d", label, got.PostingSizes, got.SLSize, got.S, want.PostingSizes, want.SLSize, want.S)
+			}
+			if got.Blocks != want.Blocks || got.PrunedBlocks != pruned {
+				t.Errorf("%s: blocks %d pruned %d, oracle %d %d", label, got.Blocks, got.PrunedBlocks, want.Blocks, pruned)
+			}
+			if got.LCPNodes != want.LCPNodes-roots {
+				t.Errorf("%s: LCP nodes %d, oracle %d less %d roots", label, got.LCPNodes, want.LCPNodes, roots)
+			}
+			if got.Candidates != want.Candidates || got.EntityCandidates != want.EntityCandidates {
+				t.Errorf("%s: candidates %d (%d LCE), oracle %d (%d)", label, got.Candidates, got.EntityCandidates, want.Candidates, want.EntityCandidates)
+			}
+			if got.Survivors != got.Response.Total {
+				t.Errorf("%s: survivors %d, response total %d", label, got.Survivors, got.Response.Total)
+			}
+		}
 	}
 }

@@ -29,7 +29,7 @@ func (e *Engine) SearchBestEffortCtx(ctx context.Context, q Query) (*Response, e
 // stages alone: every survivor of the witness filter is a response node,
 // so ranking cannot change the answer.
 func (e *Engine) HasResultsCtx(ctx context.Context, q Query, s int) (bool, error) {
-	_, cands, a, err := e.collectCandidates(ctx, q, s)
+	_, cands, a, err := e.collectCandidates(ctx, q, s, nil)
 	if a != nil {
 		e.releaseArena(a)
 	}
@@ -74,5 +74,5 @@ func (e *Engine) SearchTopK(q Query, s, k int) (*Response, error) {
 
 // SearchTopKCtx is SearchTopK honoring ctx.
 func (e *Engine) SearchTopKCtx(ctx context.Context, q Query, s, k int) (*Response, error) {
-	return e.search(ctx, q, s, k)
+	return e.search(ctx, q, s, k, nil)
 }

@@ -147,10 +147,10 @@ type Options struct {
 	// inverted index as keywords. The paper's Example 3 queries element
 	// names ("student"), so this defaults to on.
 	IndexElementNames bool
-	// Hint pre-sizes the builder's structures. Zero fields mean unknown
-	// and fall back to growth on demand. Hints affect only allocation,
-	// never the built index: a misestimate costs memory or reallocation,
-	// not correctness. shard.Build supplies hints from the partition's
+	// Hint pre-sizes the builder's structures. Zero fields mean unknown:
+	// the node count is then counted, the rest grow on demand. Hints
+	// affect only allocation, never the built index: a misestimate costs
+	// memory or reallocation, not correctness. shard.Build supplies hints from the partition's
 	// node counts and from already-built shards' observed stats.
 	Hint SizeHint
 }
@@ -159,7 +159,8 @@ type Options struct {
 type SizeHint struct {
 	// Nodes is the expected element-node count (capacity of the builder's
 	// flat node table — NodeInfo is large, so avoiding re-growth of this
-	// table is the biggest single saving).
+	// table is the biggest single saving). Zero counts the repository's
+	// elements instead.
 	Nodes int
 	// Terms is the expected number of distinct keywords (initial size of
 	// the postings map).
@@ -187,9 +188,18 @@ func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
 		Postings: make(map[string][]int32, opts.Hint.Terms),
 		labelIDs: make(map[string]int32),
 	}
-	if opts.Hint.Nodes > 0 {
-		ix.nodes = make([]NodeInfo, 0, opts.Hint.Nodes)
+	nodes := opts.Hint.Nodes
+	if nodes <= 0 {
+		// Count the rows instead: the flat table is the builder's largest
+		// structure, and growing it by doubling copies it and leaves each
+		// old copy for the collector to scan.
+		for _, doc := range repo.Docs {
+			if doc.Root != nil {
+				nodes += doc.ElementCount()
+			}
+		}
 	}
+	ix.nodes = make([]NodeInfo, 0, nodes)
 	b := builder{ix: ix, opts: opts, norm: textproc.NewMemo()}
 	if opts.Hint.Terms > 0 && opts.Hint.Postings > opts.Hint.Terms {
 		b.listCap = opts.Hint.Postings / opts.Hint.Terms
@@ -499,6 +509,15 @@ func (ix *Index) IDOf(ord int32) dewey.ID { return ix.packed.idOf(ord) }
 
 // DocOf returns the Dewey document number of the node at ord.
 func (ix *Index) DocOf(ord int32) int32 { return ix.packed.docOf(ord) }
+
+// DocRange returns the root ordinal of the document holding ord and the
+// exclusive end of that document's ordinal range, found by binary search
+// over the root table (delta appends extend the table with their
+// documents).
+func (ix *Index) DocRange(ord int32) (root, end int32) {
+	root = ix.packed.docStart[ix.packed.docSlot(ord)]
+	return root, root + ix.packed.subtreeOf(root)
+}
 
 // IsEntity mirrors the paper's isEntity(DeweyId) helper: it returns the
 // number of direct children when the node is an entity node, and 0

@@ -183,9 +183,9 @@ func (p *packedNodes) value(id int32) string {
 	return string(p.valArena[p.valOff[id]:p.valOff[id+1]])
 }
 
-// docOf returns the Dewey document number of the document containing ord
-// by binary search over the root table.
-func (p *packedNodes) docOf(ord int32) int32 {
+// docSlot returns the position in the root table of the document
+// containing ord, by binary search.
+func (p *packedNodes) docSlot(ord int32) int {
 	lo, hi := 0, len(p.docStart)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -195,8 +195,11 @@ func (p *packedNodes) docOf(ord int32) int32 {
 			hi = mid
 		}
 	}
-	return p.docNum[lo-1]
+	return lo - 1
 }
+
+// docOf returns the Dewey document number of the document containing ord.
+func (p *packedNodes) docOf(ord int32) int32 { return p.docNum[p.docSlot(ord)] }
 
 // appendPath appends ord's full Dewey path to buf by walking the parent
 // chain; depths are O(1) so the slice is sized once.

@@ -65,9 +65,16 @@ func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 	if n := ix.NodeCount(); n != len(want.nodes) {
 		t.Fatalf("%s: %d rows, want %d", label, n, len(want.nodes))
 	}
+	root := int32(-1)
 	for i := range want.nodes {
 		w, ord := &want.nodes[i], int32(i)
+		if w.Parent < 0 {
+			root = ord
+		}
+		docRoot, docEnd := ix.DocRange(ord)
 		switch {
+		case docRoot != root || docEnd != root+want.nodes[root].Subtree:
+			t.Fatalf("%s: ord %d: document range [%d,%d), want [%d,%d)", label, ord, docRoot, docEnd, root, root+want.nodes[root].Subtree)
 		case ix.Labels[ix.LabelIDOf(ord)] != want.Labels[w.Label]:
 			t.Fatalf("%s: ord %d: label %q, want %q", label, ord, ix.Labels[ix.LabelIDOf(ord)], want.Labels[w.Label])
 		case ix.CatOf(ord) != w.Cat:

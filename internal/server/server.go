@@ -548,6 +548,7 @@ func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 		"postingSizes":     ex.PostingSizes,
 		"slSize":           ex.SLSize,
 		"blocks":           ex.Blocks,
+		"prunedBlocks":     ex.PrunedBlocks,
 		"lcpNodes":         ex.LCPNodes,
 		"candidates":       ex.Candidates,
 		"entityCandidates": ex.EntityCandidates,

@@ -232,6 +232,7 @@ func (s *Set) Explain(ctx context.Context, q core.Query, threshold int) (*core.E
 		out.S = ex.S
 		out.SLSize += ex.SLSize
 		out.Blocks += ex.Blocks
+		out.PrunedBlocks += ex.PrunedBlocks
 		out.LCPNodes += ex.LCPNodes
 		out.Candidates += ex.Candidates
 		out.EntityCandidates += ex.EntityCandidates

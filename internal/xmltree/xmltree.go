@@ -142,18 +142,39 @@ func NewDocument(name string, docID int32, root *Node) *Document {
 
 // AssignIDs (re)labels the whole document with Dewey IDs: the root gets
 // dewey.Root(DocID) and each child the parent's ID extended with its ordinal.
+// The paths are carved from one array sized by a first pass, each with its
+// capacity capped at its length, so a document costs one allocation rather
+// than one per node.
 func (d *Document) AssignIDs() {
 	if d.Root == nil {
 		return
 	}
-	var assign func(n *Node, id dewey.ID)
-	assign = func(n *Node, id dewey.ID) {
-		n.ID = id
-		for i, c := range n.Children {
-			assign(c, id.Child(int32(i)))
+	size := 0
+	var measure func(n *Node, depth int)
+	measure = func(n *Node, depth int) {
+		size += depth + 1
+		for _, c := range n.Children {
+			measure(c, depth+1)
 		}
 	}
-	assign(d.Root, dewey.Root(d.DocID))
+	measure(d.Root, 0)
+	slab := make([]int32, size)
+	carve := func(parent []int32, ord int32) []int32 {
+		k := len(parent) + 1
+		path := slab[:k:k]
+		slab = slab[k:]
+		copy(path, parent)
+		path[k-1] = ord
+		return path
+	}
+	var assign func(n *Node, path []int32)
+	assign = func(n *Node, path []int32) {
+		n.ID = dewey.ID{Doc: d.DocID, Path: path}
+		for i, c := range n.Children {
+			assign(c, carve(path, int32(i)))
+		}
+	}
+	assign(d.Root, carve(nil, dewey.Root(d.DocID).Path[0]))
 }
 
 // NodeCount returns the number of nodes (elements and text nodes) in the

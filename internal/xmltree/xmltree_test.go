@@ -44,6 +44,30 @@ func TestBuildAndIDs(t *testing.T) {
 	}
 }
 
+// TestAssignIDsSharedPaths checks the one-array path layout of AssignIDs:
+// every node's path is its parent's plus its ordinal, and growing one path
+// leaves every other path as it was.
+func TestAssignIDsSharedPaths(t *testing.T) {
+	d := figure2a()
+	d.DocID = 3
+	d.AssignIDs()
+	var check func(n *Node, want dewey.ID)
+	check = func(n *Node, want dewey.ID) {
+		if !dewey.Equal(n.ID, want) {
+			t.Fatalf("%s: ID %s, want %s", n.Label, n.ID, want)
+		}
+		for i, c := range n.Children {
+			check(c, want.Child(int32(i)))
+		}
+	}
+	check(d.Root, dewey.Root(3))
+	Walk(d.Root, func(n *Node) bool {
+		_ = append(n.ID.Path, 99)
+		return true
+	})
+	check(d.Root, dewey.Root(3))
+}
+
 func TestFindByID(t *testing.T) {
 	d := figure2a()
 	found := 0

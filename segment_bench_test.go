@@ -25,20 +25,7 @@ func BenchmarkSegmentColdQuery(b *testing.B) {
 	if s := benchScale(); s > 1 {
 		scale = s
 	}
-	cfg := datagen.Config{Seed: 42, Scale: scale}
-	built, err := gks.IndexDocuments(datagen.NASA(cfg), datagen.SwissProt(cfg), datagen.PaperDBLP(scale), datagen.PaperSigmod(scale))
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "cold.gks4")
-	if err := built.SaveSegmentFile(path); err != nil {
-		b.Fatal(err)
-	}
-	built = nil
-	sys, err := gks.LoadIndexFileOpts(path, gks.SegmentOptions{CacheBytes: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sys := openColdSegment(b, scale)
 	defer sys.CloseIndex()
 	seg := sys.Segment()
 	queries := coldQueries(sys, seg.NumBlocks(), 4096)
@@ -60,6 +47,49 @@ func BenchmarkSegmentColdQuery(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(seg.BlockReads()-reads)/float64(b.N), "blocks/op")
 	b.ReportMetric(float64(seg.BytesRead()-bytes)/float64(b.N), "readB/op")
+}
+
+// TestColdBlocksPruned pins the window prune on BenchmarkSegmentColdQuery's
+// corpus and queries at scale 1: the block count and the number of blocks
+// skipped because their ends lie in two documents or their LCA is a
+// document root. Both are exact and machine-independent, so a change that
+// loses the prune fails here in seconds.
+func TestColdBlocksPruned(t *testing.T) {
+	const wantBlocks, wantPruned = 735005, 721866
+	sys := openColdSegment(t, 1)
+	defer sys.CloseIndex()
+	blocks, pruned := 0, 0
+	for _, q := range coldQueries(sys, sys.Segment().NumBlocks(), 4096) {
+		ex, err := sys.Explain(context.Background(), q, q.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks += ex.Blocks
+		pruned += ex.PrunedBlocks
+	}
+	if blocks != wantBlocks || pruned != wantPruned {
+		t.Errorf("cold queries: %d blocks, %d pruned; want %d, %d", blocks, pruned, wantBlocks, wantPruned)
+	}
+}
+
+// openColdSegment writes the cold_segment corpus analogs (seed 42) at the
+// given scale as one GKS4 segment and opens it behind a 1 MiB block cache.
+func openColdSegment(tb testing.TB, scale int) *gks.System {
+	tb.Helper()
+	cfg := datagen.Config{Seed: 42, Scale: scale}
+	built, err := gks.IndexDocuments(datagen.NASA(cfg), datagen.SwissProt(cfg), datagen.PaperDBLP(scale), datagen.PaperSigmod(scale))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "cold.gks4")
+	if err := built.SaveSegmentFile(path); err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := gks.LoadIndexFileOpts(path, gks.SegmentOptions{CacheBytes: 1 << 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
 }
 
 // coldQueries draws n distinct 2–3-keyword queries. The sorted vocabulary
