@@ -60,10 +60,12 @@ dag-smoke:
 # /admin/docs still honours persist-before-acknowledge and that the
 # response cache only ever serves the served system's answer, whichever of
 # /search, /insights and /refine asks, and that a top-k /search body is the
-# one the whole response renders. -timeout 5m: a hung wait fails the rule in
-# minutes (as in race and shard-race).
+# one the whole response renders; plus the delete differential, which
+# holds DeleteDoc's incremental statistics and dead posting counts against
+# a recount over random mutation histories. -timeout 5m: a hung wait fails
+# the rule in minutes (as in race and shard-race).
 ingest-smoke:
-	$(GO) test -race -count=1 -timeout 5m -run 'TestIngest|TestCache|TestPartial|TestInsightsMissesCoalesce|TestGetIf|TestSearchTopK' ./internal/server ./internal/cache
+	$(GO) test -race -count=1 -timeout 5m -run 'TestIngest|TestCache|TestPartial|TestInsightsMissesCoalesce|TestGetIf|TestSearchTopK|TestDeleteDocDifferential' ./internal/server ./internal/cache ./internal/index
 
 # Write-ahead-log smoke: a short fuzz pass over the segment scanner
 # (arbitrary bytes must parse cleanly, drop a torn tail, or fail with a
@@ -89,9 +91,11 @@ replica-smoke:
 # changes allocation counts): TestChainCachedHitAllocs pins what a cached
 # /search hit allocates through the gksd middleware chain, so a
 # per-request buffer or goroutine cannot come back unnoticed, and
-# BenchmarkChainCachedHit prices that hit.
+# BenchmarkChainCachedHit prices that hit. TestArenaSurvivesUpsert pins
+# that the first search after a write reuses a pooled query arena instead
+# of allocating node-count tables for the new generation.
 chain-guard:
-	$(GO) test -count=1 -run TestChainCachedHitAllocs -bench ChainCachedHit -benchmem -benchtime 20000x ./internal/server
+	$(GO) test -count=1 -run 'TestChainCachedHitAllocs|TestArenaSurvivesUpsert' -bench ChainCachedHit -benchmem -benchtime 20000x ./internal/server
 
 # The scatter-gather fan-out and the build worker pool are the most
 # concurrency-sensitive code in the tree; the shard suite includes

@@ -1,19 +1,24 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/merge"
 )
 
 // queryArena is the per-query scratch state of the search pipeline, pooled
-// on the engine so the steady-state hot path runs without per-query map or
+// process-wide so the steady-state hot path runs without per-query map or
 // slice allocations. The two flat tables are indexed by node ordinal —
 // they replace the seed pipeline's lcpCounts and byOrd maps — and are
 // cleared through the touched/candOrds lists, so a query pays O(its own
 // footprint) to reset them, not O(index size).
 //
-// An arena is engine-bound: the tables are sized to the engine's node
-// count, and the engine's index never changes shape in place (mutations
-// build a new Engine), so pooled arenas always fit.
+// Arenas are not engine-bound: every engine — each generation a mutation
+// builds, each shard of a sharded set — draws from the one arenaPool, so a
+// write does not leave the next generation's first queries to allocate
+// fresh node-count tables. acquireArena grows a drawn arena's tables to the
+// engine's node count; a query only indexes ordinals below it, so a larger
+// table serves a smaller index unchanged.
 type queryArena struct {
 	// lists holds the per-keyword posting list headers for the merge.
 	lists [][]int32
@@ -50,16 +55,29 @@ type queryArena struct {
 	rankKeys   []rankKey
 }
 
-// acquireArena returns a pooled arena, growing a fresh one on a cold pool.
+// arenaPool holds the released arenas of every engine. The lcpCount and
+// candIdx tables of a pooled arena are all zero.
+var arenaPool sync.Pool
+
+// acquireArena returns a pooled arena (a fresh one on a cold pool) whose
+// flat tables cover the engine's node count. A table too short for it is
+// replaced, not copied — a pooled table is all zero. A fresh arena gets
+// tables of exactly the node count; an outgrown one, whose index is
+// taking appends, gets an eighth of headroom, so the delta appends of a
+// write-heavy index do not regrow the tables on every generation.
 func (e *Engine) acquireArena() *queryArena {
-	if a, ok := e.arenas.Get().(*queryArena); ok {
-		return a
+	a, _ := arenaPool.Get().(*queryArena)
+	if a == nil {
+		a = &queryArena{}
 	}
-	n := e.ix.NodeCount()
-	return &queryArena{
-		lcpCount: make([]int32, n),
-		candIdx:  make([]int32, n),
+	if n := e.ix.NodeCount(); len(a.lcpCount) < n {
+		if len(a.lcpCount) > 0 {
+			n += n / 8
+		}
+		a.lcpCount = make([]int32, n)
+		a.candIdx = make([]int32, n)
 	}
+	return a
 }
 
 // releaseArena resets a to a clean state and returns it to the pool. Reset
@@ -80,5 +98,5 @@ func (e *Engine) releaseArena(a *queryArena) {
 	a.ptrs = a.ptrs[:0]
 	a.maskStack = a.maskStack[:0]
 	a.witStack = a.witStack[:0]
-	e.arenas.Put(a)
+	arenaPool.Put(a)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/dewey"
@@ -15,9 +14,6 @@ import (
 // Engine runs GKS searches against a built index.
 type Engine struct {
 	ix *index.Index
-	// arenas pools per-query scratch state (see queryArena); the engine's
-	// index is immutable, so pooled arenas always match its node count.
-	arenas sync.Pool
 }
 
 // NewEngine wraps ix in a search engine.

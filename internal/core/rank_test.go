@@ -206,7 +206,7 @@ func TestRankStagePollsContext(t *testing.T) {
 	if ok, err := eng.HasResultsCtx(ctx, q, 2); err != nil || !ok {
 		t.Errorf("HasResultsCtx = (%v, %v), want (true, nil)", ok, err)
 	}
-	// The arenas the cancelled searches returned to the pool are clean.
+	// The arenas the cancelled searches returned to the shared pool are clean.
 	got, err := eng.Search(q, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,8 @@
 package di
 
 import (
+	"container/heap"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -82,7 +82,8 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 		path  string
 		value string
 	}
-	acc := make(map[key]*Insight)
+	acc := make(map[key]int) // index into tallies
+	var tallies []tally
 	for _, r := range resp.Results {
 		if !r.IsEntity {
 			continue
@@ -92,48 +93,83 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 			value := ix.ValueAt(attr)
 			path := ix.PathLabels(r.Ord, attr)
 			k := key{path: strings.Join(path, "/"), value: value}
-			in := acc[k]
-			if in == nil {
-				// The Dewey path is materialized once per insight, not per
-				// occurrence.
-				in = &Insight{Value: value, Path: path, Example: ix.IDOf(attr)}
-				acc[k] = in
+			i, ok := acc[k]
+			if !ok {
+				// The first occurrence is kept as the example; its Dewey ID
+				// is materialized only if the insight makes the top m.
+				i = len(tallies)
+				tallies = append(tallies, tally{
+					Insight:   Insight{Value: value, Path: path},
+					pathKey:   k.path,
+					exampleIx: ix,
+					example:   attr,
+				})
+				acc[k] = i
 			}
-			in.Weight += r.Rank
-			in.Count++
+			tallies[i].Weight += r.Rank
+			tallies[i].Count++
 		}
 	}
-	out := make([]Insight, 0, len(acc))
-	for _, in := range acc {
-		out = append(out, *in)
+	// Pop insights best first until m have passed the §6.2 exclusion: a
+	// heap orders only as many as the walk consumes.
+	h := tallyHeap(tallies)
+	heap.Init(&h)
+	n := len(tallies)
+	if m > 0 {
+		n = min(n, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight > out[j].Weight
+	kept := make([]Insight, 0, n)
+	for h.Len() > 0 && len(kept) < cap(kept) {
+		t := heap.Pop(&h).(tally)
+		if containsQueryToken(t.Value, queryTokens) { // §6.2: not in S_w^Q
+			continue
 		}
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Value != out[j].Value {
-			return out[i].Value < out[j].Value
-		}
-		// Full tiebreak down to the path keeps the order deterministic:
-		// the accumulator map iterates randomly, and sort.Slice is not
-		// stable, so any comparator tie would make equal inputs produce
-		// differently ordered insights across runs (and across the
-		// sharded/single-index implementations).
-		return strings.Join(out[i].Path, "/") < strings.Join(out[j].Path, "/")
-	})
-	kept := out[:0]
-	for _, in := range out {
-		if m > 0 && len(kept) == m {
-			break
-		}
-		if !containsQueryToken(in.Value, queryTokens) { // §6.2: not in S_w^Q
-			kept = append(kept, in)
-		}
+		t.Example = t.exampleIx.IDOf(t.example)
+		kept = append(kept, t.Insight)
 	}
 	return kept
+}
+
+// tally is an insight under accumulation, with its joined path for the
+// order and its first occurrence, whose Dewey ID becomes Example if the
+// insight is kept.
+type tally struct {
+	Insight
+	pathKey   string
+	exampleIx *index.Index
+	example   int32
+}
+
+// better is DI's total order: heavier first, then more frequent, then by
+// value and path. The tiebreak runs down to the path — (path, value) is
+// the accumulation key — so the order never depends on the accumulator
+// map's random iteration, and sharded and single-index discovery keep
+// the same insights in the same order.
+func better(x, y *tally) bool {
+	if x.Weight != y.Weight {
+		return x.Weight > y.Weight
+	}
+	if x.Count != y.Count {
+		return x.Count > y.Count
+	}
+	if x.Value != y.Value {
+		return x.Value < y.Value
+	}
+	return x.pathKey < y.pathKey
+}
+
+// tallyHeap is a heap of tallies, best first under better.
+type tallyHeap []tally
+
+func (h tallyHeap) Len() int           { return len(h) }
+func (h tallyHeap) Less(i, j int) bool { return better(&h[i], &h[j]) }
+func (h tallyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *tallyHeap) Push(x any)        { *h = append(*h, x.(tally)) }
+func (h *tallyHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 func containsQueryToken(value string, queryTokens map[string]bool) bool {

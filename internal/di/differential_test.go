@@ -103,8 +103,9 @@ func diffCorpus(rng *rand.Rand) []*xmltree.Document {
 }
 
 // TestLateExclusionMatchesEager: excluding query keywords after ranking
-// (DiscoverIndexed) returns exactly what excluding them per occurrence
-// (discoverEager) returns — values, paths, float weights, counts, example
+// and popping the top m off a heap (DiscoverIndexed) returns exactly what
+// excluding them per occurrence and sorting everything (discoverEager)
+// returns — values, paths, float weights, counts, example
 // nodes, order — on random corpora, for m below, at and above the number of
 // distinct values, through the single-index analyzer and through a shard
 // set. The trials must include one whose highest-ranked value holds a query

@@ -440,6 +440,19 @@ func (ix *Index) refreshCategoryStats() {
 	}
 }
 
+// addNodes adds sign times the node tallies of d — documents, element,
+// text and category counts — to s. Keyword counts and MaxDepth do not sum
+// across documents, so the caller settles those.
+func (s *Stats) addNodes(d Stats, sign int) {
+	s.Documents += sign * d.Documents
+	s.ElementNodes += sign * d.ElementNodes
+	s.TextNodes += sign * d.TextNodes
+	s.AttributeNodes += sign * d.AttributeNodes
+	s.RepeatingNodes += sign * d.RepeatingNodes
+	s.EntityNodes += sign * d.EntityNodes
+	s.ConnectingNodes += sign * d.ConnectingNodes
+}
+
 // addCategory counts one node of category c.
 func (s *Stats) addCategory(c Category) {
 	if c&Attribute != 0 {

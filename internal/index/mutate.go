@@ -3,6 +3,8 @@ package index
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -314,15 +316,19 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 		return nil, fmt.Errorf("%w: %q", ErrLastDocument, name)
 	}
 
-	tomb := &tombstones{deadDocs: len(doomed)}
+	tomb := &tombstones{deadDocs: len(doomed), deadPosts: map[string]int32{}}
+	merged := slices.Clone(doomed)
 	if ix.tomb != nil {
 		tomb.deadDocs += ix.tomb.deadDocs
-		doomed = append(doomed, ix.tomb.dead...)
+		merged = append(merged, ix.tomb.dead...)
+		// The predecessor's counts carry over; its map is shared with its
+		// appends, so it is copied, never written through.
+		tomb.deadPosts = maps.Clone(ix.tomb.deadPosts)
 	}
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i][0] < doomed[j][0] })
+	sort.Slice(merged, func(i, j int) bool { return merged[i][0] < merged[j][0] })
 	// Coalesce adjacent ranges; document ranges never overlap, so touching
 	// ends are the only merge case.
-	for _, r := range doomed {
+	for _, r := range merged {
 		if n := len(tomb.dead); n > 0 && tomb.dead[n-1][1] == r[0] {
 			tomb.dead[n-1][1] = r[1]
 			continue
@@ -342,22 +348,26 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 		tomb.live = append(tomb.live, [2]int32{cur, n})
 	}
 
-	// Per-keyword dead counts, recomputed from scratch against the merged
-	// mask (a two-pointer sweep per list; posting lists are sorted).
-	tomb.deadPosts = make(map[string]int32)
+	// The live statistics lose exactly what the doomed ranges held: their
+	// node tallies and, per keyword, the postings inside them (two binary
+	// searches per list and range; doomed spans are live, so none of these
+	// postings was counted dead before).
+	st := ix.Stats
+	var gone Stats
+	for _, r := range doomed {
+		ix.tallySpan(&gone, r)
+	}
+	st.addNodes(gone, -1)
 	for kw, list := range ix.Postings {
-		dead := int32(0)
-		ri := 0
-		for _, ord := range list {
-			for ri < len(tomb.dead) && ord >= tomb.dead[ri][1] {
-				ri++
-			}
-			if ri < len(tomb.dead) && ord >= tomb.dead[ri][0] {
-				dead++
-			}
+		n := postingsIn(list, doomed)
+		if n == 0 {
+			continue
 		}
-		if dead > 0 {
-			tomb.deadPosts[kw] = dead
+		dead := tomb.deadPosts[kw] + n
+		tomb.deadPosts[kw] = dead
+		st.PostingEntries -= int(n)
+		if int(dead) == len(list) {
+			st.DistinctKeywords--
 		}
 	}
 
@@ -365,44 +375,72 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 		Labels:   ix.Labels,
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
+		Stats:    st,
 		labelIDs: ix.labelIDs,
 		tomb:     tomb,
 		packed:   ix.packed,
 	}
-	out.recomputeLiveStats()
+	if gone.MaxDepth == st.MaxDepth {
+		// A doomed document reached the deepest level; what survives may
+		// not, so find the live maximum again.
+		out.Stats.MaxDepth = out.liveMaxDepth(st.MaxDepth)
+	}
 	return out, nil
 }
 
-// recomputeLiveStats rebuilds Stats from the live spans and live posting
-// counts, so a tombstoned index reports exactly the statistics a cold
-// rebuild from the surviving documents would.
-func (ix *Index) recomputeLiveStats() {
-	var st Stats
-	for _, sp := range ix.LiveSpans() {
-		var childSum, roots int32
-		for ord := sp[0]; ord < sp[1]; ord++ {
-			st.ElementNodes++
-			childSum += ix.ChildCountOf(ord)
-			if ix.ParentOf(ord) < 0 {
-				roots++
-			}
-			if d := int(ix.DepthOf(ord)); d > st.MaxDepth {
-				st.MaxDepth = d
-			}
-			st.addCategory(ix.CatOf(ord))
-		}
-		// ChildCount counts element and text children alike; every element
-		// in the span except its document roots is somebody's child, so the
-		// remainder is the span's text-node count (spans align to document
-		// boundaries, so no parent/child edge crosses a span edge).
-		st.TextNodes += int(childSum - (sp[1] - sp[0] - roots))
-		st.Documents += int(roots)
+// postingsIn counts the entries of the sorted list that fall inside the
+// sorted, disjoint half-open ranges.
+func postingsIn(list []int32, ranges [][2]int32) int32 {
+	if len(list) == 0 || list[len(list)-1] < ranges[0][0] || list[0] >= ranges[len(ranges)-1][1] {
+		return 0
 	}
-	ix.ForEachKeyword(func(_ string, live int) {
-		st.DistinctKeywords++
-		st.PostingEntries += live
-	})
-	ix.Stats = st
+	n := 0
+	for _, r := range ranges {
+		lo, _ := slices.BinarySearch(list, r[0])
+		hi, _ := slices.BinarySearch(list[lo:], r[1])
+		n += hi
+	}
+	return int32(n)
+}
+
+// liveMaxDepth returns the greatest depth of a live node. No live node is
+// deeper than bound, so the scan stops at the first node that reaches it.
+func (ix *Index) liveMaxDepth(bound int) int {
+	deepest := 0
+	for _, sp := range ix.LiveSpans() {
+		for ord := sp[0]; ord < sp[1]; ord++ {
+			d := int(ix.DepthOf(ord))
+			if d >= bound {
+				return d
+			}
+			deepest = max(deepest, d)
+		}
+	}
+	return deepest
+}
+
+// tallySpan adds the node statistics of the ordinal span sp — documents,
+// element and text nodes, categories and the maximum depth — to st. The
+// span must align to document boundaries.
+func (ix *Index) tallySpan(st *Stats, sp [2]int32) {
+	var childSum, roots int32
+	for ord := sp[0]; ord < sp[1]; ord++ {
+		st.ElementNodes++
+		childSum += ix.ChildCountOf(ord)
+		if ix.ParentOf(ord) < 0 {
+			roots++
+		}
+		if d := int(ix.DepthOf(ord)); d > st.MaxDepth {
+			st.MaxDepth = d
+		}
+		st.addCategory(ix.CatOf(ord))
+	}
+	// ChildCount counts element and text children alike; every element in
+	// the span except its document roots is somebody's child, so the
+	// remainder is the span's text-node count (spans align to document
+	// boundaries, so no parent/child edge crosses a span edge).
+	st.TextNodes += int(childSum - (sp[1] - sp[0] - roots))
+	st.Documents += int(roots)
 }
 
 // Compacted returns an index with the tombstoned documents physically

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dewey"
@@ -331,6 +333,164 @@ func TestRandomMutationsEqualRebuild(t *testing.T) {
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+		}
+	}
+}
+
+// nestDoc builds a document whose words sit under a chain of depth nested
+// <sec> elements, so its deepest element lies at depth+1.
+func nestDoc(name string, depth int, words ...string) *xmltree.Document {
+	root := xmltree.E("root")
+	leaf := root
+	for i := 0; i < depth; i++ {
+		sec := xmltree.E("sec")
+		leaf.Append(sec)
+		leaf = sec
+	}
+	for _, w := range words {
+		leaf.Append(xmltree.ET("item", w))
+	}
+	return xmltree.NewDocument(name, 0, root)
+}
+
+// recomputeLiveStats rebuilds the statistics from the live spans and live
+// posting counts: what a cold rebuild from the surviving documents
+// reports, and what DeleteDoc keeps incrementally.
+func recomputeLiveStats(ix *Index) Stats {
+	var st Stats
+	for _, sp := range ix.LiveSpans() {
+		ix.tallySpan(&st, sp)
+	}
+	ix.ForEachKeyword(func(_ string, live int) {
+		st.DistinctKeywords++
+		st.PostingEntries += live
+	})
+	return st
+}
+
+// requireDeleteMatchesRecount holds the statistics and per-keyword dead
+// counts DeleteDoc kept incrementally against a full recount:
+// recomputeLiveStats over the live spans, and every posting list checked
+// ordinal by ordinal against the tombstone mask.
+func requireDeleteMatchesRecount(t *testing.T, label string, ix *Index) {
+	t.Helper()
+	if ref := recomputeLiveStats(ix); ix.Stats != ref {
+		t.Fatalf("%s: incremental stats %+v, recomputed %+v", label, ix.Stats, ref)
+	}
+	if ix.tomb == nil {
+		return
+	}
+	recount := map[string]int32{}
+	for kw, list := range ix.Postings {
+		for _, ord := range list {
+			if !ix.LiveOrd(ord) {
+				recount[kw]++
+			}
+		}
+	}
+	if !maps.Equal(ix.tomb.deadPosts, recount) {
+		t.Fatalf("%s: incremental dead counts %v, recounted %v", label, ix.tomb.deadPosts, recount)
+	}
+}
+
+// TestDeleteDocDifferential: along random add, replace and delete histories
+// over base documents of varying depth, every delete's incremental Stats
+// and dead posting counts equal a full recount. Each history opens with
+// the cases an incremental count can get wrong: a base (non-appended)
+// document, the only document at MaxDepth, and two deletes in a row.
+func TestDeleteDocDifferential(t *testing.T) {
+	words := []string{"apple", "banana", "cherry", "damson", "elder", "fig", "sec", "item"}
+	rng := rand.New(rand.NewSource(7))
+	mkdoc := func(name string, depth int) *xmltree.Document {
+		ws := make([]string, 1+rng.Intn(4))
+		for i := range ws {
+			ws[i] = words[rng.Intn(len(words))]
+		}
+		return nestDoc(name, depth, ws...)
+	}
+	mustDelete := func(ix *Index, label, name string) *Index {
+		t.Helper()
+		out, err := ix.DeleteDoc(name)
+		if err != nil {
+			t.Fatalf("%s: delete %s: %v", label, name, err)
+		}
+		requireDeleteMatchesRecount(t, label, out)
+		return out
+	}
+	for trial := 0; trial < 20; trial++ {
+		// Five base documents at depths 0-2, one of them instead the only
+		// one at depth 4.
+		var repo xmltree.Repository
+		deepAt := rng.Intn(5)
+		deep := fmt.Sprintf("base-%d", deepAt)
+		for i := 0; i < 5; i++ {
+			depth := rng.Intn(3)
+			if i == deepAt {
+				depth = 4
+			}
+			repo.Add(mkdoc(fmt.Sprintf("base-%d", i), depth))
+		}
+		ix, err := Build(&repo, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[string]bool{}
+		for _, d := range repo.Docs {
+			live[d.Name] = true
+		}
+		label := fmt.Sprintf("trial %d", trial)
+
+		// A base document, then the deepest one: MaxDepth must fall.
+		victim := fmt.Sprintf("base-%d", (deepAt+1)%5)
+		ix = mustDelete(ix, label+" base delete", victim)
+		delete(live, victim)
+		depth := ix.Stats.MaxDepth
+		ix = mustDelete(ix, label+" MaxDepth delete", deep)
+		delete(live, deep)
+		if ix.Stats.MaxDepth >= depth {
+			t.Fatalf("%s: MaxDepth %d after deleting the only document at depth %d", label, ix.Stats.MaxDepth, depth)
+		}
+
+		next := 0
+		for step := 0; step < 30; step++ {
+			names := make([]string, 0, len(live))
+			for n := range live {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			switch op := rng.Intn(4); {
+			case op == 0 || len(live) <= 2: // append
+				name := fmt.Sprintf("add-%d", next)
+				next++
+				out, err := AppendAs(ix, mkdoc(name, rng.Intn(6)), ix.NextDocID(), DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix, live[name] = out, true
+			case op == 1: // replace: delete, then append under the same name
+				name := names[rng.Intn(len(names))]
+				del := mustDelete(ix, label+" replace", name)
+				out, err := AppendAs(del, mkdoc(name, rng.Intn(6)), del.NextDocID(), DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix = out
+			case op == 2: // delete
+				name := names[rng.Intn(len(names))]
+				ix = mustDelete(ix, label+" delete", name)
+				delete(live, name)
+			default: // two deletes in a row
+				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+				if a == b {
+					continue
+				}
+				ix = mustDelete(ix, label+" first of two", a)
+				ix = mustDelete(ix, label+" second of two", b)
+				delete(live, a)
+				delete(live, b)
+			}
+			requireDeleteMatchesRecount(t, label, ix)
 		}
 	}
 }

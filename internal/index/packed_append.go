@@ -332,17 +332,11 @@ func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
 	}
 
 	// Incremental live statistics: the base's stats are already live-only
-	// (recomputed at delete time), the partial's are self-contained, and
+	// (kept so by DeleteDoc), the partial's are self-contained, and
 	// the only cross term is vocabulary overlap.
 	st := ix.Stats
 	pst := partial.Stats
-	st.Documents += pst.Documents
-	st.ElementNodes += pst.ElementNodes
-	st.TextNodes += pst.TextNodes
-	st.AttributeNodes += pst.AttributeNodes
-	st.RepeatingNodes += pst.RepeatingNodes
-	st.EntityNodes += pst.EntityNodes
-	st.ConnectingNodes += pst.ConnectingNodes
+	st.addNodes(pst, 1)
 	st.PostingEntries += pst.PostingEntries
 	if pst.MaxDepth > st.MaxDepth {
 		st.MaxDepth = pst.MaxDepth

@@ -17,8 +17,12 @@ func echoServer(t *testing.T) net.Listener {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The accept loop counts itself, so every Add below runs while the
+	// counter is above zero and cannot race the cleanup's Wait.
 	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			c, err := ln.Accept()
 			if err != nil {

@@ -13,8 +13,7 @@ import (
 
 // Live ingestion over a shard set. Mutations are copy-on-write, like the
 // underlying indexes: Upsert and Remove return a new *Set sharing every
-// untouched shard (index AND engine, so their warmed query arenas survive)
-// with the receiver, which keeps serving unchanged. Only the shard the
+// untouched shard (index AND engine) with the receiver, which keeps serving unchanged. Only the shard the
 // document routes to is rebuilt — an append is a partial-index merge on
 // that shard, a delete a tombstone mask — so the cost of a mutation scales
 // with one shard, not the corpus.
@@ -150,7 +149,7 @@ func (s *Set) PackDebt() float64 {
 
 // Repacked returns a set whose shards with pack debt are repacked (see
 // index.Index.Repacked). A shard without debt keeps its index and its
-// engine, warmed query arenas included. Repacking moves no document
+// engine. Repacking moves no document
 // between shards, so the routing table carries over.
 func (s *Set) Repacked() Searcher {
 	shards, engines := slices.Clone(s.shards), slices.Clone(s.engines)

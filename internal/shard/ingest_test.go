@@ -263,7 +263,7 @@ func TestRepackedPaysShardDebt(t *testing.T) {
 
 // TestMutationsAreCopyOnWrite: every mutation leaves the receiver serving
 // its old corpus, and shards the mutation never touched share their engine
-// (and its warmed arenas) with the successor.
+// with the successor.
 func TestMutationsAreCopyOnWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	docs := make([]*xmltree.Document, 6)
