@@ -35,11 +35,15 @@ fuzz-smoke:
 # force eviction mid-query, must answer the entire read surface
 # byte-identically to the eager in-memory system — all under the race
 # detector (the block cache is shared mutable state on the query path).
-# TestColdBlocksPruned pins the exact block and pruned-block counts of the
-# cold query set at scale 1, so losing the window prune fails here.
+# TestColdBlocksPruned pins the exact record, block and pruned-block
+# counts of the cold query set at scale 1, so losing the threshold merge's
+# record filter or the window prune fails here, and
+# TestRecordFilterMatchesLockstep holds the filtered pipeline against the
+# unfiltered one on fresh, tombstoned, appended and segment-backed corpora.
 segment-smoke:
 	$(GO) test -race -count=1 ./internal/segment
 	$(GO) test -race -count=1 -run 'TestSegment|TestReadIndexStats|TestColdBlocksPruned' .
+	$(GO) test -race -count=1 -run 'TestRecordFilterMatchesLockstep' ./internal/core
 
 # Packed node-table smoke: the accessor oracle (every accessor at every
 # ordinal against the builder's flat rows, fresh, along random mutation

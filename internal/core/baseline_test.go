@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/merge"
@@ -18,8 +21,9 @@ import (
 )
 
 // SearchBaseline executes the query with the pre-overhaul pipeline kept
-// verbatim from the original implementation: a container/heap k-way merge,
-// map-keyed scratch tables (lcpCounts, byOrd), one *candidate allocation
+// from the original implementation: the whole, unfiltered k-way merge
+// (merge.Merge, which the merge package holds against its container/heap
+// oracle), map-keyed scratch tables (lcpCounts, byOrd), one *candidate allocation
 // per distinct lifted node, a fresh S_L slice per query and one
 // rank.Scorer call per survivor. It is the test oracle: the property tests
 // diff the arena-based hot path and its one-sweep rank stage against it
@@ -36,7 +40,7 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 	}
 	resp := &Response{Query: q, S: s}
 
-	// 1. Merge the posting lists into S_L with the heap merge.
+	// 1. Merge the posting lists into the whole S_L.
 	lists := make([][]int32, q.Len())
 	for i, kw := range q.Keywords {
 		lists[i] = e.postings(kw)
@@ -44,7 +48,7 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 	if err := e.ix.LazyErr(); err != nil {
 		return nil, err
 	}
-	sl := merge.MergeHeap(lists)
+	sl := merge.Merge(lists)
 	resp.SLSize = len(sl)
 	if len(sl) == 0 {
 		return resp, nil
@@ -126,7 +130,7 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 			continue
 		}
 		start, end := e.ix.SubtreeRange(c.ord)
-		lo, hi := merge.OrdRange(sl, start, end)
+		lo, hi := ordRange(sl, start, end)
 		resp.Results = append(resp.Results, e.resultOf(c, scorer.Score(c.ord, c.mask, sl[lo:hi])))
 	}
 	sort.Slice(resp.Results, func(i, j int) bool { return ResultBefore(resp.Results[i], resp.Results[j]) })
@@ -185,16 +189,15 @@ type windowOracle struct {
 
 // oracleWindows resolves every block of sl with lcpNode, crosses each
 // answer with the Dewey-prefix LCA, and models the climbs blockLCA must
-// make: one per block whose LCA lies below the root unless the previous
-// climbed block had the same ends, and one per root-LCA block whose first
-// entry lies past the depth-1 subtree the latest such climb reached — so a
-// range test that lets a block through that it should have skipped shows
-// up as an extra climb.
+// make: one per block of two nodes whose LCA lies below the root unless
+// the previous climbed block had the same ends. A root-LCA block needs
+// none — its ends lie in two records, or in a root's record — so a range
+// test that lets a block through that it should have skipped shows up as
+// an extra climb.
 func oracleWindows(t *testing.T, e *Engine, sl []merge.Entry, s int) windowOracle {
 	t.Helper()
 	o := windowOracle{counts: map[int32]int32{}}
 	roots := map[int32]bool{}
-	var topEnd int32
 	memoFirst, memoLast := int32(-1), int32(-1)
 	merge.Windows(sl, s, func(l, r int) {
 		o.blocks++
@@ -204,26 +207,14 @@ func oracleWindows(t *testing.T, e *Engine, sl []merge.Entry, s int) windowOracl
 			t.Fatalf("blocks (%d,%d): lockstep LCA %d/%v, Dewey LCA %d/%v", first, last, ord, ok, dord, dok)
 		}
 		switch {
-		case !ok || e.ix.DepthOf(first) == 0:
+		case !ok || e.ix.DepthOf(ord) == 0:
 			o.pruned++
 			if ok {
 				roots[ord] = true
 			}
-		case e.ix.DepthOf(ord) == 0:
-			o.pruned++
-			roots[ord] = true
-			if first >= topEnd {
-				o.climbs++
-				id := e.ix.IDOf(first)
-				top, found := e.ix.OrdinalOf(dewey.ID{Doc: id.Doc, Path: id.Path[:2]})
-				if !found {
-					t.Fatalf("no depth-1 ancestor of %s", id)
-				}
-				_, topEnd = e.ix.SubtreeRange(top)
-			}
 		default:
 			o.counts[ord]++
-			if first != memoFirst || last != memoLast {
+			if first != last && (first != memoFirst || last != memoLast) {
 				o.climbs++
 				memoFirst, memoLast = first, last
 			}
@@ -233,32 +224,58 @@ func oracleWindows(t *testing.T, e *Engine, sl []merge.Entry, s int) windowOracl
 	return o
 }
 
-// requireWindowsMatchOracle runs the window stage over q's S_L at every
-// threshold and holds its per-node block counts, block, prune and climb
-// counts against oracleWindows.
-func requireWindowsMatchOracle(t *testing.T, label string, ix *index.Index, q Query) {
+// requireWindowsMatchOracle runs the window stage over q's whole S_L at
+// every threshold, with blockLCA reading the index's record column, and
+// holds its per-node block counts, block, prune and climb counts against
+// oracleWindows. Where the threshold merge filters, it runs the stage
+// over the filtered S_L too, with the records taken from the merge: block,
+// prune and climb counts must match the oracle over that list, and the
+// per-node counts must be the whole list's. It returns how many
+// thresholds filtered.
+func requireWindowsMatchOracle(t *testing.T, label string, ix *index.Index, q Query) (filtered int) {
 	t.Helper()
 	e := NewEngine(ix)
-	sl := merge.Merge(e.PostingLists(q))
+	lists := e.PostingLists(q)
+	whole := merge.Merge(lists)
 	for s := 1; s <= q.Len(); s++ {
-		want := oracleWindows(t, e, sl, s)
+		want := oracleWindows(t, e, whole, s)
 		a := e.acquireArena()
-		got, err := e.scanWindows(context.Background(), a, sl, s)
-		if err != nil {
+		a.merged.SL = append(a.merged.SL, whole...)
+		requireScanMatches(t, fmt.Sprintf("%s s=%d", label, s), e, a, s, want.windowStats, want.counts)
+		e.releaseArena(a)
+
+		a = e.acquireArena()
+		if err := merge.MergeInto(context.Background(), lists, s, e.records(), &a.merged); err != nil {
 			t.Fatal(err)
 		}
-		if got != want.windowStats {
-			t.Errorf("%s s=%d: blocks/pruned/climbs = %+v, oracle %+v", label, s, got, want.windowStats)
-		}
-		if len(a.touched) != len(want.counts) {
-			t.Errorf("%s s=%d: %d LCP nodes, oracle %d without roots", label, s, len(a.touched), len(want.counts))
-		}
-		for _, ord := range a.touched {
-			if a.lcpCount[ord] != want.counts[ord] {
-				t.Errorf("%s s=%d: LCP node %d counted %d blocks, oracle %d", label, s, ord, a.lcpCount[ord], want.counts[ord])
-			}
+		if a.merged.Filtered {
+			filtered++
+			stats := oracleWindows(t, e, a.merged.SL, s).windowStats
+			requireScanMatches(t, fmt.Sprintf("%s s=%d filtered", label, s), e, a, s, stats, want.counts)
 		}
 		e.releaseArena(a)
+	}
+	return filtered
+}
+
+// requireScanMatches runs scanWindows over a.merged and holds its counts
+// against the oracle's.
+func requireScanMatches(t *testing.T, label string, e *Engine, a *queryArena, s int, stats windowStats, counts map[int32]int32) {
+	t.Helper()
+	got, err := e.scanWindows(context.Background(), a, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != stats {
+		t.Errorf("%s: blocks/pruned/climbs = %+v, oracle %+v", label, got, stats)
+	}
+	if len(a.touched) != len(counts) {
+		t.Errorf("%s: %d LCP nodes, oracle %d without roots", label, len(a.touched), len(counts))
+	}
+	for _, ord := range a.touched {
+		if a.lcpCount[ord] != counts[ord] {
+			t.Errorf("%s: LCP node %d counted %d blocks, oracle %d", label, ord, a.lcpCount[ord], counts[ord])
+		}
 	}
 }
 
@@ -348,6 +365,212 @@ func TestWindowPruneMatchesLockstep(t *testing.T) {
 		}
 		requireWindowsMatchOracle(t, label+" segment", r.Index(), q)
 		requireMatchesBaseline(t, label+" segment", r.Index(), q)
+		r.Close()
+	}
+}
+
+// recordDoc is randomDoc with the shapes the threshold merge must get
+// right added: leaves holding the phrase "apple pear", and kiwi, a word
+// that only document roots carry — as their name or in a leading child,
+// the form an XML attribute of the root takes.
+func recordDoc(rng *rand.Rand, name string) *xmltree.Document {
+	root := randomDoc(rng, name).Root
+	var elems []*xmltree.Node
+	var walk func(n *xmltree.Node)
+	walk = func(n *xmltree.Node) {
+		if n.Kind == xmltree.Element {
+			elems = append(elems, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	for k := rng.Intn(3); k > 0; k-- {
+		elems[rng.Intn(len(elems))].Append(xmltree.ET("leaf", "apple pear"))
+	}
+	switch rng.Intn(3) {
+	case 0:
+		root.Label = "kiwi"
+	case 1:
+		root.Children = append([]*xmltree.Node{xmltree.ET("lang", "kiwi")}, root.Children...)
+	}
+	return xmltree.NewDocument(name, 0, root)
+}
+
+// recordQueries are the queries of TestRecordFilterMatchesLockstep: plain
+// keywords, a phrase keyword, and keywords whose shortest list holds only
+// root or root-attribute entries.
+var recordQueries = []Query{
+	NewQuery("apple", "pear", "plum", "fig"),
+	NewQuery("apple pear", "plum", "fig"),
+	NewQuery("kiwi", "apple", "pear"),
+	NewQuery("kiwi", "fig"),
+	NewQuery("apple pear", "kiwi"),
+}
+
+// TestRecordFilterMatchesLockstep is the differential test of the
+// threshold merge. For every query and every s in 1..|Q|, the window stage
+// over the merge's output — filtered where the rule runs the filter —
+// must count each LCA as the lockstep oracle does over the whole S_L, and
+// Search, Explain and SearchTopK must answer as the retained seed pipeline
+// over the unfiltered merge does: results, ranks bit for bit, Total and
+// SLSize identical. The corpora are random multi-document corpora with
+// bare roots, root attributes, keyword-named roots and chains deeper than
+// 30, each fresh, tombstoned, delta-appended and segment-backed, and the
+// XMark analog, whose largest record holds a third of the nodes.
+func TestRecordFilterMatchesLockstep(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	dir := t.TempDir()
+	filtered := 0
+	check := func(label string, ix *index.Index, queries []Query) {
+		t.Helper()
+		for _, q := range queries {
+			label := fmt.Sprintf("%s %s", label, q)
+			filtered += requireWindowsMatchOracle(t, label, ix, q)
+			requireMatchesBaseline(t, label, ix, q)
+		}
+	}
+	opts := index.Options{IndexElementNames: true}
+	for trial := 0; trial < 30; trial++ {
+		var repo xmltree.Repository
+		for i := 2 + rng.Intn(4); i > 0; i-- {
+			repo.Add(recordDoc(rng, fmt.Sprintf("d%d.xml", len(repo.Docs))))
+		}
+		ix, err := index.Build(&repo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d", trial)
+		check(label, ix, recordQueries)
+
+		dead, err := ix.DeleteDoc(ix.DocNames[rng.Intn(len(ix.DocNames))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" tombstoned", dead, recordQueries)
+
+		grown, err := index.Append(dead, recordDoc(rng, "added.xml"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" appended", grown, recordQueries)
+
+		path := filepath.Join(dir, fmt.Sprintf("t%d.gks4", trial))
+		if err := segment.WriteFile(path, grown); err != nil {
+			t.Fatal(err)
+		}
+		r, err := segment.OpenFile(path, segment.Options{CacheBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label+" segment", r.Index(), recordQueries)
+		r.Close()
+	}
+
+	xmark, err := index.BuildDocument(datagen.XMark(datagen.Config{Seed: 7, Scale: 1}), index.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := xmark.TopKeywords(0)
+	sort.Slice(vocab, func(i, j int) bool { return vocab[i].Count > vocab[j].Count })
+	var queries []Query
+	for len(queries) < 12 {
+		terms := make([]string, 2+rng.Intn(3))
+		for i := range terms {
+			// Half the terms from the 40 most frequent, so answers are not
+			// all empty.
+			if rng.Intn(2) == 0 {
+				terms[i] = vocab[rng.Intn(min(40, len(vocab)))].Keyword
+			} else {
+				terms[i] = vocab[rng.Intn(len(vocab))].Keyword
+			}
+		}
+		if q := NewQuery(terms...); q.Len() == len(terms) {
+			queries = append(queries, q)
+		}
+	}
+	check("xmark", xmark, queries)
+	answered := 0
+	for _, q := range queries {
+		if resp, err := NewEngine(xmark).Search(q, q.Len()); err != nil {
+			t.Fatal(err)
+		} else if resp.Total > 0 {
+			answered++
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no XMark query has an answer at s = |Q|")
+	}
+	if filtered == 0 {
+		t.Fatal("the threshold merge never filtered")
+	}
+}
+
+// TestRecordColumn holds the index's record column — every document root
+// and every depth-1 node, in order — against the accessors after Append,
+// AppendBatch, DeleteDoc and Repacked, and after a GKS3 and a GKS4 reload.
+func TestRecordColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	opts := index.Options{IndexElementNames: true}
+	require := func(label string, ix *index.Index) {
+		t.Helper()
+		var want []int32
+		for ord := int32(0); ord < int32(ix.NodeCount()); ord++ {
+			if p := ix.ParentOf(ord); p < 0 || ix.ParentOf(p) < 0 {
+				want = append(want, ord)
+			}
+		}
+		if got := ix.Records(); !slices.Equal(got, want) {
+			t.Fatalf("%s: record column %v, want %v", label, got, want)
+		}
+		if err := ix.Validate(); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	dir := t.TempDir()
+	for trial := 0; trial < 10; trial++ {
+		var repo xmltree.Repository
+		for i := 2 + rng.Intn(3); i > 0; i-- {
+			repo.Add(recordDoc(rng, fmt.Sprintf("d%d.xml", len(repo.Docs))))
+		}
+		ix, err := index.Build(&repo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		require("build", ix)
+		if ix, err = index.Append(ix, recordDoc(rng, "a.xml"), opts); err != nil {
+			t.Fatal(err)
+		}
+		require("append", ix)
+		if ix, err = index.AppendBatch(ix, []*xmltree.Document{recordDoc(rng, "b.xml"), recordDoc(rng, "c.xml")}, opts); err != nil {
+			t.Fatal(err)
+		}
+		require("append batch", ix)
+		if ix, err = ix.DeleteDoc(ix.DocNames[rng.Intn(len(ix.DocNames))]); err != nil {
+			t.Fatal(err)
+		}
+		require("delete", ix)
+		require("repacked", ix.Repacked())
+
+		var snap bytes.Buffer
+		if err := ix.SaveSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := index.Load(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		require("GKS3 reload", loaded)
+		path := filepath.Join(dir, fmt.Sprintf("t%d.gks4", trial))
+		if err := segment.WriteFile(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		r, err := segment.OpenFile(path, segment.Options{CacheBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		require("GKS4 reload", r.Index())
 		r.Close()
 	}
 }

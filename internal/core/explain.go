@@ -17,6 +17,12 @@ type Explanation struct {
 	PostingSizes []int
 	// SLSize is |S_L| (the sum of posting sizes).
 	SLSize int
+	// RecordsTouched counts the records (depth-1 subtrees) the threshold
+	// merge examined: those holding an entry of one of the n − s + 1
+	// shortest lists. RecordsQualified counts the ones holding s distinct
+	// keywords, whose entries alone enter the window scan. Both are 0 when
+	// the merge did not filter (s = 1, or its rule declined).
+	RecordsTouched, RecordsQualified int
 	// Blocks is the number of sliding-window blocks with s unique keywords.
 	Blocks int
 	// PrunedBlocks counts the blocks that yield no candidate because their
@@ -49,6 +55,9 @@ func (ex *Explanation) String() string {
 	fmt.Fprintf(&b, "query %s (|Q|=%d, s=%d)\n", ex.Query, ex.Query.Len(), ex.S)
 	fmt.Fprintf(&b, "  postings: %v -> |S_L| = %d (merge %v)\n",
 		ex.PostingSizes, ex.SLSize, ex.MergeTime.Round(time.Microsecond))
+	if ex.RecordsTouched > 0 {
+		fmt.Fprintf(&b, "  records:  %d touched -> %d qualified\n", ex.RecordsTouched, ex.RecordsQualified)
+	}
 	fmt.Fprintf(&b, "  windows:  %d blocks (%d pruned) -> %d LCP nodes -> %d candidates (%d LCE) (scan %v)\n",
 		ex.Blocks, ex.PrunedBlocks, ex.LCPNodes, ex.Candidates, ex.EntityCandidates, ex.ScanTime.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  witness:  %d survivors (rank %v)\n",
@@ -67,6 +76,7 @@ func (e *Engine) Explain(q Query, s int) (*Explanation, error) {
 type explainCounts struct {
 	postingSizes []int
 	windowStats
+	recordsTouched, recordsQualified       int
 	lcpNodes, candidates, entityCandidates int
 }
 
@@ -88,6 +98,8 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 		S:                resp.S,
 		PostingSizes:     c.postingSizes,
 		SLSize:           resp.SLSize,
+		RecordsTouched:   c.recordsTouched,
+		RecordsQualified: c.recordsQualified,
 		Blocks:           c.blocks,
 		PrunedBlocks:     c.pruned,
 		LCPNodes:         c.lcpNodes,

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -71,9 +74,11 @@ func TestExplainErrors(t *testing.T) {
 // explainOracle is the diagnostic pre-pass Explain ran before the search
 // filled its counts: it recomputes the posting sizes, S_L, the blocks and
 // the LCP set with maps and the lockstep lcpNode, and lifts the LCP set a
-// second time. Root LCP nodes are included in its LCPNodes and counted
-// apart in rootLCPNodes; prunedBlocks counts the blocks whose LCA is a
-// root or missing.
+// second time. Where the threshold merge filters, the blocks are those of
+// recordFilterOracle's S_L, and its record counts are the oracle's. Root
+// LCP nodes are included in its LCPNodes and counted apart in
+// rootLCPNodes; prunedBlocks counts the blocks whose LCA is a root or
+// missing.
 func explainOracle(t *testing.T, e *Engine, q Query, s int) (ex Explanation, rootLCPNodes, prunedBlocks int) {
 	t.Helper()
 	lists := make([][]int32, q.Len())
@@ -90,6 +95,13 @@ func explainOracle(t *testing.T, e *Engine, q Query, s int) (ex Explanation, roo
 		s = q.Len()
 	}
 	ex.S = s
+	var m merge.Output
+	if err := merge.MergeInto(context.Background(), lists, s, e.records(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Filtered {
+		sl, ex.RecordsTouched, ex.RecordsQualified = recordFilterOracle(e.ix, lists, s)
+	}
 
 	lcp := map[int32]bool{}
 	merge.Windows(sl, s, func(l, r int) {
@@ -133,6 +145,49 @@ func explainOracle(t *testing.T, e *Engine, q Query, s int) (ex Explanation, roo
 	return ex, rootLCPNodes, prunedBlocks
 }
 
+// recordOf is the record holding ord, found by climbing: the node itself
+// at depth 0 or 1, else its depth-1 ancestor.
+func recordOf(ix *index.Index, ord int32) int32 {
+	for ix.DepthOf(ord) > 1 {
+		ord = ix.ParentOf(ord)
+	}
+	return ord
+}
+
+// recordFilterOracle is the threshold merge by brute force: the whole S_L
+// less the entries of records with fewer than s distinct keywords, the
+// number of records holding an entry of one of the n − s + 1 shortest
+// lists (ties by keyword number), and the number of records kept.
+func recordFilterOracle(ix *index.Index, lists [][]int32, s int) (sl []merge.Entry, touched, qualified int) {
+	masks := map[int32]uint64{}
+	whole := merge.Merge(lists)
+	for _, en := range whole {
+		masks[recordOf(ix, en.Ord)] |= en.Mask()
+	}
+	for _, en := range whole {
+		if bits.OnesCount64(masks[recordOf(ix, en.Ord)]) >= s {
+			sl = append(sl, en)
+		}
+	}
+	for _, m := range masks {
+		if bits.OnesCount64(m) >= s {
+			qualified++
+		}
+	}
+	order := make([]int, len(lists))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return len(lists[order[i]]) < len(lists[order[j]]) })
+	driven := map[int32]bool{}
+	for _, kw := range order[:len(lists)-s+1] {
+		for _, ord := range lists[kw] {
+			driven[recordOf(ix, ord)] = true
+		}
+	}
+	return sl, len(driven), qualified
+}
+
 // TestExplainCountsMatchOracle holds every count Explain reads from the
 // search against the retired pre-pass on random multi-document corpora:
 // all equal, except that LCPNodes leaves out the root LCP nodes.
@@ -157,6 +212,9 @@ func TestExplainCountsMatchOracle(t *testing.T) {
 			}
 			if got.Blocks != want.Blocks || got.PrunedBlocks != pruned {
 				t.Errorf("%s: blocks %d pruned %d, oracle %d %d", label, got.Blocks, got.PrunedBlocks, want.Blocks, pruned)
+			}
+			if got.RecordsTouched != want.RecordsTouched || got.RecordsQualified != want.RecordsQualified {
+				t.Errorf("%s: records touched %d qualified %d, oracle %d %d", label, got.RecordsTouched, got.RecordsQualified, want.RecordsTouched, want.RecordsQualified)
 			}
 			if got.LCPNodes != want.LCPNodes-roots {
 				t.Errorf("%s: LCP nodes %d, oracle %d less %d roots", label, got.LCPNodes, want.LCPNodes, roots)

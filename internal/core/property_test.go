@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/index"
@@ -56,8 +57,7 @@ func distinctInSubtree(ix *index.Index, lists [][]int32, ord int32) int {
 	start, end := ix.SubtreeRange(ord)
 	count := 0
 	for _, list := range lists {
-		lo, hi := merge.OrdRange(toEntries(list, 0), start, end)
-		if hi > lo {
+		if lo, hi := ordRange(toEntries(list, 0), start, end); hi > lo {
 			count++
 		}
 	}
@@ -70,6 +70,14 @@ func toEntries(list []int32, kw uint8) []merge.Entry {
 		out[i] = merge.Entry{Ord: v, Kw: kw}
 	}
 	return out
+}
+
+// ordRange locates the index interval of sl whose entries lie in the
+// ordinal interval [start, end).
+func ordRange(sl []merge.Entry, start, end int32) (lo, hi int) {
+	lo = sort.Search(len(sl), func(i int) bool { return sl[i].Ord >= start })
+	hi = sort.Search(len(sl), func(i int) bool { return sl[i].Ord >= end })
+	return lo, hi
 }
 
 func TestPropertyThresholdAndWitness(t *testing.T) {
@@ -326,7 +334,9 @@ func TestPropertyDeterminism(t *testing.T) {
 
 func TestComputeMasksMatchesMaskTable(t *testing.T) {
 	// Differential test: the engine's stack-sweep mask computation must
-	// equal the sparse-table range OR for arbitrary nested candidates.
+	// equal the range OR of the entries in each candidate's subtree, which
+	// the sparse-table MaskTable once answered and a direct scan answers
+	// here, for arbitrary nested candidates.
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 80; trial++ {
 		doc := randomTree(rng, trial%2 == 0)
@@ -349,10 +359,14 @@ func TestComputeMasksMatchesMaskTable(t *testing.T) {
 			}
 		}
 		computeMasks(ix, cands, sl, nil)
-		mt := merge.NewMaskTable(sl)
 		for _, c := range cands {
 			start, end := ix.SubtreeRange(c.ord)
-			if want := mt.SubtreeMask(start, end); c.mask != want {
+			lo, hi := ordRange(sl, start, end)
+			var want uint64
+			for _, e := range sl[lo:hi] {
+				want |= e.Mask()
+			}
+			if c.mask != want {
 				t.Fatalf("trial %d: node %s mask %b, table %b",
 					trial, ix.IDOf(c.ord), c.mask, want)
 			}

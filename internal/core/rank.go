@@ -83,11 +83,11 @@ func compareKeys(a, b rankKey) int {
 	}
 }
 
-// rankAll scores every surviving candidate in one sweep over a.sl, orders
+// rankAll scores every surviving candidate in one sweep over S_L, orders
 // the keys and materialises the response; k > 0 keeps only the k first.
 // cands must be the pre-order survivors collectCandidates returned with a.
 func (e *Engine) rankAll(ctx context.Context, a *queryArena, cands []*candidate, nkw, k int) ([]Result, error) {
-	ix, sl := e.ix, a.sl
+	ix, sl := e.ix, a.merged.SL
 	next := slices.Grow(a.rankNext[:0], len(sl))[:len(sl)]
 	a.rankNext = next
 	frames, slots, keys := a.rankFrames[:0], a.rankSlots[:0], a.rankKeys[:0]

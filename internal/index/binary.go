@@ -777,7 +777,14 @@ func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 	}
 
 	ix.packed = p
-	if err := ix.validateNodes(); err != nil {
+	if err := p.validateLayout(); err != nil {
+		return corruptf("binary load: %v", err)
+	}
+	p.recStart = p.appendRecords(nil, 0)
+	if err := p.validateRecords(); err != nil {
+		return corruptf("binary load: %v", err)
+	}
+	if err := ix.validateLabels(); err != nil {
 		return corruptf("binary load: %v", err)
 	}
 	return nil

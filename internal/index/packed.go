@@ -82,6 +82,15 @@ type packedNodes struct {
 	docStart []int32
 	docNum   []int32
 
+	// Record bounds in ordinal order: every document root and every
+	// depth-1 node. Record k spans [recStart[k], recStart[k+1]), the last
+	// one ends at the node count; a root's record is the root alone, a
+	// depth-1 node's is its subtree. Every response node lies inside one
+	// depth-1 record (a root is never a response), which is what the
+	// threshold merge and the window stage key on. Derived from subtree
+	// sizes wherever docStart is filled, never serialized.
+	recStart []int32
+
 	// Delta-append bookkeeping (see packed_append.go). deltaNodes and
 	// deltaDocs count what the delta path appended since the last full
 	// pack — the repack policy's debt numerator. app carries the lineage's
@@ -449,8 +458,36 @@ func packNodes(nodes []NodeInfo) *packedNodes {
 		p.docStart = append(p.docStart, ord)
 		p.docNum = append(p.docNum, nodes[ord].ID.Doc)
 	}
+	p.recStart = p.appendRecords(nil, 0)
 	return p
 }
+
+// appendRecords appends to dst the record bounds of the documents whose
+// roots are docStart[from:]: each root, then the start of each of its
+// children. A root's walk stops at the next root, so a subtree size that
+// overruns its document cannot make the walk quadratic; validateRecords
+// rejects such a table.
+func (p *packedNodes) appendRecords(dst []int32, from int) []int32 {
+	n := int32(len(p.ordInst))
+	for k := from; k < len(p.docStart); k++ {
+		root := p.docStart[k]
+		end := min(root+p.subtreeOf(root), n)
+		if k+1 < len(p.docStart) {
+			end = min(end, p.docStart[k+1])
+		}
+		dst = append(dst, root)
+		for ord := root + 1; ord < end; ord += p.subtreeOf(ord) {
+			dst = append(dst, ord)
+		}
+	}
+	return dst
+}
+
+// Records returns the record bounds of the node table: the sorted
+// ordinals of every document root and every depth-1 node. Record k spans
+// [Records()[k], Records()[k+1]), the last one ends at NodeCount. The
+// slice is shared; callers must not modify it.
+func (ix *Index) Records() []int32 { return ix.packed.recStart }
 
 func lastComp(n *NodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
 
@@ -471,17 +508,23 @@ func (ix *Index) NodeTableBytes() int64 {
 		int64(len(p.shChild))*4 + int64(len(p.shSubtree))*4 + int64(len(p.shParent))*4 +
 		int64(len(p.shLast))*4 + int64(len(p.shDepth))*4 + int64(len(p.shVal))*4
 	b += int64(len(p.valOff))*4 + int64(len(p.valArena))
-	b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4
+	b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4 + int64(len(p.recStart))*4
 	return b
 }
 
 // validateNodes checks the packed table's structure and that every label
 // id it holds names an entry of Labels.
 func (ix *Index) validateNodes() error {
-	p := ix.packed
-	if err := p.validatePacked(); err != nil {
+	if err := ix.packed.validatePacked(); err != nil {
 		return err
 	}
+	return ix.validateLabels()
+}
+
+// validateLabels checks that every label id of the packed table names an
+// entry of Labels.
+func (ix *Index) validateLabels() error {
+	p := ix.packed
 	for _, arr := range [][]int32{p.spLabel, p.shLabel} {
 		for i, l := range arr {
 			if l < 0 || int(l) >= len(ix.Labels) {
@@ -498,6 +541,15 @@ func (ix *Index) validateNodes() error {
 // (shapeSlot, parentOf, docOf) indexes blindly for speed, so a decoded
 // packed image must pass here before it serves.
 func (p *packedNodes) validatePacked() error {
+	if err := p.validateLayout(); err != nil {
+		return err
+	}
+	return p.validateRecords()
+}
+
+// validateLayout checks everything validatePacked does but the record
+// column, which is derived from the layout it checks.
+func (p *packedNodes) validateLayout() error {
 	n := int32(len(p.ordInst))
 	nSpine := int32(len(p.spLabel))
 	nInst := int32(len(p.inStart))
@@ -649,6 +701,46 @@ func (p *packedNodes) validatePacked() error {
 			return fmt.Errorf("packed table: document numbers out of order at root %d", start)
 		}
 		prev = start
+	}
+	return nil
+}
+
+// validateRecords checks the record column against the layout: the
+// bounds tile [0, n) in order, a root's record is the root alone and
+// ends where its first child or the next document begins, a depth-1
+// record is exactly its node's subtree, and each document ends where the
+// next root's record begins. The window stage's climb stops at a record
+// root on the strength of these.
+func (p *packedNodes) validateRecords() error {
+	n := int32(len(p.ordInst))
+	if n > 0 && (len(p.recStart) == 0 || p.recStart[0] != 0) {
+		return fmt.Errorf("packed table: record column does not start at ordinal 0")
+	}
+	root, docEnd, roots := int32(-1), int32(0), 0
+	for k, start := range p.recStart {
+		next := n
+		if k+1 < len(p.recStart) {
+			next = p.recStart[k+1]
+		}
+		if start < 0 || next <= start || next > n {
+			return fmt.Errorf("packed table: record %d: bounds [%d,%d) out of order or out of range", k, start, next)
+		}
+		switch par := p.parentOf(start); {
+		case par < 0:
+			if start != docEnd || roots >= len(p.docStart) || p.docStart[roots] != start {
+				return fmt.Errorf("packed table: record %d: root %d does not follow the previous document", k, start)
+			}
+			if next != start+1 {
+				return fmt.Errorf("packed table: record %d: root record [%d,%d) is not the root alone", k, start, next)
+			}
+			root, docEnd = start, start+p.subtreeOf(start)
+			roots++
+		case par != root || start+p.subtreeOf(start) != next:
+			return fmt.Errorf("packed table: record %d: [%d,%d) is not a depth-1 subtree of root %d", k, start, next, root)
+		}
+	}
+	if n > 0 && (roots != len(p.docStart) || docEnd != n) {
+		return fmt.Errorf("packed table: record column covers %d of %d documents", roots, len(p.docStart))
 	}
 	return nil
 }

@@ -238,6 +238,7 @@ func (p *packedNodes) deltaAppend(nodes []NodeInfo, remap []int32, lk *packLooku
 		q.docNum = append(q.docNum, nodes[k].ID.Doc)
 		docs++
 	}
+	q.recStart = q.appendRecords(q.recStart, len(p.docStart))
 	q.deltaNodes = p.deltaNodes + int(m)
 	q.deltaDocs = p.deltaDocs + docs
 	return &q

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
@@ -66,10 +68,14 @@ func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 		t.Fatalf("%s: %d rows, want %d", label, n, len(want.nodes))
 	}
 	root := int32(-1)
+	var records []int32
 	for i := range want.nodes {
 		w, ord := &want.nodes[i], int32(i)
 		if w.Parent < 0 {
 			root = ord
+		}
+		if w.Parent < 0 || want.nodes[w.Parent].Parent < 0 {
+			records = append(records, ord)
 		}
 		docRoot, docEnd := ix.DocRange(ord)
 		switch {
@@ -100,6 +106,10 @@ func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 		if live := ix.LiveOrd(ord); ok != live || (ok && got != ord) {
 			t.Fatalf("%s: ord %d (live %v): OrdinalOf(%v) = %d, %v", label, ord, live, w.ID, got, ok)
 		}
+	}
+	// The record column: every root and every depth-1 node, in order.
+	if !slices.Equal(ix.Records(), records) {
+		t.Fatalf("%s: record column %v, want %v", label, ix.Records(), records)
 	}
 }
 
@@ -341,4 +351,39 @@ func TestNodeTableBytesAccounting(t *testing.T) {
 		t.Errorf("packed table (%d B) should be smaller than flat (%d B)", pb, fb)
 	}
 	t.Log(fmt.Sprintf("flat %d B, packed %d B (%.2fx)", fb, pb, float64(fb)/float64(pb)))
+}
+
+// TestValidateRejectsBadRecordColumn: the record column must tile the
+// table into roots and depth-1 subtrees; a column missing a bound, holding
+// a deeper node or out of order fails validation.
+func TestValidateRejectsBadRecordColumn(t *testing.T) {
+	c := packedCorpora(t)["dblp-dup"]
+	good := c.ix.packed.recStart
+	if err := c.ix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var deep int32 = -1
+	for ord := int32(0); ord < int32(c.ix.NodeCount()); ord++ {
+		if c.ix.DepthOf(ord) == 2 {
+			deep = ord
+			break
+		}
+	}
+	if deep < 0 {
+		t.Fatal("corpus has no depth-2 node")
+	}
+	for name, bad := range map[string][]int32{
+		"missing bound": slices.Delete(slices.Clone(good), 1, 2),
+		"deeper node":   slices.Insert(slices.Clone(good), sort.Search(len(good), func(i int) bool { return good[i] > deep }), deep),
+		"out of order":  append(slices.Clone(good[1:]), good[0]),
+		"empty":         nil,
+	} {
+		p := *c.ix.packed
+		p.recStart = bad
+		ix := *c.ix
+		ix.packed = &p
+		if err := ix.Validate(); err == nil {
+			t.Errorf("%s: validation passed", name)
+		}
+	}
 }

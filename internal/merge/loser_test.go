@@ -76,16 +76,14 @@ func TestMergeIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 5, 9} {
 		lists := randomLists(rng, k, 200, 0)
-		buf, err := MergeInto(context.Background(), lists, nil)
-		if err != nil {
+		var out Output
+		if err := MergeInto(context.Background(), lists, 1, Records{}, &out); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			out, err := MergeInto(context.Background(), lists, buf)
-			if err != nil {
+			if err := MergeInto(context.Background(), lists, 1, Records{}, &out); err != nil {
 				t.Fatal(err)
 			}
-			buf = out
 		})
 		if allocs != 0 {
 			t.Errorf("k=%d: MergeInto with warm buffer allocated %.0f times per run", k, allocs)
@@ -134,14 +132,12 @@ func TestGallop(t *testing.T) {
 
 func BenchmarkMergeLoserTree(b *testing.B) {
 	lists := synthLists(8, 5000)
-	var buf []Entry
+	var out Output
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := MergeInto(context.Background(), lists, buf)
-		if err != nil || len(out) != 40000 {
+		if err := MergeInto(context.Background(), lists, 1, Records{}, &out); err != nil || len(out.SL) != 40000 {
 			b.Fatal("bad merge")
 		}
-		buf = out
 	}
 }
 
@@ -157,13 +153,11 @@ func BenchmarkMergeHeapBaseline(b *testing.B) {
 
 func BenchmarkMergeTwoGalloping(b *testing.B) {
 	lists := synthLists(2, 20000)
-	var buf []Entry
+	var out Output
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := MergeInto(context.Background(), lists, buf)
-		if err != nil || len(out) != 40000 {
+		if err := MergeInto(context.Background(), lists, 1, Records{}, &out); err != nil || len(out.SL) != 40000 {
 			b.Fatal("bad merge")
 		}
-		buf = out
 	}
 }

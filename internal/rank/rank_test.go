@@ -2,6 +2,7 @@ package rank
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dewey"
@@ -24,7 +25,8 @@ func build(t *testing.T, doc *xmltree.Document) *index.Index {
 func entriesFor(ix *index.Index, root int32, lists [][]int32) []merge.Entry {
 	sl := merge.Merge(lists)
 	start, end := ix.SubtreeRange(root)
-	lo, hi := merge.OrdRange(sl, start, end)
+	lo := sort.Search(len(sl), func(i int) bool { return sl[i].Ord >= start })
+	hi := sort.Search(len(sl), func(i int) bool { return sl[i].Ord >= end })
 	return sl[lo:hi]
 }
 

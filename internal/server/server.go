@@ -547,6 +547,8 @@ func (h *Handler) handleExplain(w http.ResponseWriter, r *http.Request) {
 		"s":                ex.S,
 		"postingSizes":     ex.PostingSizes,
 		"slSize":           ex.SLSize,
+		"recordsTouched":   ex.RecordsTouched,
+		"recordsQualified": ex.RecordsQualified,
 		"blocks":           ex.Blocks,
 		"prunedBlocks":     ex.PrunedBlocks,
 		"lcpNodes":         ex.LCPNodes,

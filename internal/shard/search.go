@@ -231,6 +231,8 @@ func (s *Set) Explain(ctx context.Context, q core.Query, threshold int) (*core.E
 		}
 		out.S = ex.S
 		out.SLSize += ex.SLSize
+		out.RecordsTouched += ex.RecordsTouched
+		out.RecordsQualified += ex.RecordsQualified
 		out.Blocks += ex.Blocks
 		out.PrunedBlocks += ex.PrunedBlocks
 		out.LCPNodes += ex.LCPNodes

@@ -49,23 +49,31 @@ func BenchmarkSegmentColdQuery(b *testing.B) {
 	b.ReportMetric(float64(seg.BytesRead()-bytes)/float64(b.N), "readB/op")
 }
 
-// TestColdBlocksPruned pins the window prune on BenchmarkSegmentColdQuery's
-// corpus and queries at scale 1: the block count and the number of blocks
-// skipped because their ends lie in two documents or their LCA is a
-// document root. Both are exact and machine-independent, so a change that
-// loses the prune fails here in seconds.
+// TestColdBlocksPruned pins the threshold merge and the window prune on
+// BenchmarkSegmentColdQuery's corpus and queries at scale 1: the records
+// the merge examined and kept, the block count over the kept records'
+// entries, and the number of blocks skipped because their ends lie in two
+// records or their LCA is a document root. All are exact and
+// machine-independent, so a change that loses the filter or the prune
+// fails here in seconds.
 func TestColdBlocksPruned(t *testing.T) {
-	const wantBlocks, wantPruned = 735005, 721866
+	const wantTouched, wantQualified = 85098, 9594
+	const wantBlocks, wantPruned = 24491, 11352
 	sys := openColdSegment(t, 1)
 	defer sys.CloseIndex()
-	blocks, pruned := 0, 0
+	touched, qualified, blocks, pruned := 0, 0, 0, 0
 	for _, q := range coldQueries(sys, sys.Segment().NumBlocks(), 4096) {
 		ex, err := sys.Explain(context.Background(), q, q.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
+		touched += ex.RecordsTouched
+		qualified += ex.RecordsQualified
 		blocks += ex.Blocks
 		pruned += ex.PrunedBlocks
+	}
+	if touched != wantTouched || qualified != wantQualified {
+		t.Errorf("cold queries: %d records touched, %d qualified; want %d, %d", touched, qualified, wantTouched, wantQualified)
 	}
 	if blocks != wantBlocks || pruned != wantPruned {
 		t.Errorf("cold queries: %d blocks, %d pruned; want %d, %d", blocks, pruned, wantBlocks, wantPruned)
