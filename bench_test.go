@@ -6,6 +6,7 @@ package gks_test
 // GKS_BENCH_SCALE (default 1).
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -266,7 +267,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 	})
 	b.Run("top10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SearchTopK(q, 1, 10); err != nil {
+			if _, err := eng.SearchCtx(context.Background(), core.SearchRequest{Query: q, S: 1, TopK: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -92,7 +92,7 @@ func main() {
 	// budget, so -block-cache-mb bounds resident posting blocks globally
 	// rather than per generation. Idle (zero-cost) unless a GKS4 segment
 	// is actually served.
-	blockCache := segment.NewBlockCacheMetrics(int64(*blockCacheMB)<<20, reg)
+	blockCache := segment.NewBlockCache(int64(*blockCacheMB)<<20, reg)
 
 	// A follower mirrors a leader's WAL into local state: it needs the
 	// single-index + WAL configuration, and nothing else makes sense.

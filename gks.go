@@ -196,7 +196,7 @@ func IndexFilesLenient(paths ...string) (*System, []FileError, error) {
 // IndexFilesStreaming indexes the XML files in a single streaming pass
 // each, without materializing the document trees — peak memory is
 // O(depth + index), which is how the paper-scale 1.45 GB DBLP dump fits on
-// a laptop. Tree-dependent features (Chunk, Snippet, XPath, AddDocuments)
+// a laptop. Tree-dependent features (Chunk, Snippet, XPath)
 // are unavailable on the resulting system; everything else behaves
 // identically to IndexFiles (the two builds produce equal indexes).
 func IndexFilesStreaming(paths ...string) (*System, error) {
@@ -375,13 +375,7 @@ func NewQuery(terms ...string) Query { return core.NewQuery(terms...) }
 // frees its CPU at the next checkpoint rather than completing in the
 // background.
 func (s *System) Search(ctx context.Context, req SearchRequest) (*Response, error) {
-	q, k := req.Query, req.TopK
-	if !req.BestEffort {
-		return s.engine.SearchTopKCtx(ctx, q, req.S, k)
-	}
-	return core.BestEffort(ctx, q,
-		func(ctx context.Context, t int) (bool, error) { return s.engine.HasResultsCtx(ctx, q, t) },
-		func(ctx context.Context, t int) (*Response, error) { return s.engine.SearchTopKCtx(ctx, q, t, k) })
+	return s.engine.SearchCtx(ctx, req)
 }
 
 // SearchContext parses the query string and searches it at threshold s.
@@ -407,7 +401,7 @@ type Explanation = core.Explanation
 // pipeline stages, so a timed-out explain frees its CPU instead of
 // finishing detached.
 func (s *System) Explain(ctx context.Context, q Query, threshold int) (*Explanation, error) {
-	return s.engine.ExplainCtx(ctx, q, threshold)
+	return s.engine.Explain(ctx, q, threshold)
 }
 
 // Insights discovers the top-m Deeper Analytical Insights of a response
@@ -510,31 +504,6 @@ func (s *System) CategoryOf(deweyID string) (Category, bool) {
 		return 0, false
 	}
 	return s.ix.CatOf(ord), true
-}
-
-// AddDocuments indexes additional documents into the system. The
-// underlying index is rebuilt by merging (existing indexes are immutable),
-// so in-flight searches on other goroutines keep their consistent view;
-// the System itself must not be searched concurrently with AddDocuments.
-func (s *System) AddDocuments(docs ...*Document) error {
-	if s.repo == nil {
-		return fmt.Errorf("gks: cannot add documents to a system loaded from a saved index")
-	}
-	ix := s.ix
-	for _, d := range docs {
-		next, err := index.Append(ix, d, index.DefaultOptions())
-		if err != nil {
-			return err
-		}
-		s.repo.Docs = append(s.repo.Docs, d)
-		ix = next
-	}
-	s.ix = ix
-	s.engine = core.NewEngine(ix)
-	s.an = di.New(s.engine)
-	s.vocabOnce = sync.Once{}
-	s.vocab = nil
-	return nil
 }
 
 // SnippetLine is one line of a highlighted result preview.

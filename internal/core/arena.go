@@ -22,8 +22,8 @@ import (
 type queryArena struct {
 	// lists holds the per-keyword posting list headers for the merge.
 	lists [][]int32
-	// merged holds S_L and the records the threshold merge kept, reused
-	// by merge.MergeInto.
+	// merged holds S_L and the threshold merge's record counts, reused by
+	// merge.MergeInto.
 	merged merge.Output
 	// lcpCount counts sliding-window blocks per LCP ordinal.
 	lcpCount []int32

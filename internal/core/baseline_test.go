@@ -15,7 +15,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/merge"
-	"repro/internal/rank"
 	"repro/internal/segment"
 	"repro/internal/xmltree"
 )
@@ -25,7 +24,7 @@ import (
 // (merge.Merge, which the merge package holds against its container/heap
 // oracle), map-keyed scratch tables (lcpCounts, byOrd), one *candidate allocation
 // per distinct lifted node, a fresh S_L slice per query and one
-// rank.Scorer call per survivor. It is the test oracle: the property tests
+// Scorer call per survivor. It is the test oracle: the property tests
 // diff the arena-based hot path and its one-sweep rank stage against it
 // (the responses must be identical, ranks bit for bit).
 func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
@@ -124,7 +123,7 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 
 	// 5. Rank the survivors one by one with the reference scorer, each over
 	// its own S_L slice, and order the response with a comparison sort.
-	scorer := rank.Scorer{IX: e.ix}
+	scorer := Scorer{IX: e.ix}
 	for _, c := range cands {
 		if !c.survives {
 			continue
@@ -349,7 +348,7 @@ func TestWindowPruneMatchesLockstep(t *testing.T) {
 		}
 		requireWindowsMatchOracle(t, label+" tombstoned", dead, q)
 
-		grown, err := index.Append(dead, randomDoc(rng, "added.xml"), index.Options{IndexElementNames: true})
+		grown, err := index.AppendAs(dead, randomDoc(rng, "added.xml"), dead.NextDocID(), index.Options{IndexElementNames: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +412,7 @@ var recordQueries = []Query{
 // threshold merge. For every query and every s in 1..|Q|, the window stage
 // over the merge's output — filtered where the rule runs the filter —
 // must count each LCA as the lockstep oracle does over the whole S_L, and
-// Search, Explain and SearchTopK must answer as the retained seed pipeline
+// Search, Explain and top-k SearchCtx must answer as the retained seed pipeline
 // over the unfiltered merge does: results, ranks bit for bit, Total and
 // SLSize identical. The corpora are random multi-document corpora with
 // bare roots, root attributes, keyword-named roots and chains deeper than
@@ -450,7 +449,7 @@ func TestRecordFilterMatchesLockstep(t *testing.T) {
 		}
 		check(label+" tombstoned", dead, recordQueries)
 
-		grown, err := index.Append(dead, recordDoc(rng, "added.xml"), opts)
+		grown, err := index.AppendAs(dead, recordDoc(rng, "added.xml"), dead.NextDocID(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,7 +538,7 @@ func TestRecordColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		require("build", ix)
-		if ix, err = index.Append(ix, recordDoc(rng, "a.xml"), opts); err != nil {
+		if ix, err = index.AppendAs(ix, recordDoc(rng, "a.xml"), ix.NextDocID(), opts); err != nil {
 			t.Fatal(err)
 		}
 		require("append", ix)
@@ -597,8 +596,8 @@ func requireSameResponse(t *testing.T, label string, got, want *Response) {
 
 // requireMatchesBaseline holds every ranked entry point of the engine over
 // ix against the retained seed pipeline, whose ranks come
-// from rank.Scorer one candidate at a time: Search and Explain must equal it,
-// and SearchTopK must equal its k-prefix around both ends of |R| — with
+// from Scorer one candidate at a time: Search and Explain must equal it,
+// and a top-k SearchCtx must equal its k-prefix around both ends of |R| — with
 // Total still |R| (the baseline's len(Results)) whatever k is.
 func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query) {
 	t.Helper()
@@ -615,7 +614,7 @@ func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query
 			t.Fatal(err)
 		}
 		requireSameResponse(t, label, got, want)
-		ex, err := eng.Explain(q, s)
+		ex, err := eng.Explain(context.Background(), q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -624,7 +623,7 @@ func requireMatchesBaseline(t *testing.T, label string, ix *index.Index, q Query
 			t.Fatalf("%s: explain survivors %d, want %d", label, ex.Survivors, n)
 		}
 		for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
-			topk, err := eng.SearchTopK(q, s, k)
+			topk, err := topK(eng, q, s, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -717,7 +716,7 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 func TestSearchTopKAllocsSteadyState(t *testing.T) {
 	eng := allocBenchEngine(t, 400)
 	q := NewQuery("alpha", "beta", "gamma")
-	if _, err := eng.SearchTopK(q, 2, 10); err != nil {
+	if _, err := topK(eng, q, 2, 10); err != nil {
 		t.Fatal(err)
 	}
 	baseline := testing.AllocsPerRun(10, func() {
@@ -726,12 +725,12 @@ func TestSearchTopKAllocsSteadyState(t *testing.T) {
 		}
 	})
 	hot := testing.AllocsPerRun(10, func() {
-		if _, err := eng.SearchTopK(q, 2, 10); err != nil {
+		if _, err := topK(eng, q, 2, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if hot*2 >= baseline {
-		t.Errorf("steady-state SearchTopK allocates %.0f/run, baseline full search %.0f/run — want less than half", hot, baseline)
+		t.Errorf("steady-state top-k SearchCtx allocates %.0f/run, baseline full search %.0f/run — want less than half", hot, baseline)
 	}
 }
 
@@ -767,7 +766,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.SearchTopK(q, 1, 10); err != nil {
+		if _, err := topK(eng, q, 1, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

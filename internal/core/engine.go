@@ -9,6 +9,7 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/merge"
+	"repro/internal/postings"
 )
 
 // Engine runs GKS searches against a built index.
@@ -126,18 +127,73 @@ type candidate struct {
 
 // Search executes query q with threshold s. s is clamped to [1, |Q|]
 // (the paper's response contains nodes with at least min(s,|Q|) query
-// keywords). The returned response is ranked.
+// keywords). The returned response is ranked. It is SearchCtx with no
+// deadline, no top-k and no best effort.
 func (e *Engine) Search(q Query, s int) (*Response, error) {
-	return e.SearchCtx(context.Background(), q, s)
+	return e.SearchCtx(context.Background(), SearchRequest{Query: q, S: s})
 }
 
-// SearchCtx is Search honoring cancellation and deadlines from ctx. The
-// pipeline polls ctx periodically — inside the S_L merge, the window scan
-// and the rank sweep — so an expired request stops burning CPU at the
+// SearchCtx answers one request: the k best results of R_Q(s) (TopK = k;
+// 0 returns all of them), at the request's threshold s or, with
+// BestEffort, at the largest s with a non-empty response (BestEffort with
+// HasResults as its probe); the effective s is reported in Response.S. A
+// top-k response comes from the same rank sweep, with a bounded selection
+// over the sort keys in place of the full sort and only k results
+// materialised; Total still counts the whole response.
+//
+// The pipeline polls ctx periodically — inside the S_L merge, the window
+// scan and the rank sweep — so an expired request stops burning CPU at the
 // next checkpoint instead of completing a doomed search on a detached
 // goroutine. A cancelled search returns ctx.Err() and no response.
-func (e *Engine) SearchCtx(ctx context.Context, q Query, s int) (*Response, error) {
-	return e.search(ctx, q, s, 0, nil)
+func (e *Engine) SearchCtx(ctx context.Context, req SearchRequest) (*Response, error) {
+	q, k := req.Query, req.TopK
+	if !req.BestEffort {
+		return e.search(ctx, q, req.S, k, nil)
+	}
+	return BestEffort(ctx, q,
+		func(ctx context.Context, s int) (bool, error) { return e.HasResults(ctx, q, s) },
+		func(ctx context.Context, s int) (*Response, error) { return e.search(ctx, q, s, k, nil) })
+}
+
+// HasResults reports whether R_Q(s) is non-empty. It runs the candidate
+// stages alone: every survivor of the witness filter is a response node,
+// so ranking cannot change the answer.
+func (e *Engine) HasResults(ctx context.Context, q Query, s int) (bool, error) {
+	_, cands, a, err := e.collectCandidates(ctx, q, s, nil)
+	if a != nil {
+		e.releaseArena(a)
+	}
+	return len(cands) > 0, err
+}
+
+// BestEffort runs the best-effort threshold scan: it finds the largest
+// s ∈ [1, |Q|] for which nonEmpty(s) holds and returns search(s), so only
+// the chosen threshold is ranked. By Lemma 2, non-emptiness is monotone in
+// s (|R_Q(s1)| ≤ |R_Q(s2)| for s1 > s2), so a binary search locates the
+// boundary in O(log |Q|) probes. This is "best-effort AND semantics": the
+// engine honors as much of the query as the data supports, which is how
+// the paper motivates relaxing AND-semantics for imperfect queries (§1.1).
+// s = 1 is never probed: when no higher threshold matches it is the answer
+// whether or not it is empty. The engine and the sharded scatter-gather
+// searcher share it, so both implement identical best-effort semantics.
+func BestEffort(ctx context.Context, q Query, nonEmpty func(ctx context.Context, s int) (bool, error), search func(ctx context.Context, s int) (*Response, error)) (*Response, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	lo, hi := 1, q.Len() // invariant: R(lo) known non-empty or lo == 1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		ok, err := nonEmpty(ctx, mid)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return search(ctx, lo)
 }
 
 // search runs the candidate stages, then the one rank stage every ranked
@@ -546,28 +602,10 @@ func (e *Engine) postings(kw Keyword) []int32 {
 	}
 	list := e.ix.PostingsFor(kw.Tokens[0])
 	for _, tok := range kw.Tokens[1:] {
-		list = intersectSorted(list, e.ix.PostingsFor(tok))
+		list = postings.Intersect(list, e.ix.PostingsFor(tok))
 		if len(list) == 0 {
 			return nil
 		}
 	}
 	return list
-}
-
-func intersectSorted(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -26,8 +26,8 @@ type Explanation struct {
 	// Blocks is the number of sliding-window blocks with s unique keywords.
 	Blocks int
 	// PrunedBlocks counts the blocks that yield no candidate because their
-	// ends lie in two documents or their LCA is a document root; the
-	// window stage skips them without an LCA walk.
+	// ends lie in two records or their LCA is a document root; the window
+	// stage skips them without an LCA walk.
 	PrunedBlocks int
 	// LCPNodes is the number of distinct longest-common-prefix nodes below
 	// a document root. Root LCP nodes are not counted: a root is never a
@@ -65,12 +65,6 @@ func (ex *Explanation) String() string {
 	return b.String()
 }
 
-// Explain runs the search while recording pipeline statistics. The
-// response in the result is identical to Search(q, s).
-func (e *Engine) Explain(q Query, s int) (*Explanation, error) {
-	return e.ExplainCtx(context.Background(), q, s)
-}
-
 // explainCounts receives the intermediate sizes of one search for Explain;
 // collectCandidates fills it when handed one.
 type explainCounts struct {
@@ -80,11 +74,12 @@ type explainCounts struct {
 	lcpNodes, candidates, entityCandidates int
 }
 
-// ExplainCtx is Explain honoring ctx: the counts come from the real search,
-// SearchCtx's own pipeline, which polls ctx in the candidate stages and the
-// rank sweep. The shard scatter-gather relies on this to cancel sibling
-// explains when one shard fails.
-func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, error) {
+// Explain runs the search while recording pipeline statistics; the
+// response in the result is identical to Search(q, s). The counts come from
+// the real search, SearchCtx's own pipeline, which polls ctx in the
+// candidate stages and the rank sweep. The shard scatter-gather relies on
+// this to cancel sibling explains when one shard fails.
+func (e *Engine) Explain(ctx context.Context, q Query, s int) (*Explanation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

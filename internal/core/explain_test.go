@@ -18,7 +18,7 @@ func TestExplainMatchesSearch(t *testing.T) {
 	e := figure2aEngine(t)
 	q := NewQuery("student", "karen", "mike", "john", "harry")
 	for s := 1; s <= 5; s++ {
-		ex, err := e.Explain(q, s)
+		ex, err := e.Explain(context.Background(), q, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestExplainMatchesSearch(t *testing.T) {
 
 func TestExplainString(t *testing.T) {
 	e := figure2aEngine(t)
-	ex, err := e.Explain(NewQuery("karen", "mike"), 2)
+	ex, err := e.Explain(context.Background(), NewQuery("karen", "mike"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestExplainString(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	e := figure2aEngine(t)
-	if _, err := e.Explain(Query{}, 1); err == nil {
+	if _, err := e.Explain(context.Background(), Query{}, 1); err == nil {
 		t.Error("empty query must error")
 	}
 }
@@ -202,7 +202,7 @@ func TestExplainCountsMatchOracle(t *testing.T) {
 		e := NewEngine(ix)
 		for s := 0; s <= q.Len()+1; s++ {
 			label := fmt.Sprintf("trial %d s=%d", trial, s)
-			got, err := e.Explain(q, s)
+			got, err := e.Explain(context.Background(), q, s)
 			if err != nil {
 				t.Fatal(err)
 			}

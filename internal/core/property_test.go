@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/lca"
 	"repro/internal/merge"
@@ -132,6 +133,9 @@ func TestPropertyThresholdAndWitness(t *testing.T) {
 	}
 }
 
+// ancestorOrSelf reports whether a is b or a proper ancestor of b.
+func ancestorOrSelf(a, b dewey.ID) bool { return dewey.Equal(a, b) || a.IsAncestorOf(b) }
+
 func TestPropertyLemma2Monotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -159,7 +163,7 @@ func TestPropertyLemma2Monotonicity(t *testing.T) {
 				for _, hi := range prev.Results {
 					found := false
 					for _, lo := range resp.Results {
-						if lo.ID.IsAncestorOrSelf(hi.ID) || hi.ID.IsAncestorOrSelf(lo.ID) {
+						if ancestorOrSelf(lo.ID, hi.ID) || ancestorOrSelf(hi.ID, lo.ID) {
 							found = true
 							break
 						}
@@ -201,7 +205,7 @@ func TestPropertySLCACoverage(t *testing.T) {
 			}
 			covered := false
 			for _, r := range resp.Results {
-				if r.ID.IsAncestorOrSelf(ix.IDOf(sl)) {
+				if ancestorOrSelf(r.ID, ix.IDOf(sl)) {
 					covered = true
 					break
 				}
@@ -279,7 +283,7 @@ func TestPropertyTopKAgreesWithFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 7} {
-			topk, err := eng.SearchTopK(q, 1, k)
+			topk, err := topK(eng, q, 1, k)
 			if err != nil {
 				t.Fatal(err)
 			}

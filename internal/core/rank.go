@@ -18,8 +18,9 @@ import (
 // candidate once; a closing candidate's terminal lists fold into its parent
 // in O(|Q|). The integer bookkeeping (depths, terminal lists) is shared
 // between nested candidates; the floating-point work is not: each closing
-// candidate walks its own terminals with exactly rank.Scorer's operations in
-// exactly its order, so every rank is bit-identical to the reference.
+// candidate walks its own terminals with exactly the operations of the
+// reference Scorer (scorer_test.go) in exactly its order, so every rank is
+// bit-identical to the reference.
 
 // rankCheckMask spaces the cancellation polls of the window scan and the
 // rank sweep: one check every 256 windows or scored candidates.
@@ -177,9 +178,9 @@ func (e *Engine) resultOf(c *candidate, rank float64) Result {
 
 // flowTo sums the potential reaching c's terminals, keyword-ascending and
 // in document order within a keyword: p divided bottom-up by the child
-// count of every node from the terminal's parent up to c — rank.Scorer's
-// chain, evaluated once per run of terminals sharing a parent (their chains
-// are the same divisions of the same p).
+// count of every node from the terminal's parent up to c — the reference
+// Scorer's chain, evaluated once per run of terminals sharing a parent
+// (their chains are the same divisions of the same p).
 func (e *Engine) flowTo(c *candidate, slots []rankSlot, next []int32, sl []merge.Entry) float64 {
 	ix := e.ix
 	p := float64(bits.OnesCount64(c.mask))

@@ -14,9 +14,9 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Tests of the one-sweep rank stage (rankAll). The reference is rank.Scorer
-// through SearchBaseline: requireMatchesBaseline compares every rank with
-// math.Float64bits.
+// Tests of the one-sweep rank stage (rankAll). The reference is Scorer
+// (scorer_test.go) through SearchBaseline: requireMatchesBaseline compares
+// every rank with math.Float64bits.
 
 // TestRankSweepHandCases pins the shapes the sweep's terminal bookkeeping has
 // to get right; each case also states one rank worked by hand.
@@ -181,19 +181,22 @@ func (c rankStageCtx) Err() error {
 	}
 }
 
-// TestRankStagePollsContext: every ranked entry point — ExplainCtx, which
-// used to rank without a poll, included — stops inside the rank stage when
-// the context is cancelled there.
+// TestRankStagePollsContext: every ranked request — Explain, which used to
+// rank without a poll, included — stops inside the rank stage when the
+// context is cancelled there.
 func TestRankStagePollsContext(t *testing.T) {
 	eng := allocBenchEngine(t, 400)
 	q := NewQuery("alpha", "beta", "gamma")
 	ctx := rankStageCtx{context.Background()}
 	calls := map[string]func() (any, error){
-		"SearchCtx":     func() (any, error) { return eng.SearchCtx(ctx, q, 2) },
-		"SearchTopKCtx": func() (any, error) { return eng.SearchTopKCtx(ctx, q, 2, 10) },
-		"ExplainCtx":    func() (any, error) { return eng.ExplainCtx(ctx, q, 2) },
-		"SearchBestEffortCtx": func() (any, error) {
-			return eng.SearchBestEffortCtx(ctx, q)
+		"SearchCtx":       func() (any, error) { return eng.SearchCtx(ctx, SearchRequest{Query: q, S: 2}) },
+		"SearchCtx top-k": func() (any, error) { return eng.SearchCtx(ctx, SearchRequest{Query: q, S: 2, TopK: 10}) },
+		"Explain":         func() (any, error) { return eng.Explain(ctx, q, 2) },
+		"SearchCtx best effort": func() (any, error) {
+			return eng.SearchCtx(ctx, SearchRequest{Query: q, BestEffort: true})
+		},
+		"SearchCtx best-effort top-k": func() (any, error) {
+			return eng.SearchCtx(ctx, SearchRequest{Query: q, BestEffort: true, TopK: 10})
 		},
 	}
 	for name, call := range calls {
@@ -203,8 +206,8 @@ func TestRankStagePollsContext(t *testing.T) {
 	}
 	// The probes of a best-effort scan rank nothing, so they never poll from
 	// the rank stage.
-	if ok, err := eng.HasResultsCtx(ctx, q, 2); err != nil || !ok {
-		t.Errorf("HasResultsCtx = (%v, %v), want (true, nil)", ok, err)
+	if ok, err := eng.HasResults(ctx, q, 2); err != nil || !ok {
+		t.Errorf("HasResults = (%v, %v), want (true, nil)", ok, err)
 	}
 	// The arenas the cancelled searches returned to the shared pool are clean.
 	got, err := eng.Search(q, 2)

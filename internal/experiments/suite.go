@@ -43,16 +43,9 @@ func NewSuite(scale int) *Suite {
 	return &Suite{Scale: scale, cache: make(map[string]*Dataset)}
 }
 
-// DatasetNames lists the analogs in the order of the paper's Table 4.
-func DatasetNames() []string {
-	return []string{
-		"sigmod", "mondial", "plays", "treebank", "swissprot", "protein", "dblp",
-		"nasa", "interpro", "xmark",
-	}
-}
-
 // Dataset builds (or returns the cached) named dataset. Valid names are
-// those in DatasetNames.
+// the analogs of the paper's Table 4: sigmod, mondial, plays, treebank,
+// swissprot, protein, dblp, nasa, interpro and xmark.
 func (s *Suite) Dataset(name string) (*Dataset, error) {
 	if d, ok := s.cache[name]; ok {
 		return d, nil

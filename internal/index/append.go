@@ -6,10 +6,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Append indexes doc as the next document of the repository behind ix and
-// returns a new merged index; ix itself is not modified (indexes are
+// AppendAs indexes doc as document number docID of the repository behind
+// ix and returns a new merged index; ix itself is not modified (indexes are
 // immutable once built, which is what makes concurrent searches safe).
-// The document is renumbered to the next free live document id.
+// The number must sort at or after every live document of ix, or the
+// merged node table would fall out of Dewey order; ix.NextDocID() is the
+// next free one.
 //
 // Because documents are independent subtrees under distinct Dewey document
 // numbers, the new document's ordinals all sort after the existing ones,
@@ -17,17 +19,6 @@ import (
 //
 // On failure the caller's document is left exactly as it was passed in,
 // so it can be retried against another index.
-func Append(ix *Index, doc *xmltree.Document, opts Options) (*Index, error) {
-	if ix == nil {
-		return nil, fmt.Errorf("index: append to nil index")
-	}
-	return AppendAs(ix, doc, ix.NextDocID(), opts)
-}
-
-// AppendAs is Append with an explicit Dewey document number. The number
-// must sort at or after every live document of ix, or the merged node
-// table would fall out of Dewey order; callers that don't care should use
-// Append, which picks the next free id.
 //
 // The delta-maintaining pack (packed_append.go) applies whenever it can:
 // the new document is packed against the existing shape table at

@@ -34,7 +34,7 @@ func TestAppendEqualsBatchBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range docs[1:] {
-		ix, err = Append(ix, d, DefaultOptions())
+		ix, err = AppendAs(ix, d, ix.NextDocID(), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestAppendImmutability(t *testing.T) {
 	}
 	nodesBefore := ix.NodeCount()
 	karenBefore := len(ix.Lookup("karen"))
-	ix2, err := Append(ix, xmltree.BuildFigure2a(), DefaultOptions())
+	ix2, err := AppendAs(ix, xmltree.BuildFigure2a(), ix.NextDocID(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestAppendImmutability(t *testing.T) {
 }
 
 func TestAppendErrors(t *testing.T) {
-	if _, err := Append(nil, xmltree.BuildFigure2a(), DefaultOptions()); err == nil {
+	if _, err := AppendAs(nil, xmltree.BuildFigure2a(), 0, DefaultOptions()); err == nil {
 		t.Error("nil index must fail")
 	}
 	var repo xmltree.Repository
@@ -76,10 +76,10 @@ func TestAppendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Append(ix, nil, DefaultOptions()); err == nil {
+	if _, err := AppendAs(ix, nil, ix.NextDocID(), DefaultOptions()); err == nil {
 		t.Error("nil document must fail")
 	}
-	if _, err := Append(ix, &xmltree.Document{Name: "empty"}, DefaultOptions()); err == nil {
+	if _, err := AppendAs(ix, &xmltree.Document{Name: "empty"}, ix.NextDocID(), DefaultOptions()); err == nil {
 		t.Error("rootless document must fail")
 	}
 }

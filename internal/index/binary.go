@@ -218,20 +218,6 @@ func (s *Stats) setFields(v []int) {
 
 const statsFieldCount = 10
 
-// LoadBinary reads an index written by SaveBinary. The magic bytes must
-// already be verified by the caller (Load does this) or present in r.
-func LoadBinary(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf("binary load: magic: %v", err)
-	}
-	if string(magic[:]) != binaryMagic {
-		return nil, corruptf("binary load: bad magic %q", magic)
-	}
-	return loadBinaryAfterMagic(br, -1)
-}
-
 // preallocCap bounds an upfront slice allocation for a decoded count when
 // the input size is unknown: the slice starts at most this many elements
 // and grows by append, so a lying count costs a bounded allocation before

@@ -15,7 +15,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := ix.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinary(bytes.NewReader(buf.Bytes()))
+	back, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBinaryRoundTripLargeDataset(t *testing.T) {
 	if err := ix.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinary(bytes.NewReader(buf.Bytes()))
+	back, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestBinarySmallerThanGob(t *testing.T) {
 }
 
 func TestBinaryLoadErrors(t *testing.T) {
-	if _, err := LoadBinary(bytes.NewReader(nil)); err == nil {
+	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input must fail")
 	}
-	if _, err := LoadBinary(bytes.NewReader([]byte("NOPE"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("NOPE"))); err == nil {
 		t.Error("bad magic must fail")
 	}
-	if _, err := LoadBinary(bytes.NewReader([]byte("GKSI\x63"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("GKSI\x63"))); err == nil {
 		t.Error("bad version must fail")
 	}
 	// Truncations at every prefix length must fail, not panic.
@@ -95,7 +95,7 @@ func TestBinaryLoadErrors(t *testing.T) {
 		if cut >= len(full) {
 			continue
 		}
-		if _, err := LoadBinary(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d bytes must fail", cut)
 		}
 	}

@@ -74,7 +74,7 @@ func TestLabelValueCollisionDedup(t *testing.T) {
 	// ingestion path) must stay save-clean too: Save uses the strict codec
 	// and would panic on a duplicate.
 	base := buildFig2a(t)
-	merged, err := Append(base, doc, DefaultOptions())
+	merged, err := AppendAs(base, doc, base.NextDocID(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

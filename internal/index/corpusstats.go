@@ -91,29 +91,3 @@ func (ix *Index) DepthHistogram() []int {
 	}
 	return hist
 }
-
-// PostingPercentiles returns the posting-list length at the given
-// percentiles (0–100), useful for sizing decisions. Percentile 100 is the
-// longest list.
-func (ix *Index) PostingPercentiles(percentiles ...int) []int {
-	lengths := make([]int, 0, len(ix.Postings))
-	ix.ForEachKeyword(func(_ string, live int) {
-		lengths = append(lengths, live)
-	})
-	sort.Ints(lengths)
-	out := make([]int, len(percentiles))
-	if len(lengths) == 0 {
-		return out
-	}
-	for i, p := range percentiles {
-		if p < 0 {
-			p = 0
-		}
-		if p > 100 {
-			p = 100
-		}
-		idx := p * (len(lengths) - 1) / 100
-		out[i] = lengths[idx]
-	}
-	return out
-}

@@ -75,22 +75,3 @@ func TestDepthHistogram(t *testing.T) {
 		t.Error("no nodes at max depth")
 	}
 }
-
-func TestPostingPercentiles(t *testing.T) {
-	ix := buildFig2a(t)
-	ps := ix.PostingPercentiles(0, 50, 100)
-	if len(ps) != 3 {
-		t.Fatalf("ps = %v", ps)
-	}
-	if ps[0] > ps[1] || ps[1] > ps[2] {
-		t.Errorf("percentiles not monotone: %v", ps)
-	}
-	if ps[2] != 16 {
-		t.Errorf("p100 = %d, want 16 (student)", ps[2])
-	}
-	// Clamping.
-	cl := ix.PostingPercentiles(-5, 200)
-	if cl[0] != ps[0] || cl[1] != ps[2] {
-		t.Errorf("clamped = %v", cl)
-	}
-}

@@ -22,3 +22,7 @@ func AssertRecategorized(t *testing.T, label string, repo *xmltree.Repository, c
 	}
 	assertAccessorsMatch(t, label, want, ix)
 }
+
+// Tombstoned reports whether the index carries a tombstone mask (i.e. has
+// live deletes that a save would compact away).
+func (ix *Index) Tombstoned() bool { return ix.tomb != nil }

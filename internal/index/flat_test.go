@@ -53,8 +53,12 @@ func writeFlatMeta(w *binWriter, ix *Index) {
 	w.uvarint(uint64(len(nodes)))
 	for i := range nodes {
 		n := &nodes[i]
-		w.scratch = n.ID.AppendBinary(w.scratch[:0])
-		w.bw.Write(w.scratch)
+		// The Dewey ID: document, path length and components, uvarints.
+		w.uvarint(uint64(uint32(n.ID.Doc)))
+		w.uvarint(uint64(len(n.ID.Path)))
+		for _, c := range n.ID.Path {
+			w.uvarint(uint64(uint32(c)))
+		}
 		w.uvarint(uint64(n.Label))
 		w.bw.WriteByte(byte(n.Cat))
 		w.uvarint(uint64(n.ChildCount))

@@ -523,15 +523,6 @@ func (ix *Index) IDOf(ord int32) dewey.ID { return ix.packed.idOf(ord) }
 // DocOf returns the Dewey document number of the node at ord.
 func (ix *Index) DocOf(ord int32) int32 { return ix.packed.docOf(ord) }
 
-// DocRange returns the root ordinal of the document holding ord and the
-// exclusive end of that document's ordinal range, found by binary search
-// over the root table (delta appends extend the table with their
-// documents).
-func (ix *Index) DocRange(ord int32) (root, end int32) {
-	root = ix.packed.docStart[ix.packed.docSlot(ord)]
-	return root, root + ix.packed.subtreeOf(root)
-}
-
 // IsEntity mirrors the paper's isEntity(DeweyId) helper: it returns the
 // number of direct children when the node is an entity node, and 0
 // otherwise.

@@ -19,7 +19,7 @@ import (
 // []int32 signature, so they poison the index (LazyErr) and the query
 // engine checks the poison after gathering lists — queries fail loudly,
 // never silently with an empty list. Mutation and persistence paths
-// (DeleteDoc, Append, Save) materialize first: a lazy index is an
+// (DeleteDoc, AppendAs, Save) materialize first: a lazy index is an
 // immutable serving view, and tombstones never coexist with laziness.
 
 // PostingSource provides posting lists for a lazily-backed index.

@@ -71,10 +71,6 @@ type tombstones struct {
 	deadDocs int
 }
 
-// Tombstoned reports whether the index carries a tombstone mask (i.e. has
-// live deletes that a save would compact away).
-func (ix *Index) Tombstoned() bool { return ix.tomb != nil }
-
 // LiveSpans returns the sorted, disjoint, half-open ordinal ranges of the
 // nodes that are not tombstoned. Iterating these spans visits exactly the
 // live node table; without tombstones that is the whole table.
@@ -273,7 +269,7 @@ func (ix *Index) DocHolds(name string) func(token string) bool {
 // NextDocID returns the Dewey document number the next appended document
 // should take: one past the highest live document number. Appending at
 // the maximum keeps the node table Dewey-sorted even when earlier deletes
-// left holes in the numbering, which is what lets Append remain a cheap
+// left holes in the numbering, which is what lets AppendAs remain a cheap
 // suffix merge.
 func (ix *Index) NextDocID() int32 {
 	max := int32(-1)

@@ -185,7 +185,7 @@ func TestDeleteThenAppendEqualsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	newDoc := wordDoc("n.xml", 0, "nectarine", "shared")
-	next, err := Append(del, newDoc, DefaultOptions())
+	next, err := AppendAs(del, newDoc, del.NextDocID(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestAppendFailureLeavesDocumentUntouched(t *testing.T) {
 	bad := &xmltree.Document{Name: "bad.xml", DocID: 7, Root: xmltree.T("loose text")}
 	bad.AssignIDs()
 	wantRoot := bad.Root.ID
-	if _, err := Append(ix, bad, DefaultOptions()); err == nil {
+	if _, err := AppendAs(ix, bad, ix.NextDocID(), DefaultOptions()); err == nil {
 		t.Fatal("append of a non-element root must fail")
 	}
 	if bad.DocID != 7 || !dewey.Equal(bad.Root.ID, wantRoot) {
@@ -242,7 +242,7 @@ func TestSaveCompactsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, load := range map[string]func() (*Index, error){
-		"binary":   func() (*Index, error) { return LoadBinary(&bin) },
+		"binary":   func() (*Index, error) { return Load(&bin) },
 		"snapshot": func() (*Index, error) { return Load(&snap) },
 	} {
 		got, err := load()

@@ -288,7 +288,7 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 	splice, err := AppendAs(base, e, base.NextDocID(), DefaultOptions())
 	check("AppendAs splice", splice, err, fresh(a, b, c, e))
 	f := named("f", xmltree.BuildFigure2a())
-	appended, err := Append(delta, f, DefaultOptions())
+	appended, err := AppendAs(delta, f, delta.NextDocID(), DefaultOptions())
 	check("Append", appended, err, fresh(a, b, c, d, f))
 	g, h := named("g", xmltree.BuildFigure1()), named("h", xmltree.BuildFigure2a())
 	batch, err := AppendBatch(base, []*xmltree.Document{g, h}, DefaultOptions())

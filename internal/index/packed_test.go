@@ -77,7 +77,8 @@ func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 		if w.Parent < 0 || want.nodes[w.Parent].Parent < 0 {
 			records = append(records, ord)
 		}
-		docRoot, docEnd := ix.DocRange(ord)
+		docRoot := ix.packed.docStart[ix.packed.docSlot(ord)]
+		docEnd := docRoot + ix.SubtreeSizeOf(docRoot)
 		switch {
 		case docRoot != root || docEnd != root+want.nodes[root].Subtree:
 			t.Fatalf("%s: ord %d: document range [%d,%d), want [%d,%d)", label, ord, docRoot, docEnd, root, root+want.nodes[root].Subtree)

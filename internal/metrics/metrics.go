@@ -69,39 +69,6 @@ func PrecisionRecall(retrieved, relevant map[int32]bool) (precision, recall floa
 	return float64(hits) / float64(len(retrieved)), float64(hits) / float64(len(relevant))
 }
 
-// Utility scores a ranked response against a relevant set with a DCG-style
-// top-k gain, normalized by the ideal ranking, minus a small noise penalty
-// for irrelevant results among the top k. It is the per-response input of
-// the feedback simulation.
-func Utility(ranked []int32, relevant map[int32]bool, k int) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	if k <= 0 || k > len(ranked) {
-		k = len(ranked)
-	}
-	gain, noise := 0.0, 0.0
-	for i := 0; i < k; i++ {
-		if relevant[ranked[i]] {
-			gain += 1 / math.Log2(float64(i)+2)
-		} else {
-			noise++
-		}
-	}
-	ideal := 0.0
-	for i := 0; i < len(relevant) && i < k; i++ {
-		ideal += 1 / math.Log2(float64(i)+2)
-	}
-	if ideal == 0 {
-		return 0
-	}
-	u := gain/ideal - 0.1*noise/float64(k)
-	if u < 0 {
-		u = 0
-	}
-	return u
-}
-
 // GradedUtility scores a ranked response by graded relevance: grades[i] in
 // [0, 1] is the usefulness of the i-th result (for GKS responses, the
 // fraction of query keywords the node carries; for LCA baselines, 1 per

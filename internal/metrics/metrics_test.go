@@ -64,25 +64,6 @@ func TestPrecisionRecall(t *testing.T) {
 	}
 }
 
-func TestUtility(t *testing.T) {
-	relevant := map[int32]bool{10: true, 20: true}
-	perfect := Utility([]int32{10, 20, 30}, relevant, 2)
-	if math.Abs(perfect-1.0) > 1e-12 {
-		t.Errorf("perfect top-k utility = %v, want 1", perfect)
-	}
-	none := Utility([]int32{1, 2, 3}, relevant, 3)
-	if none != 0 {
-		t.Errorf("all-miss utility = %v, want 0", none)
-	}
-	mixed := Utility([]int32{10, 99, 20}, relevant, 3)
-	if mixed <= none || mixed >= perfect {
-		t.Errorf("mixed utility %v should sit between %v and %v", mixed, none, perfect)
-	}
-	if Utility(nil, nil, 5) != 0 {
-		t.Error("no relevant nodes must give 0")
-	}
-}
-
 func TestFeedbackDeterministicAndSane(t *testing.T) {
 	f := Feedback{Raters: 40, Seed: 9}
 	a := f.Rate(0.9, 0.1)

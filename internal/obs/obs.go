@@ -20,7 +20,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -411,9 +410,6 @@ func (r *Registry) render() []byte {
 	}
 	return b.Bytes()
 }
-
-// WritePrometheus hands w the exposition in one Write.
-func (r *Registry) WritePrometheus(w io.Writer) { w.Write(r.render()) }
 
 // Value returns what a scrape would read for one series, for tests: a counter's
 // or gauge's value, a histogram's _count. labelPairs alternate label names and

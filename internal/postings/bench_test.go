@@ -39,20 +39,3 @@ func BenchmarkDecode(b *testing.B) {
 	}
 	b.SetBytes(int64(len(list) * 4))
 }
-
-func BenchmarkIterator(b *testing.B) {
-	list := denseList(100000)
-	buf := Encode(nil, list)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := NewIterator(buf, len(list))
-		n := 0
-		for _, ok := it.Next(); ok; _, ok = it.Next() {
-			n++
-		}
-		if n != len(list) {
-			b.Fatal("short iteration")
-		}
-	}
-}

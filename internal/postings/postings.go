@@ -27,26 +27,6 @@ func Encode(buf []byte, list []int32) []byte {
 	return buf
 }
 
-// EncodedSize returns the exact number of bytes Encode will produce.
-func EncodedSize(list []int32) int {
-	size := 0
-	prev := int32(-1)
-	for _, v := range list {
-		size += uvarintLen(uint64(v - prev))
-		prev = v
-	}
-	return size
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // Decode reads n ordinals from buf, returning the list and the number of
 // bytes consumed.
 func Decode(buf []byte, n int) ([]int32, int, error) {
@@ -69,42 +49,6 @@ func Decode(buf []byte, n int) ([]int32, int, error) {
 	return list, off, nil
 }
 
-// Iterator streams a compressed list without materializing it — used for
-// merge-time decoding.
-type Iterator struct {
-	buf  []byte
-	off  int
-	prev int32
-	n    int
-	read int
-	err  error
-}
-
-// NewIterator returns an iterator over a buffer holding n encoded entries.
-func NewIterator(buf []byte, n int) *Iterator {
-	return &Iterator{buf: buf, prev: -1, n: n}
-}
-
-// Next returns the next ordinal; ok is false at the end of the list or on
-// a decoding error (check Err).
-func (it *Iterator) Next() (int32, bool) {
-	if it.read >= it.n || it.err != nil {
-		return 0, false
-	}
-	d, w := binary.Uvarint(it.buf[it.off:])
-	if w <= 0 {
-		it.err = fmt.Errorf("postings: truncated at entry %d", it.read)
-		return 0, false
-	}
-	it.off += w
-	it.prev += int32(d)
-	it.read++
-	return it.prev, true
-}
-
-// Err reports a decoding failure, if any.
-func (it *Iterator) Err() error { return it.err }
-
 // Intersect returns the intersection of two strictly increasing lists —
 // the node-level AND used for phrase keywords.
 func Intersect(a, b []int32) []int32 {
@@ -115,27 +59,6 @@ func Intersect(a, b []int32) []int32 {
 		case a[i] < b[j]:
 			i++
 		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Union returns the deduplicated union of two strictly increasing lists.
-func Union(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
 			j++
 		default:
 			out = append(out, a[i])

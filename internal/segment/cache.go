@@ -38,17 +38,12 @@ type BlockCache struct {
 	bytes int64
 }
 
-// NewBlockCache returns a cache bounded to capacity block payload bytes.
-// A non-positive capacity yields a cache that stores nothing (every fetch
-// is a miss) — useful in tests that must force disk reads.
-func NewBlockCache(capacity int64) *BlockCache {
-	return NewBlockCacheMetrics(capacity, nil)
-}
-
-// NewBlockCacheMetrics is NewBlockCache with an observability sink for
-// hit/miss/eviction counts and the resident-bytes gauge. A nil sink is
-// allowed.
-func NewBlockCacheMetrics(capacity int64, m Metrics) *BlockCache {
+// NewBlockCache returns a cache bounded to capacity block payload bytes,
+// reporting hit/miss/eviction counts and the resident-bytes gauge to m (nil
+// discards them). A non-positive capacity yields a cache that stores
+// nothing (every fetch is a miss) — useful in tests that must force disk
+// reads.
+func NewBlockCache(capacity int64, m Metrics) *BlockCache {
 	if m == nil {
 		m = nopMetrics{}
 	}

@@ -121,7 +121,7 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 		if capacity == 0 {
 			capacity = DefaultCacheBytes
 		}
-		r.cache = NewBlockCacheMetrics(capacity, opts.Metrics)
+		r.cache = NewBlockCache(capacity, opts.Metrics)
 	}
 	fail := func(err error) (*Reader, error) {
 		f.Close()

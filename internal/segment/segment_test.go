@@ -147,7 +147,7 @@ func TestRoundTripTiny(t *testing.T) {
 func TestRoundTripMultiBlock(t *testing.T) {
 	ix := bigIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 1 << 10})
-	cache := NewBlockCache(4 << 10)
+	cache := NewBlockCache(4<<10, nil)
 	r, err := OpenFile(path, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func stringContains(s, sub string) bool {
 func TestSharedCacheAcrossReaders(t *testing.T) {
 	ix := tinyIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 256})
-	cache := NewBlockCache(1 << 20)
+	cache := NewBlockCache(1<<20, nil)
 	r1, err := OpenFile(path, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestLazySaveSnapshotEquals(t *testing.T) {
 func TestCachedBlocksHaveNoSpareCapacity(t *testing.T) {
 	ix := bigIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 32 << 10})
-	cache := NewBlockCache(64 << 20)
+	cache := NewBlockCache(64<<20, nil)
 	r, err := OpenFile(path, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)

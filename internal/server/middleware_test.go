@@ -140,9 +140,7 @@ func TestMetricsMiddlewareExport(t *testing.T) {
 	doReq(h, "/stats")
 	doReq(h, "/definitely-not-real") // 404 → endpoint label "other"
 
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	out := sb.String()
+	out := metricsText(reg)
 	for _, want := range []string{
 		`gks_http_requests_total{endpoint="/search"} 2`,
 		`gks_http_requests_total{endpoint="/stats"} 1`,

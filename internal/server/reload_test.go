@@ -30,9 +30,9 @@ func reloadStats(reg *obs.Registry) (ok, fail, gen float64) {
 // metricsText returns the registry's exposition, for assertions on series
 // that must be absent (Value panics on those).
 func metricsText(reg *obs.Registry) string {
-	var b strings.Builder
-	reg.WritePrometheus(&b)
-	return b.String()
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
 }
 
 // snapshotFile persists a freshly indexed document to a snapshot on disk
@@ -245,15 +245,14 @@ func TestReloadUnderTraffic(t *testing.T) {
 	}
 
 	// The Prometheus exposition must carry the reload series.
-	var buf strings.Builder
-	reg.WritePrometheus(&buf)
+	exposition := metricsText(reg)
 	for _, want := range []string{
 		"gks_snapshot_generation 2",
 		`gks_snapshot_reloads_total{result="success"} 1`,
 		`gks_snapshot_reloads_total{result="failure"} 1`,
 		"gks_snapshot_last_reload_timestamp_seconds",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(exposition, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}

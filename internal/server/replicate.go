@@ -141,10 +141,6 @@ func NewReplicaApplier(rl *Reloader, l *wal.Log, indexPath string, reg *obs.Regi
 // AppliedLSN is the locally durable replication position.
 func (a *ReplicaApplier) AppliedLSN() uint64 { return a.applied.Load() }
 
-// StagedLSN is the highest leader LSN visible to searches (possibly not
-// yet locally durable).
-func (a *ReplicaApplier) StagedLSN() uint64 { return a.staged.Load() }
-
 // Apply stages one leader record: copy-on-write successor, local WAL
 // enqueue (asserting LSN equality with the leader), swap. Mirrors
 // Ingester.commit's ordering exactly; the fsync wait is deferred to

@@ -219,9 +219,7 @@ func TestShardSetReloadUnderTraffic(t *testing.T) {
 	}
 
 	// The exposition carries the shard series for the live set.
-	var buf strings.Builder
-	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "gks_shard_count 3") {
-		t.Errorf("metrics missing gks_shard_count 3:\n%s", buf.String())
+	if exposition := metricsText(reg); !strings.Contains(exposition, "gks_shard_count 3") {
+		t.Errorf("metrics missing gks_shard_count 3:\n%s", exposition)
 	}
 }

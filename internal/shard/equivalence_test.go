@@ -208,7 +208,7 @@ func TestShardedSearchEquivalence(t *testing.T) {
 
 		// Best effort settles on the same threshold and the same response,
 		// and best-effort top-k is its k-prefix with the same Total.
-		wantBE, err := eng.SearchBestEffort(q)
+		wantBE, err := eng.SearchCtx(context.Background(), core.SearchRequest{Query: q, BestEffort: true})
 		if err != nil {
 			t.Fatal(err)
 		}

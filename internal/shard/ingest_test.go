@@ -347,7 +347,7 @@ func TestExplainContextEquivalence(t *testing.T) {
 	set.SetMetrics(m)
 	_, eng := referenceIndex(t, docs)
 
-	want, err := eng.Explain(core.NewQuery("apple", "pear"), 1)
+	want, err := eng.Explain(context.Background(), core.NewQuery("apple", "pear"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

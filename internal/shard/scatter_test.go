@@ -44,7 +44,7 @@ func failShard(s *Set, bad int) func(context.Context, *core.Engine) (*core.Respo
 		if eng == s.engines[bad] {
 			return nil, errBoom
 		}
-		return eng.SearchCtx(ctx, q, 1)
+		return eng.SearchCtx(ctx, core.SearchRequest{Query: q, S: 1})
 	}
 }
 
@@ -134,7 +134,7 @@ func TestPartialTopKTotal(t *testing.T) {
 			if eng == set.engines[bad] {
 				return nil, errBoom
 			}
-			return eng.SearchTopKCtx(ctx, q, 1, k)
+			return eng.SearchCtx(ctx, core.SearchRequest{Query: q, S: 1, TopK: k})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestScatterCancelledIsNotPartial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, partial, err := scatterShards(ctx, set, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
-		return eng.SearchCtx(ctx, core.NewQuery("apple"), 1)
+		return eng.SearchCtx(ctx, core.SearchRequest{Query: core.NewQuery("apple"), S: 1})
 	})
 	if partial {
 		t.Fatal("cancelled request reported as partial")

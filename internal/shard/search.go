@@ -26,7 +26,7 @@ func (s *Set) Search(ctx context.Context, req core.SearchRequest) (*core.Respons
 			return nil, err
 		}
 		resps, partial, err := scatterShards(ctx, s, func(ctx context.Context, eng *core.Engine) (*core.Response, error) {
-			return eng.SearchTopKCtx(ctx, q, threshold, k)
+			return eng.SearchCtx(ctx, core.SearchRequest{Query: q, S: threshold, TopK: k})
 		})
 		if err != nil {
 			return nil, err
@@ -40,7 +40,7 @@ func (s *Set) Search(ctx context.Context, req core.SearchRequest) (*core.Respons
 		func(ctx context.Context, threshold int) (bool, bool, error) {
 			// A probe runs every shard's candidate stages and ranks nothing.
 			hits, partial, err := scatterShards(ctx, s, func(ctx context.Context, eng *core.Engine) (bool, error) {
-				return eng.HasResultsCtx(ctx, q, threshold)
+				return eng.HasResults(ctx, q, threshold)
 			})
 			return slices.Contains(hits, true), partial, err
 		}, search)
@@ -212,7 +212,7 @@ func (s *Set) Explain(ctx context.Context, q core.Query, threshold int) (*core.E
 		return nil, err
 	}
 	exs, partial, err := scatterShards(ctx, s, func(ctx context.Context, eng *core.Engine) (*core.Explanation, error) {
-		return eng.ExplainCtx(ctx, q, threshold)
+		return eng.Explain(ctx, q, threshold)
 	})
 	if err != nil {
 		return nil, err

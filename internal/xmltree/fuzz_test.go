@@ -1,6 +1,9 @@
 package xmltree
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzParse feeds arbitrary byte strings to the XML parser: it must return
 // a well-formed tree or an error, never panic, and accepted documents must
@@ -31,7 +34,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Dewey IDs must be assigned consistently.
 		Walk(doc.Root, func(n *Node) bool {
-			if !n.ID.IsValid() {
+			if n.ID.Doc < 0 || len(n.ID.Path) == 0 || slices.ContainsFunc(n.ID.Path, func(c int32) bool { return c < 0 }) {
 				t.Fatalf("invalid Dewey ID on %q", n.Label)
 			}
 			for i, c := range n.Children {
