@@ -50,7 +50,7 @@ segment-smoke:
 # histories and after re-categorization), the pin that every index
 # constructor returns a packed table, and the differential property tests
 # — built vs reloaded systems, mutation histories (Compacted() vs cold
-# rebuild), delta append vs splice, concurrent search — plus the segment
+# rebuild), delta appends vs cold builds, concurrent search — plus the segment
 # differentials, which exercise the packed meta codec through save/reload
 # churn. All under the race detector.
 dag-smoke:

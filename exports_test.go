@@ -20,16 +20,14 @@ import (
 // no longer needs fails the test, so the list only shrinks: delete the
 // entry when its last test-only use goes.
 var exportAllowlist = map[string]string{
-	"internal/dewey.MustParse":           "cross-package test fixture: tests in eight packages write Dewey IDs as literals",
-	"internal/dewey.Equal":               "cross-package test fixture: the index, xmltree, core and root tests compare Dewey IDs with it",
-	"internal/dewey.ID.IsAncestorOf":     "cross-package test fixture: the ancestry oracle of the index and core property tests",
-	"internal/dewey.LCA":                 "cross-package test fixture: the LCA of core's SearchBaseline and lca's Indexed Lookup Eager oracles",
-	"internal/index.Index.IsLazy":        "cross-package test fixture: the root WAL-replay test checks that an empty replay leaves a segment-backed index lazy",
-	"internal/index.PackCount":           "cross-package test fixture: the index and root packed-table tests count full packs",
-	"internal/segment.Reader.BlockReads": "cross-package test fixture: the root segment tests and BenchmarkSegmentColdQuery count block fetches",
-	"internal/segment.Reader.BytesRead":  "cross-package test fixture: BenchmarkSegmentColdQuery reports the bytes the fetches read",
-	"internal/xmltree.BuildFigure2a":     "cross-package test fixture: the paper's Figure 2(a) document, built by tests in a dozen packages",
-	"internal/replica/faultnet":          "test-only package: the fault-injecting dialer and listener of the replication tests",
+	"internal/dewey.MustParse":       "cross-package test fixture: tests in eight packages write Dewey IDs as literals",
+	"internal/dewey.Equal":           "cross-package test fixture: the index, xmltree, core and root tests compare Dewey IDs with it",
+	"internal/dewey.ID.IsAncestorOf": "cross-package test fixture: the ancestry oracle of the index and core property tests",
+	"internal/dewey.LCA":             "cross-package test fixture: the LCA of core's SearchBaseline and lca's Indexed Lookup Eager oracles",
+	"internal/index.Index.IsLazy":    "cross-package test fixture: the root WAL-replay test checks that an empty replay leaves a segment-backed index lazy",
+	"internal/index.PackCount":       "cross-package test fixture: the index and root packed-table tests count full packs",
+	"internal/xmltree.BuildFigure2a": "cross-package test fixture: the paper's Figure 2(a) document, built by tests in a dozen packages",
+	"internal/replica/faultnet":      "test-only package: the fault-injecting dialer and listener of the replication tests",
 }
 
 // stdInterfaceMethods are method names that satisfy a standard-library

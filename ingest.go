@@ -14,7 +14,7 @@ import (
 // the old system until the new one is atomically swapped in (see
 // internal/server's /admin/docs endpoints). A delete is a tombstone mask
 // over the shared immutable index, compacted away by the next save or
-// append; an add is a partial-index merge.
+// full pack; an add is a delta append (index.AppendAs).
 
 // ErrDocNotFound reports a mutation against a document name the system
 // does not hold (match with errors.Is).

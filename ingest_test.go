@@ -279,7 +279,7 @@ func TestDocHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, segment := segmentPair(t, 1<<20, docs()...)
+	_, segment, _ := segmentPair(t, 1<<20, docs()...)
 
 	token := func(raw string) string { return ParseQuery(raw).Keywords[0].Tokens[0] }
 	type wrapper struct{ Searcher }

@@ -507,8 +507,10 @@ func TestRecordFilterMatchesLockstep(t *testing.T) {
 }
 
 // TestRecordColumn holds the index's record column — every document root
-// and every depth-1 node, in order — against the accessors after Append,
-// AppendBatch, DeleteDoc and Repacked, and after a GKS3 and a GKS4 reload.
+// and every depth-1 node, in order — against the accessors after a delta
+// append, an append that replaces the top document (the live rows pack
+// afresh first), DeleteDoc and Repacked, and after a GKS3 and a GKS4
+// reload.
 func TestRecordColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	opts := index.Options{IndexElementNames: true}
@@ -542,10 +544,17 @@ func TestRecordColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		require("append", ix)
-		if ix, err = index.AppendBatch(ix, []*xmltree.Document{recordDoc(rng, "b.xml"), recordDoc(rng, "c.xml")}, opts); err != nil {
+		// Replacing a.xml, the top document: b.xml takes its tombstoned
+		// number.
+		if ix, err = ix.DeleteDoc("a.xml"); err != nil {
 			t.Fatal(err)
 		}
-		require("append batch", ix)
+		for _, name := range []string{"b.xml", "c.xml"} {
+			if ix, err = index.AppendAs(ix, recordDoc(rng, name), ix.NextDocID(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		require("append over the top document", ix)
 		if ix, err = ix.DeleteDoc(ix.DocNames[rng.Intn(len(ix.DocNames))]); err != nil {
 			t.Fatal(err)
 		}

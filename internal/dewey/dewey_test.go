@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestParseString(t *testing.T) {
@@ -178,97 +177,6 @@ func TestSubtreeRangeEqualsAncestry(t *testing.T) {
 	}
 }
 
-func TestAncestorsIteration(t *testing.T) {
-	id := MustParse("0.0.1.2.3")
-	var got []string
-	id.Ancestors(func(a ID) bool {
-		got = append(got, a.String())
-		return true
-	})
-	want := []string{"0.0.1.2", "0.0.1", "0.0"}
-	if len(got) != len(want) {
-		t.Fatalf("Ancestors = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Ancestors[%d] = %s, want %s", i, got[i], want[i])
-		}
-	}
-	// Early stop.
-	count := 0
-	id.Ancestors(func(ID) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early stop visited %d ancestors, want 1", count)
-	}
-}
-
-func TestKeyUniqueness(t *testing.T) {
-	ids := []string{"0.0", "0.0.0", "0.0.1", "1.0", "0.0.128", "0.0.1.0", "0.0.16384"}
-	seen := map[string]string{}
-	for _, s := range ids {
-		k := MustParse(s).Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("Key collision between %s and %s", prev, s)
-		}
-		seen[k] = s
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	f := func(doc uint16, raw []uint16) bool {
-		path := make([]int32, 0, len(raw)+1)
-		path = append(path, 0)
-		for _, r := range raw {
-			path = append(path, int32(r))
-		}
-		id := ID{Doc: int32(doc), Path: path}
-		buf := id.AppendBinary(nil)
-		got, n, err := DecodeBinary(buf)
-		if err != nil || n != len(buf) {
-			return false
-		}
-		return Equal(got, id)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinaryStream(t *testing.T) {
-	ids := []ID{MustParse("0.0.1"), MustParse("3.0.2.500"), MustParse("0.0")}
-	var buf []byte
-	for _, id := range ids {
-		buf = id.AppendBinary(buf)
-	}
-	for _, want := range ids {
-		got, n, err := DecodeBinary(buf)
-		if err != nil {
-			t.Fatalf("DecodeBinary: %v", err)
-		}
-		if !Equal(got, want) {
-			t.Errorf("decoded %s, want %s", got, want)
-		}
-		buf = buf[n:]
-	}
-	if len(buf) != 0 {
-		t.Errorf("%d trailing bytes", len(buf))
-	}
-}
-
-func TestDecodeBinaryErrors(t *testing.T) {
-	if _, _, err := DecodeBinary(nil); err == nil {
-		t.Error("expected error on empty buffer")
-	}
-	// Valid doc, truncated length.
-	if _, _, err := DecodeBinary([]byte{0x01}); err == nil {
-		t.Error("expected error on truncated length")
-	}
-	// Length longer than remaining bytes.
-	if _, _, err := DecodeBinary([]byte{0x00, 0x7f, 0x01}); err == nil {
-		t.Error("expected error on implausible length")
-	}
-}
-
 func TestCompareMatchesSortedStrings(t *testing.T) {
 	// Document order must equal pre-order; verify against an explicit
 	// enumeration of a small tree.
@@ -297,17 +205,6 @@ func TestCompareMatchesSortedStrings(t *testing.T) {
 	}
 }
 
-func TestSortHelper(t *testing.T) {
-	ids := []ID{MustParse("0.0.2"), MustParse("0.0"), MustParse("0.0.1.5"), MustParse("0.0.1")}
-	Sort(ids)
-	want := []string{"0.0", "0.0.1", "0.0.1.5", "0.0.2"}
-	for i, w := range want {
-		if ids[i].String() != w {
-			t.Errorf("Sort[%d] = %s, want %s", i, ids[i], w)
-		}
-	}
-}
-
 func TestIsValid(t *testing.T) {
 	if (ID{}).IsValid() {
 		t.Error("zero ID must be invalid")
@@ -320,15 +217,5 @@ func TestIsValid(t *testing.T) {
 	}
 	if (ID{Doc: 0, Path: []int32{0, -2}}).IsValid() {
 		t.Error("negative component must be invalid")
-	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	a, b := MustParse("0.0.1.2.3"), MustParse("0.0.1.5")
-	if got := CommonPrefixLen(a, b); got != 2 {
-		t.Errorf("CommonPrefixLen = %d, want 2", got)
-	}
-	if got := CommonPrefixLen(a, MustParse("1.0")); got != -1 {
-		t.Errorf("cross-document CommonPrefixLen = %d, want -1", got)
 	}
 }

@@ -22,27 +22,3 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeBinary checks the binary codec rejects arbitrary bytes cleanly.
-func FuzzDecodeBinary(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(MustParse("0.0.1.2").AppendBinary(nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, n, err := DecodeBinary(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		// Re-encoding and re-decoding must reproduce the same ID (the
-		// input may use non-canonical varints, so byte equality is not
-		// guaranteed).
-		re := id.AppendBinary(nil)
-		back, m, err := DecodeBinary(re)
-		if err != nil || m != len(re) || !Equal(back, id) {
-			t.Fatalf("re-encode round trip failed: %v", err)
-		}
-	})
-}

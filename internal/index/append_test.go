@@ -82,4 +82,15 @@ func TestAppendErrors(t *testing.T) {
 	if _, err := AppendAs(ix, &xmltree.Document{Name: "empty"}, ix.NextDocID(), DefaultOptions()); err == nil {
 		t.Error("rootless document must fail")
 	}
+	// A number that does not sort after the live document fails even after
+	// the fallback pack, and leaves the document as it was.
+	doc := xmltree.BuildFigure2a()
+	doc.DocID = 5
+	doc.AssignIDs()
+	if _, err := AppendAs(ix, doc, 0, DefaultOptions()); err == nil {
+		t.Error("a live document's number must fail")
+	}
+	if doc.DocID != 5 || doc.Root.ID.Doc != 5 {
+		t.Errorf("failed append left the document numbered %d (root %s), want 5", doc.DocID, doc.Root.ID)
+	}
 }

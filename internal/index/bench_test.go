@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"repro/internal/textproc"
 	"testing"
 
 	"repro/internal/datagen"
@@ -32,7 +31,7 @@ func BenchmarkBuildStream(b *testing.B) {
 	b.ResetTimer()
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := packing(buildStream(bytes.NewReader(src), 0, "bench", DefaultOptions(), textproc.NewMemo())); err != nil {
+			if _, err := packing(buildStream(bytes.NewReader(src), 0, "bench", DefaultOptions())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"repro/internal/textproc"
 	"strings"
 	"testing"
 
@@ -47,7 +46,7 @@ func TestLabelValueCollisionDedup(t *testing.T) {
 	}
 	assertStrictlyIncreasing(t, tree)
 
-	stream, err := buildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions(), textproc.NewMemo())
+	stream, err := buildStream(strings.NewReader(collisionXML), 0, "collision.xml", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

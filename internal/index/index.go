@@ -179,7 +179,7 @@ func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
 }
 
 // buildFlat is Build without the final pack: the builders' flat table,
-// which mergePartials and the delta append consume.
+// which the delta append consumes.
 func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
 	if repo == nil || len(repo.Docs) == 0 {
 		return nil, fmt.Errorf("index: empty repository")

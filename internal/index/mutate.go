@@ -21,8 +21,8 @@ import (
 // LiveSpans) filter against the mask, so a tombstoned index answers
 // queries exactly as if the dead documents had never been indexed.
 // Tombstones are never persisted: SaveBinary/SaveSnapshot compact first,
-// so the mask lives only between a delete and the next save, splice or
-// repack (a delta append carries it forward).
+// so the mask lives only between a delete and the next save or full pack
+// (a delta append carries it forward).
 
 // ErrNotFound reports a mutation against a document name that is not live
 // in the index.
@@ -457,8 +457,8 @@ func (ix *Index) Compacted() *Index {
 // flat expands the live documents of ix into the builders' flat form:
 // surviving rows re-based onto contiguous ordinals, postings filtered and
 // re-based, dead document names dropped. Without tombstones that is every
-// row, and the postings and names are shared. Compaction, the append
-// splice and a full repack pack this.
+// row, and the postings and names are shared. Compaction, the full pack
+// an append falls back to and a repack pack this.
 func (ix *Index) flat() *Index {
 	out := &Index{
 		Labels:   ix.Labels,
@@ -525,7 +525,7 @@ func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, 
 }
 
 // buildDocumentAs is BuildDocumentAs without the final pack: the flat
-// partial an append merges.
+// one-document table AppendAs delta-appends.
 func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("index: build of empty document")
@@ -537,13 +537,17 @@ func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, 
 		return nil, fmt.Errorf("index: document %q: negative document id %d", doc.Name, docID)
 	}
 	oldID := doc.DocID
-	doc.DocID = docID
-	doc.AssignIDs()
+	renumber(doc, docID)
 	ix, err := buildFlat(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
 	if err != nil {
-		doc.DocID = oldID
-		doc.AssignIDs()
+		renumber(doc, oldID)
 		return nil, err
 	}
 	return ix, nil
+}
+
+// renumber gives doc the Dewey document number docID, all its nodes with it.
+func renumber(doc *xmltree.Document, docID int32) {
+	doc.DocID = docID
+	doc.AssignIDs()
 }

@@ -61,7 +61,7 @@ func survivorBuild(t *testing.T, live map[string]*xmltree.Document) *Index {
 
 // TestAccessorOracle checks every accessor at every ordinal against the
 // builder's flat NodeInfo: on the packedCorpora indexes fresh, along
-// random mutation histories — tombstones, delta appends, the splice an
+// random mutation histories — tombstones, delta appends, the full pack an
 // append falls back to, repacks and compactions — and after a
 // re-categorization of the mutated table.
 func TestAccessorOracle(t *testing.T) {
@@ -111,19 +111,19 @@ func TestAccessorOracle(t *testing.T) {
 					live[name] = doc
 				case r == 2:
 					// A sibling append claims this generation's tails first,
-					// so the kept append takes the splice.
-					op = "splice"
+					// so the kept append packs the live rows afresh.
+					op = "sibling"
 					if _, err := AppendAs(ix, allocBagDoc("sibling", rng), ix.NextDocID(), DefaultOptions()); err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("splice-%d", step)
+					name := fmt.Sprintf("sibling-%d", step)
 					doc := allocBagDoc(name, rng)
 					before := PackCount()
 					if ix, err = AppendAs(ix, doc, ix.NextDocID(), DefaultOptions()); err != nil {
 						t.Fatal(err)
 					}
 					if PackCount() == before {
-						t.Fatalf("step %d: the append after a sibling's did not splice", step)
+						t.Fatalf("step %d: the append after a sibling's did not repack", step)
 					}
 					live[name] = doc
 				case r == 3:
@@ -283,16 +283,28 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 	delta, err := AppendAs(base, d, base.NextDocID(), DefaultOptions())
 	check("AppendAs delta", delta, err, fresh(a, b, c, d))
 	// The lineage's tails now belong to delta: a second append on base
-	// takes the splice.
+	// packs base's rows afresh first.
 	e := named("e", xmltree.BuildFigure1())
-	splice, err := AppendAs(base, e, base.NextDocID(), DefaultOptions())
-	check("AppendAs splice", splice, err, fresh(a, b, c, e))
+	sibling, err := AppendAs(base, e, base.NextDocID(), DefaultOptions())
+	check("AppendAs sibling", sibling, err, fresh(a, b, c, e))
 	f := named("f", xmltree.BuildFigure2a())
 	appended, err := AppendAs(delta, f, delta.NextDocID(), DefaultOptions())
 	check("Append", appended, err, fresh(a, b, c, d, f))
 	g, h := named("g", xmltree.BuildFigure1()), named("h", xmltree.BuildFigure2a())
-	batch, err := AppendBatch(base, []*xmltree.Document{g, h}, DefaultOptions())
-	check("AppendBatch", batch, err, fresh(a, b, c, g, h))
+	chain, err := AppendAs(base, g, base.NextDocID(), DefaultOptions())
+	if err == nil {
+		chain, err = AppendAs(chain, h, chain.NextDocID(), DefaultOptions())
+	}
+	check("AppendAs chain", chain, err, fresh(a, b, c, g, h))
+	// Replacing the top document: its successor takes the tombstoned
+	// number, so the append packs the live rows first.
+	noF, err := appended.DeleteDoc(f.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2 := named("f", xmltree.BuildFigure1())
+	replaced, err := AppendAs(noF, f2, noF.NextDocID(), DefaultOptions())
+	check("AppendAs over a tombstoned number", replaced, err, fresh(a, b, c, d, f2))
 
 	del, err := appended.DeleteDoc(b.Name)
 	check("DeleteDoc", del, err, fresh(a, c, d, f))

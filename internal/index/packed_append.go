@@ -7,11 +7,10 @@ import (
 )
 
 // Delta-maintaining pack: appending a document to a packed index without
-// flattening it. The splice path (AppendBatch, and AppendAs when the delta
-// path declines) materializes the whole node table as flat NodeInfo
-// records and re-packs the merged result from scratch, O(index) per call.
-// The delta path instead packs only the new document's subtree against
-// the *existing* shape table: shape interning stays exact (keyed on the
+// flattening it, the only way AppendAs adds a document. It packs only
+// the new document's subtree against the *existing* shape table, where a
+// full pack would materialize every node as a flat NodeInfo record and
+// re-pack from scratch, O(index): shape interning stays exact (keyed on the
 // same canonical byte encoding packNodes uses), the table is append-only
 // between full repacks, and new spine rows, instances, ordInst entries and
 // arena values are appended in place. Cost is O(document + touched posting lists), not O(index).
@@ -23,8 +22,8 @@ import (
 // lineage carries an appendState whose mutex-guarded owner pointer names
 // the one generation whose tails may still grow. The first append wins
 // ownership and moves it to the successor; a second append branching from
-// the same generation loses the claim and falls back to the
-// flatten-splice-repack path, which is always correct.
+// the same generation loses the claim, and AppendAs packs that
+// generation's live rows afresh before appending.
 //
 // Amortization. Delta appends leave debt behind: shapes that would have
 // deduplicated against the new subtrees stay spine, and tombstoned
@@ -55,12 +54,13 @@ type packLookups struct {
 }
 
 // packCount counts full packNodes runs process-wide; regression tests use
-// deltas of it to pin that batch replay and delta appends do not repack.
+// deltas of it to pin that WAL replay and delta appends do not repack.
 var packCount atomic.Uint64
 
 // PackCount returns the number of full node-table packs performed by this
 // process since start. Delta appends do not increment it; every build,
-// flat import, splice, compaction, repack and re-categorization does.
+// flat import, compaction, repack and re-categorization does, and so does
+// an append whose delta path declined.
 func PackCount() uint64 { return packCount.Load() }
 
 // appendShapeKey appends ord's canonical shape key — the exact encoding
@@ -246,7 +246,7 @@ func (p *packedNodes) deltaAppend(nodes []NodeInfo, remap []int32, lk *packLooku
 
 // appendPacked attempts the delta append of a one-or-more-document flat
 // partial index onto the eager base and reports whether it applied. It
-// declines — and the caller falls back to the flatten-splice-repack — when
+// declines — and AppendAs packs the live rows afresh and retries — when
 // the base is not the extendable tip of its lineage, or when the
 // partial's document numbers do not sort strictly after every
 // physical (live or tombstoned) document of the base, which would break
@@ -315,7 +315,7 @@ func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
 	names := make([]string, 0, len(ix.DocNames)+len(partial.DocNames))
 	names = append(append(names, ix.DocNames...), partial.DocNames...)
 
-	// Tombstones survive the append (unlike the splice, which compacts):
+	// Tombstones survive the append (unlike a full pack, which compacts):
 	// the new ordinals extend the final live span. The dead ranges and
 	// per-keyword dead counts are immutable after DeleteDoc, so they are
 	// shared.

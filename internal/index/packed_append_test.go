@@ -26,7 +26,7 @@ func allocBagDoc(name string, rng *rand.Rand) *xmltree.Document {
 // TestPackAppendAllocsSublinear pins the tentpole complexity claim: a
 // delta append onto a packed index allocates O(document), not O(index).
 // Allocation counts are compared between a base and a 4x-larger base —
-// the flatten-splice-repack path scales linearly (every node is
+// a full repack scales linearly (every node is
 // re-materialized and re-packed), so a delta regression shows up as the
 // ratio heading toward 4. The chained-append shape makes AllocsPerRun's
 // warmup call absorb the one-time lookup-sidecar build, so every measured

@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dewey"
 	"repro/internal/textproc"
 )
 
-// Streaming index construction: buildStream consumes an XML token stream
+// Streaming index construction: a streamBuilder consumes XML token streams
 // directly, without materializing the document tree — the paper's "single
 // pass over the data" (§2.2: "XML documents follow pre-order arrival of
 // nodes. Hence, different node types are identified in a single pass")
@@ -48,62 +48,69 @@ type childSummary struct {
 	bothC       int
 }
 
-// buildStream indexes one XML document from r as document docID of a
-// repository, in a single pass, into a flat partial. norm is the build's
-// stem memo, shared by every document of one build.
-func buildStream(r io.Reader, docID int32, name string, opts Options, norm *textproc.Memo) (*Index, error) {
-	ix := &Index{
-		Postings: make(map[string][]int32),
-		labelIDs: make(map[string]int32),
-		DocNames: []string{name},
-	}
-	b := &streamBuilder{ix: ix, opts: opts, docID: docID, norm: norm}
-	if err := b.run(r, name); err != nil {
-		return nil, err
-	}
-	// Mixed content can emit an ancestor's text tokens after descendant
-	// ordinals; one final sort restores per-keyword Dewey order.
-	for kw, list := range ix.Postings {
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		ix.Postings[kw] = list
-	}
-	ix.finalizeStats()
-	return ix, nil
-}
-
-// buildStreamFile is buildStream over the XML file at path.
-func buildStreamFile(path string, docID int32, opts Options, norm *textproc.Memo) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	return buildStream(f, docID, path, opts, norm)
-}
-
-// BuildStreamFiles streams every file and merges the partial indexes into
-// one repository index, equivalent to parsing and Build-ing all files.
+// BuildStreamFiles streams every file, in order, into one flat table —
+// file i is document number i, and ordinals, labels and postings continue
+// from file to file — and packs it: equivalent to parsing and Build-ing
+// all files.
 func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("index: no input files")
 	}
-	parts := make([]*Index, len(paths))
-	norm := textproc.NewMemo()
+	b := newStreamBuilder(opts)
 	for i, p := range paths {
-		ix, err := buildStreamFile(p, int32(i), opts, norm)
-		if err != nil {
+		if err := b.addFile(p, int32(i)); err != nil {
 			return nil, err
 		}
-		parts[i] = ix
 	}
-	return mergePartials(parts).pack(), nil
+	return b.finish().pack(), nil
 }
 
+// streamBuilder accumulates streamed documents into one flat table.
 type streamBuilder struct {
 	ix    *Index
 	opts  Options
-	docID int32
+	docID int32 // the document being streamed
 	norm  *textproc.Memo
+}
+
+func newStreamBuilder(opts Options) *streamBuilder {
+	return &streamBuilder{
+		ix: &Index{
+			Postings: make(map[string][]int32),
+			labelIDs: make(map[string]int32),
+		},
+		opts: opts,
+		norm: textproc.NewMemo(),
+	}
+}
+
+// add streams one XML document from r into the table as document docID,
+// which must exceed every number added before it.
+func (b *streamBuilder) add(r io.Reader, docID int32, name string) error {
+	b.docID = docID
+	b.ix.DocNames = append(b.ix.DocNames, name)
+	return b.run(r, name)
+}
+
+// addFile is add over the XML file at path, named by its path.
+func (b *streamBuilder) addFile(path string, docID int32) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	defer f.Close()
+	return b.add(f, docID, path)
+}
+
+// finish returns the flat table. Mixed content can emit an ancestor's
+// text tokens after descendant ordinals; one final sort restores
+// per-keyword Dewey order.
+func (b *streamBuilder) finish() *Index {
+	for _, list := range b.ix.Postings {
+		slices.Sort(list)
+	}
+	b.ix.finalizeStats()
+	return b.ix
 }
 
 func (b *streamBuilder) run(r io.Reader, name string) error {

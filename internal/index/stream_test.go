@@ -2,9 +2,9 @@ package index
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
-	"repro/internal/textproc"
 	"strings"
 	"testing"
 
@@ -24,7 +24,7 @@ func buildBothWays(t *testing.T, src string) (*Index, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions(), textproc.NewMemo()))
+	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStreamErrors(t *testing.T) {
 		"<a>",
 	}
 	for _, src := range bad {
-		if _, err := buildStream(strings.NewReader(src), 0, "bad", DefaultOptions(), textproc.NewMemo()); err == nil {
+		if _, err := buildStream(strings.NewReader(src), 0, "bad", DefaultOptions()); err == nil {
 			t.Errorf("buildStream(%q): expected error", src)
 		}
 	}
@@ -173,4 +173,14 @@ func TestBuildStreamFiles(t *testing.T) {
 
 func writeTestFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// buildStream streams one XML document from r into a flat table as
+// document docID.
+func buildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
+	b := newStreamBuilder(opts)
+	if err := b.add(r, docID, name); err != nil {
+		return nil, err
+	}
+	return b.finish(), nil
 }

@@ -80,12 +80,10 @@ type Reader struct {
 	// flate streams; version-2 blocks are used as read.
 	inflateBlocks bool
 
-	blockReads atomic.Int64
-	bytesRead  atomic.Int64 // stored bytes of the blocks read
-	inflates   atomic.Int64 // flate streams read: one at open on version 2
-	closed     atomic.Bool
-	closeOnce  sync.Once
-	closeErr   error
+	inflates  atomic.Int64 // flate streams read: one at open on version 2
+	closed    atomic.Bool
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // openFile isolates the os dependency for the magic sniffer.
@@ -495,13 +493,6 @@ func (r *Reader) NumBlocks() int { return len(r.blocks) }
 // cache is shared, its Bytes()/Len() cover every attached reader.
 func (r *Reader) Cache() *BlockCache { return r.cache }
 
-// BlockReads returns the number of posting blocks fetched from disk so
-// far (cache misses) — the regression hook for "stats read no blocks".
-func (r *Reader) BlockReads() int64 { return r.blockReads.Load() }
-
-// BytesRead returns the file bytes those block fetches read.
-func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
-
 // ForEachTerm calls f for every term in sorted order with its posting
 // count. The directory is resident, so iteration performs no I/O; the
 // only error returned is f's own.
@@ -577,8 +568,6 @@ func (r *Reader) fetchBlock(b int32) ([]byte, error) {
 		}
 	}
 	r.metrics.ObserveBlockFetch(time.Since(start))
-	r.blockReads.Add(1)
-	r.bytesRead.Add(bm.cLen)
 	r.cache.put(key, data)
 	return data, nil
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datagen"
@@ -147,7 +148,8 @@ func TestRoundTripTiny(t *testing.T) {
 func TestRoundTripMultiBlock(t *testing.T) {
 	ix := bigIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 1 << 10})
-	cache := NewBlockCache(4<<10, nil)
+	var fetched missCounter
+	cache := NewBlockCache(4<<10, &fetched)
 	r, err := OpenFile(path, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +163,8 @@ func TestRoundTripMultiBlock(t *testing.T) {
 	if cache.Bytes() > 4<<10 {
 		t.Fatalf("cache resident bytes %d exceed capacity", cache.Bytes())
 	}
-	if r.BlockReads() <= int64(r.NumBlocks()) {
-		t.Fatalf("block reads %d <= %d blocks: eviction never forced a refetch", r.BlockReads(), r.NumBlocks())
+	if n := fetched.n.Load(); n <= int64(r.NumBlocks()) {
+		t.Fatalf("block reads %d <= %d blocks: eviction never forced a refetch", n, r.NumBlocks())
 	}
 	r.Close()
 	if cache.Len() != 0 {
@@ -206,7 +208,8 @@ func TestStatsWithoutBlockReads(t *testing.T) {
 		t.Fatalf("ReadStats = %+v, want %+v", st, ix.Stats)
 	}
 
-	r, err := OpenFile(path, Options{})
+	var fetched missCounter
+	r, err := OpenFile(path, Options{Metrics: &fetched})
 	if err != nil {
 		t.Fatalf("OpenFile over trashed blocks: %v", err)
 	}
@@ -221,8 +224,8 @@ func TestStatsWithoutBlockReads(t *testing.T) {
 	if n != r.TermCount() {
 		t.Fatalf("ForEachTerm visited %d of %d terms", n, r.TermCount())
 	}
-	if r.BlockReads() != 0 {
-		t.Fatalf("stats/term walk performed %d block reads, want 0", r.BlockReads())
+	if n := fetched.n.Load(); n != 0 {
+		t.Fatalf("stats/term walk performed %d block reads, want 0", n)
 	}
 	// Actually touching a list must now surface the damage as ErrCorrupt.
 	var term string
@@ -283,7 +286,8 @@ func stringContains(s, sub string) bool {
 func TestSharedCacheAcrossReaders(t *testing.T) {
 	ix := tinyIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 256})
-	cache := NewBlockCache(1<<20, nil)
+	var fetched missCounter
+	cache := NewBlockCache(1<<20, &fetched)
 	r1, err := OpenFile(path, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +297,9 @@ func TestSharedCacheAcrossReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSamePostings(t, ix, r1)
+	first := fetched.n.Load()
 	assertSamePostings(t, ix, r2)
-	if r1.BlockReads() == 0 || r2.BlockReads() == 0 {
+	if first == 0 || fetched.n.Load() == first {
 		t.Fatal("one reader served zero disk reads: cache entries leaked across reader identities")
 	}
 	before := cache.Len()
@@ -408,3 +413,12 @@ func TestCachedBlocksHaveNoSpareCapacity(t *testing.T) {
 		t.Errorf("cache accounts %d bytes and holds %d", cache.Bytes(), held)
 	}
 }
+
+// missCounter is a Metrics sink that counts block-cache misses; each is
+// one posting block read from disk.
+type missCounter struct {
+	nopMetrics
+	n atomic.Int64
+}
+
+func (c *missCounter) BlockCacheMiss() { c.n.Add(1) }

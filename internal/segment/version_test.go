@@ -122,7 +122,8 @@ func TestFooterVersionMustMatchHeader(t *testing.T) {
 func TestV2PostingsNeverInflate(t *testing.T) {
 	ix := bigIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 1 << 10})
-	r, err := OpenFile(path, Options{CacheBytes: -1})
+	var fetched missCounter
+	r, err := OpenFile(path, Options{CacheBytes: -1, Metrics: &fetched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +132,8 @@ func TestV2PostingsNeverInflate(t *testing.T) {
 		t.Fatalf("open inflated %d times, want 1 (the values section)", n)
 	}
 	assertSamePostings(t, ix, r)
-	if r.BlockReads() < int64(r.NumBlocks()) {
-		t.Fatalf("%d block reads over %d blocks: the walk was meant to read every block", r.BlockReads(), r.NumBlocks())
+	if n := fetched.n.Load(); n < int64(r.NumBlocks()) {
+		t.Fatalf("%d block reads over %d blocks: the walk was meant to read every block", n, r.NumBlocks())
 	}
 	if n := r.inflates.Load(); n != 1 {
 		t.Fatalf("%d inflates after the posting walk of a version-2 file, want the 1 of open", n)

@@ -48,7 +48,7 @@ func TestCheckpointRepack(t *testing.T) {
 		}
 	}
 	// Debt > 0 proves the upserts went through the delta path on a still-
-	// packed table (the legacy splice re-packs canonically, debt 0).
+	// packed table (a full pack leaves debt 0).
 	if debt := h.Searcher().PackDebt(); debt == 0 {
 		t.Fatal("upserts on the packed base accrued no pack debt; delta path not engaged")
 	}

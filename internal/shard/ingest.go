@@ -14,8 +14,8 @@ import (
 // Live ingestion over a shard set. Mutations are copy-on-write, like the
 // underlying indexes: Upsert and Remove return a new *Set sharing every
 // untouched shard (index AND engine) with the receiver, which keeps serving unchanged. Only the shard the
-// document routes to is rebuilt — an append is a partial-index merge on
-// that shard, a delete a tombstone mask — so the cost of a mutation scales
+// document routes to is rebuilt — an append is a delta append on that
+// shard, a delete a tombstone mask — so the cost of a mutation scales
 // with one shard, not the corpus.
 
 // RouteShard returns the shard an incoming document with the given name

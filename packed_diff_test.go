@@ -20,7 +20,7 @@ import (
 // one a system serves from. The accessor oracle in internal/index pins
 // every accessor against the builder's flat rows; this file pins the whole
 // read surface of systems whose packed tables were reached different ways
-// — built, reloaded, delta-appended, spliced, compacted, repacked — against
+// — built, reloaded, delta-appended, compacted, repacked — against
 // each other and against cold rebuilds, and under concurrent search.
 
 // indexDocs is IndexDocuments for a test: it fails t on error.
@@ -210,8 +210,8 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 						t.Fatalf("step %d: replace %s: replaced=%v err=%v", step, name, replaced, err)
 					}
 					sys = next.(*System)
-				default: // delete (keep >=2 documents so ErrLastDocument's
-					// fresh-rebuild path stays out of this history)
+				default: // delete (keep >=2 documents so ErrLastDocument
+					// stays out of this history)
 					if len(names) <= 2 {
 						continue
 					}
@@ -251,22 +251,25 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 }
 
 // TestPackedDeltaAppendEquivalence is the differential oracle for the
-// delta-maintaining pack: the same random append/replace/delete history
-// is driven through the fast path (AppendAs, which extends the pack
-// incrementally) and through the flatten-splice-repack (AppendBatch of one
-// document), with identical document numbering on both sides. At every
-// checkpoint the two must hold the same logical state — statistics,
-// document sets, doc-insensitive results — and after a final Compacted()
-// the fast side's image (node table, postings, names) must be
-// byte-for-byte the slow side's. Mid-history the fast side crosses the
-// repack threshold and pays its debt via Repacked(), so the equivalence
-// also covers resuming delta appends on a repacked table.
+// delta-maintaining pack: a random append/replace/delete history is
+// driven through AppendAs and DeleteDoc, and at every checkpoint the
+// result must hold the same logical state — statistics, document sets,
+// doc-insensitive results — as a cold index.Build of the surviving
+// documents at the document numbers their appends recorded. After a final
+// Compacted() the delta side's image (node table, postings, names) must
+// be byte-for-byte the cold build's. Mid-history the delta side crosses
+// the repack threshold and pays its debt via Repacked(), so the
+// equivalence also covers resuming delta appends on a repacked table.
 func TestPackedDeltaAppendEquivalence(t *testing.T) {
 	words := []string{
 		"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
 		"hotel", "india", "juliet", "kilo", "lima", "mike", "november",
 	}
 	queries := append(append([]string(nil), words[:8]...), "alpha bravo", "echo kilo lima")
+	type survivor struct {
+		doc *Document
+		id  int32
+	}
 	for trial := 0; trial < 4; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + trial)))
@@ -275,38 +278,49 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				docs = append(docs, bagDoc(fmt.Sprintf("d%d", i), rng, words))
 			}
 			fast := indexDocs(t, docs...).ix
-			slow := fast // same starting generation
+			live := map[string]survivor{}
+			for _, d := range docs {
+				live[d.Name] = survivor{d, d.DocID}
+			}
 			names := []string{"d0", "d1", "d2", "d3"}
 			nextName := len(names)
 			repacked := false
 
-			appendBoth := func(doc *Document) {
+			// cold builds the survivors at their recorded numbers; the
+			// tree builder keeps each node's assigned Dewey ID.
+			cold := func() *index.Index {
 				t.Helper()
-				fid, sid := fast.NextDocID(), slow.NextDocID()
-				if fid != sid {
-					t.Fatalf("doc numbering diverged: fast %d, slow %d", fid, sid)
+				var sorted []*Document
+				for _, s := range live {
+					s.doc.DocID = s.id
+					s.doc.AssignIDs()
+					sorted = append(sorted, s.doc)
 				}
-				f, err := index.AppendAs(fast, doc, fid, index.DefaultOptions())
+				sort.Slice(sorted, func(i, j int) bool { return sorted[i].DocID < sorted[j].DocID })
+				ix, err := index.Build(&xmltree.Repository{Docs: sorted}, index.DefaultOptions())
 				if err != nil {
-					t.Fatalf("fast append %s: %v", doc.Name, err)
+					t.Fatalf("cold rebuild: %v", err)
 				}
-				s, err := index.AppendBatch(slow, []*Document{doc}, index.DefaultOptions())
-				if err != nil {
-					t.Fatalf("slow append %s: %v", doc.Name, err)
-				}
-				fast, slow = f, s
+				return ix
 			}
-			deleteBoth := func(name string) {
+			appendDoc := func(doc *Document) {
+				t.Helper()
+				id := fast.NextDocID()
+				f, err := index.AppendAs(fast, doc, id, index.DefaultOptions())
+				if err != nil {
+					t.Fatalf("append %s: %v", doc.Name, err)
+				}
+				fast = f
+				live[doc.Name] = survivor{doc, id}
+			}
+			deleteDoc := func(name string) {
 				t.Helper()
 				f, err := fast.DeleteDoc(name)
 				if err != nil {
-					t.Fatalf("fast delete %s: %v", name, err)
+					t.Fatalf("delete %s: %v", name, err)
 				}
-				s, err := slow.DeleteDoc(name)
-				if err != nil {
-					t.Fatalf("slow delete %s: %v", name, err)
-				}
-				fast, slow = f, s
+				fast = f
+				delete(live, name)
 			}
 
 			for step := 0; step < 24; step++ {
@@ -314,23 +328,22 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				case 0:
 					name := fmt.Sprintf("d%d", nextName)
 					nextName++
-					doc := bagDoc(name, rng, words)
-					appendBoth(doc)
+					appendDoc(bagDoc(name, rng, words))
 					names = append(names, name)
 				case 1:
 					name := names[rng.Intn(len(names))]
-					deleteBoth(name)
-					appendBoth(bagDoc(name, rng, words))
+					deleteDoc(name)
+					appendDoc(bagDoc(name, rng, words))
 				default:
 					if len(names) <= 2 {
 						continue
 					}
 					i := rng.Intn(len(names))
-					deleteBoth(names[i])
+					deleteDoc(names[i])
 					names = append(names[:i], names[i+1:]...)
 				}
 				if err := fast.Validate(); err != nil {
-					t.Fatalf("step %d: fast validate: %v", step, err)
+					t.Fatalf("step %d: validate: %v", step, err)
 				}
 				if debt := fast.PackDebt(); !repacked && debt >= 0.5 {
 					before := index.PackCount()
@@ -345,7 +358,7 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				}
 				if step%6 == 5 {
 					assertStateEqual(t, fmt.Sprintf("trial %d step %d", trial, step),
-						newSystem(slow, nil), newSystem(fast, nil), queries)
+						newSystem(cold(), nil), newSystem(fast, nil), queries)
 				}
 			}
 			if !repacked {
@@ -355,19 +368,19 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				t.Error("history never crossed the repack threshold")
 			}
 
-			fc, sc := fast.Compacted(), slow.Compacted()
-			if !reflect.DeepEqual(fc.DocNames, sc.DocNames) {
-				t.Fatalf("compacted doc names diverge: fast=%v slow=%v", fc.DocNames, sc.DocNames)
+			fc, cc := fast.Compacted(), cold()
+			if !reflect.DeepEqual(fc.DocNames, cc.DocNames) {
+				t.Fatalf("compacted doc names diverge: delta=%v cold=%v", fc.DocNames, cc.DocNames)
 			}
-			var fb, sb bytes.Buffer
+			var fb, cb bytes.Buffer
 			if err := fc.SaveBinary(&fb); err != nil {
 				t.Fatal(err)
 			}
-			if err := sc.SaveBinary(&sb); err != nil {
+			if err := cc.SaveBinary(&cb); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(fb.Bytes(), sb.Bytes()) {
-				t.Fatal("compacted images diverge between delta and full-repack histories")
+			if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
+				t.Fatal("compacted delta image diverges from the cold build's")
 			}
 		})
 	}

@@ -6,11 +6,14 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	gks "repro"
 
 	"repro/internal/datagen"
+	"repro/internal/segment"
 )
 
 // BenchmarkSegmentColdQuery is the in-process layer row of the
@@ -18,17 +21,17 @@ import (
 // default, GKS_BENCH_SCALE overrides) as one GKS4 segment behind a 1 MiB
 // block cache, asked 2–3-keyword AND queries whose keywords are drawn
 // from per-block strata of the vocabulary, so nearly every query needs a
-// block the cache does not hold. Besides ns/op it reports block reads and
-// file bytes read per query.
+// block the cache does not hold. Besides ns/op it reports the blocks read
+// from disk per query.
 func BenchmarkSegmentColdQuery(b *testing.B) {
 	scale := 16
 	if s := benchScale(); s > 1 {
 		scale = s
 	}
-	sys := openColdSegment(b, scale)
+	var fetched missCounter
+	sys := openColdSegment(b, scale, &fetched)
 	defer sys.CloseIndex()
-	seg := sys.Segment()
-	queries := coldQueries(sys, seg.NumBlocks(), 4096)
+	queries := coldQueries(sys, sys.Segment().NumBlocks(), 4096)
 
 	ctx := context.Background()
 	search := func(q gks.Query) {
@@ -39,15 +42,24 @@ func BenchmarkSegmentColdQuery(b *testing.B) {
 	for _, q := range queries[:256] {
 		search(q)
 	}
-	reads, bytes := seg.BlockReads(), seg.BytesRead()
+	reads := fetched.n.Load()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		search(queries[i%len(queries)])
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(seg.BlockReads()-reads)/float64(b.N), "blocks/op")
-	b.ReportMetric(float64(seg.BytesRead()-bytes)/float64(b.N), "readB/op")
+	b.ReportMetric(float64(fetched.n.Load()-reads)/float64(b.N), "blocks/op")
 }
+
+// missCounter is a segment.Metrics sink that counts block-cache misses;
+// each is one posting block read from disk.
+type missCounter struct{ n atomic.Int64 }
+
+func (c *missCounter) BlockCacheHit()                  {}
+func (c *missCounter) BlockCacheMiss()                 { c.n.Add(1) }
+func (c *missCounter) BlockCacheEvict()                {}
+func (c *missCounter) SetBlockCacheBytes(int64)        {}
+func (c *missCounter) ObserveBlockFetch(time.Duration) {}
 
 // TestColdBlocksPruned pins the threshold merge and the window prune on
 // BenchmarkSegmentColdQuery's corpus and queries at scale 1: the records
@@ -59,7 +71,7 @@ func BenchmarkSegmentColdQuery(b *testing.B) {
 func TestColdBlocksPruned(t *testing.T) {
 	const wantTouched, wantQualified = 85098, 9594
 	const wantBlocks, wantPruned = 24491, 11352
-	sys := openColdSegment(t, 1)
+	sys := openColdSegment(t, 1, nil)
 	defer sys.CloseIndex()
 	touched, qualified, blocks, pruned := 0, 0, 0, 0
 	for _, q := range coldQueries(sys, sys.Segment().NumBlocks(), 4096) {
@@ -81,8 +93,9 @@ func TestColdBlocksPruned(t *testing.T) {
 }
 
 // openColdSegment writes the cold_segment corpus analogs (seed 42) at the
-// given scale as one GKS4 segment and opens it behind a 1 MiB block cache.
-func openColdSegment(tb testing.TB, scale int) *gks.System {
+// given scale as one GKS4 segment and opens it behind a 1 MiB block cache
+// that reports to m (nil discards).
+func openColdSegment(tb testing.TB, scale int, m segment.Metrics) *gks.System {
 	tb.Helper()
 	cfg := datagen.Config{Seed: 42, Scale: scale}
 	built, err := gks.IndexDocuments(datagen.NASA(cfg), datagen.SwissProt(cfg), datagen.PaperDBLP(scale), datagen.PaperSigmod(scale))
@@ -93,7 +106,7 @@ func openColdSegment(tb testing.TB, scale int) *gks.System {
 	if err := built.SaveSegmentFile(path); err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := gks.LoadIndexFileOpts(path, gks.SegmentOptions{CacheBytes: 1 << 20})
+	sys, err := gks.LoadIndexFileOpts(path, gks.SegmentOptions{CacheBytes: 1 << 20, Metrics: m})
 	if err != nil {
 		tb.Fatal(err)
 	}

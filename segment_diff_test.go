@@ -11,7 +11,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -19,10 +21,10 @@ import (
 
 // segmentPair builds an eager in-memory system from docs, persists it as a
 // GKS4 segment, and reopens that file lazily with the given block-cache
-// capacity. Every differential test in this file diffs the two systems:
+// capacity, counting its block fetches. Every differential test in this file diffs the two systems:
 // the segment-backed one must be observationally identical to the eager
 // one on the full read surface.
-func segmentPair(t *testing.T, cacheBytes int64, docs ...*Document) (eager, lazy *System) {
+func segmentPair(t *testing.T, cacheBytes int64, docs ...*Document) (eager, lazy *System, fetched *blockFetchCounter) {
 	t.Helper()
 	eager, err := IndexDocuments(docs...)
 	if err != nil {
@@ -32,7 +34,8 @@ func segmentPair(t *testing.T, cacheBytes int64, docs ...*Document) (eager, lazy
 	if err := eager.SaveSegmentFile(path); err != nil {
 		t.Fatal(err)
 	}
-	lazy, err = LoadIndexFileOpts(path, SegmentOptions{CacheBytes: cacheBytes})
+	fetched = &blockFetchCounter{}
+	lazy, err = LoadIndexFileOpts(path, SegmentOptions{CacheBytes: cacheBytes, Metrics: fetched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +47,19 @@ func segmentPair(t *testing.T, cacheBytes int64, docs ...*Document) (eager, lazy
 			t.Errorf("CloseIndex: %v", err)
 		}
 	})
-	return eager, lazy
+	return eager, lazy, fetched
 }
+
+// blockFetchCounter is a segment.Metrics sink that counts posting-block
+// lookups, hit or miss, and the misses among them: each miss is one block
+// read from disk.
+type blockFetchCounter struct{ lookups, misses atomic.Int64 }
+
+func (c *blockFetchCounter) BlockCacheHit()                  { c.lookups.Add(1) }
+func (c *blockFetchCounter) BlockCacheMiss()                 { c.lookups.Add(1); c.misses.Add(1) }
+func (c *blockFetchCounter) BlockCacheEvict()                {}
+func (c *blockFetchCounter) SetBlockCacheBytes(int64)        {}
+func (c *blockFetchCounter) ObserveBlockFetch(time.Duration) {}
 
 func segmentCorpora(t *testing.T) map[string][]*Document {
 	t.Helper()
@@ -172,7 +186,7 @@ func TestSegmentDifferentialSearch(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			// 8 KiB cache: a handful of 32 KiB blocks never
 			// fit, so every corpus beyond the toy one churns constantly.
-			eager, lazy := segmentPair(t, 8<<10, docs...)
+			eager, lazy, fetched := segmentPair(t, 8<<10, docs...)
 
 			if !reflect.DeepEqual(eager.Stats(), lazy.Stats()) {
 				t.Fatalf("Stats differ:\neager: %+v\nlazy:  %+v", eager.Stats(), lazy.Stats())
@@ -207,7 +221,7 @@ func TestSegmentDifferentialSearch(t *testing.T) {
 					t.Fatalf("Suggest(%q) differ: eager=%v lazy=%v", kw, se, sl)
 				}
 			}
-			if lazy.Segment().BlockReads() == 0 {
+			if fetched.misses.Load() == 0 {
 				t.Fatal("segment-backed search performed no block reads — the differential proved nothing")
 			}
 		})
@@ -226,7 +240,7 @@ func TestSegmentEvictionMidQueryConcurrent(t *testing.T) {
 	}
 	// 2 KiB: smaller than a single typical block, so even one query's
 	// second block evicts its first.
-	eager, lazy := segmentPair(t, 2<<10, docs...)
+	eager, lazy, fetched := segmentPair(t, 2<<10, docs...)
 
 	kws := vocab(eager)
 	rng := rand.New(rand.NewSource(99))
@@ -269,7 +283,7 @@ func TestSegmentEvictionMidQueryConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if br, nb := lazy.Segment().BlockReads(), lazy.Segment().NumBlocks(); br <= int64(nb) {
+	if br, nb := fetched.misses.Load(), lazy.Segment().NumBlocks(); br <= int64(nb) {
 		t.Fatalf("block reads (%d) <= block count (%d): no eviction churn, the cache never overflowed", br, nb)
 	}
 }
@@ -280,7 +294,7 @@ func TestSegmentEvictionMidQueryConcurrent(t *testing.T) {
 // GKS4 -> GKS3 -> load -> GKS4 loop converges to the same bytes.
 func TestSegmentRewriteStable(t *testing.T) {
 	docs := []*Document{datagen.SwissProt(datagen.Config{Seed: 1, Scale: 1})}
-	eager, lazy := segmentPair(t, 0, docs...)
+	eager, lazy, _ := segmentPair(t, 0, docs...)
 	dir := t.TempDir()
 
 	again := filepath.Join(dir, "again.gks4")
@@ -315,7 +329,7 @@ func TestSegmentRewriteStable(t *testing.T) {
 // oracle: mutations transparently materialize the lazy index first.
 func TestSegmentMutationMaterializes(t *testing.T) {
 	docs := []*Document{datagen.SwissProt(datagen.Config{Seed: 2, Scale: 1})}
-	eager, lazy := segmentPair(t, 4<<10, docs...)
+	eager, lazy, _ := segmentPair(t, 4<<10, docs...)
 
 	extra, err := ParseDocumentString(universityXML, "university.xml")
 	if err != nil {

@@ -9,9 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/index"
 	"repro/internal/wal"
@@ -329,103 +327,128 @@ func TestWALReplayEqualsColdRebuild(t *testing.T) {
 
 // TestWALReplayPacksOnce is the regression test for the boot-time write
 // collapse: replaying a K-record WAL tail must not unpack and re-pack the
-// whole node table once per upsert (O(N·K) boot cost). The batch path
-// must re-pack at most once regardless of K, and still recover exactly the
-// cold-rebuild state.
+// whole node table once per upsert (O(N·K) boot cost). Each upsert is a
+// delta append; the one that replaces the base's highest-numbered
+// document takes that document's tombstoned number and packs the live
+// rows once. Replay must re-pack at most once regardless of K, and still
+// recover exactly the cold-rebuild state.
 func TestWALReplayPacksOnce(t *testing.T) {
-	dir := t.TempDir()
-	sys, err := IndexDocuments(
-		ingestDoc(t, "a.xml", "apple", "pear"),
-		ingestDoc(t, "b.xml", "pear", "plum"),
-		ingestDoc(t, "c.xml", "plum", "fig"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := map[string]string{
-		"a.xml": "<root><item>apple</item><item>pear</item></root>",
-		"b.xml": "<root><item>pear</item><item>plum</item></root>",
-		"c.xml": "<root><item>plum</item><item>fig</item></root>",
-	}
-	// A K-record tail mixing fresh names, replacements (including of the
-	// same name twice, exercising last-writer-wins) and deletes.
-	history := []struct {
+	type record struct {
 		op   wal.Op
 		name string
 		body string
+	}
+	tails := []struct {
+		name    string
+		history []record
 	}{
-		{wal.OpUpsert, "d.xml", "<root><item>cherry</item></root>"},
-		{wal.OpUpsert, "b.xml", "<root><item>quince</item></root>"},
-		{wal.OpUpsert, "e.xml", "<root><item>mango</item></root>"},
-		{wal.OpDelete, "a.xml", ""},
-		{wal.OpUpsert, "b.xml", "<root><item>olive</item><item>date</item></root>"},
-		{wal.OpUpsert, "f.xml", "<root><item>grape</item></root>"},
-		{wal.OpDelete, "e.xml", ""},
-		{wal.OpUpsert, "g.xml", "<root><item>fig</item><item>apple</item></root>"},
-		{wal.OpUpsert, "c.xml", "<root><item>pear</item></root>"},
-		{wal.OpUpsert, "h.xml", "<root><item>plum</item></root>"},
-		{wal.OpDelete, "d.xml", ""},
-		{wal.OpUpsert, "i.xml", "<root><item>cherry</item><item>quince</item></root>"},
+		// Fresh names, replacements (including of the same name twice,
+		// exercising last-writer-wins) and deletes.
+		{"mixed", []record{
+			{wal.OpUpsert, "d.xml", "<root><item>cherry</item></root>"},
+			{wal.OpUpsert, "b.xml", "<root><item>quince</item></root>"},
+			{wal.OpUpsert, "e.xml", "<root><item>mango</item></root>"},
+			{wal.OpDelete, "a.xml", ""},
+			{wal.OpUpsert, "b.xml", "<root><item>olive</item><item>date</item></root>"},
+			{wal.OpUpsert, "f.xml", "<root><item>grape</item></root>"},
+			{wal.OpDelete, "e.xml", ""},
+			{wal.OpUpsert, "g.xml", "<root><item>fig</item><item>apple</item></root>"},
+			{wal.OpUpsert, "c.xml", "<root><item>pear</item></root>"},
+			{wal.OpUpsert, "h.xml", "<root><item>plum</item></root>"},
+			{wal.OpDelete, "d.xml", ""},
+			{wal.OpUpsert, "i.xml", "<root><item>cherry</item><item>quince</item></root>"},
+		}},
+		// The first collapsed upsert replaces c.xml, the base's
+		// highest-numbered document, so its successor's number collides
+		// with a tombstone; every later replacement of the top document
+		// names one the collapsed tail has already used.
+		{"replace-top", []record{
+			{wal.OpUpsert, "c.xml", "<root><item>mango</item></root>"},
+			{wal.OpUpsert, "d.xml", "<root><item>cherry</item></root>"},
+			{wal.OpUpsert, "c.xml", "<root><item>grape</item><item>fig</item></root>"},
+			{wal.OpUpsert, "b.xml", "<root><item>quince</item></root>"},
+			{wal.OpDelete, "a.xml", ""},
+			{wal.OpUpsert, "d.xml", "<root><item>olive</item></root>"},
+			{wal.OpUpsert, "e.xml", "<root><item>date</item></root>"},
+			{wal.OpDelete, "e.xml", ""},
+		}},
 	}
-	for _, h := range history {
-		if _, err := l.Enqueue(h.op, h.name, h.body); err != nil {
-			t.Fatal(err)
-		}
-		if h.op == wal.OpUpsert {
-			content[h.name] = h.body
-		} else {
-			delete(content, h.name)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tail := range tails {
+		t.Run(tail.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys, err := IndexDocuments(
+				ingestDoc(t, "a.xml", "apple", "pear"),
+				ingestDoc(t, "b.xml", "pear", "plum"),
+				ingestDoc(t, "c.xml", "plum", "fig"),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			content := map[string]string{
+				"a.xml": "<root><item>apple</item><item>pear</item></root>",
+				"b.xml": "<root><item>pear</item><item>plum</item></root>",
+				"c.xml": "<root><item>plum</item><item>fig</item></root>",
+			}
+			for _, h := range tail.history {
+				if _, err := l.Enqueue(h.op, h.name, h.body); err != nil {
+					t.Fatal(err)
+				}
+				if h.op == wal.OpUpsert {
+					content[h.name] = h.body
+				} else {
+					delete(content, h.name)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	l2, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	before := index.PackCount()
-	recovered, applied, err := ReplayWAL(sys, l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if packs := index.PackCount() - before; packs > 1 {
-		t.Errorf("replay of %d records ran packNodes %d times, want at most 1", len(history), packs)
-	}
-	if applied == 0 {
-		t.Fatal("replay applied nothing")
-	}
-	rs := recovered.(*System)
-	if err := rs.ValidateIndex(); err != nil {
-		t.Fatal(err)
-	}
+			l2, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			before := index.PackCount()
+			recovered, applied, err := ReplayWAL(sys, l2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if packs := index.PackCount() - before; packs > 1 {
+				t.Errorf("replay of %d records ran packNodes %d times, want at most 1", len(tail.history), packs)
+			}
+			if applied == 0 {
+				t.Fatal("replay applied nothing")
+			}
+			rs := recovered.(*System)
+			if err := rs.ValidateIndex(); err != nil {
+				t.Fatal(err)
+			}
 
-	names := make([]string, 0, len(content))
-	for name := range content {
-		names = append(names, name)
+			names := make([]string, 0, len(content))
+			for name := range content {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			docs := make([]*Document, 0, len(names))
+			for _, name := range names {
+				doc, err := ParseDocumentString(content[name], name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs = append(docs, doc)
+			}
+			ref, err := IndexDocuments(docs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := append(append([]string(nil), walTestVocab...), "apple pear", "plum cherry quince")
+			assertStateEqual(t, "replay", ref, recovered, queries)
+		})
 	}
-	sort.Strings(names)
-	docs := make([]*Document, 0, len(names))
-	for _, name := range names {
-		doc, err := ParseDocumentString(content[name], name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, doc)
-	}
-	ref, err := IndexDocuments(docs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := append(append([]string(nil), walTestVocab...), "apple pear", "plum cherry quince")
-	assertStateEqual(t, "packed batch replay", ref, recovered, queries)
 }
 
 // TestWALReplayShardedSmoke checks the replay path against the sharded
@@ -511,19 +534,9 @@ func TestWALReplayShardedSmoke(t *testing.T) {
 	assertStateEqual(t, "sharded live", ref, sys, queries)
 }
 
-// blockFetchCounter is a segment.Metrics sink that counts posting-block
-// lookups, hit or miss.
-type blockFetchCounter struct{ lookups atomic.Int64 }
-
-func (c *blockFetchCounter) BlockCacheHit()                  { c.lookups.Add(1) }
-func (c *blockFetchCounter) BlockCacheMiss()                 { c.lookups.Add(1) }
-func (c *blockFetchCounter) BlockCacheEvict()                {}
-func (c *blockFetchCounter) SetBlockCacheBytes(int64)        {}
-func (c *blockFetchCounter) ObserveBlockFetch(time.Duration) {}
-
 // TestWALReplayEmptyTailKeepsSegmentLazy: a gksd booted from a GKS4 segment
-// with the default (empty) WAL used to reach AppendBatch's Materialized()
-// before the empty batch was noticed, so boot read every posting list,
+// with the default (empty) WAL used to materialize the index before the
+// empty tail was noticed, so boot read every posting list,
 // abandoned the block cache for good and served a fresh System that had
 // dropped the segment handle. An empty tail must hand back the system it
 // was given, untouched.
@@ -564,12 +577,5 @@ func TestWALReplayEmptyTailKeepsSegmentLazy(t *testing.T) {
 	}
 	if n := fetched.lookups.Load(); n != 0 {
 		t.Fatalf("an empty replay looked up %d posting block(s), want 0", n)
-	}
-	// The same holds one level down: an empty batch is the base itself.
-	if ix, err := index.AppendBatch(sys.ix, nil, index.DefaultOptions()); err != nil || ix != sys.ix {
-		t.Fatalf("AppendBatch(lazy, nil) = %p, %v; want the base %p", ix, err, sys.ix)
-	}
-	if n := fetched.lookups.Load(); n != 0 {
-		t.Fatalf("an empty batch looked up %d posting block(s), want 0", n)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/index"
 	"repro/internal/wal"
-	"repro/internal/xmltree"
 )
 
 // Write-ahead-log recovery: folding a surviving log tail into a loaded
@@ -37,12 +35,12 @@ import (
 //     can reject but an acknowledged history can never contain — cannot
 //     fire transiently.
 //
-// A single-index system replays the whole collapsed tail as one batch:
-// every replaced or deleted document tombstones first, then all upserts
-// splice in through a single index.AppendBatch merge, so the snapshot
-// re-packs at most once no matter how many records survived. Sharded
-// systems replay record by record (each record touches one shard and
-// appends to it at O(document) cost).
+// Every Searcher replays the collapsed tail record by record through its
+// own Upsert and Remove. On a single index each upsert is a delta append
+// at O(document) cost. Only an upsert that replaces the snapshot's
+// highest-numbered document makes index.AppendAs pack the live rows, and
+// only once: every later top document carries a name the collapsed tail
+// has already used.
 //
 // Damage in the log (ErrCorrupt) or an unparsable logged document fails
 // the whole recovery: serving a partial history would silently drop
@@ -86,15 +84,6 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 	if len(upserts) == 0 && len(deletes) == 0 {
 		return sys, 0, nil
 	}
-	// A batch fast path for a single index, not a refusal: any other
-	// Searcher replays record by record below.
-	if s, ok := sys.(*System); ok {
-		next, applied, err := s.replayBatch(upserts, deletes)
-		if err != nil {
-			return nil, 0, err
-		}
-		return next, applied, nil
-	}
 	applied := 0
 	for _, doc := range upserts {
 		next, _, err := sys.Upsert(doc)
@@ -116,87 +105,4 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 		applied++
 	}
 	return sys, applied, nil
-}
-
-// replayBatch applies a collapsed WAL tail (disjoint final upserts and
-// final deletes) to a single-index system in one splice. Replaced and
-// deleted documents tombstone against the shared base — no unpack, no
-// copy — and the upserts then merge through one AppendBatch call, which
-// flattens the base once and packs the result exactly once. The
-// applied count matches per-record replay: every upsert counts, a delete
-// counts only when the document existed.
-func (s *System) replayBatch(upserts []*Document, deletes []string) (*System, int, error) {
-	opts := index.DefaultOptions()
-	work := s.ix
-	applied := len(upserts)
-	freshRebuild := false
-
-	type removal struct {
-		name     string
-		isDelete bool
-	}
-	removals := make([]removal, 0, len(upserts)+len(deletes))
-	for _, d := range upserts {
-		removals = append(removals, removal{d.Name, false})
-	}
-	for _, n := range deletes {
-		removals = append(removals, removal{n, true})
-	}
-	for _, r := range removals {
-		next, err := work.DeleteDoc(r.name)
-		switch {
-		case err == nil:
-			work = next
-			if r.isDelete {
-				applied++
-			}
-		case errors.Is(err, index.ErrNotFound):
-			// New document on upsert, or a delete the snapshot never held.
-		case errors.Is(err, index.ErrLastDocument):
-			// The batch empties the old corpus. With upserts pending the
-			// final state is exactly the upsert set, built fresh below;
-			// without any, an acknowledged history cannot reach here and
-			// the recovery fails like the live path would have.
-			if len(upserts) == 0 {
-				return nil, 0, fmt.Errorf("gks: wal replay: delete %q: %w", r.name, err)
-			}
-			if r.isDelete {
-				applied++
-			}
-			freshRebuild = true
-		default:
-			return nil, 0, fmt.Errorf("gks: wal replay: %q: %w", r.name, err)
-		}
-		if freshRebuild {
-			break
-		}
-	}
-
-	var next *index.Index
-	var err error
-	if freshRebuild {
-		// The upserts are the whole corpus: number them from 0, as the
-		// batch append onto an emptied base would, and build once.
-		fresh := &xmltree.Repository{}
-		for _, d := range upserts {
-			fresh.Add(d)
-		}
-		next, err = index.Build(fresh, opts)
-	} else {
-		next, err = index.AppendBatch(work, upserts, opts)
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
-	}
-
-	repo := s.repo
-	if repo != nil {
-		docs := repo.Docs
-		for _, r := range removals {
-			docs = docsWithout(docs, r.name)
-		}
-		docs = append(docs, upserts...)
-		repo = &xmltree.Repository{Docs: docs}
-	}
-	return newSystem(next, repo), applied, nil
 }
