@@ -45,17 +45,19 @@ segment-smoke:
 	$(GO) test -race -count=1 -run 'TestSegment|TestReadIndexStats|TestColdBlocksPruned' .
 	$(GO) test -race -count=1 -run 'TestRecordFilterMatchesLockstep' ./internal/core
 
-# Packed node-table smoke: the accessor oracle (every accessor at every
-# ordinal against the builder's flat rows, fresh, along random mutation
-# histories and after re-categorization), the pin that every index
-# constructor returns a packed table, and the differential property tests
-# — built vs reloaded systems, mutation histories (Compacted() vs cold
-# rebuild), delta appends vs cold builds, concurrent search — plus the segment
-# differentials, which exercise the packed meta codec through save/reload
-# churn. All under the race detector.
+# Node-table smoke: the accessor oracle (every accessor at every ordinal
+# against the builder's flat rows, fresh, along random mutation histories
+# and after re-categorization), the pin that every index constructor
+# returns a sealed column table, and the differential property tests —
+# built vs reloaded systems, mutation histories (Compacted() vs cold
+# rebuild), column appends vs cold builds, saves vs cold builds' images,
+# concurrent search — plus the segment differentials, which exercise the
+# DAG meta codec through save/reload churn. All under the race detector;
+# then one pass of the in-process rank_heavy benchmarks.
 dag-smoke:
-	$(GO) test -race -count=1 -run 'TestPacked|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
+	$(GO) test -race -count=1 -run 'TestPacked|TestSavesMatchColdBuild|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
 	$(GO) test -race -count=1 -run 'TestAccessorOracle|TestEveryConstructorReturnsPacked|TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
+	$(GO) test -count=1 -run '^$$' -bench 'RankHeavy' -benchtime 1x ./internal/server
 
 # Live-ingestion smoke: the full HTTP mutation lifecycle (add → replace →
 # delete, persistence round-trips, durability failure modes, metrics), the

@@ -78,7 +78,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-request access log lines")
 	walDirFlag := flag.String("wal-dir", "", "write-ahead-log directory for live mutations (default: boot path + \".wal\"; \"off\" = snapshot per mutation; ignored with -files)")
 	checkpointEvery := flag.Int("checkpoint-every", 64, "durable mutations between background WAL checkpoints (0 = checkpoint only at shutdown)")
-	repackThreshold := flag.Float64("repack-threshold", 0.3, "pack-debt fraction (delta-appended + tombstoned rows / total) past which a checkpoint repacks the node table (0 disables)")
+	repackThreshold := flag.Float64("repack-threshold", 0.3, "pack-debt fraction (tombstoned rows / total rows) past which a checkpoint compacts the node table (0 disables)")
 	follow := flag.String("follow", "", "run as a replication follower of this leader base URL (requires -index; mutations are rejected locally)")
 	replicaMaxLag := flag.Uint64("replica-max-lag", 4096, "with -follow: record lag beyond which /healthz?ready reports not ready")
 	blockCacheMB := flag.Int("block-cache-mb", 64, "posting-block cache capacity in MiB when serving a GKS4 segment (the process-wide budget, shared across hot reloads)")

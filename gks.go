@@ -292,8 +292,8 @@ func newSystem(ix *index.Index, repo *xmltree.Repository) *System {
 	return &System{ix: ix, engine: eng, an: di.New(eng), repo: repo}
 }
 
-// Packed returns s: every system serves from the DAG-compressed packed
-// node table. It is kept for the benchmark harness, which still calls it.
+// Packed returns s: every system serves from the same column node table.
+// It is kept for the benchmark harness, which still calls it.
 func (s *System) Packed() *System { return s }
 
 // SaveIndexFile persists the index ("a onetime activity", §2.4) to a file
@@ -488,8 +488,8 @@ func (s *System) ApplySchemaCategorization() int {
 	return schema.Apply(s.ix, schema.Infer(s.ix).Categorize(s.ix))
 }
 
-// NodeTableBytes reports the exact heap footprint of the index's packed
-// (DAG-compressed) node table. See index.NodeTableBytes.
+// NodeTableBytes reports the exact heap footprint of the index's resident
+// node table. See index.NodeTableBytes.
 func (s *System) NodeTableBytes() int64 { return s.ix.NodeTableBytes() }
 
 // CategoryOf reports the node categorization of the element with the given

@@ -64,7 +64,7 @@ var arenaPool sync.Pool
 // flat tables cover the engine's node count. A table too short for it is
 // replaced, not copied — a pooled table is all zero. A fresh arena gets
 // tables of exactly the node count; an outgrown one, whose index is
-// taking appends, gets an eighth of headroom, so the delta appends of a
+// taking appends, gets an eighth of headroom, so the appends of a
 // write-heavy index do not regrow the tables on every generation.
 func (e *Engine) acquireArena() *queryArena {
 	a, _ := arenaPool.Get().(*queryArena)

@@ -507,9 +507,9 @@ func TestRecordFilterMatchesLockstep(t *testing.T) {
 }
 
 // TestRecordColumn holds the index's record column — every document root
-// and every depth-1 node, in order — against the accessors after a delta
-// append, an append that replaces the top document (the live rows pack
-// afresh first), DeleteDoc and Repacked, and after a GKS3 and a GKS4
+// and every depth-1 node, in order — against the accessors after an
+// append, an append that replaces the top document (the live rows are
+// compacted first), DeleteDoc and Compacted, and after a GKS3 and a GKS4
 // reload.
 func TestRecordColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
@@ -559,7 +559,7 @@ func TestRecordColumn(t *testing.T) {
 			t.Fatal(err)
 		}
 		require("delete", ix)
-		require("repacked", ix.Repacked())
+		require("compacted", ix.Compacted())
 
 		var snap bytes.Buffer
 		if err := ix.SaveSnapshot(&snap); err != nil {

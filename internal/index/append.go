@@ -20,18 +20,18 @@ import (
 // On failure the caller's document is left exactly as it was passed in,
 // so it can be retried against another index.
 //
-// The document is always delta-appended (packed_append.go): packed
-// against the existing shape table at O(document) cost, tombstones kept,
-// the base never flattened. The delta path declines when a sibling
-// append already extended this generation's arrays, or when docID does
-// not sort after a tombstoned document's number. Then the live rows are
-// packed once — which compacts the tombstones and starts a fresh lineage
-// — and the document is delta-appended onto that.
+// The document is always column-appended (packed_append.go): its rows
+// extend the table at O(document) cost, tombstones kept, the base never
+// rewritten. The append declines when a sibling append already extended
+// this generation's columns, or when docID does not sort after a
+// tombstoned document's number. Then the live rows are copied once —
+// which compacts the tombstones and starts a fresh lineage — and the
+// document is appended onto the copy.
 func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
 	}
-	// The delta path reads Postings maps directly, so a lazily-backed base
+	// The append reads Postings maps directly, so a lazily-backed base
 	// is materialized up front (before doc is touched, like validation).
 	ix, err := ix.Materialized()
 	if err != nil {
@@ -47,9 +47,9 @@ func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Ind
 	if err != nil {
 		return nil, err
 	}
-	out, ok := ix.appendPacked(partial)
+	out, ok := ix.appendColumns(partial)
 	if !ok {
-		out, ok = ix.flat().pack().appendPacked(partial)
+		out, ok = ix.copied().appendColumns(partial)
 	}
 	if !ok {
 		renumber(doc, oldID)

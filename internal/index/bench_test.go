@@ -31,7 +31,7 @@ func BenchmarkBuildStream(b *testing.B) {
 	b.ResetTimer()
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := packing(buildStream(bytes.NewReader(src), 0, "bench", DefaultOptions())); err != nil {
+			if _, err := sealing(buildStream(bytes.NewReader(src), 0, "bench", DefaultOptions())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -28,11 +28,11 @@ import (
 //	stats:    fixed sequence of varints
 const binaryMagic = "GKSI"
 
-// SaveBinary writes version 3, whose node section is the DAG-compressed
-// layout of packed.go. Version 2 stored the flat table, one record per
-// node — dewey(binary codec) label cat(byte) childCount subtree parent+1
+// SaveBinary writes version 3, whose node section is the DAG encoding of
+// dag.go. Version 2 stored the flat table, one record per node —
+// dewey(binary codec) label cat(byte) childCount subtree parent+1
 // hasValue(byte) [valueLen valueBytes] — and is still read: the loader
-// packs it.
+// seals it into columns.
 const (
 	binaryVersionFlat   = 2
 	binaryVersionPacked = 3
@@ -55,16 +55,24 @@ func (w *binWriter) str(s string) {
 	w.bw.WriteString(s)
 }
 
-// writeMetaPacked writes the labels/docs sections followed by the packed
-// node arrays — the part of the format shared between SaveBinary and the
-// GKS4 segment meta section. Negative-capable fields are stored +1 so
-// plain uvarints suffice. The per-ordinal dispatch array is NOT written:
-// instance ranges plus the rule that spine slots are assigned in ascending
-// ordinal order (which is how packNodes emits them) reconstruct it exactly.
-// When inlineArena is false the value arena's bytes are left out (its
-// length is still written): the caller stores them elsewhere.
-func (w *binWriter) writeMetaPacked(ix *Index, inlineArena bool) {
-	p := ix.packed
+// writeMetaPacked writes the labels/docs sections followed by the node
+// table's DAG encoding (dag.go), packed from the columns — the part of the
+// format shared between SaveBinary and the GKS4 segment meta section —
+// and returns the encoding's value arena. When inlineArena is false the
+// arena's bytes are left out (its length is still written): the caller
+// stores them elsewhere. The table must be compacted.
+func (w *binWriter) writeMetaPacked(ix *Index, inlineArena bool) []byte {
+	img := packNodes(ix.cols)
+	w.writeMeta(ix, img, inlineArena)
+	return img.valArena
+}
+
+// writeMeta writes ix's labels and document names and the image. Negative-
+// capable fields are stored +1 so plain uvarints suffice. No per-ordinal
+// dispatch is written: instance ranges in ascending order plus the rule
+// that spine slots take the remaining ordinals in ascending order (which
+// is how packNodes emits them) reconstruct it exactly.
+func (w *binWriter) writeMeta(ix *Index, p *dagImage, inlineArena bool) {
 	w.uvarint(uint64(len(ix.Labels)))
 	for _, l := range ix.Labels {
 		w.str(l)
@@ -74,7 +82,7 @@ func (w *binWriter) writeMetaPacked(ix *Index, inlineArena bool) {
 		w.str(d)
 	}
 
-	w.uvarint(uint64(len(p.ordInst)))
+	w.uvarint(uint64(p.n))
 
 	w.uvarint(uint64(len(p.spLabel)))
 	for i := range p.spLabel {
@@ -140,20 +148,18 @@ const (
 )
 
 // EncodeMeta writes the labels, document names and node table without
-// magic framing: a 0 sentinel, packed-meta version 2 and the packed arrays
-// without the value arena's bytes, which it returns for the caller to
+// magic framing: a 0 sentinel, packed-meta version 2 and the DAG encoding
+// without its value arena's bytes, which it returns for the caller to
 // store. This is the GKS4 segment meta section (internal/segment);
-// DecodeMeta is its inverse. The returned arena is the index's own and
-// must not be modified. A tombstoned index must be compacted by the caller
-// first.
+// DecodeMeta is its inverse. A tombstoned index must be compacted by the
+// caller first.
 func EncodeMeta(w io.Writer, ix *Index) (arena []byte, err error) {
 	bw := &binWriter{bw: bufio.NewWriter(w)}
 	bw.uvarint(0)
 	bw.uvarint(metaExternalArena)
-	bw.writeMetaPacked(ix, false)
+	arena = bw.writeMetaPacked(ix, false)
 	// Non-nil even when empty: DecodeMeta tells the two meta versions
 	// apart by whether an arena is given.
-	arena = ix.packed.valArena
 	if arena == nil {
 		arena = []byte{}
 	}
@@ -357,11 +363,11 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 }
 
 // DecodeMeta reads the labels/docs/nodes sections written by EncodeMeta
-// into a fresh packed Index with no posting lists and zero statistics —
+// into a fresh Index with no posting lists and zero statistics —
 // the skeleton internal/segment hands to NewLazy. arena is the value arena
 // EncodeMeta returned, and becomes the index's own; it must be nil for a
 // meta section that holds its arena inline (packed-meta version 1, or a
-// flat meta section from an older writer, which is packed on the way in).
+// flat meta section from an older writer, which is sealed on the way in).
 // size bounds allocations as in Load; damaged input fails with ErrCorrupt.
 func DecodeMeta(r io.Reader, size int64, arena []byte) (*Index, error) {
 	d := &decoder{br: bufio.NewReader(r), size: size}
@@ -395,7 +401,7 @@ func DecodeMeta(r io.Reader, size int64, arena []byte) (*Index, error) {
 }
 
 // readMeta decodes the labels, document names and node table into ix. A
-// non-nil arena replaces the packed table's inline value arena.
+// non-nil arena replaces the encoding's inline value arena.
 func (d *decoder) readMeta(ix *Index, packed bool, arena []byte) error {
 	nLabels, err := d.count("label count", 1, 1<<31)
 	if err != nil {
@@ -427,7 +433,7 @@ func (d *decoder) readMeta(ix *Index, packed bool, arena []byte) error {
 }
 
 // readFlatNodes decodes a version-2 flat node table — one record per node
-// — and packs it.
+// — and seals it into columns.
 func (d *decoder) readFlatNodes(ix *Index) error {
 	// A serialized node is at least 8 bytes (2 dewey varints + label +
 	// category + child count + subtree + parent + has-value flag).
@@ -470,14 +476,14 @@ func (d *decoder) readFlatNodes(ix *Index) error {
 		}
 		ix.nodes = append(ix.nodes, n)
 	}
-	return ix.packImported()
+	return ix.sealImported()
 }
 
-// packImported packs the flat table of a legacy image — flat GKSI v2, gob
+// sealImported seals the flat table of a legacy image — flat GKSI v2, gob
 // v1 or a flat GKS4 meta section, the only places a flat table is read.
-// packNodes walks subtree ranges and Dewey paths blindly, so those are
-// checked first; the packed result must then pass the full validation.
-func (ix *Index) packImported() error {
+// Sealing walks subtree ranges and reads Dewey paths blindly, so those are
+// checked first; the columns must then pass the full validation.
+func (ix *Index) sealImported() error {
 	n := len(ix.nodes)
 	for i := range ix.nodes {
 		nd := &ix.nodes[i]
@@ -488,18 +494,17 @@ func (ix *Index) packImported() error {
 			return corruptf("binary load: flat node %d: empty Dewey path", i)
 		}
 	}
-	if err := ix.pack().validateNodes(); err != nil {
+	if err := ix.seal().validateNodes(); err != nil {
 		return corruptf("binary load: %v", err)
 	}
 	return nil
 }
 
-// readPackedNodes decodes the writeMetaPacked node arrays into ix.packed. The
-// per-ordinal dispatch array is reconstructed from the instance ranges
-// and the ascending-ordinal spine rule, and the result must pass the full
-// packed validation before it is accepted — the O(1) accessors index
-// blindly, so a decoded image that would make them misbehave is rejected
-// here as ErrCorrupt.
+// readPackedNodes decodes the writeMeta node image, checks it and expands
+// it into ix.cols (dagImage.expand). The columns must pass the full
+// validation before they are accepted — every accessor indexes blindly,
+// so a decoded image that would make one misbehave is rejected here as
+// ErrCorrupt. The image itself is dropped.
 func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 	// Every node costs at least one byte somewhere (spine record, shape
 	// record amortized over instances, or dispatch coverage); 1 is the only
@@ -508,11 +513,7 @@ func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 	if err != nil {
 		return err
 	}
-	p := &packedNodes{}
-	// A loaded table starts a fresh delta-append lineage: debt counters
-	// are not serialized (they only drive repack scheduling), so a loaded
-	// image owes nothing until it delta-appends again.
-	p.app = &appendState{owner: p}
+	p := &dagImage{n: int32(n)}
 
 	nSpine, err := d.count("spine count", 8, uint64(n))
 	if err != nil {
@@ -725,52 +726,16 @@ func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 		p.docNum = append(p.docNum, num)
 	}
 
-	// Reconstruct the dispatch array: instance ranges claim their spans,
-	// the remaining ordinals take spine slots in ascending order.
-	p.ordInst = make([]int32, n)
-	for ord := range p.ordInst {
-		p.ordInst[ord] = -1 << 31 // poison: must be overwritten below
+	c, err := p.expand()
+	if err != nil {
+		return err
 	}
-	for i := int32(0); i < int32(len(p.inStart)); i++ {
-		s := p.inShape[i]
-		if s < 0 || int(s) >= nShapes {
-			return corruptf("binary load: packed instance %d: shape %d out of range", i, s)
-		}
-		sz := p.shOff[s+1] - p.shOff[s]
-		start := p.inStart[i]
-		if start < 0 || int64(start)+int64(sz) > int64(n) {
-			return corruptf("binary load: packed instance %d: range overruns node table", i)
-		}
-		for k := int32(0); k < sz; k++ {
-			if p.ordInst[start+k] != -1<<31 {
-				return corruptf("binary load: packed instance %d overlaps another", i)
-			}
-			p.ordInst[start+k] = i
-		}
-	}
-	slot := int32(0)
-	for ord := range p.ordInst {
-		if p.ordInst[ord] == -1<<31 {
-			if int(slot) >= nSpine {
-				return corruptf("binary load: packed table needs more than %d spine slots", nSpine)
-			}
-			p.ordInst[ord] = ^slot
-			slot++
-		}
-	}
-	if int(slot) != nSpine {
-		return corruptf("binary load: packed table uses %d of %d spine slots", slot, nSpine)
-	}
-
-	ix.packed = p
-	if err := p.validateLayout(); err != nil {
+	ix.cols = c
+	if err := c.validateLayout(len(ix.Labels)); err != nil {
 		return corruptf("binary load: %v", err)
 	}
-	p.recStart = p.appendRecords(nil, 0)
-	if err := p.validateRecords(); err != nil {
-		return corruptf("binary load: %v", err)
-	}
-	if err := ix.validateLabels(); err != nil {
+	c.recStart = c.appendRecords(nil, 0)
+	if err := c.validateRecords(); err != nil {
 		return corruptf("binary load: %v", err)
 	}
 	return nil

@@ -9,14 +9,30 @@ import (
 )
 
 // The flat []NodeInfo table is the tests' reference: buildFlat is the
-// builder before it packs, rows expands a served (packed) table back into
+// builder before it seals, rows expands a served column table back into
 // that form, and the writers below produce the flat images older builds
 // wrote, which every loader must still import.
 
 // rows expands every row of ix's node table, tombstoned ones included.
-func rows(ix *Index) []NodeInfo { return ix.packed.unpack() }
+func rows(ix *Index) []NodeInfo {
+	out := make([]NodeInfo, ix.NodeCount())
+	for i := range out {
+		ord := int32(i)
+		out[i] = NodeInfo{
+			ID:         ix.IDOf(ord),
+			Label:      ix.LabelIDOf(ord),
+			Cat:        ix.CatOf(ord),
+			ChildCount: ix.ChildCountOf(ord),
+			Subtree:    ix.SubtreeSizeOf(ord),
+			Parent:     ix.ParentOf(ord),
+			HasValue:   ix.HasValueAt(ord),
+			Value:      ix.ValueAt(ord),
+		}
+	}
+	return out
+}
 
-// flatBuild is the builder's flat table for repo: the reference a packed
+// flatBuild is the builder's flat table for repo: the reference a served
 // index must reproduce.
 func flatBuild(tb testing.TB, repo *xmltree.Repository) *Index {
 	tb.Helper()
@@ -39,7 +55,7 @@ func flatNodeBytes(nodes []NodeInfo) int64 {
 }
 
 // writeFlatMeta writes the labels/docs sections and the flat per-node
-// table: the meta layout of GKSI version 2 and of pre-packed GKS4 segments.
+// table: the meta layout of GKSI version 2 and of flat-meta GKS4 segments.
 func writeFlatMeta(w *binWriter, ix *Index) {
 	w.uvarint(uint64(len(ix.Labels)))
 	for _, l := range ix.Labels {
@@ -73,7 +89,7 @@ func writeFlatMeta(w *binWriter, ix *Index) {
 	}
 }
 
-// flatMeta is ix's meta section as a pre-packed GKS4 writer stored it.
+// flatMeta is ix's meta section as a flat-meta GKS4 writer stored it.
 func flatMeta(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
 	var buf bytes.Buffer

@@ -34,6 +34,10 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte(snapshotMagic))
+	// Node encodings that break what expansion indexes by.
+	for _, img := range damagedNodeImages(f, ix) {
+		f.Add(img)
+	}
 	// Truncations and flips of each format seed the interesting paths.
 	for _, img := range images {
 		f.Add(img[:len(img)/2])

@@ -9,8 +9,8 @@
 // nodes are stored in pre-order, which equals Dewey (document) order, so the
 // subtree of a node occupies a contiguous ordinal range — the invariant the
 // GKS search algorithm exploits. The node table every index serves from is
-// the DAG-compressed packed table of packed.go; the flat []NodeInfo form
-// exists only while a builder fills it.
+// the column table of packed.go, one row per ordinal; the flat []NodeInfo
+// form exists only while a builder fills it.
 package index
 
 import (
@@ -116,13 +116,13 @@ type Index struct {
 	// set together with tomb: mutations materialize first. See lazy.go.
 	lazy *lazyState
 
-	// packed is the DAG-compressed node table: every element node in
+	// cols is the resident node table: one row per element node in
 	// pre-order (Dewey order), read through the accessor methods below.
 	// See packed.go.
-	packed *packedNodes
+	cols *nodeColumns
 
 	// nodes is the builders' scratch: the flat pre-order table of an index
-	// under construction. pack turns it into packed and drops it, so no
+	// under construction. seal turns it into cols and drops it, so no
 	// index a constructor returns holds it.
 	nodes []NodeInfo
 }
@@ -175,11 +175,11 @@ func DefaultOptions() Options { return Options{IndexElementNames: true} }
 
 // Build indexes the repository in one pass.
 func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
-	return packing(buildFlat(repo, opts))
+	return sealing(buildFlat(repo, opts))
 }
 
-// buildFlat is Build without the final pack: the builders' flat table,
-// which the delta append consumes.
+// buildFlat is Build without the final seal: the builders' flat table,
+// which the column append consumes.
 func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
 	if repo == nil || len(repo.Docs) == 0 {
 		return nil, fmt.Errorf("index: empty repository")
@@ -485,31 +485,31 @@ func (ix *Index) LabelOf(ord int32) string { return ix.Labels[ix.LabelIDOf(ord)]
 
 // LabelIDOf returns the interned label id (index into Labels) of the node
 // at ord.
-func (ix *Index) LabelIDOf(ord int32) int32 { return ix.packed.labelOf(ord) }
+func (ix *Index) LabelIDOf(ord int32) int32 { return ix.cols.label[ord] }
 
 // CatOf returns the category bit set of the node at ord.
-func (ix *Index) CatOf(ord int32) Category { return ix.packed.catOf(ord) }
+func (ix *Index) CatOf(ord int32) Category { return Category(ix.cols.cat[ord]) }
 
 // ChildCountOf returns the direct child count (elements and text nodes) of
 // the node at ord.
-func (ix *Index) ChildCountOf(ord int32) int32 { return ix.packed.childCountOf(ord) }
+func (ix *Index) ChildCountOf(ord int32) int32 { return ix.cols.child[ord] }
 
 // SubtreeSizeOf returns the element count of the subtree rooted at ord,
 // including ord itself.
-func (ix *Index) SubtreeSizeOf(ord int32) int32 { return ix.packed.subtreeOf(ord) }
+func (ix *Index) SubtreeSizeOf(ord int32) int32 { return ix.cols.subtree[ord] }
 
 // DepthOf returns the Dewey depth of the node at ord (document roots are
-// depth 0) in O(1): the packed table stores depths explicitly.
-func (ix *Index) DepthOf(ord int32) int32 { return ix.packed.depthOf(ord) }
+// depth 0).
+func (ix *Index) DepthOf(ord int32) int32 { return ix.cols.depth[ord] }
 
 // HasValueAt reports whether the node at ord directly contains text.
-func (ix *Index) HasValueAt(ord int32) bool { return ix.packed.valIDOf(ord) >= 0 }
+func (ix *Index) HasValueAt(ord int32) bool { return ix.cols.val[ord] >= 0 }
 
 // ValueAt returns the concatenated direct text of the node at ord ("" when
 // HasValueAt is false).
 func (ix *Index) ValueAt(ord int32) string {
-	if v := ix.packed.valIDOf(ord); v >= 0 {
-		return ix.packed.value(v)
+	if v := ix.cols.val[ord]; v >= 0 {
+		return ix.cols.value(v)
 	}
 	return ""
 }
@@ -518,10 +518,10 @@ func (ix *Index) ValueAt(ord int32) string {
 // materialized by a parent-chain walk (lazy expansion); result formatting
 // is the only hot caller, so the allocation stays off the query's
 // merge/window path.
-func (ix *Index) IDOf(ord int32) dewey.ID { return ix.packed.idOf(ord) }
+func (ix *Index) IDOf(ord int32) dewey.ID { return ix.cols.idOf(ord) }
 
 // DocOf returns the Dewey document number of the node at ord.
-func (ix *Index) DocOf(ord int32) int32 { return ix.packed.docOf(ord) }
+func (ix *Index) DocOf(ord int32) int32 { return ix.cols.docOf(ord) }
 
 // IsEntity mirrors the paper's isEntity(DeweyId) helper: it returns the
 // number of direct children when the node is an entity node, and 0
@@ -545,10 +545,10 @@ func (ix *Index) IsElement(ord int32) int32 {
 // OrdinalOf locates the element with the given Dewey ID by binary search
 // over the pre-order node table. Tombstoned nodes are not found.
 func (ix *Index) OrdinalOf(id dewey.ID) (int32, bool) {
-	p := ix.packed
-	n := len(p.ordInst)
-	i := sort.Search(n, func(i int) bool { return p.compareID(int32(i), id) >= 0 })
-	if i < n && p.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
+	c := ix.cols
+	n := len(c.label)
+	i := sort.Search(n, func(i int) bool { return c.compareID(int32(i), id) >= 0 })
+	if i < n && c.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
 		return int32(i), true
 	}
 	return 0, false
@@ -580,7 +580,7 @@ func (ix *Index) LowestEntityAncestorOrSelf(ord int32) (int32, bool) {
 }
 
 // ParentOf returns the ordinal of ord's parent element, or -1 at a root.
-func (ix *Index) ParentOf(ord int32) int32 { return ix.packed.parentOf(ord) }
+func (ix *Index) ParentOf(ord int32) int32 { return ix.cols.parent[ord] }
 
 // PathLabels returns the element labels on the path from (and including)
 // anc down to (and including) desc. It is used to expose DI semantics —
@@ -623,8 +623,9 @@ func (ix *Index) ValueNodesUnder(e int32) []int32 {
 }
 
 // Validate checks the structural invariants a healthy index satisfies:
-// the packed node table's (labels in range, parents preceding their
-// children, subtree ranges inside the table) and posting lists strictly
+// the node table's columns (labels and value ids in range, a parent
+// before its child, subtree ranges nested, a depth its parent's + 1, the
+// root table and the record column right) and posting lists strictly
 // increasing within bounds. A decoded snapshot that passes the checksum but
 // was written by a buggy or hostile producer is caught here before it is
 // swapped into a serving system; reload paths call this between load and

@@ -438,7 +438,7 @@ func TestSizeBytesLazy(t *testing.T) {
 		DocNames: eager.DocNames,
 		Stats:    eager.Stats,
 		labelIDs: eager.labelIDs,
-		packed:   eager.packed,
+		cols:     eager.cols,
 	}
 	lazy := NewLazy(meta, &memSource{posts: eager.Postings})
 	got, err := lazy.SizeBytes()

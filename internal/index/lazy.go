@@ -100,7 +100,7 @@ func (ix *Index) Materialized() (*Index, error) {
 		Stats:    ix.Stats,
 		labelIDs: ix.labelIDs,
 		Postings: make(map[string][]int32, src.TermCount()),
-		packed:   ix.packed,
+		cols:     ix.cols,
 	}
 	err := src.ForEachTerm(func(term string, _ int) error {
 		list, err := src.Postings(term)

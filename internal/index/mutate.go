@@ -21,8 +21,8 @@ import (
 // LiveSpans) filter against the mask, so a tombstoned index answers
 // queries exactly as if the dead documents had never been indexed.
 // Tombstones are never persisted: SaveBinary/SaveSnapshot compact first,
-// so the mask lives only between a delete and the next save or full pack
-// (a delta append carries it forward).
+// so the mask lives only between a delete and the next compaction (an
+// append carries it forward).
 
 // ErrNotFound reports a mutation against a document name that is not live
 // in the index.
@@ -374,7 +374,7 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 		Stats:    st,
 		labelIDs: ix.labelIDs,
 		tomb:     tomb,
-		packed:   ix.packed,
+		cols:     ix.cols,
 	}
 	if gone.MaxDepth == st.MaxDepth {
 		// A doomed document reached the deepest level; what survives may
@@ -440,46 +440,31 @@ func (ix *Index) tallySpan(st *Stats, sp [2]int32) {
 }
 
 // Compacted returns an index with the tombstoned documents physically
-// removed: live nodes are packed contiguously (ordinals shift down, Dewey
+// removed: live rows are copied contiguously (ordinals shift down, Dewey
 // IDs — including sparse document numbers — are preserved), posting lists
 // are filtered and re-based, and dead document names are dropped. Without
 // tombstones it returns ix itself. The result is a plain immutable index
 // whose node table and postings equal a cold rebuild's from the surviving
-// documents — packing is deterministic — and only the label table may
-// retain interned labels that no surviving document uses.
+// documents; only the label table may retain interned labels that no
+// surviving document uses. It pays the index's whole PackDebt.
 func (ix *Index) Compacted() *Index {
 	if ix.tomb == nil {
 		return ix
 	}
-	return ix.flat().pack()
+	return ix.copied()
 }
 
-// flat expands the live documents of ix into the builders' flat form:
-// surviving rows re-based onto contiguous ordinals, postings filtered and
-// re-based, dead document names dropped. Without tombstones that is every
-// row, and the postings and names are shared. Compaction, the full pack
-// an append falls back to and a repack pack this.
-func (ix *Index) flat() *Index {
+// copied returns ix with its live rows copied into a fresh table, the tip
+// of a new append lineage: compacted when ix is tombstoned, a plain copy
+// sharing the postings and names otherwise.
+func (ix *Index) copied() *Index {
 	out := &Index{
 		Labels:   ix.Labels,
 		labelIDs: ix.labelIDs,
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
-		nodes:    make([]NodeInfo, 0, ix.NodeCount()),
-	}
-	for _, sp := range ix.LiveSpans() {
-		// Nodes before this span shifted down by the dead mass before it.
-		shift := sp[0] - int32(len(out.nodes))
-		for ord := sp[0]; ord < sp[1]; ord++ {
-			n := ix.packed.nodeInfo(ord)
-			if n.Parent >= 0 {
-				// A non-root's parent is in the same document, hence the
-				// same live span and the same shift.
-				n.Parent -= shift
-			}
-			out.nodes = append(out.nodes, n)
-		}
+		cols:     ix.cols.compact(ix.LiveSpans()),
 	}
 	if ix.tomb == nil {
 		return out
@@ -521,11 +506,11 @@ func (ix *Index) flat() *Index {
 // build fails anyway — a failed build must leave the caller's document
 // usable for a retry elsewhere.
 func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
-	return packing(buildDocumentAs(doc, docID, opts))
+	return sealing(buildDocumentAs(doc, docID, opts))
 }
 
-// buildDocumentAs is BuildDocumentAs without the final pack: the flat
-// one-document table AppendAs delta-appends.
+// buildDocumentAs is BuildDocumentAs without the final seal: the flat
+// one-document table AppendAs appends.
 func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("index: build of empty document")

@@ -523,7 +523,7 @@ func TestDocHolds(t *testing.T) {
 	}
 	every("plain", ix)
 	every("lazy", NewLazy(&Index{
-		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, packed: ix.packed,
+		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, cols: ix.cols,
 	}, &memSource{posts: ix.Postings}))
 
 	del, err := ix.DeleteDoc("b.xml")
@@ -545,7 +545,7 @@ func (failingSource) Postings(string) ([]int32, error) { return nil, errors.New(
 func TestDocHoldsLazyFetchFailure(t *testing.T) {
 	ix := rebuildFrom(t, wordDoc("a.xml", 0, "apple"), wordDoc("b.xml", 1, "banana"))
 	lazy := NewLazy(&Index{
-		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, packed: ix.packed,
+		Labels: ix.Labels, DocNames: ix.DocNames, Stats: ix.Stats, labelIDs: ix.labelIDs, cols: ix.cols,
 	}, &failingSource{})
 	if !lazy.DocHolds("a.xml")("banana") {
 		t.Error("an unreadable list was reported as not held")

@@ -61,9 +61,9 @@ func survivorBuild(t *testing.T, live map[string]*xmltree.Document) *Index {
 
 // TestAccessorOracle checks every accessor at every ordinal against the
 // builder's flat NodeInfo: on the packedCorpora indexes fresh, along
-// random mutation histories — tombstones, delta appends, the full pack an
-// append falls back to, repacks and compactions — and after a
-// re-categorization of the mutated table.
+// random mutation histories — tombstones, column appends, the copy an
+// append falls back to and compactions — and after a re-categorization of
+// the mutated table.
 func TestAccessorOracle(t *testing.T) {
 	for name, repo := range packedRepos() {
 		t.Run(name, func(t *testing.T) {
@@ -111,24 +111,24 @@ func TestAccessorOracle(t *testing.T) {
 					live[name] = doc
 				case r == 2:
 					// A sibling append claims this generation's tails first,
-					// so the kept append packs the live rows afresh.
+					// so the kept append copies the live rows afresh.
 					op = "sibling"
 					if _, err := AppendAs(ix, allocBagDoc("sibling", rng), ix.NextDocID(), DefaultOptions()); err != nil {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("sibling-%d", step)
 					doc := allocBagDoc(name, rng)
-					before := PackCount()
+					lineage := ix.cols.app
 					if ix, err = AppendAs(ix, doc, ix.NextDocID(), DefaultOptions()); err != nil {
 						t.Fatal(err)
 					}
-					if PackCount() == before {
-						t.Fatalf("step %d: the append after a sibling's did not repack", step)
+					if ix.cols.app == lineage {
+						t.Fatalf("step %d: the append after a sibling's extended the lost lineage", step)
 					}
 					live[name] = doc
 				case r == 3:
-					op = "repack"
-					ix = ix.Repacked()
+					op = "compact"
+					ix = ix.Compacted()
 				default:
 					op = "append"
 					name := fmt.Sprintf("add-%d", step)
@@ -309,9 +309,10 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 	del, err := appended.DeleteDoc(b.Name)
 	check("DeleteDoc", del, err, fresh(a, c, d, f))
 	check("Compacted", del.Compacted(), nil, fresh(a, c, d, f))
-	check("Repacked tombstoned", del.Repacked(), nil, fresh(a, c, d, f))
-	check("Repacked delta", appended.Repacked(), nil, fresh(a, b, c, d, f))
-	if debt := appended.Repacked().PackDebt(); debt != 0 {
-		t.Fatalf("Repacked left pack debt %.2f", debt)
+	if debt := del.Compacted().PackDebt(); debt != 0 {
+		t.Fatalf("Compacted left pack debt %.2f", debt)
+	}
+	if debt := appended.PackDebt(); debt != 0 {
+		t.Fatalf("appends without deletes left pack debt %.2f", debt)
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -77,7 +78,7 @@ func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
 		if w.Parent < 0 || want.nodes[w.Parent].Parent < 0 {
 			records = append(records, ord)
 		}
-		docRoot := ix.packed.docStart[ix.packed.docSlot(ord)]
+		docRoot := ix.cols.docStart[ix.cols.docSlot(ord)]
 		docEnd := docRoot + ix.SubtreeSizeOf(docRoot)
 		switch {
 		case docRoot != root || docEnd != root+want.nodes[root].Subtree:
@@ -122,16 +123,16 @@ func TestPackAccessorsMatchFlat(t *testing.T) {
 			}
 			assertAccessorsMatch(t, name, c.flat, c.ix)
 
-			p := c.ix.packed
-			t.Logf("%s: %d nodes → %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B); %d B vs flat %d B",
-				name, len(p.ordInst), len(p.spLabel), len(p.inStart), len(p.shOff)-1, len(p.shLabel),
-				len(p.valOff)-1, len(p.valArena), c.ix.NodeTableBytes(), flatNodeBytes(c.flat.nodes))
+			p := packNodes(c.ix.cols)
+			t.Logf("%s: %d nodes, %d B of columns vs flat %d B; encoded as %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B)",
+				name, p.n, c.ix.NodeTableBytes(), flatNodeBytes(c.flat.nodes), len(p.spLabel), len(p.inStart),
+				len(p.shOff)-1, len(p.shLabel), len(p.valOff)-1, len(p.valArena))
 		})
 	}
 }
 
-// TestPackUnpackedRoundTrip: expanding the packed table gives back exactly
-// the rows the builder packed.
+// TestPackUnpackedRoundTrip: expanding the column table gives back exactly
+// the rows the builder sealed.
 func TestPackUnpackedRoundTrip(t *testing.T) {
 	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
@@ -177,13 +178,19 @@ func TestPackedOrdinalOf(t *testing.T) {
 
 func TestPackedDedupsReplicatedDocs(t *testing.T) {
 	// Four identical replicas: at least three document roots must collapse
-	// into instances of the first replica's shape.
+	// into instances of the first replica's shape, and the encoded meta
+	// section must take at most half the bytes of the flat one.
 	c := packedCorpora(t)["replicated"]
-	if n := len(c.ix.packed.inStart); n < 3 {
+	if n := len(packNodes(c.ix.cols).inStart); n < 3 {
 		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", n)
 	}
-	if fb, pb := flatNodeBytes(c.flat.nodes), c.ix.NodeTableBytes(); pb*2 > fb {
-		t.Errorf("replicated corpus should pack to <1/2 of flat: packed %d B vs flat %d B", pb, fb)
+	var meta bytes.Buffer
+	arena, err := EncodeMeta(&meta, c.ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb, pb := len(flatMeta(t, c.ix)), meta.Len()+len(arena); pb*2 > fb {
+		t.Errorf("replicated corpus should encode to <1/2 of flat: packed %d B vs flat %d B", pb, fb)
 	}
 }
 
@@ -272,10 +279,55 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 			_ = ix.Validate() // either verdict is fine; must not panic
 		}
 	}
+	// Images whose instance ranges, shape indexes or spine count break
+	// what expansion indexes by must fail typed before it runs.
+	for name, img := range damagedNodeImages(t, packedCorpora(t)["replicated"].ix) {
+		if _, err := Load(bytes.NewReader(img)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load error %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// damagedNodeImages are GKSI images of ix whose node encoding breaks one of
+// the rules expansion relies on, keyed by the rule. ix's encoding needs at
+// least two instances.
+func damagedNodeImages(tb testing.TB, ix *Index) map[string][]byte {
+	tb.Helper()
+	good := packNodes(ix.cols)
+	last := len(good.inStart) - 1
+	if last < 1 {
+		tb.Fatalf("encoding holds %d instances, want at least 2", last+1)
+	}
+	damage := map[string]func(p *dagImage){
+		"instance past the node count": func(p *dagImage) { p.inStart[last] = p.n },
+		"overlapping instances":        func(p *dagImage) { p.inStart[1] = p.inStart[0] },
+		"shape past the shape table":   func(p *dagImage) { p.inShape[0] = int32(len(p.shOff) - 1) },
+		// The ordinals the dropped instance covered are left to the spine.
+		"spine count disagrees with the ranges": func(p *dagImage) { p.inStart = p.inStart[:last] },
+	}
+	out := make(map[string][]byte, len(damage))
+	for name, fn := range damage {
+		p := *good
+		p.inStart, p.inShape = slices.Clone(good.inStart), slices.Clone(good.inShape)
+		fn(&p)
+		var buf bytes.Buffer
+		w := &binWriter{bw: bufio.NewWriter(&buf)}
+		w.bw.WriteString(binaryMagic)
+		w.uvarint(binaryVersionPacked)
+		w.writeMeta(ix, &p, true)
+		if err := w.writePostingsAndStats(ix); err != nil {
+			tb.Fatal(err)
+		}
+		if err := w.bw.Flush(); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
 }
 
 // TestPackedDeleteAndCompact: a delete tombstones against the shared
-// packed table, and compaction re-packs the survivors into exactly the
+// column table, and compaction copies the survivors into exactly the
 // table a cold build of them produces.
 func TestPackedDeleteAndCompact(t *testing.T) {
 	repo := packedRepos()["replicated"]
@@ -287,7 +339,7 @@ func TestPackedDeleteAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if del.packed != ix.packed {
+	if del.cols != ix.cols {
 		t.Fatal("a delete must share the predecessor's node table")
 	}
 	survivors := &xmltree.Repository{Docs: append([]*xmltree.Document{repo.Docs[0]}, repo.Docs[2:]...)}
@@ -302,7 +354,7 @@ func TestPackedDeleteAndCompact(t *testing.T) {
 	comp := del.Compacted()
 	assertAccessorsMatch(t, "compacted", flatBuild(t, survivors), comp)
 
-	// The re-packed table must byte-match a cold build's pack.
+	// The compacted table must encode byte for byte as a cold build's.
 	var a, b bytes.Buffer
 	if err := comp.SaveBinary(&a); err != nil {
 		t.Fatal(err)
@@ -311,7 +363,7 @@ func TestPackedDeleteAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("compacted re-pack must byte-match a cold build of the survivors")
+		t.Fatal("compacted table must encode byte for byte as a cold build of the survivors")
 	}
 }
 
@@ -346,12 +398,12 @@ func TestNodeTableBytesAccounting(t *testing.T) {
 	c := packedCorpora(t)["dblp-dup"]
 	fb, pb := flatNodeBytes(c.flat.nodes), c.ix.NodeTableBytes()
 	if fb <= 0 || pb <= 0 {
-		t.Fatalf("node table byte accounting must be positive: flat %d, packed %d", fb, pb)
+		t.Fatalf("node table byte accounting must be positive: flat %d, columns %d", fb, pb)
 	}
 	if pb >= fb {
-		t.Errorf("packed table (%d B) should be smaller than flat (%d B)", pb, fb)
+		t.Errorf("column table (%d B) should be smaller than flat (%d B)", pb, fb)
 	}
-	t.Log(fmt.Sprintf("flat %d B, packed %d B (%.2fx)", fb, pb, float64(fb)/float64(pb)))
+	t.Log(fmt.Sprintf("flat %d B, columns %d B (%.2fx)", fb, pb, float64(fb)/float64(pb)))
 }
 
 // TestValidateRejectsBadRecordColumn: the record column must tile the
@@ -359,7 +411,7 @@ func TestNodeTableBytesAccounting(t *testing.T) {
 // a deeper node or out of order fails validation.
 func TestValidateRejectsBadRecordColumn(t *testing.T) {
 	c := packedCorpora(t)["dblp-dup"]
-	good := c.ix.packed.recStart
+	good := c.ix.cols.recStart
 	if err := c.ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +431,10 @@ func TestValidateRejectsBadRecordColumn(t *testing.T) {
 		"out of order":  append(slices.Clone(good[1:]), good[0]),
 		"empty":         nil,
 	} {
-		p := *c.ix.packed
+		p := *c.ix.cols
 		p.recStart = bad
 		ix := *c.ix
-		ix.packed = &p
+		ix.cols = &p
 		if err := ix.Validate(); err == nil {
 			t.Errorf("%s: validation passed", name)
 		}

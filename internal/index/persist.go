@@ -26,8 +26,8 @@ const formatVersion = 1
 // Load reads an index in the legacy gob format (v1, no longer written),
 // or one written by SaveBinary (compact binary, GKSI) or SaveSnapshot
 // (checksummed envelope, GKS3); the format is auto-detected from the
-// leading bytes. The index comes back packed whatever table the image
-// stored. Damaged input fails with an ErrCorrupt-wrapped error;
+// leading bytes. The index comes back as columns whatever node table the
+// image stored. Damaged input fails with an ErrCorrupt-wrapped error;
 // v1/v2 streams detect damage on decode, while v3 verifies a CRC32 before
 // decoding.
 func Load(r io.Reader) (*Index, error) {
@@ -89,7 +89,7 @@ func loadGob(r io.Reader) (ix *Index, err error) {
 	for i, l := range ix.Labels {
 		ix.labelIDs[l] = int32(i)
 	}
-	if err := ix.packImported(); err != nil {
+	if err := ix.sealImported(); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -130,8 +130,8 @@ func LoadFile(path string) (*Index, error) {
 // SizeBytes returns the size of the serialized index — the "Index Size"
 // column of Table 4 — as written by SaveSnapshot, the v3 checksummed
 // format everything actually ships. The snapshot writer streams lazy
-// postings straight from their source and serializes the packed node
-// table as it is, so this never materializes anything.
+// postings straight from their source and encodes the node table from its
+// columns, so this never materializes the postings.
 func (ix *Index) SizeBytes() (int64, error) {
 	var cw countWriter
 	if err := ix.SaveSnapshot(&cw); err != nil {

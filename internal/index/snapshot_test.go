@@ -344,9 +344,22 @@ func TestValidateCatchesDamage(t *testing.T) {
 	}
 
 	mutate := map[string]func(*Index){
-		"label out of range":   func(ix *Index) { ix.packed.spLabel[0] = int32(len(ix.Labels)) },
-		"parent not preceding": func(ix *Index) { ix.packed.spParent[1] = int32(ix.NodeCount()) },
-		"subtree overruns":     func(ix *Index) { ix.packed.spSubtree[0] = int32(ix.NodeCount()) + 5 },
+		"label out of range":   func(ix *Index) { ix.cols.label[0] = int32(len(ix.Labels)) },
+		"value out of range":   func(ix *Index) { ix.cols.val[1] = int32(len(ix.cols.valOff)) },
+		"parent not preceding": func(ix *Index) { ix.cols.parent[1] = int32(ix.NodeCount()) },
+		"subtree overruns":     func(ix *Index) { ix.cols.subtree[0] = int32(ix.NodeCount()) + 5 },
+		"subtree leaves its parent's": func(ix *Index) {
+			c := ix.cols
+			for ord := int32(1); ord < int32(ix.NodeCount()); ord++ {
+				if p := c.parent[ord]; p > 0 && p+c.subtree[p] < int32(ix.NodeCount()) {
+					c.subtree[ord] = p + c.subtree[p] - ord + 1
+					return
+				}
+			}
+			panic("no node below depth 1 ends before the table does")
+		},
+		"depth not the parent's + 1": func(ix *Index) { ix.cols.depth[1]++ },
+		"record column":              func(ix *Index) { ix.cols.recStart = ix.cols.recStart[1:] },
 		"posting out of range": func(ix *Index) {
 			for kw := range ix.Postings {
 				ix.Postings[kw] = []int32{int32(ix.NodeCount())}

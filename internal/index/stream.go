@@ -50,7 +50,7 @@ type childSummary struct {
 
 // BuildStreamFiles streams every file, in order, into one flat table —
 // file i is document number i, and ordinals, labels and postings continue
-// from file to file — and packs it: equivalent to parsing and Build-ing
+// from file to file — and seals it into columns: equivalent to parsing and Build-ing
 // all files.
 func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 	if len(paths) == 0 {
@@ -62,7 +62,7 @@ func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
-	return b.finish().pack(), nil
+	return b.finish().seal(), nil
 }
 
 // streamBuilder accumulates streamed documents into one flat table.

@@ -24,7 +24,7 @@ func buildBothWays(t *testing.T, src string) (*Index, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := packing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
+	stream, err := sealing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}

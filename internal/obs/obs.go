@@ -99,7 +99,7 @@ func NewRegistry() *Registry {
 	r.declare(&walG, counter, "gks_wal_checkpoints_total", "Background checkpoints by result.", nil, "result")
 	r.declare(&walG, counter, "gks_wal_checkpoint_segments_removed_total", "Log segments truncated by checkpoints.", nil)
 	r.declare(&pack, counter, "gks_repack_total", "Full repacks of the serving node table.", nil)
-	r.declare(&pack, gauge, "gks_pack_bloat_ratio", "Fraction of the node table that is delta-appended or tombstoned.", nil).float = true
+	r.declare(&pack, gauge, "gks_pack_bloat_ratio", "Fraction of the node table's rows that are tombstoned.", nil).float = true
 	r.declare(nil, gauge, "gks_replica_role", "Replication role of this process (1 = active).", nil, "role")
 	r.declare(&replica, counter, "gks_replica_streamed_records_total", "WAL records shipped to followers.", nil)
 	r.declare(&replica, counter, "gks_replica_snapshots_served_total", "Snapshots served to joining followers.", nil)
@@ -274,8 +274,8 @@ func (r *Registry) ObserveCheckpoint(ok bool, removedSegments int, d time.Durati
 	r.at("gks_wal_checkpoint_duration_seconds").observe(d.Seconds())
 }
 
-// Pack maintenance: one full repack of the serving node table (repack + swap)
-// and the debt it works off, the delta-appended or tombstoned share of the table.
+// Pack maintenance: one repack of the serving node table (compaction + swap)
+// and the debt it works off, the tombstoned share of the table's rows.
 func (r *Registry) ObserveRepack(d time.Duration) {
 	r.at("gks_repack_total").add(1)
 	r.at("gks_repack_duration_seconds").observe(d.Seconds())

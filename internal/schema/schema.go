@@ -248,8 +248,8 @@ func entityTest(attr, rep, both int) bool {
 
 // Apply installs schema-level categories into the index and refreshes its
 // category statistics. It returns the number of live nodes whose category
-// changed. The packed node table is expanded, edited and packed again in
-// place (index.SetCategories), so the search engine picks the new entity
+// changed. The node table's category column is replaced in place
+// (index.SetCategories), so the search engine picks the new entity
 // structure up immediately; tombstoned documents keep their categories.
 func Apply(ix *index.Index, cats []index.Category) int {
 	return ix.SetCategories(cats)

@@ -40,6 +40,9 @@ func FuzzLoadSegment(f *testing.F) {
 	for _, bad := range valuesDamage(f, seeds[0]) {
 		f.Add(bad)
 	}
+	for _, bad := range nodeEncodingDamage(f, seeds[0]) {
+		f.Add(bad)
+	}
 	for _, name := range v1Fixtures {
 		v1, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

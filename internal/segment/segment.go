@@ -66,8 +66,8 @@
 //
 // Version 1 differs in four places: there is no values section (the meta
 // section is packed-meta version 1, arena inline, or the flat per-node
-// records of writers older than the packed table, which the reader packs
-// on open); each posting block is a flate stream whose footer entry is
+// records of writers older than the packed table, which the reader seals
+// into columns on open); each posting block is a flate stream whose footer entry is
 // cLen uLen crc, with offsetInBlock counted in the inflated block; the
 // footer has no version field; and footerCRC covers the footer alone.
 // Because the two footer checksums cover different bytes, a header whose

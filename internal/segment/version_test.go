@@ -217,3 +217,111 @@ func valuesDamage(t testing.TB, good []byte) map[string][]byte {
 		"past arena":     rewriteFooter(t, good, func(f *footerData) { f.values.uLen++ }),
 	}
 }
+
+// nodeEncodingDamage returns copies of the version-2 image good whose
+// meta section's instance table breaks one of the rules the node table's
+// expansion relies on, re-framed and re-sealed so the damage reaches the
+// decoder. The meta is walked up to the instance table (see
+// index.EncodeMeta); what follows it is kept as written. good's encoding
+// needs at least two instances.
+func nodeEncodingDamage(t testing.TB, good []byte) map[string][]byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "good.gks4")
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, hdrLen, foot, err := openFooter(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	meta := good[foot.meta.off : foot.meta.off+foot.meta.cLen]
+	c := cursor{buf: meta}
+	next := func() uint64 {
+		v, err := c.uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	skipStrings := func() {
+		for i := next(); i > 0; i-- {
+			if _, err := c.bytes(int(next())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	next() // 0
+	next() // packed-meta version
+	skipStrings()
+	skipStrings()
+	n := next()
+	for i := next(); i > 0; i-- { // spine records: a category byte among 7 uvarints
+		next()
+		c.off++
+		for k := 0; k < 6; k++ {
+			next()
+		}
+	}
+	head := meta[:c.off]
+	inst := make([][5]uint64, next())
+	for i := range inst {
+		for k := range inst[i] {
+			inst[i][k] = next()
+		}
+	}
+	rest := meta[c.off:]
+	nShapes, _ := binary.Uvarint(rest)
+	last := len(inst) - 1
+	if last < 1 {
+		t.Fatalf("encoding holds %d instances, want at least 2", last+1)
+	}
+
+	out := map[string][]byte{}
+	for name, edit := range map[string]func(in [][5]uint64) [][5]uint64{
+		"instance past the node count":          func(in [][5]uint64) [][5]uint64 { in[last][0] = n; return in },
+		"overlapping instances":                 func(in [][5]uint64) [][5]uint64 { in[1][0] = in[0][0]; return in },
+		"shape past the shape table":            func(in [][5]uint64) [][5]uint64 { in[0][1] = nShapes; return in },
+		"spine count disagrees with the ranges": func(in [][5]uint64) [][5]uint64 { return in[:last] },
+	} {
+		in := edit(append([][5]uint64(nil), inst...))
+		dam := append([]byte(nil), head...)
+		dam = binary.AppendUvarint(dam, uint64(len(in)))
+		for _, r := range in {
+			for _, v := range r {
+				dam = binary.AppendUvarint(dam, v)
+			}
+		}
+		dam = append(dam, rest...)
+		ft := *foot
+		ft.meta = frame(foot.meta.off, dam)
+		fb := ft.encode()
+		img := append(append([]byte(nil), good[:foot.meta.off]...), dam...)
+		img = append(img, good[foot.meta.off+foot.meta.cLen:foot.values.off+foot.values.cLen]...)
+		for _, b := range foot.blocks {
+			img = append(img, good[b.off:b.off+b.cLen]...)
+		}
+		img = append(img, fb...)
+		var tail [trailerSize]byte
+		binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
+		binary.LittleEndian.PutUint32(tail[4:8], footerCRC(good[:hdrLen], fb))
+		copy(tail[8:12], trailerMagic)
+		out[name] = append(img, tail[:]...)
+	}
+	return out
+}
+
+// TestOpenRejectsDamagedNodeEncoding: a meta section whose instance ranges,
+// shape indexes or spine count break what the node table's expansion
+// indexes by fails open typed as ErrCorrupt.
+func TestOpenRejectsDamagedNodeEncoding(t *testing.T) {
+	for name, img := range nodeEncodingDamage(t, v2Image(t, WriterOptions{})) {
+		r, err := openImage(t, img)
+		if err == nil {
+			r.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: open error %v, want ErrCorrupt", name, err)
+		}
+	}
+}

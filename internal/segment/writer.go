@@ -51,7 +51,7 @@ func Write(w io.Writer, ix *index.Index, opts WriterOptions) error {
 	opts = opts.withDefaults()
 	ix = ix.Compacted()
 
-	// Meta section: labels, document names, the packed node table, stored
+	// Meta section: labels, document names, the DAG-encoded node table, stored
 	// raw (CRC-protected) because open decodes it every time. The value
 	// arena, which only DI, snippets and XPath read, leaves it for a
 	// compressed section of its own.

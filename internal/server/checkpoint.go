@@ -51,9 +51,9 @@ func NewCheckpointer(rl *Reloader, l *wal.Log, persist func(gks.Searcher) error,
 }
 
 // EnableRepack arms background pack maintenance: each checkpoint measures
-// the serving system's pack debt (the fraction of the node table that is
-// delta-appended or tombstoned; see gks.Searcher.PackDebt) and, at or past
-// threshold, rebuilds a canonically packed system and swaps it into
+// the serving system's pack debt (the fraction of the node table's rows
+// that are tombstoned; see gks.Searcher.PackDebt) and, at or past
+// threshold, compacts the tombstones away and swaps the result into
 // service before persisting — so the snapshot that reaches disk is the
 // repacked one, and boot never replays onto a bloated table. A threshold
 // of 0 (the default) leaves repacking off.
@@ -139,8 +139,8 @@ func (c *Checkpointer) Checkpoint() error {
 	}
 
 	// Pack maintenance rides the checkpoint, still under rl.mu: once the
-	// serving table's delta+tombstone debt crosses the threshold, rebuild
-	// the canonical pack and swap it into service first, so the snapshot
+	// serving table's tombstone debt crosses the threshold, build the
+	// compacted table and swap it into service first, so the snapshot
 	// persisted below is the repacked one. Mutations are stalled by the
 	// same mutex, so no acknowledged write can miss the rebuilt table.
 	repStart := time.Now()

@@ -10,12 +10,11 @@ import (
 	"repro/internal/wal"
 )
 
-// TestCheckpointRepack exercises the pack-maintenance half of the delta
-// append design: live upserts on a packed serving system take the
-// incremental path and accrue pack debt; once the debt crosses the
-// configured threshold, the next checkpoint rebuilds the canonical pack,
-// swaps it into service, zeroes the bloat gauge, and keeps every
-// acknowledged document searchable.
+// TestCheckpointRepack exercises pack maintenance: live replacements on a
+// serving system tombstone the old rows and accrue pack debt; once the
+// debt crosses the configured threshold, the next checkpoint compacts the
+// tombstones away, swaps the result into service, zeroes the bloat gauge,
+// and keeps every acknowledged document searchable.
 func TestCheckpointRepack(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.gksidx")
@@ -40,17 +39,17 @@ func TestCheckpointRepack(t *testing.T) {
 	ing.EnableWAL(l, cp.Notify)
 	hnd := ing.Handler()
 
-	for i := 0; i < 4; i++ {
+	// Each name is added, then replaced: the replacement tombstones the
+	// added rows.
+	for i := 0; i < 8; i++ {
 		code, body := adminReq(t, hnd, "POST", "/admin/docs",
-			docBody(fmt.Sprintf("d%d.xml", i), "neutrino", "gluon"))
+			docBody(fmt.Sprintf("d%d.xml", i%4), "neutrino", "gluon"))
 		if code != 200 {
-			t.Fatalf("add %d: status %d: %s", i, code, body)
+			t.Fatalf("upsert %d: status %d: %s", i, code, body)
 		}
 	}
-	// Debt > 0 proves the upserts went through the delta path on a still-
-	// packed table (a full pack leaves debt 0).
 	if debt := h.Searcher().PackDebt(); debt == 0 {
-		t.Fatal("upserts on the packed base accrued no pack debt; delta path not engaged")
+		t.Fatal("replacements accrued no pack debt")
 	}
 
 	if err := cp.Checkpoint(); err != nil {
@@ -67,19 +66,19 @@ func TestCheckpointRepack(t *testing.T) {
 		t.Errorf("serving system still carries pack debt %v after repack", debt)
 	}
 	if n := searchTotal(t, h, "neutrino"); n == 0 {
-		t.Fatal("delta-appended documents lost across repack")
+		t.Fatal("appended documents lost across repack")
 	}
 	if n := searchTotal(t, h, "Karen"); n == 0 {
 		t.Fatal("base document lost across repack")
 	}
 
-	// Below the threshold nothing repacks: raise it, add one more
+	// Below the threshold nothing repacks: raise it, replace one more
 	// document, checkpoint again — counter must not move, and the gauge
 	// must publish the (small, nonzero) outstanding debt.
 	cp.EnableRepack(0.99)
 	if code, body := adminReq(t, hnd, "POST", "/admin/docs",
-		docBody("d9.xml", "tachyon", "axion")); code != 200 {
-		t.Fatalf("add d9: status %d: %s", code, body)
+		docBody("d0.xml", "tachyon", "axion")); code != 200 {
+		t.Fatalf("replace d0: status %d: %s", code, body)
 	}
 	if err := cp.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -89,9 +88,9 @@ func TestCheckpointRepack(t *testing.T) {
 		t.Fatalf("repacks after sub-threshold checkpoint = %v, want still 1", total)
 	}
 	if bloat == 0 {
-		t.Error("bloat gauge = 0 with an outstanding delta append, want > 0")
+		t.Error("bloat gauge = 0 with an outstanding replacement, want > 0")
 	}
 	if n := searchTotal(t, h, "tachyon"); n == 0 {
-		t.Fatal("post-repack delta append not searchable")
+		t.Fatal("post-repack replacement not searchable")
 	}
 }

@@ -1,16 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	gks "repro"
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/experiments"
+	"repro/internal/index"
 )
 
 // figurePools are the keyword pools of the paper's Figure 8 analog on NASA
@@ -126,4 +134,106 @@ func BenchmarkHandlerSearchTop10(b *testing.B) {
 			b.Fatalf("%s: %d %s", urls[i%len(urls)], rec.Code, rec.Body)
 		}
 	}
+}
+
+// rankHeavyQueries is the rank_heavy workload's population on sys (a copy
+// of the harness's generator): per pool the five sliding windows and 22
+// random 8-subsets drawn at seed 42, then 10 queries of 8 keywords sampled
+// across the vocabulary's posting-length quartiles — 64 in all, each asked
+// at s = 2.
+func rankHeavyQueries(tb testing.TB, sys *gks.System) []gks.Query {
+	tb.Helper()
+	var snap bytes.Buffer
+	if err := sys.SaveSnapshot(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := index.Load(&snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []gks.Query
+	rng := rand.New(rand.NewSource(42))
+	seen := map[string]bool{}
+	add := func(terms []string) {
+		q := gks.NewQuery(terms...)
+		if !seen[q.String()] {
+			seen[q.String()] = true
+			out = append(out, q)
+		}
+	}
+	for _, pool := range figurePools {
+		for shift := 0; shift+8 <= len(pool); shift += 2 {
+			add(pool[shift : shift+8])
+		}
+		for want := len(out) + 22; len(out) < want; {
+			perm := rng.Perm(len(pool))[:8]
+			sort.Ints(perm)
+			terms := make([]string, 8)
+			for i, j := range perm {
+				terms[i] = pool[j]
+			}
+			add(terms)
+		}
+	}
+	return append(out, experiments.SampleQueries(ix, 8, 64-len(out), 42)...)
+}
+
+// BenchmarkHandlerRankHeavy drives the full rank_heavy population through
+// the handler, cache off: the 64 queries of rankHeavyQueries at s = 2 on
+// NASA+SwissProt at scale 10, top=10 each. One op is one request.
+func BenchmarkHandlerRankHeavy(b *testing.B) {
+	sys := figureSystem(b, 10)
+	h := New(sys)
+	var urls []string
+	for _, q := range rankHeavyQueries(b, sys) {
+		urls = append(urls, "/search?q="+url.QueryEscape(q.String())+"&s=2&top=10")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", urls[i%len(urls)], nil))
+		if rec.Code != 200 {
+			b.Fatalf("%s: %d %s", urls[i%len(urls)], rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkEngineRankHeavy is BenchmarkHandlerRankHeavy without the
+// handler: one op asks the engine all 64 queries (s = 2, top 10). Beside
+// ns/op it reports the per-query median (p50-ms) and the per-query mean of
+// each pipeline stage from Response.Stages (merge-ms, windows-ms, lift-ms,
+// filter-ms, rank-ms), which place engine time by stage.
+func BenchmarkEngineRankHeavy(b *testing.B) {
+	sys := figureSystem(b, 10)
+	queries := rankHeavyQueries(b, sys)
+	ctx := context.Background()
+	lat := make([]time.Duration, 0, b.N*len(queries))
+	var st core.StageTimings
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			start := time.Now()
+			resp, err := sys.Search(ctx, gks.SearchRequest{Query: q, S: 2, TopK: 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lat = append(lat, time.Since(start))
+			st.Merge += resp.Stages.Merge
+			st.Windows += resp.Stages.Windows
+			st.Lift += resp.Stages.Lift
+			st.Filter += resp.Stages.Filter
+			st.Rank += resp.Stages.Rank
+		}
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	n := float64(len(lat))
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	b.ReportMetric(ms(lat[len(lat)/2]), "p50-ms")
+	b.ReportMetric(ms(st.Merge)/n, "merge-ms")
+	b.ReportMetric(ms(st.Windows)/n, "windows-ms")
+	b.ReportMetric(ms(st.Lift)/n, "lift-ms")
+	b.ReportMetric(ms(st.Filter)/n, "filter-ms")
+	b.ReportMetric(ms(st.Rank)/n, "rank-ms")
 }

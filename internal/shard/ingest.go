@@ -14,7 +14,7 @@ import (
 // Live ingestion over a shard set. Mutations are copy-on-write, like the
 // underlying indexes: Upsert and Remove return a new *Set sharing every
 // untouched shard (index AND engine) with the receiver, which keeps serving unchanged. Only the shard the
-// document routes to is rebuilt — an append is a delta append on that
+// document routes to is rebuilt — an append is a column append on that
 // shard, a delete a tombstone mask — so the cost of a mutation scales
 // with one shard, not the corpus.
 
@@ -136,9 +136,9 @@ func (s *Set) DocHolds(name string) func(token string) bool {
 	}
 }
 
-// PackDebt is the largest pack debt among the shards: every upsert
-// delta-appends to one shard and every delete tombstones one, so the set
-// owes a repack as soon as any single shard does.
+// PackDebt is the largest pack debt among the shards: every delete or
+// replacement tombstones rows of one shard, so the set owes a repack as
+// soon as any single shard does.
 func (s *Set) PackDebt() float64 {
 	debt := 0.0
 	for _, ix := range s.shards {
@@ -147,15 +147,15 @@ func (s *Set) PackDebt() float64 {
 	return debt
 }
 
-// Repacked returns a set whose shards with pack debt are repacked (see
-// index.Index.Repacked). A shard without debt keeps its index and its
-// engine. Repacking moves no document
-// between shards, so the routing table carries over.
+// Repacked returns a set whose shards with pack debt are compacted (see
+// index.Index.Compacted). A shard without debt keeps its index and its
+// engine. Repacking moves no document between shards, so the routing
+// table carries over.
 func (s *Set) Repacked() Searcher {
 	shards, engines := slices.Clone(s.shards), slices.Clone(s.engines)
 	for i, ix := range shards {
 		if ix.PackDebt() > 0 {
-			shards[i] = ix.Repacked()
+			shards[i] = ix.Compacted()
 			engines[i] = core.NewEngine(shards[i])
 		}
 	}

@@ -180,11 +180,11 @@ func sameAnswers(t *testing.T, label string, want, got *Set) {
 }
 
 // TestRepackedPaysShardDebt: a random sharded upsert/delete history piles
-// delta appends and tombstones onto the shards until the set's pack debt —
-// its worst shard's — crosses a checkpoint threshold. Repacked then leaves
-// no debt and answers every query as the set did before it; a later
-// repack touches only the shard a mutation gave debt, and every other
-// shard keeps its index and engine.
+// tombstones onto the shards until the set's pack debt — its worst
+// shard's — crosses a checkpoint threshold. Repacked then leaves no debt
+// and answers every query as the set did before it; a later repack
+// touches only the shard a replacement gave debt, and every other shard
+// keeps its index and engine.
 func TestRepackedPaysShardDebt(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	docs := make([]*xmltree.Document, 8)
@@ -239,7 +239,8 @@ func TestRepackedPaysShardDebt(t *testing.T) {
 	}
 	sameAnswers(t, "repacked", set, repacked)
 
-	out, _, err := repacked.Upsert(randomDoc(rng, "late.xml", true))
+	// Replacing a live document tombstones its old rows in one shard.
+	out, _, err := repacked.Upsert(randomDoc(rng, names[0], true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestRepackedPaysShardDebt(t *testing.T) {
 		}
 	}
 	if indebted != 1 || again.PackDebt() != 0 {
-		t.Fatalf("one upsert left %d indebted shards; after Repacked the debt is %.3f", indebted, again.PackDebt())
+		t.Fatalf("one replacement left %d indebted shards; after Repacked the debt is %.3f", indebted, again.PackDebt())
 	}
 	sameAnswers(t, "repacked again", mutated, again)
 }

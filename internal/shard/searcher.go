@@ -56,8 +56,8 @@ type Searcher interface {
 	// query only if the document, before or after, holds one of the
 	// query's tokens: the response cache evicts by this probe.
 	DocHolds(name string) func(token string) bool
-	// PackDebt is the fraction of the node table that is garbage or past
-	// the canonical pack (tombstoned plus delta-appended rows), in [0, 1].
+	// PackDebt is the fraction of the node table's rows that are
+	// tombstoned, in [0, 1].
 	PackDebt() float64
 	// Repacked returns a successor whose pack debt is paid, answering
 	// every query as the receiver does.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/index"
+	"repro/internal/segment"
 	"repro/internal/xmltree"
 )
 
@@ -251,15 +252,15 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 }
 
 // TestPackedDeltaAppendEquivalence is the differential oracle for the
-// delta-maintaining pack: a random append/replace/delete history is
-// driven through AppendAs and DeleteDoc, and at every checkpoint the
-// result must hold the same logical state — statistics, document sets,
-// doc-insensitive results — as a cold index.Build of the surviving
-// documents at the document numbers their appends recorded. After a final
-// Compacted() the delta side's image (node table, postings, names) must
-// be byte-for-byte the cold build's. Mid-history the delta side crosses
-// the repack threshold and pays its debt via Repacked(), so the
-// equivalence also covers resuming delta appends on a repacked table.
+// column append: a random append/replace/delete history is driven through
+// AppendAs and DeleteDoc, and at every checkpoint the result must hold the
+// same logical state — statistics, document sets, doc-insensitive results
+// — as a cold index.Build of the surviving documents at the document
+// numbers their appends recorded. After a final Compacted() the appended
+// side's image (node table, postings, names) must be byte-for-byte the
+// cold build's. Mid-history the appended side crosses the repack threshold
+// and pays its debt via Compacted(), so the equivalence also covers
+// resuming appends on a compacted table.
 func TestPackedDeltaAppendEquivalence(t *testing.T) {
 	words := []string{
 		"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -346,13 +347,13 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 					t.Fatalf("step %d: validate: %v", step, err)
 				}
 				if debt := fast.PackDebt(); !repacked && debt >= 0.5 {
-					before := index.PackCount()
-					fast = fast.Repacked()
-					if index.PackCount() == before {
-						t.Fatalf("step %d: Repacked() at debt %.2f did not repack", step, debt)
+					before := fast.NodeCount()
+					fast = fast.Compacted()
+					if fast.NodeCount() >= before {
+						t.Fatalf("step %d: Compacted() at debt %.2f reclaimed no row", step, debt)
 					}
 					if d := fast.PackDebt(); d != 0 {
-						t.Fatalf("step %d: debt %.2f survives Repacked()", step, d)
+						t.Fatalf("step %d: debt %.2f survives Compacted()", step, d)
 					}
 					repacked = true
 				}
@@ -381,6 +382,108 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 			}
 			if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
 				t.Fatal("compacted delta image diverges from the cold build's")
+			}
+		})
+	}
+}
+
+// TestSavesMatchColdBuild pins the encoders to the cold build: along a
+// random add/replace/delete history of column appends and tombstones —
+// with sibling appends that make the kept branch copy its rows — the GKS3
+// snapshot and the GKS4 segment saved from the chained index are byte for
+// byte those of a cold index.Build of the survivors at the document
+// numbers their appends recorded.
+func TestSavesMatchColdBuild(t *testing.T) {
+	words := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"}
+	type survivor struct {
+		doc *Document
+		id  int32
+	}
+	images := func(ix *index.Index) (gks3, gks4 []byte) {
+		t.Helper()
+		var a, b bytes.Buffer
+		if err := ix.SaveSnapshot(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := segment.Write(&b, ix, segment.WriterOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return a.Bytes(), b.Bytes()
+	}
+	for trial := 0; trial < 3; trial++ {
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(900 + trial)))
+			live := map[string]survivor{}
+			var docs []*Document
+			for i := 0; i < 3; i++ {
+				d := bagDoc(fmt.Sprintf("d%d", i), rng, words)
+				docs = append(docs, d)
+				live[d.Name] = survivor{d, int32(i)}
+			}
+			ix := indexDocs(t, docs...).ix
+			appendDoc := func(doc *Document) {
+				t.Helper()
+				id := ix.NextDocID()
+				next, err := index.AppendAs(ix, doc, id, index.DefaultOptions())
+				if err != nil {
+					t.Fatalf("append %s: %v", doc.Name, err)
+				}
+				ix = next
+				live[doc.Name] = survivor{doc, id}
+			}
+			for step := 0; step < 20; step++ {
+				names := make([]string, 0, len(live))
+				for n := range live {
+					names = append(names, n)
+				}
+				sort.Strings(names)
+				switch op := rng.Intn(4); {
+				case op == 0 && len(names) > 1: // replace
+					name := names[rng.Intn(len(names))]
+					del, err := ix.DeleteDoc(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix = del
+					appendDoc(bagDoc(name, rng, words))
+				case op == 1 && len(names) > 1: // delete
+					name := names[rng.Intn(len(names))]
+					del, err := ix.DeleteDoc(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ix = del
+					delete(live, name)
+				case op == 2: // a sibling branch takes the claim first
+					if _, err := index.AppendAs(ix, bagDoc("sibling", rng, words), ix.NextDocID(), index.DefaultOptions()); err != nil {
+						t.Fatal(err)
+					}
+					appendDoc(bagDoc(fmt.Sprintf("s%d", step), rng, words))
+				default:
+					appendDoc(bagDoc(fmt.Sprintf("a%d", step), rng, words))
+				}
+				if step%5 != 4 {
+					continue
+				}
+				var sorted []*Document
+				for _, s := range live {
+					s.doc.DocID = s.id
+					s.doc.AssignIDs()
+					sorted = append(sorted, s.doc)
+				}
+				sort.Slice(sorted, func(i, j int) bool { return sorted[i].DocID < sorted[j].DocID })
+				cold, err := index.Build(&xmltree.Repository{Docs: sorted}, index.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				g3, g4 := images(ix)
+				c3, c4 := images(cold)
+				if !bytes.Equal(g3, c3) {
+					t.Fatalf("step %d: GKS3 snapshot of the chained index differs from the cold build's", step)
+				}
+				if !bytes.Equal(g4, c4) {
+					t.Fatalf("step %d: GKS4 segment of the chained index differs from the cold build's", step)
+				}
 			}
 		})
 	}

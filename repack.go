@@ -1,25 +1,22 @@
 package gks
 
-// Background pack maintenance for live ingestion. The delta-maintaining
-// pack (internal/index/packed_append.go) keeps every append O(document),
-// but the table it extends drifts from canonical: delta documents pack
-// against the frozen base shape table (no cross-document sharing with
-// the base), and deletes accumulate as tombstoned rows. PackDebt
-// measures that drift; RepackIfNeeded pays it down with one full
-// deterministic repack once it crosses a threshold — the LSM-style
-// amortization that bounds both memory bloat and the per-query cost of
-// skipping dead ordinals.
+// Background pack maintenance for live ingestion. An append extends the
+// node table's columns in place at O(document) cost, and a delete or a
+// replacement tombstones the old document's rows, which keep their place
+// in the table. PackDebt measures that garbage; RepackIfNeeded compacts
+// it away once it crosses a threshold — the LSM-style amortization that
+// bounds both memory bloat and the per-query cost of skipping dead
+// ordinals.
 
-// PackDebt reports the fraction of the node table that is garbage or past
-// the canonical pack: tombstoned rows plus delta-appended rows, over total
-// rows, in [0, 1]. Zero for a freshly packed, tombstone-free index.
+// PackDebt reports the fraction of the node table's rows that are
+// tombstoned, in [0, 1]. Zero for an index without deletes.
 func (s *System) PackDebt() float64 { return s.ix.PackDebt() }
 
 // Repacked returns a system whose pack debt has been paid: tombstones
-// compacted away and a packed table rebuilt by one full deterministic pack
-// of the surviving documents (index.Index.Repacked). The receiver keeps
+// compacted away, so the node table is the one a cold build of the
+// surviving documents holds (index.Index.Compacted). The receiver keeps
 // serving unchanged.
-func (s *System) Repacked() Searcher { return newSystem(s.ix.Repacked(), s.repo) }
+func (s *System) Repacked() Searcher { return newSystem(s.ix.Compacted(), s.repo) }
 
 // RepackIfNeeded returns sys.Repacked() when sys's pack debt is at or past
 // threshold; otherwise it returns sys unchanged. The rebuilt system is a

@@ -326,12 +326,12 @@ func TestWALReplayEqualsColdRebuild(t *testing.T) {
 }
 
 // TestWALReplayPacksOnce is the regression test for the boot-time write
-// collapse: replaying a K-record WAL tail must not unpack and re-pack the
-// whole node table once per upsert (O(N·K) boot cost). Each upsert is a
-// delta append; the one that replaces the base's highest-numbered
-// document takes that document's tombstoned number and packs the live
-// rows once. Replay must re-pack at most once regardless of K, and still
-// recover exactly the cold-rebuild state.
+// collapse: replaying a K-record WAL tail must not rewrite the whole node
+// table once per upsert (O(N·K) boot cost). Each upsert is a column
+// append; the one that replaces the base's highest-numbered document takes
+// that document's tombstoned number and compacts the live rows once. Only
+// a save encodes the DAG layout, so replay must run packNodes zero times
+// regardless of K, and still recover exactly the cold-rebuild state.
 func TestWALReplayPacksOnce(t *testing.T) {
 	type record struct {
 		op   wal.Op
@@ -417,8 +417,8 @@ func TestWALReplayPacksOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if packs := index.PackCount() - before; packs > 1 {
-				t.Errorf("replay of %d records ran packNodes %d times, want at most 1", len(tail.history), packs)
+			if packs := index.PackCount() - before; packs != 0 {
+				t.Errorf("replay of %d records ran packNodes %d times, want 0", len(tail.history), packs)
 			}
 			if applied == 0 {
 				t.Fatal("replay applied nothing")

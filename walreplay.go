@@ -36,11 +36,11 @@ import (
 //     fire transiently.
 //
 // Every Searcher replays the collapsed tail record by record through its
-// own Upsert and Remove. On a single index each upsert is a delta append
+// own Upsert and Remove. On a single index each upsert is a column append
 // at O(document) cost. Only an upsert that replaces the snapshot's
-// highest-numbered document makes index.AppendAs pack the live rows, and
-// only once: every later top document carries a name the collapsed tail
-// has already used.
+// highest-numbered document makes index.AppendAs compact the live rows,
+// and only once: every later top document carries a name the collapsed
+// tail has already used.
 //
 // Damage in the log (ErrCorrupt) or an unparsable logged document fails
 // the whole recovery: serving a partial history would silently drop
