@@ -20,10 +20,13 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# Short fuzz pass over the snapshot loader: arbitrary bytes fed to
-# index.Load must produce a typed error, never a panic or an unbounded
-# allocation. CI-sized; run with a longer -fuzztime when touching the
-# codec.
+# Short fuzz pass over the loaders: arbitrary bytes fed to index.Load
+# must produce a typed error, never a panic or an unbounded allocation.
+# FuzzLoad is seeded with the GKS3 snapshot the loader reads and with each
+# legacy image it rejects — a gob stream, GKSI version 2 in GKS3, a bare
+# GKSI image, GKS3 around gob or around GKS3; FuzzLoadSegment with GKS4
+# version 2 and the version-1 and older-meta segments it rejects.
+# CI-sized; run with a longer -fuzztime when touching the codec.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/index
 	$(GO) test -run '^$$' -fuzz FuzzLoadManifest -fuzztime 10s ./internal/shard
@@ -46,17 +49,21 @@ segment-smoke:
 	$(GO) test -race -count=1 -run 'TestRecordFilterMatchesLockstep' ./internal/core
 
 # Node-table smoke: the accessor oracle (every accessor at every ordinal
-# against the builder's flat rows, fresh, along random mutation histories
-# and after re-categorization), the pin that every index constructor
-# returns a sealed column table, and the differential property tests —
+# against the rows of the independent reference builder, fresh, along
+# random mutation histories and after re-categorization), the pin that
+# every index constructor returns a valid column table, the builder's two
+# drivers against each other and its linear cost in depth, the rejection
+# of legacy images, and the differential property tests —
 # built vs reloaded systems, mutation histories (Compacted() vs cold
 # rebuild), column appends vs cold builds, saves vs cold builds' images,
 # concurrent search — plus the segment differentials, which exercise the
 # DAG meta codec through save/reload churn. All under the race detector;
-# then one pass of the in-process rank_heavy benchmarks.
+# then one pass of the build benchmarks and of the in-process rank_heavy
+# benchmarks.
 dag-smoke:
 	$(GO) test -race -count=1 -run 'TestPacked|TestSavesMatchColdBuild|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
-	$(GO) test -race -count=1 -run 'TestAccessorOracle|TestEveryConstructorReturnsPacked|TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
+	$(GO) test -race -count=1 -run 'TestAccessorOracle|TestEveryConstructorReturnsPacked|TestPack|TestNodeTableBytes|TestRandomMutations|TestStreamEqualsTree|TestBuildStreamFiles|TestBuildLinearInDepth|TestLegacyImagesRejected' ./internal/index
+	$(GO) test -count=1 -run '^$$' -bench 'Build' -benchtime 1x ./internal/index
 	$(GO) test -count=1 -run '^$$' -bench 'RankHeavy' -benchtime 1x ./internal/server
 
 # Live-ingestion smoke: the full HTTP mutation lifecycle (add → replace →

@@ -194,8 +194,8 @@ func IndexFilesLenient(paths ...string) (*System, []FileError, error) {
 }
 
 // IndexFilesStreaming indexes the XML files in a single streaming pass
-// each, without materializing the document trees — peak memory is
-// O(depth + index), which is how the paper-scale 1.45 GB DBLP dump fits on
+// each, without materializing the document trees — peak memory is the
+// index plus scratch linear in the depth, which is how the paper-scale 1.45 GB DBLP dump fits on
 // a laptop. Tree-dependent features (Chunk, Snippet, XPath)
 // are unavailable on the resulting system; everything else behaves
 // identically to IndexFiles (the two builds produce equal indexes).
@@ -213,8 +213,10 @@ func IndexFilesStreaming(paths ...string) (*System, error) {
 // paths use it to distinguish a bad snapshot from a missing one.
 var ErrCorruptIndex = index.ErrCorrupt
 
-// LoadIndex restores a system from an index stream of any eager format
-// (SaveSnapshot's GKS3, bare GKSI, or a legacy gob image). Result chunks (Chunk) are unavailable without the documents.
+// LoadIndex restores a system from a GKS3 snapshot stream (SaveSnapshot).
+// Older images — gob, GKSI version 2, a bare GKSI image — fail with
+// ErrCorruptIndex as unsupported and must be re-indexed from their XML.
+// Result chunks (Chunk) are unavailable without the documents.
 func LoadIndex(r io.Reader) (*System, error) {
 	ix, err := index.Load(r)
 	if err != nil {
@@ -223,10 +225,11 @@ func LoadIndex(r io.Reader) (*System, error) {
 	return newSystem(ix, nil), nil
 }
 
-// LoadIndexFile restores a system from an index file of any persisted
-// format: a GKS4 segment is opened lazily (footer + meta only, posting
-// blocks fetched on demand behind the default block cache); GKS3/GKSI/gob
-// files decode fully into memory as before.
+// LoadIndexFile restores a system from an index file in either format
+// this build writes: a GKS4 version-2 segment is opened lazily (footer +
+// meta only, posting blocks fetched on demand behind the default block
+// cache); a GKS3 snapshot decodes fully into memory. Any other file, an
+// older generation included, fails with ErrCorruptIndex.
 func LoadIndexFile(path string) (*System, error) {
 	return LoadIndexFileOpts(path, SegmentOptions{})
 }
@@ -297,10 +300,8 @@ func newSystem(ix *index.Index, repo *xmltree.Repository) *System {
 func (s *System) Packed() *System { return s }
 
 // SaveIndexFile persists the index ("a onetime activity", §2.4) to a file
-// in the checksummed snapshot format (v3), atomically: a crash or full
-// disk mid-save never destroys a previous snapshot at path. The legacy gob
-// format is import-only: LoadIndex and LoadIndexFile still read it,
-// nothing writes it.
+// in the checksummed snapshot format (GKS3), atomically: a crash or full
+// disk mid-save never destroys a previous snapshot at path.
 func (s *System) SaveIndexFile(path string) error { return s.ix.SaveFile(path) }
 
 // SaveSnapshot streams the index in the checksummed snapshot format (v3)
@@ -321,8 +322,8 @@ func (s *System) SaveSegmentFile(path string) error {
 
 // ReadIndexStats returns the statistics of a persisted index at path
 // without building a searchable system: a GKS4 segment reads only its
-// footer (no posting block, not even the node table is decoded); a GKS3,
-// GKSI or gob file is loaded in full, which verifies it.
+// footer (no posting block, not even the node table is decoded); a GKS3
+// snapshot is loaded in full, which verifies it.
 func ReadIndexStats(path string) (IndexStats, error) {
 	if segment.IsSegmentFile(path) {
 		return segment.ReadStats(path)

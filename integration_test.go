@@ -88,9 +88,8 @@ func TestFullPipeline(t *testing.T) {
 	}
 }
 
-// TestBinaryIndexThroughFacade checks the binary format flows through the
-// public API: save via the index layer, load via the facade's
-// auto-detection.
+// TestBinaryIndexThroughFacade checks the snapshot format flows through
+// the public API: save via the index layer, load via the facade.
 func TestBinaryIndexThroughFacade(t *testing.T) {
 	doc, err := gks.ParseDocumentString(`<lib>
   <book><title>systems</title><author>Ann</author><author>Bob</author></book>
@@ -106,7 +105,7 @@ func TestBinaryIndexThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := gks.LoadIndex(&buf)

@@ -43,7 +43,7 @@ func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Ind
 	oldID := doc.DocID
 	// Validation (and any Build failure) happens before the base is
 	// touched and restores doc on error.
-	partial, err := buildDocumentAs(doc, docID, opts)
+	partial, err := BuildDocumentAs(doc, docID, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,39 +2,33 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
-	"repro/internal/dewey"
 	"repro/internal/postings"
 )
 
-// Binary index format ("GKSI"): a compact, self-describing serialization
-// that stores posting lists delta-varint compressed (internal/postings).
-// It is substantially smaller and faster to decode than the legacy gob
-// format (v1); Load and LoadFile auto-detect the format from the leading
-// magic bytes.
+// Binary index image ("GKSI"): the payload of the GKS3 snapshot envelope
+// (snapshot.go), which is the only place it is written or read. Posting
+// lists are delta-varint compressed (internal/postings).
 //
 // Layout (all integers unsigned varints unless noted):
 //
-//	magic "GKSI" | version
+//	magic "GKSI" | version (= 3)
 //	labels:   count, then len+bytes each
 //	docs:     count, then len+bytes each
-//	nodes:    the node table (see writeMetaPacked and readFlatNodes)
+//	nodes:    the node table's DAG encoding (see writeMeta)
 //	postings: count, then per keyword:
 //	            keyLen keyBytes n deltaVarints...
 //	stats:    fixed sequence of varints
-const binaryMagic = "GKSI"
-
-// SaveBinary writes version 3, whose node section is the DAG encoding of
-// dag.go. Version 2 stored the flat table, one record per node —
-// dewey(binary codec) label cat(byte) childCount subtree parent+1
-// hasValue(byte) [valueLen valueBytes] — and is still read: the loader
-// seals it into columns.
+//
+// Version 3 is the only version read. Version 2 stored a flat record per
+// node with its full Dewey path; it is no longer read, and such an image
+// fails as unsupported.
 const (
-	binaryVersionFlat   = 2
+	binaryMagic         = "GKSI"
 	binaryVersionPacked = 3
 )
 
@@ -57,7 +51,7 @@ func (w *binWriter) str(s string) {
 
 // writeMetaPacked writes the labels/docs sections followed by the node
 // table's DAG encoding (dag.go), packed from the columns — the part of the
-// format shared between SaveBinary and the GKS4 segment meta section —
+// format shared between the GKSI image and the GKS4 segment meta section —
 // and returns the encoding's value arena. When inlineArena is false the
 // arena's bytes are left out (its length is still written): the caller
 // stores them elsewhere. The table must be compacted.
@@ -137,15 +131,13 @@ func (w *binWriter) writeMeta(ix *Index, p *dagImage, inlineArena bool) {
 	}
 }
 
-// The packed-meta version follows the leading 0 of a packed meta section.
-// The 0 tells it from the flat layout older writers produced, which starts
-// with the label count, at least 1 on any buildable index. Version 1 holds
-// the value arena inline (GKS4 version 1); version 2 holds only its length
-// and takes the bytes from outside (GKS4 version 2's values section).
-const (
-	metaInlineArena   = 1
-	metaExternalArena = 2
-)
+// The packed-meta version follows the leading 0 of a GKS4 meta section.
+// Version 2, the only one read, holds the value arena's length but not its
+// bytes, which GKS4 version 2 keeps in a values section of its own. The
+// older meta sections — version 1 with the arena inline, and the flat
+// per-node layout, which starts with the label count instead of 0 — fail
+// as unsupported.
+const metaExternalArena = 2
 
 // EncodeMeta writes the labels, document names and node table without
 // magic framing: a 0 sentinel, packed-meta version 2 and the DAG encoding
@@ -158,19 +150,19 @@ func EncodeMeta(w io.Writer, ix *Index) (arena []byte, err error) {
 	bw.uvarint(0)
 	bw.uvarint(metaExternalArena)
 	arena = bw.writeMetaPacked(ix, false)
-	// Non-nil even when empty: DecodeMeta tells the two meta versions
-	// apart by whether an arena is given.
+	// Non-nil even when empty: DecodeMeta requires an arena.
 	if arena == nil {
 		arena = []byte{}
 	}
 	return arena, bw.bw.Flush()
 }
 
-// SaveBinary writes the index in the compact binary format. A tombstoned
-// index is compacted first — the on-disk formats have no notion of a
-// delete mask — and a lazily-backed index streams its lists from the
-// source one at a time, so serializing never materializes the postings.
-func (ix *Index) SaveBinary(w io.Writer) error {
+// saveBinary writes the index as a GKSI image, the payload SaveSnapshot
+// seals. A tombstoned index is compacted first — the on-disk formats have
+// no notion of a delete mask — and a lazily-backed index streams its lists
+// from the source one at a time, so serializing never materializes the
+// postings.
+func (ix *Index) saveBinary(w io.Writer) error {
 	ix = ix.Compacted()
 	bw := &binWriter{bw: bufio.NewWriter(w)}
 
@@ -301,19 +293,23 @@ func (d *decoder) i32(what string, bias int64) (int32, error) {
 	return int32(u), nil
 }
 
-// loadBinaryAfterMagic decodes a GKSI stream whose magic has been consumed;
-// size bounds the bytes plausibly remaining in br (< 0 when unknown).
-func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
-	d := &decoder{br: br, size: size}
+// loadBinary decodes the GKSI image payload, the verified payload of a
+// GKS3 snapshot; its length bounds every allocation.
+func loadBinary(payload []byte) (*Index, error) {
+	body, ok := bytes.CutPrefix(payload, []byte(binaryMagic))
+	if !ok {
+		return nil, corruptf("binary load: unsupported snapshot payload: not a GKSI image")
+	}
+	d := &decoder{br: bufio.NewReader(bytes.NewReader(body)), size: int64(len(body))}
 	version, err := d.uvarint()
 	if err != nil {
 		return nil, fail("version", err)
 	}
-	if version != binaryVersionFlat && version != binaryVersionPacked {
-		return nil, corruptf("binary load: unsupported version %d", version)
+	if version != binaryVersionPacked {
+		return nil, corruptf("binary load: unsupported GKSI version %d", version)
 	}
 	ix := &Index{Postings: make(map[string][]int32), labelIDs: make(map[string]int32)}
-	if err := d.readMeta(ix, version == binaryVersionPacked, nil); err != nil {
+	if err := d.readMeta(ix, nil); err != nil {
 		return nil, err
 	}
 
@@ -365,36 +361,30 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 // DecodeMeta reads the labels/docs/nodes sections written by EncodeMeta
 // into a fresh Index with no posting lists and zero statistics —
 // the skeleton internal/segment hands to NewLazy. arena is the value arena
-// EncodeMeta returned, and becomes the index's own; it must be nil for a
-// meta section that holds its arena inline (packed-meta version 1, or a
-// flat meta section from an older writer, which is sealed on the way in).
-// size bounds allocations as in Load; damaged input fails with ErrCorrupt.
+// EncodeMeta returned, and becomes the index's own. size bounds
+// allocations as in Load; damaged input, and a meta section of an older
+// layout, fail with ErrCorrupt.
 func DecodeMeta(r io.Reader, size int64, arena []byte) (*Index, error) {
 	d := &decoder{br: bufio.NewReader(r), size: size}
-	lead, err := d.br.Peek(1)
+	lead, err := d.uvarint()
 	if err != nil {
 		return nil, corruptf("binary load: meta lead: %v", err)
 	}
-	packed, external := lead[0] == 0, false
-	if packed {
-		d.br.Discard(1)
-		ver, err := d.uvarint()
-		if err != nil {
-			return nil, corruptf("binary load: packed meta version: %v", err)
-		}
-		if ver != metaInlineArena && ver != metaExternalArena {
-			return nil, corruptf("binary load: unsupported packed meta version %d", ver)
-		}
-		external = ver == metaExternalArena
+	if lead != 0 {
+		return nil, corruptf("binary load: unsupported meta section: flat node records")
 	}
-	if external && arena == nil {
+	ver, err := d.uvarint()
+	if err != nil {
+		return nil, corruptf("binary load: packed meta version: %v", err)
+	}
+	if ver != metaExternalArena {
+		return nil, corruptf("binary load: unsupported packed meta version %d", ver)
+	}
+	if arena == nil {
 		return nil, corruptf("binary load: packed meta version %d needs its value arena", metaExternalArena)
 	}
-	if !external && arena != nil {
-		return nil, corruptf("binary load: meta holds its value arena inline, but one was given")
-	}
 	ix := &Index{labelIDs: make(map[string]int32)}
-	if err := d.readMeta(ix, packed, arena); err != nil {
+	if err := d.readMeta(ix, arena); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -402,7 +392,7 @@ func DecodeMeta(r io.Reader, size int64, arena []byte) (*Index, error) {
 
 // readMeta decodes the labels, document names and node table into ix. A
 // non-nil arena replaces the encoding's inline value arena.
-func (d *decoder) readMeta(ix *Index, packed bool, arena []byte) error {
+func (d *decoder) readMeta(ix *Index, arena []byte) error {
 	nLabels, err := d.count("label count", 1, 1<<31)
 	if err != nil {
 		return err
@@ -426,78 +416,7 @@ func (d *decoder) readMeta(ix *Index, packed bool, arena []byte) error {
 		}
 		ix.DocNames = append(ix.DocNames, name)
 	}
-	if packed {
-		return d.readPackedNodes(ix, arena)
-	}
-	return d.readFlatNodes(ix)
-}
-
-// readFlatNodes decodes a version-2 flat node table — one record per node
-// — and seals it into columns.
-func (d *decoder) readFlatNodes(ix *Index) error {
-	// A serialized node is at least 8 bytes (2 dewey varints + label +
-	// category + child count + subtree + parent + has-value flag).
-	nNodes, err := d.count("node count", 8, 1<<31)
-	if err != nil {
-		return err
-	}
-	ix.nodes = make([]NodeInfo, 0, min(nNodes, preallocCap))
-	for i := 0; i < nNodes; i++ {
-		var n NodeInfo
-		if n.ID, err = readDewey(d.br); err != nil {
-			return fail("dewey", err)
-		}
-		if n.Label, err = d.i32("node label", 0); err != nil {
-			return err
-		}
-		cat, err := d.br.ReadByte()
-		if err != nil {
-			return fail("node category", err)
-		}
-		n.Cat = Category(cat)
-		if n.ChildCount, err = d.i32("child count", 0); err != nil {
-			return err
-		}
-		if n.Subtree, err = d.i32("subtree", 0); err != nil {
-			return err
-		}
-		if n.Parent, err = d.i32("parent", 1); err != nil {
-			return err
-		}
-		hv, err := d.br.ReadByte()
-		if err != nil {
-			return fail("has-value flag", err)
-		}
-		if hv == 1 {
-			n.HasValue = true
-			if n.Value, err = d.str(); err != nil {
-				return fail("value", err)
-			}
-		}
-		ix.nodes = append(ix.nodes, n)
-	}
-	return ix.sealImported()
-}
-
-// sealImported seals the flat table of a legacy image — flat GKSI v2, gob
-// v1 or a flat GKS4 meta section, the only places a flat table is read.
-// Sealing walks subtree ranges and reads Dewey paths blindly, so those are
-// checked first; the columns must then pass the full validation.
-func (ix *Index) sealImported() error {
-	n := len(ix.nodes)
-	for i := range ix.nodes {
-		nd := &ix.nodes[i]
-		if nd.Subtree < 1 || int64(i)+int64(nd.Subtree) > int64(n) {
-			return corruptf("binary load: flat node %d: subtree size %d overruns %d nodes", i, nd.Subtree, n)
-		}
-		if len(nd.ID.Path) == 0 {
-			return corruptf("binary load: flat node %d: empty Dewey path", i)
-		}
-	}
-	if err := ix.seal().validateNodes(); err != nil {
-		return corruptf("binary load: %v", err)
-	}
-	return nil
+	return d.readPackedNodes(ix, arena)
 }
 
 // readPackedNodes decodes the writeMeta node image, checks it and expands
@@ -734,33 +653,9 @@ func (d *decoder) readPackedNodes(ix *Index, arena []byte) error {
 	if err := c.validateLayout(len(ix.Labels)); err != nil {
 		return corruptf("binary load: %v", err)
 	}
-	c.recStart = c.appendRecords(nil, 0)
+	c.recStart = c.records()
 	if err := c.validateRecords(); err != nil {
 		return corruptf("binary load: %v", err)
 	}
 	return nil
-}
-
-// readDewey decodes one varint-framed Dewey ID from the reader.
-func readDewey(br *bufio.Reader) (dewey.ID, error) {
-	doc, err := binary.ReadUvarint(br)
-	if err != nil {
-		return dewey.ID{}, err
-	}
-	length, err := binary.ReadUvarint(br)
-	if err != nil {
-		return dewey.ID{}, err
-	}
-	if length > 1<<20 {
-		return dewey.ID{}, fmt.Errorf("implausible path length %d", length)
-	}
-	path := make([]int32, length)
-	for i := range path {
-		c, err := binary.ReadUvarint(br)
-		if err != nil {
-			return dewey.ID{}, err
-		}
-		path[i] = int32(uint32(c))
-	}
-	return dewey.ID{Doc: int32(uint32(doc)), Path: path}, nil
 }

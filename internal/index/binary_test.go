@@ -12,7 +12,7 @@ import (
 func TestBinaryRoundTrip(t *testing.T) {
 	ix := buildFig2a(t)
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()))
@@ -20,23 +20,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIndexesEqual(t, ix, back)
-}
-
-func TestLoadAutoDetectsBinary(t *testing.T) {
-	ix := buildFig2a(t)
-	var bin bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := Load(&bin)
-	if err != nil {
-		t.Fatalf("auto-detect binary: %v", err)
-	}
-	fromGob, err := Load(bytes.NewReader(gobV1Image(t, ix)))
-	if err != nil {
-		t.Fatalf("auto-detect gob: %v", err)
-	}
-	assertIndexesEqual(t, fromBin, fromGob)
 }
 
 func TestBinaryRoundTripLargeDataset(t *testing.T) {
@@ -46,7 +29,7 @@ func TestBinaryRoundTripLargeDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()))
@@ -56,24 +39,6 @@ func TestBinaryRoundTripLargeDataset(t *testing.T) {
 	assertIndexesEqual(t, ix, back)
 }
 
-func TestBinarySmallerThanGob(t *testing.T) {
-	doc := datagen.SwissProt(datagen.Config{Seed: 3})
-	ix, err := BuildDocument(doc, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	gobLen := len(gobV1Image(t, ix))
-	if bin.Len() >= gobLen {
-		t.Errorf("binary format (%d bytes) should beat gob (%d bytes)", bin.Len(), gobLen)
-	}
-	t.Logf("binary %d bytes vs gob %d bytes (%.1f%%)",
-		bin.Len(), gobLen, 100*float64(bin.Len())/float64(gobLen))
-}
-
 func TestBinaryLoadErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input must fail")
@@ -81,13 +46,13 @@ func TestBinaryLoadErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("NOPE"))); err == nil {
 		t.Error("bad magic must fail")
 	}
-	if _, err := Load(bytes.NewReader([]byte("GKSI\x63"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("GKS3\x01\x63"))); err == nil {
 		t.Error("bad version must fail")
 	}
 	// Truncations at every prefix length must fail, not panic.
 	ix := buildFig2a(t)
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -104,10 +69,10 @@ func TestBinaryLoadErrors(t *testing.T) {
 func TestBinaryDeterministic(t *testing.T) {
 	ix := buildFig2a(t)
 	var a, b bytes.Buffer
-	if err := ix.SaveBinary(&a); err != nil {
+	if err := ix.SaveSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveBinary(&b); err != nil {
+	if err := ix.SaveSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -164,7 +129,7 @@ func TestMultiDocBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(&buf)

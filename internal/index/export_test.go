@@ -12,8 +12,8 @@ import (
 // PackedRepos is packedRepos.
 var PackedRepos = packedRepos
 
-// AssertRecategorized runs the accessor oracle on ix against the builder's
-// flat table for repo with cats installed on every row.
+// AssertRecategorized runs the accessor oracle on ix against the reference
+// table of repo with cats installed on every row.
 func AssertRecategorized(t *testing.T, label string, repo *xmltree.Repository, cats []Category, ix *Index) {
 	t.Helper()
 	want := flatBuild(t, repo)

@@ -7,27 +7,27 @@ import (
 	"repro/internal/xmltree"
 )
 
-// FuzzLoad drives the auto-detecting loader with mutated images of every
-// format it reads — gob v1, GKSI and the checksummed GKS3 envelope, each
-// with the flat node table older builds wrote and (GKSI, GKS3) with the
-// packed one written today — plus adversarial stubs. The contract under fuzzing: Load returns an index or
-// an error — it never panics, and the bounded pre-allocation means a
-// corrupt header cannot demand an unbounded slice (the harness would OOM).
-// An input that happens to decode must also survive Validate and a
-// re-save round trip without crashing.
+// FuzzLoad drives the loader with mutated images: the GKS3 snapshot it
+// reads, every legacy generation it rejects (legacyImages: gob, GKSI
+// version 2, bare GKSI, GKS3 around gob or GKS3), plus adversarial stubs.
+// The contract under fuzzing: Load returns an index or an error — it never
+// panics, and the bounded pre-allocation means a corrupt header cannot
+// demand an unbounded slice (the harness would OOM). An input that happens
+// to decode must also survive Validate and a re-save round trip without
+// crashing.
 func FuzzLoad(f *testing.F) {
 	ix, err := BuildDocument(xmltree.BuildFigure2a(), DefaultOptions())
 	if err != nil {
 		f.Fatal(err)
 	}
-	var binP, snapP bytes.Buffer
-	if err := ix.SaveBinary(&binP); err != nil {
+	var snap bytes.Buffer
+	if err := ix.SaveSnapshot(&snap); err != nil {
 		f.Fatal(err)
 	}
-	if err := ix.SaveSnapshot(&snapP); err != nil {
-		f.Fatal(err)
+	images := [][]byte{snap.Bytes()}
+	for _, c := range legacyImages(f, ix) {
+		images = append(images, c.img)
 	}
-	images := [][]byte{gobV1Image(f, ix), flatGKSI(f, ix), flatGKS3(f, ix), binP.Bytes(), snapP.Bytes()}
 	for _, img := range images {
 		f.Add(img)
 	}
@@ -38,7 +38,7 @@ func FuzzLoad(f *testing.F) {
 	for _, img := range damagedNodeImages(f, ix) {
 		f.Add(img)
 	}
-	// Truncations and flips of each format seed the interesting paths.
+	// Truncations and flips of each image seed the interesting paths.
 	for _, img := range images {
 		f.Add(img[:len(img)/2])
 		f.Add(img[:min(len(img), 10)])

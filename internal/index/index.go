@@ -5,12 +5,13 @@
 // hash tables with direct-child counts that the search and ranking engines
 // consume.
 //
-// The index is built in a single pass over a parsed repository. Element
-// nodes are stored in pre-order, which equals Dewey (document) order, so the
-// subtree of a node occupies a contiguous ordinal range — the invariant the
-// GKS search algorithm exploits. The node table every index serves from is
-// the column table of packed.go, one row per ordinal; the flat []NodeInfo
-// form exists only while a builder fills it.
+// The index is built in a single pass over each document's pre-order
+// arrival (build.go), from a parsed tree or straight from the XML tokens.
+// Element nodes are stored in pre-order, which equals Dewey (document)
+// order, so the subtree of a node occupies a contiguous ordinal range — the
+// invariant the GKS search algorithm exploits. The node table every index
+// serves from is the column table of packed.go, one row per ordinal, which
+// the builder writes as it reads.
 package index
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/textproc"
-	"repro/internal/xmltree"
 )
 
 // Category is a bit set of node categories per §2.2. A node can carry more
@@ -63,33 +63,6 @@ func (c Category) String() string {
 	return s
 }
 
-// NodeInfo is the per-element record kept by the index. It subsumes the
-// paper's entityHash and elementHash (§2.4): both hash tables "store the
-// number of direct children each node has", which is exactly ChildCount.
-type NodeInfo struct {
-	// ID is the node's Dewey identifier.
-	ID dewey.ID
-	// Label is an index into Index.Labels.
-	Label int32
-	// Cat is the node's category bit set.
-	Cat Category
-	// ChildCount is the number of direct children (elements and text
-	// nodes); it is the divisor of the potential-flow ranking model (§5).
-	ChildCount int32
-	// Subtree is the number of element nodes in the subtree rooted here,
-	// including the node itself; [ord, ord+Subtree) is the subtree's
-	// ordinal range.
-	Subtree int32
-	// Parent is the ordinal of the parent element, or -1 for a document
-	// root.
-	Parent int32
-	// HasValue reports whether the element directly contains text (the
-	// paper's "text node"); such nodes carry postings and feed DI.
-	HasValue bool
-	// Value is the concatenated direct text content for HasValue nodes.
-	Value string
-}
-
 // Index is the complete GKS index for one repository.
 type Index struct {
 	// Labels is the interned element-label table.
@@ -120,11 +93,6 @@ type Index struct {
 	// pre-order (Dewey order), read through the accessor methods below.
 	// See packed.go.
 	cols *nodeColumns
-
-	// nodes is the builders' scratch: the flat pre-order table of an index
-	// under construction. seal turns it into cols and drops it, so no
-	// index a constructor returns holds it.
-	nodes []NodeInfo
 }
 
 // Stats aggregates the counters reported in the paper's §7.1–7.2.
@@ -157,10 +125,9 @@ type Options struct {
 
 // SizeHint carries expected sizes for Build's backing structures.
 type SizeHint struct {
-	// Nodes is the expected element-node count (capacity of the builder's
-	// flat node table — NodeInfo is large, so avoiding re-growth of this
-	// table is the biggest single saving). Zero counts the repository's
-	// elements instead.
+	// Nodes is the expected element-node count: the capacity of each
+	// column of the node table the builder writes, so no column re-grows.
+	// Zero counts the repository's elements instead.
 	Nodes int
 	// Terms is the expected number of distinct keywords (initial size of
 	// the postings map).
@@ -172,260 +139,6 @@ type SizeHint struct {
 
 // DefaultOptions returns the configuration used by the paper's system.
 func DefaultOptions() Options { return Options{IndexElementNames: true} }
-
-// Build indexes the repository in one pass.
-func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
-	return sealing(buildFlat(repo, opts))
-}
-
-// buildFlat is Build without the final seal: the builders' flat table,
-// which the column append consumes.
-func buildFlat(repo *xmltree.Repository, opts Options) (*Index, error) {
-	if repo == nil || len(repo.Docs) == 0 {
-		return nil, fmt.Errorf("index: empty repository")
-	}
-	ix := &Index{
-		Postings: make(map[string][]int32, opts.Hint.Terms),
-		labelIDs: make(map[string]int32),
-	}
-	nodes := opts.Hint.Nodes
-	if nodes <= 0 {
-		// Count the rows instead: the flat table is the builder's largest
-		// structure, and growing it by doubling copies it and leaves each
-		// old copy for the collector to scan.
-		for _, doc := range repo.Docs {
-			if doc.Root != nil {
-				nodes += doc.ElementCount()
-			}
-		}
-	}
-	ix.nodes = make([]NodeInfo, 0, nodes)
-	b := builder{ix: ix, opts: opts, norm: textproc.NewMemo()}
-	if opts.Hint.Terms > 0 && opts.Hint.Postings > opts.Hint.Terms {
-		b.listCap = opts.Hint.Postings / opts.Hint.Terms
-	}
-	for _, doc := range repo.Docs {
-		if doc.Root == nil {
-			return nil, fmt.Errorf("index: document %q has no root", doc.Name)
-		}
-		if !doc.Root.IsElement() {
-			return nil, fmt.Errorf("index: document %q root is not an element", doc.Name)
-		}
-		ix.DocNames = append(ix.DocNames, doc.Name)
-		b.walk(doc.Root, false, -1, 0)
-	}
-	ix.finalizeStats()
-	return ix, nil
-}
-
-// BuildDocument indexes a single document as a one-document repository.
-func BuildDocument(doc *xmltree.Document, opts Options) (*Index, error) {
-	return Build(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
-}
-
-type builder struct {
-	ix   *Index
-	opts Options
-	norm *textproc.Memo
-	// listCap seeds the capacity of new posting lists (average postings
-	// per term from Options.Hint), 0 to grow on demand.
-	listCap int
-}
-
-// walk classifies n, appends its NodeInfo, indexes its keywords and returns
-// the attribute/repeating visibility of n's subtree as seen from its parent
-// (§2.2): qualAttr is true when the subtree exposes an attribute node not
-// hidden inside a repeating node; repVis is true when it exposes a
-// repeating-node endpoint.
-func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qualAttr, repVis bool) {
-	ix := b.ix
-	ord := int32(len(ix.nodes))
-	ix.nodes = append(ix.nodes, NodeInfo{
-		ID:         n.ID,
-		Label:      b.labelID(n.Label),
-		ChildCount: int32(len(n.Children)),
-		Parent:     parent,
-	})
-	if depth > ix.Stats.MaxDepth {
-		ix.Stats.MaxDepth = depth
-	}
-
-	// Inverted-index entries are emitted pre-order so every posting list is
-	// automatically sorted in Dewey order (§2.4). The label keyword seeds
-	// the value-token dedup: a text value containing the element's own name
-	// (an <author> node whose text says "author") must not post the same
-	// ordinal twice — posting lists are strictly increasing by invariant,
-	// and the codec enforces it.
-	var labelKey string
-	if b.opts.IndexElementNames {
-		if key := b.norm.NormalizeKeyword(n.Label); key != "" {
-			b.post(key, ord)
-			labelKey = key
-		}
-	}
-	value, hasText := directTextValue(n)
-	if hasText {
-		ix.Stats.TextNodes += countTextChildren(n)
-		seen := map[string]bool{}
-		if labelKey != "" {
-			seen[labelKey] = true
-		}
-		for _, tok := range b.norm.Normalize(value) {
-			if !seen[tok] {
-				seen[tok] = true
-				b.post(tok, ord)
-			}
-		}
-	}
-
-	// Count same-label element siblings among n's children to decide which
-	// children are repeating (Def 2.1.2).
-	labelCount := make(map[string]int, len(n.Children))
-	for _, c := range n.Children {
-		if c.IsElement() {
-			labelCount[c.Label]++
-		}
-	}
-
-	// Recurse, collecting per-child visibility for the entity test.
-	var attrChildren, repChildren, bothChildren int
-	for _, c := range n.Children {
-		if !c.IsElement() {
-			continue
-		}
-		qa, rv := b.walk(c, labelCount[c.Label] > 1, ord, depth+1)
-		switch {
-		case qa && rv:
-			bothChildren++
-		case qa:
-			attrChildren++
-		case rv:
-			repChildren++
-		}
-	}
-
-	info := &ix.nodes[ord]
-	info.Subtree = int32(len(ix.nodes)) - ord
-	if hasText {
-		info.HasValue = true
-		info.Value = value
-	}
-
-	// Classify (Defs 2.1.1–2.1.4).
-	directValue := n.DirectlyContainsValue()
-	var cat Category
-	switch {
-	case directValue && isRep:
-		// "A node that directly contains its value and also has siblings
-		// with the same XML tag is considered a repeating node."
-		cat = Repeating
-	case directValue:
-		cat = Attribute
-	default:
-		if isRep {
-			cat |= Repeating
-		}
-		if entityTest(attrChildren, repChildren, bothChildren) {
-			cat |= Entity
-		}
-		if cat == 0 {
-			// Connecting = none of AN/RN/EN (Def 2.1.4).
-			cat = Connecting
-		}
-	}
-	info.Cat = cat
-
-	// Visibility propagated to the parent.
-	switch {
-	case cat&Repeating != 0:
-		// A repeating node is itself a repeating endpoint and hides any
-		// attribute nodes inside it (Def 2.1.3: attributes "do not occur in
-		// any repeating node").
-		return false, true
-	case cat == Attribute:
-		return true, false
-	default:
-		qa := attrChildren+bothChildren > 0
-		rv := repChildren+bothChildren > 0
-		return qa, rv
-	}
-}
-
-// entityTest implements Def 2.1.3: the node is the *lowest* common ancestor
-// of a qualifying attribute node and a repeating group exactly when the
-// attribute and the repeating endpoint are exposed by two distinct children
-// (if a single child exposed both, that child's subtree would contain the
-// whole set and the LCA would be deeper).
-func entityTest(attr, rep, both int) bool {
-	switch {
-	case both >= 2:
-		return true
-	case both == 1:
-		return attr+rep >= 1
-	default:
-		return attr >= 1 && rep >= 1
-	}
-}
-
-// directTextValue returns the concatenated direct text of n and whether it
-// has any text children.
-func directTextValue(n *xmltree.Node) (string, bool) {
-	has := false
-	for _, c := range n.Children {
-		if !c.IsElement() {
-			has = true
-			break
-		}
-	}
-	if !has {
-		return "", false
-	}
-	return n.Value(), true
-}
-
-func countTextChildren(n *xmltree.Node) int {
-	count := 0
-	for _, c := range n.Children {
-		if !c.IsElement() {
-			count++
-		}
-	}
-	return count
-}
-
-func (b *builder) labelID(label string) int32 {
-	if id, ok := b.ix.labelIDs[label]; ok {
-		return id
-	}
-	id := int32(len(b.ix.Labels))
-	b.ix.Labels = append(b.ix.Labels, label)
-	b.ix.labelIDs[label] = id
-	return id
-}
-
-func (b *builder) post(keyword string, ord int32) {
-	list, ok := b.ix.Postings[keyword]
-	if !ok && b.listCap > 0 {
-		list = make([]int32, 0, b.listCap)
-	}
-	b.ix.Postings[keyword] = append(list, ord)
-}
-
-// finalizeStats completes a builder's statistics from its flat table.
-func (ix *Index) finalizeStats() {
-	s := &ix.Stats
-	s.Documents = len(ix.DocNames)
-	s.ElementNodes = len(ix.nodes)
-	s.AttributeNodes, s.RepeatingNodes, s.EntityNodes, s.ConnectingNodes = 0, 0, 0, 0
-	for i := range ix.nodes {
-		s.addCategory(ix.nodes[i].Cat)
-	}
-	s.DistinctKeywords = len(ix.Postings)
-	s.PostingEntries = 0
-	for _, p := range ix.Postings {
-		s.PostingEntries += len(p)
-	}
-}
 
 // refreshCategoryStats recomputes the category counters after a
 // re-categorization. Only live nodes are counted, so a tombstoned index

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"sort"
 	"testing"
 
@@ -313,31 +312,15 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// gobV1Image encodes an eager index in the legacy gob format (v1), whose
-// node table is flat. The writer is gone from the package; Load must keep
-// reading the images older builds left behind, so the tests make their
-// own.
-func gobV1Image(tb testing.TB, ix *Index) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	p := persisted{
-		Version:  formatVersion,
-		Labels:   ix.Labels,
-		Nodes:    rows(ix),
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSaveLoadRoundTrip: a v1 gob image still loads, whole.
+// TestSaveLoadRoundTrip: a saved snapshot loads whole — statistics,
+// postings and the node table behind OrdinalOf.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ix := buildFig2a(t)
-	back, err := Load(bytes.NewReader(gobV1Image(t, ix)))
+	var buf bytes.Buffer
+	if err := ix.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +340,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
 		t.Error("garbage input must fail")
 	}
 }

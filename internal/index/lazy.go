@@ -87,8 +87,8 @@ func (ix *Index) LazyErr() error {
 // Materialized returns an eager equivalent of the index: for a lazy index
 // every posting list is fetched into a fresh Postings map (the node table
 // and label/doc tables are shared — they are immutable); an already-eager
-// index is returned as-is. Mutation and gob-persistence paths call this
-// because they operate on the Postings map directly.
+// index is returned as-is. Mutation paths call this because they operate
+// on the Postings map directly.
 func (ix *Index) Materialized() (*Index, error) {
 	if ix.lazy == nil {
 		return ix, nil

@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"repro/internal/xmltree"
 )
 
 // Online mutation: delete and replace without a full rebuild.
@@ -20,9 +18,9 @@ import (
 // ordinal range. Search-facing accessors (PostingsFor, Lookup, OrdinalOf,
 // LiveSpans) filter against the mask, so a tombstoned index answers
 // queries exactly as if the dead documents had never been indexed.
-// Tombstones are never persisted: SaveBinary/SaveSnapshot compact first,
-// so the mask lives only between a delete and the next compaction (an
-// append carries it forward).
+// Tombstones are never persisted: every save (GKS3 or GKS4) writes the
+// compacted index, so the mask lives only between a delete and the next
+// compaction (an append carries it forward).
 
 // ErrNotFound reports a mutation against a document name that is not live
 // in the index.
@@ -498,41 +496,4 @@ func (ix *Index) copied() *Index {
 		out.DocNames = append(out.DocNames, sp.Name)
 	}
 	return out
-}
-
-// BuildDocumentAs indexes a single document under an explicit Dewey
-// document number. It validates everything that can fail before touching
-// the caller's tree, and restores the document's prior numbering if the
-// build fails anyway — a failed build must leave the caller's document
-// usable for a retry elsewhere.
-func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
-	return sealing(buildDocumentAs(doc, docID, opts))
-}
-
-// buildDocumentAs is BuildDocumentAs without the final seal: the flat
-// one-document table AppendAs appends.
-func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
-	if doc == nil || doc.Root == nil {
-		return nil, fmt.Errorf("index: build of empty document")
-	}
-	if !doc.Root.IsElement() {
-		return nil, fmt.Errorf("index: document %q root is not an element", doc.Name)
-	}
-	if docID < 0 {
-		return nil, fmt.Errorf("index: document %q: negative document id %d", doc.Name, docID)
-	}
-	oldID := doc.DocID
-	renumber(doc, docID)
-	ix, err := buildFlat(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
-	if err != nil {
-		renumber(doc, oldID)
-		return nil, err
-	}
-	return ix, nil
-}
-
-// renumber gives doc the Dewey document number docID, all its nodes with it.
-func renumber(doc *xmltree.Document, docID int32) {
-	doc.DocID = docID
-	doc.AssignIDs()
 }

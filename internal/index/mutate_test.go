@@ -235,14 +235,14 @@ func TestSaveCompactsTombstones(t *testing.T) {
 	want := del.Compacted()
 
 	var bin, snap bytes.Buffer
-	if err := del.SaveBinary(&bin); err != nil {
+	if err := del.saveBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := del.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	for name, load := range map[string]func() (*Index, error){
-		"binary":   func() (*Index, error) { return Load(&bin) },
+		"binary":   func() (*Index, error) { return loadBinary(bin.Bytes()) },
 		"snapshot": func() (*Index, error) { return Load(&snap) },
 	} {
 		got, err := load()

@@ -14,14 +14,14 @@ import (
 	"repro/internal/xmltree"
 )
 
-// physicalReference lines cold — the builder's flat table for the live
+// physicalReference lines cold — the reference table of the live
 // documents of ix, in document order — up with ix's physical rows: each
 // live span of ix takes the next cold rows, re-based onto the span (parent
 // ordinals shift, label ids are ix's). A tombstoned row references its own
 // expansion; the oracle only asks that its Dewey ID no longer resolve.
-func physicalReference(t *testing.T, cold, ix *Index) *Index {
+func physicalReference(t *testing.T, cold *refIndex, ix *Index) *refIndex {
 	t.Helper()
-	want := &Index{Labels: ix.Labels, nodes: rows(ix)}
+	want := &refIndex{Labels: ix.Labels, nodes: rows(ix)}
 	k := int32(0)
 	for _, sp := range ix.LiveSpans() {
 		shift := sp[0] - k
@@ -47,9 +47,9 @@ func physicalReference(t *testing.T, cold, ix *Index) *Index {
 	return want
 }
 
-// survivorBuild is the cold flat build of the live documents, with their
+// survivorBuild is the reference build of the live documents, with their
 // document ids preserved.
-func survivorBuild(t *testing.T, live map[string]*xmltree.Document) *Index {
+func survivorBuild(t *testing.T, live map[string]*xmltree.Document) *refIndex {
 	t.Helper()
 	docs := make([]*xmltree.Document, 0, len(live))
 	for _, d := range live {
@@ -60,10 +60,10 @@ func survivorBuild(t *testing.T, live map[string]*xmltree.Document) *Index {
 }
 
 // TestAccessorOracle checks every accessor at every ordinal against the
-// builder's flat NodeInfo: on the packedCorpora indexes fresh, along
-// random mutation histories — tombstones, column appends, the copy an
-// append falls back to and compactions — and after a re-categorization of
-// the mutated table.
+// reference builder's rows (reference_test.go): on the packedCorpora
+// indexes fresh, along random mutation histories — tombstones, column
+// appends, the copy an append falls back to and compactions — and after a
+// re-categorization of the mutated table.
 func TestAccessorOracle(t *testing.T) {
 	for name, repo := range packedRepos() {
 		t.Run(name, func(t *testing.T) {
@@ -173,9 +173,8 @@ func TestAccessorOracle(t *testing.T) {
 }
 
 // TestEveryConstructorReturnsPacked pins that every exported constructor
-// — builds, loads of every format and generation, mutations — returns an
-// index serving from the packed table alone, with the answers of a fresh
-// build.
+// — builds, loads, mutations — returns an index whose column table passes
+// the full validation, with the answers of a fresh build.
 func TestEveryConstructorReturnsPacked(t *testing.T) {
 	repoOf := func(docs ...*xmltree.Document) *xmltree.Repository {
 		r := &xmltree.Repository{}
@@ -195,9 +194,6 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
-		}
-		if got.nodes != nil {
-			t.Fatalf("%s: holds the builders' flat table", label)
 		}
 		// Validate reads the packed table, and only the packed table.
 		if err := got.Validate(); err != nil {
@@ -244,40 +240,26 @@ func TestEveryConstructorReturnsPacked(t *testing.T) {
 	}
 	check("BuildStreamFiles", streamed, err, base)
 
-	var bin, snap bytes.Buffer
-	if err := base.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
+	var snap bytes.Buffer
 	if err := base.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	images := map[string][]byte{
-		"GKSI":      bin.Bytes(),
-		"GKS3":      snap.Bytes(),
-		"flat GKSI": flatGKSI(t, base),
-		"flat GKS3": flatGKS3(t, base),
-		"gob v1":    gobV1Image(t, base),
+	got, err := Load(bytes.NewReader(snap.Bytes()))
+	check("Load", got, err, base)
+	path := filepath.Join(dir, "snap.gks3")
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for name, img := range images {
-		got, err := Load(bytes.NewReader(img))
-		check("Load "+name, got, err, base)
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err = LoadFile(path)
-		check("LoadFile "+name, got, err, base)
-	}
+	got, err = LoadFile(path)
+	check("LoadFile", got, err, base)
 	var meta bytes.Buffer
 	arena, err := EncodeMeta(&meta, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, c := range map[string]struct{ img, arena []byte }{"packed": {meta.Bytes(), bytes.Clone(arena)}, "flat": {flatMeta(t, base), nil}} {
-		got, err := DecodeMeta(bytes.NewReader(c.img), int64(len(c.img)), c.arena)
-		check("DecodeMeta "+name, got, err, nil)
-		assertAccessorsMatch(t, "DecodeMeta "+name, flatBuild(t, repo), got)
-	}
+	got, err = DecodeMeta(bytes.NewReader(meta.Bytes()), int64(meta.Len()), arena)
+	check("DecodeMeta", got, err, nil)
+	assertAccessorsMatch(t, "DecodeMeta", flatBuild(t, repo), got)
 
 	d := named("d", xmltree.BuildFigure1())
 	delta, err := AppendAs(base, d, base.NextDocID(), DefaultOptions())

@@ -14,10 +14,10 @@ import (
 // parent-chain walk rebuilds them at result-lift and snippet time. Every
 // Value string lives once in a shared arena of interned values.
 //
-// It is the only node table an index serves from. Builders fill a flat
-// []NodeInfo and seal it into columns (seal, sealing); deletes tombstone
-// against the columns, appends extend them in place under a single-owner
-// claim (packed_append.go), compaction copies the live rows, and schema
+// It is the only node table an index serves from. The builder writes it
+// row by row as it reads (build.go); deletes tombstone against the
+// columns, appends extend them in place under a single-owner claim
+// (packed_append.go), compaction copies the live rows, and schema
 // re-categorization replaces the category column. The DAG-compressed
 // layout after Böttcher et al. (dag.go) is only the on-disk encoding of
 // these columns in GKS3 and GKS4 files: packNodes encodes, and the loader
@@ -46,8 +46,9 @@ type nodeColumns struct {
 	// one ends at the node count; a root's record is the root alone, a
 	// depth-1 node's is its subtree. Every response node lies inside one
 	// depth-1 record (a root is never a response), which is what the
-	// threshold merge and the window stage key on. Derived from subtree
-	// sizes wherever docStart is filled, never serialized.
+	// threshold merge and the window stage key on. The builder writes it
+	// as it opens roots and depth-1 nodes; loads and compactions derive it
+	// from the subtree sizes. It is never serialized.
 	recStart []int32
 
 	// app is the append claim of the lineage this table belongs to (see
@@ -131,27 +132,9 @@ func (c *nodeColumns) compareID(ord int32, id dewey.ID) int {
 
 // --- building -----------------------------------------------------------
 
-// seal replaces the builders' flat table with the resident columns, in
-// place, and returns ix. Equal flat tables seal to equal columns.
-func (ix *Index) seal() *Index {
-	ix.cols = columnsOf(ix.nodes)
-	ix.nodes = nil
-	return ix
-}
-
-// sealing seals a builder's result, passing its error through.
-func sealing(ix *Index, err error) (*Index, error) {
-	if err != nil {
-		return nil, err
-	}
-	return ix.seal(), nil
-}
-
-// columnsOf builds a fresh table, the tip of a new append lineage, from a
-// flat pre-order table of whole documents. Values are interned across the
-// whole table in first-encounter order.
-func columnsOf(nodes []NodeInfo) *nodeColumns {
-	n := len(nodes)
+// newColumns returns an empty table with room for n rows, the tip of a
+// new append lineage.
+func newColumns(n int) *nodeColumns {
 	c := &nodeColumns{
 		label:   make([]int32, 0, n),
 		cat:     make([]uint8, 0, n),
@@ -164,51 +147,42 @@ func columnsOf(nodes []NodeInfo) *nodeColumns {
 		valOff:  []int32{0},
 	}
 	c.app = &appendState{owner: c}
-	c.appendRows(nodes, nil)
 	return c
 }
 
-// appendRows appends the flat rows of whole documents after the table's
-// last row, in place: parents are rebased by the current row count, label
-// ids go through remap (nil keeps them), and values are interned among
-// the appended rows. The root table and the record column grow with them.
-func (c *nodeColumns) appendRows(nodes []NodeInfo, remap []int32) {
+// appendTable appends the rows of p, a table of whole documents, after
+// c's last row, in place: parents, roots and records move past c's rows,
+// label ids go through remap, and value ids move past c's values, whose
+// arena p's follows. p's values are interned among its own rows.
+func (c *nodeColumns) appendTable(p *nodeColumns, remap []int32) {
 	base := int32(len(c.label))
-	ids := make(map[string]int32)
-	for i := range nodes {
-		nd := &nodes[i]
-		label, par := nd.Label, nd.Parent
-		if remap != nil {
-			label = remap[label]
-		}
-		if par >= 0 {
-			par += base
-		}
-		v := int32(-1)
-		if nd.HasValue {
-			var ok bool
-			if v, ok = ids[nd.Value]; !ok {
-				v = int32(len(c.valOff)) - 1
-				ids[nd.Value] = v
-				c.valArena = append(c.valArena, nd.Value...)
-				c.valOff = append(c.valOff, int32(len(c.valArena)))
-			}
-		}
-		c.label = append(c.label, label)
-		c.cat = append(c.cat, uint8(nd.Cat))
-		c.child = append(c.child, nd.ChildCount)
-		c.subtree = append(c.subtree, nd.Subtree)
-		c.parent = append(c.parent, par)
-		c.last = append(c.last, lastComp(nd))
-		c.depth = append(c.depth, int32(nd.ID.Depth()))
-		c.val = append(c.val, v)
+	for _, l := range p.label {
+		c.label = append(c.label, remap[l])
 	}
-	from := len(c.docStart)
-	for k := int32(0); k < int32(len(nodes)); k += nodes[k].Subtree {
-		c.docStart = append(c.docStart, base+k)
-		c.docNum = append(c.docNum, nodes[k].ID.Doc)
+	c.cat = append(c.cat, p.cat...)
+	c.child = append(c.child, p.child...)
+	c.subtree = append(c.subtree, p.subtree...)
+	c.parent = appendShifted(c.parent, p.parent, base)
+	c.last = append(c.last, p.last...)
+	c.depth = append(c.depth, p.depth...)
+	c.val = appendShifted(c.val, p.val, int32(len(c.valOff))-1)
+	c.valOff = appendShifted(c.valOff, p.valOff[1:], int32(len(c.valArena)))
+	c.valArena = append(c.valArena, p.valArena...)
+	c.docStart = appendShifted(c.docStart, p.docStart, base)
+	c.docNum = append(c.docNum, p.docNum...)
+	c.recStart = appendShifted(c.recStart, p.recStart, base)
+}
+
+// appendShifted appends src to dst, every entry but the -1 of "none"
+// moved up by d.
+func appendShifted(dst, src []int32, d int32) []int32 {
+	for _, v := range src {
+		if v >= 0 {
+			v += d
+		}
+		dst = append(dst, v)
 	}
-	c.recStart = c.appendRecords(c.recStart, from)
+	return dst
 }
 
 // compact copies the rows of the live spans into a fresh table, the tip
@@ -221,18 +195,7 @@ func (c *nodeColumns) compact(spans [][2]int32) *nodeColumns {
 	for _, sp := range spans {
 		live += int(sp[1] - sp[0])
 	}
-	d := &nodeColumns{
-		label:   make([]int32, 0, live),
-		cat:     make([]uint8, 0, live),
-		child:   make([]int32, 0, live),
-		subtree: make([]int32, 0, live),
-		parent:  make([]int32, 0, live),
-		last:    make([]int32, 0, live),
-		depth:   make([]int32, 0, live),
-		val:     make([]int32, 0, live),
-		valOff:  []int32{0},
-	}
-	d.app = &appendState{owner: d}
+	d := newColumns(live)
 	renum := make([]int32, len(c.valOff)-1)
 	for i := range renum {
 		renum[i] = -1
@@ -278,7 +241,7 @@ func (c *nodeColumns) compact(spans [][2]int32) *nodeColumns {
 			k++
 		}
 	}
-	d.recStart = d.appendRecords(nil, 0)
+	d.recStart = d.records()
 	return d
 }
 
@@ -328,14 +291,14 @@ func (c *nodeColumns) fork() *nodeColumns {
 	return &q
 }
 
-// appendRecords appends to dst the record bounds of the documents whose
-// roots are docStart[from:]: each root, then the start of each of its
-// children. A root's walk stops at the next root, so a subtree size that
-// overruns its document cannot make the walk quadratic; validateRecords
-// rejects such a table.
-func (c *nodeColumns) appendRecords(dst []int32, from int) []int32 {
+// records derives the record column from the root table and the subtree
+// sizes: each root, then the start of each of its children. A root's walk
+// stops at the next root, so a subtree size that overruns its document
+// cannot make the walk quadratic; validateRecords rejects such a table.
+func (c *nodeColumns) records() []int32 {
+	var dst []int32
 	n := int32(len(c.label))
-	for k := from; k < len(c.docStart); k++ {
+	for k := range c.docStart {
 		root := c.docStart[k]
 		end := min(root+c.subtree[root], n)
 		if k+1 < len(c.docStart) {
@@ -354,8 +317,6 @@ func (c *nodeColumns) appendRecords(dst []int32, from int) []int32 {
 // [Records()[k], Records()[k+1]), the last one ends at NodeCount. The
 // slice is shared; callers must not modify it.
 func (ix *Index) Records() []int32 { return ix.cols.recStart }
-
-func lastComp(n *NodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
 
 // --- accounting ---------------------------------------------------------
 

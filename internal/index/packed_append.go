@@ -3,11 +3,11 @@ package index
 import "sync"
 
 // Column append: adding whole documents to a served table, the only way
-// AppendAs adds a document. The new documents' flat rows are appended
-// after the table's last row (nodeColumns.appendRows): parents rebased,
-// label ids remapped, values interned among the new rows. No existing row
-// is read or rewritten, so the cost is O(document + touched posting
-// lists), not O(index).
+// AppendAs adds a document. The document is built into a table of its own,
+// whose rows are then appended after the table's last row
+// (nodeColumns.appendTable): parents rebased, label ids remapped, value
+// ids moved past the base's values. No existing row is read or rewritten,
+// so the cost is O(document + touched posting lists), not O(index).
 //
 // Concurrency. A table is immutable serving state, but the append extends
 // the predecessor's column arrays in place, beyond their published
@@ -32,7 +32,7 @@ type appendState struct {
 	owner *nodeColumns
 }
 
-// appendColumns attempts the column append of a one-or-more-document flat
+// appendColumns attempts the column append of a one-or-more-document
 // partial index onto the eager base and reports whether it applied. It
 // declines — and AppendAs copies or compacts the live rows and retries —
 // when the base is not the extendable tip of its lineage, or when the
@@ -40,8 +40,8 @@ type appendState struct {
 // (live or tombstoned) document of the base, which would break the Dewey
 // order the root table and OrdinalOf rely on.
 func (ix *Index) appendColumns(partial *Index) (*Index, bool) {
-	c := ix.cols
-	if n := len(c.docNum); n > 0 && partial.nodes[0].ID.Doc <= c.docNum[n-1] {
+	c, p := ix.cols, partial.cols
+	if n := len(c.docNum); n > 0 && p.docNum[0] <= c.docNum[n-1] {
 		return nil, false
 	}
 
@@ -78,7 +78,7 @@ func (ix *Index) appendColumns(partial *Index) (*Index, bool) {
 
 	baseN := int32(len(c.label))
 	q := *c
-	q.appendRows(partial.nodes, remap)
+	q.appendTable(p, remap)
 	a.owner = &q
 
 	// Postings: fresh map (concurrent readers hold the old one), untouched
@@ -107,7 +107,7 @@ func (ix *Index) appendColumns(partial *Index) (*Index, bool) {
 	if t := ix.tomb; t != nil {
 		live := make([][2]int32, len(t.live), len(t.live)+1)
 		copy(live, t.live)
-		m := int32(len(partial.nodes))
+		m := int32(len(p.label))
 		if n := len(live); n > 0 && live[n-1][1] == baseN {
 			live[n-1][1] = baseN + m
 		} else {

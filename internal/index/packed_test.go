@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"testing"
@@ -41,10 +42,10 @@ func packedRepos() map[string]*xmltree.Repository {
 }
 
 // packedCorpus is one packedRepos entry built both ways: the served index
-// and the builder's flat table it must reproduce.
+// and the reference table it must reproduce.
 type packedCorpus struct {
 	ix   *Index
-	flat *Index
+	flat *refIndex
 }
 
 func packedCorpora(t *testing.T) map[string]packedCorpus {
@@ -63,7 +64,7 @@ func packedCorpora(t *testing.T) map[string]packedCorpus {
 // assertAccessorsMatch is the accessor oracle: every per-ordinal accessor
 // of ix must return the field of the flat reference row at the same
 // ordinal, for every row of the table.
-func assertAccessorsMatch(t *testing.T, label string, want *Index, ix *Index) {
+func assertAccessorsMatch(t *testing.T, label string, want *refIndex, ix *Index) {
 	t.Helper()
 	if n := ix.NodeCount(); n != len(want.nodes) {
 		t.Fatalf("%s: %d rows, want %d", label, n, len(want.nodes))
@@ -122,6 +123,12 @@ func TestPackAccessorsMatchFlat(t *testing.T) {
 				t.Fatalf("packed index fails validation: %v", err)
 			}
 			assertAccessorsMatch(t, name, c.flat, c.ix)
+			if !maps.EqualFunc(c.ix.Postings, c.flat.Postings, slices.Equal) {
+				t.Fatal("posting lists differ from the reference build's")
+			}
+			if c.ix.Stats != c.flat.Stats {
+				t.Fatalf("stats %+v, want %+v", c.ix.Stats, c.flat.Stats)
+			}
 
 			p := packNodes(c.ix.cols)
 			t.Logf("%s: %d nodes, %d B of columns vs flat %d B; encoded as %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B)",
@@ -132,7 +139,7 @@ func TestPackAccessorsMatchFlat(t *testing.T) {
 }
 
 // TestPackUnpackedRoundTrip: expanding the column table gives back exactly
-// the rows the builder sealed.
+// the reference builder's rows.
 func TestPackUnpackedRoundTrip(t *testing.T) {
 	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
@@ -151,10 +158,10 @@ func TestPackUnpackedRoundTrip(t *testing.T) {
 
 func TestPackIsDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&a); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.SaveSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&b); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.SaveSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -179,18 +186,25 @@ func TestPackedOrdinalOf(t *testing.T) {
 func TestPackedDedupsReplicatedDocs(t *testing.T) {
 	// Four identical replicas: at least three document roots must collapse
 	// into instances of the first replica's shape, and the encoded meta
-	// section must take at most half the bytes of the flat one.
+	// section must take at most half the bytes of four single-replica ones.
 	c := packedCorpora(t)["replicated"]
 	if n := len(packNodes(c.ix.cols).inStart); n < 3 {
 		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", n)
 	}
-	var meta bytes.Buffer
-	arena, err := EncodeMeta(&meta, c.ix)
+	metaBytes := func(ix *Index) int {
+		var meta bytes.Buffer
+		arena, err := EncodeMeta(&meta, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return meta.Len() + len(arena)
+	}
+	one, err := BuildDocument(packedRepos()["replicated"].Docs[0], DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb, pb := len(flatMeta(t, c.ix)), meta.Len()+len(arena); pb*2 > fb {
-		t.Errorf("replicated corpus should encode to <1/2 of flat: packed %d B vs flat %d B", pb, fb)
+	if pb, sb := metaBytes(c.ix), 4*metaBytes(one); pb*2 > sb {
+		t.Errorf("replicated corpus should encode to <1/2 of its replicas apart: %d B vs %d B", pb, sb)
 	}
 }
 
@@ -198,7 +212,7 @@ func TestPackedBinaryRoundTrip(t *testing.T) {
 	for name, c := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := c.ix.SaveBinary(&buf); err != nil {
+			if err := c.ix.SaveSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
 			back, err := Load(bytes.NewReader(buf.Bytes()))
@@ -245,15 +259,17 @@ func TestPackedMetaRoundTrip(t *testing.T) {
 }
 
 func TestPackedCodecRejectsDamage(t *testing.T) {
+	// The GKSI payload is decoded directly: in a snapshot the envelope's
+	// checksum would stop the damage before the decoder sees it.
 	var buf bytes.Buffer
-	if err := packedCorpora(t)["replicated"].ix.SaveBinary(&buf); err != nil {
+	if err := packedCorpora(t)["replicated"].ix.saveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 
 	// Every truncation must fail typed as ErrCorrupt, never panic.
 	for cut := 0; cut < len(full); cut += 1 + len(full)/257 {
-		_, err := Load(bytes.NewReader(full[:cut]))
+		_, err := loadBinary(full[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d bytes must fail", cut)
 		}
@@ -269,7 +285,7 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			dam := append([]byte(nil), full...)
 			dam[pos] ^= bit
-			ix, err := Load(bytes.NewReader(dam))
+			ix, err := loadBinary(dam)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("bit flip at %d: error not typed ErrCorrupt: %v", pos, err)
@@ -288,9 +304,9 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// damagedNodeImages are GKSI images of ix whose node encoding breaks one of
-// the rules expansion relies on, keyed by the rule. ix's encoding needs at
-// least two instances.
+// damagedNodeImages are GKS3 snapshots of ix, checksums intact, whose
+// node encoding breaks one of the rules expansion relies on, keyed by the
+// rule. ix's encoding needs at least two instances.
 func damagedNodeImages(tb testing.TB, ix *Index) map[string][]byte {
 	tb.Helper()
 	good := packNodes(ix.cols)
@@ -321,7 +337,11 @@ func damagedNodeImages(tb testing.TB, ix *Index) map[string][]byte {
 		if err := w.bw.Flush(); err != nil {
 			tb.Fatal(err)
 		}
-		out[name] = buf.Bytes()
+		var snap bytes.Buffer
+		if err := sealSnapshot(&snap, buf.Bytes()); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = snap.Bytes()
 	}
 	return out
 }
@@ -356,10 +376,10 @@ func TestPackedDeleteAndCompact(t *testing.T) {
 
 	// The compacted table must encode byte for byte as a cold build's.
 	var a, b bytes.Buffer
-	if err := comp.SaveBinary(&a); err != nil {
+	if err := comp.SaveSnapshot(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.SaveBinary(&b); err != nil {
+	if err := cold.SaveSnapshot(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

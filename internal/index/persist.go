@@ -2,97 +2,35 @@ package index
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// persisted is the gob wire format of an Index (v1, legacy). It is
-// import-only: nothing writes it anymore, Load still reads files that
-// older builds left behind.
-type persisted struct {
-	Version  int
-	Labels   []string
-	Nodes    []NodeInfo
-	Postings map[string][]int32
-	DocNames []string
-	Stats    Stats
-}
-
-const formatVersion = 1
-
-// Load reads an index in the legacy gob format (v1, no longer written),
-// or one written by SaveBinary (compact binary, GKSI) or SaveSnapshot
-// (checksummed envelope, GKS3); the format is auto-detected from the
-// leading bytes. The index comes back as columns whatever node table the
-// image stored. Damaged input fails with an ErrCorrupt-wrapped error;
-// v1/v2 streams detect damage on decode, while v3 verifies a CRC32 before
-// decoding.
+// Load reads an index written by SaveSnapshot: the checksummed GKS3
+// envelope around a GKSI version-3 image. The checksum is verified before
+// anything is decoded, and the decoded node table must pass the full
+// validation, so damaged input fails with an ErrCorrupt-wrapped error.
+// This build reads exactly what it writes: the older generations — gob
+// images, GKSI version 2, and a bare GKSI image outside the envelope —
+// fail as unsupported, also with ErrCorrupt, and must be re-indexed from
+// their XML.
 func Load(r io.Reader) (*Index, error) {
-	return loadSized(r, -1)
-}
-
-// loadSized is Load with a bound on the bytes plausibly available in r
-// (size < 0 means unknown). The decoder uses the bound to cap
-// pre-allocations, so a corrupt header claiming billions of nodes cannot
-// demand a giant allocation from a tiny file.
-func loadSized(r io.Reader, size int64) (*Index, error) {
 	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(snapshotMagic)); err == nil && string(magic) == snapshotMagic {
-		if _, err := br.Discard(len(snapshotMagic)); err != nil {
-			return nil, fmt.Errorf("index: load: %w", err)
-		}
+	var magic [len(snapshotMagic)]byte
+	if n, err := io.ReadFull(br, magic[:]); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, corruptf("load: %d-byte input is no snapshot", n)
+	} else if err != nil {
+		return nil, fmt.Errorf("index: load: %w", err)
+	}
+	switch string(magic[:]) {
+	case snapshotMagic:
 		return loadSnapshotAfterMagic(br)
+	case binaryMagic:
+		return nil, corruptf("unsupported format: a bare GKSI image outside the GKS3 envelope")
 	}
-	if magic, err := br.Peek(len(binaryMagic)); err == nil && string(magic) == binaryMagic {
-		if _, err := br.Discard(len(binaryMagic)); err != nil {
-			return nil, fmt.Errorf("index: load: %w", err)
-		}
-		if size >= 0 {
-			size -= int64(len(binaryMagic))
-		}
-		return loadBinaryAfterMagic(br, size)
-	}
-	return loadGob(br)
-}
-
-func loadGob(r io.Reader) (ix *Index, err error) {
-	// encoding/gob decodes adversarial input with errors, but a defensive
-	// recover keeps Load panic-free even if a decoder edge case slips
-	// through — corrupt snapshots must never crash a serving process.
-	defer func() {
-		if v := recover(); v != nil {
-			ix, err = nil, corruptf("gob decode panicked: %v", v)
-		}
-	}()
-	dec := gob.NewDecoder(r)
-	var p persisted
-	if err := dec.Decode(&p); err != nil {
-		return nil, corruptf("gob load: %v", err)
-	}
-	if p.Version != formatVersion {
-		return nil, corruptf("gob load: unsupported format version %d", p.Version)
-	}
-	ix = &Index{
-		Labels:   p.Labels,
-		Postings: p.Postings,
-		DocNames: p.DocNames,
-		Stats:    p.Stats,
-		labelIDs: make(map[string]int32, len(p.Labels)),
-		nodes:    p.Nodes,
-	}
-	if ix.Postings == nil {
-		ix.Postings = make(map[string][]int32)
-	}
-	for i, l := range ix.Labels {
-		ix.labelIDs[l] = int32(i)
-	}
-	if err := ix.sealImported(); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return nil, corruptf("unsupported format: magic %q is not GKS3", magic)
 }
 
 // SaveFile writes the index to path in the checksummed snapshot format
@@ -103,21 +41,16 @@ func (ix *Index) SaveFile(path string) error {
 	return WriteFileAtomic(path, ix.SaveSnapshot)
 }
 
-// LoadFile reads an index from path (any format; see Load). Decode
-// failures are wrapped with ErrCorrupt and the file name, so startup and
-// reload paths surface "which snapshot is bad" rather than a raw
-// gob/varint error.
+// LoadFile reads the GKS3 snapshot at path (see Load). Decode failures are
+// wrapped with ErrCorrupt and the file name, so startup and reload paths
+// surface "which snapshot is bad" rather than a raw varint error.
 func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	ix, err := loadSized(f, size)
+	ix, err := Load(f)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			return nil, fmt.Errorf("index: snapshot %s: %w", path, err)

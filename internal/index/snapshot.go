@@ -37,7 +37,7 @@ func corruptf(format string, args ...any) error {
 //	header (headerLen bytes):
 //	    envelope version (= 3)            uvarint
 //	    payloadLen                        uvarint
-//	payload (payloadLen bytes):           a complete GKSI image
+//	payload (payloadLen bytes):           a complete GKSI version-3 image
 //	crc32                                 4 bytes little-endian,
 //	                                      IEEE over header ++ payload
 const snapshotMagic = "GKS3"
@@ -49,11 +49,10 @@ const snapshotVersion = 3
 const maxSnapshotHeader = 1 << 10
 
 // SaveSnapshot writes the index in the checksummed snapshot format (v3).
-// This is the durable on-disk format used by SaveFile; SaveBinary remains
-// available for raw GKSI streams.
+// This is the durable on-disk format used by SaveFile.
 func (ix *Index) SaveSnapshot(w io.Writer) error {
 	var payload bytes.Buffer
-	if err := ix.SaveBinary(&payload); err != nil {
+	if err := ix.saveBinary(&payload); err != nil {
 		return err
 	}
 	return sealSnapshot(w, payload.Bytes())
@@ -141,9 +140,9 @@ func loadSnapshotAfterMagic(br *bufio.Reader) (*Index, error) {
 	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
 		return nil, corruptf("snapshot checksum mismatch: stored %08x, computed %08x", got, want)
 	}
-	// The payload is a verified, complete GKSI image; decode it with its
-	// exact size as the allocation bound.
-	return loadSized(bytes.NewReader(payload), int64(len(payload)))
+	// The payload is verified and complete; it must be a GKSI image, which
+	// is decoded with its exact size as the allocation bound.
+	return loadBinary(payload)
 }
 
 // testInterceptWriter, when non-nil, wraps the temp-file writer inside

@@ -250,18 +250,16 @@ func TestLoadFileCorruptNamesFile(t *testing.T) {
 	if err := ix.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	gob := bytes.NewBuffer(gobV1Image(t, ix))
 	var bin bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
+	if err := ix.saveBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 
 	cases := map[string][]byte{
-		"garbage.gksidx":       []byte("this is not an index at all"),
-		"truncated-v3.gksidx":  snap.Bytes()[:snap.Len()/2],
-		"flipped-v3.gksidx":    flipByte(snap.Bytes(), snap.Len()-2),
-		"truncated-gob.gksidx": gob.Bytes()[:gob.Len()/2],
-		"truncated-v2.gksidx":  bin.Bytes()[:bin.Len()/2],
+		"garbage.gksidx":      []byte("this is not an index at all"),
+		"truncated-v3.gksidx": snap.Bytes()[:snap.Len()/2],
+		"flipped-v3.gksidx":   flipByte(snap.Bytes(), snap.Len()-2),
+		"bare-gksi.gksidx":    bin.Bytes(),
 	}
 	for name, data := range cases {
 		path := filepath.Join(dir, name)
@@ -301,22 +299,20 @@ func flipByte(b []byte, i int) []byte {
 func TestLoadBoundedAllocation(t *testing.T) {
 	dir := t.TempDir()
 
-	// v2 stream: magic, version 2, 0 labels, 0 docs, 2^30 nodes... and EOF.
-	hugeNodes := append([]byte(binaryMagic), 2, 0, 0)
+	// A sealed GKSI payload: magic, version 3, 0 labels, 0 docs, 2^30
+	// nodes... and EOF. The payload's size bounds the count.
+	hugeNodes := append([]byte(binaryMagic), binaryVersionPacked, 0, 0)
 	hugeNodes = appendUvarint(hugeNodes, 1<<30)
+	var sealed bytes.Buffer
+	if err := sealSnapshot(&sealed, hugeNodes); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "huge-nodes.gksidx")
-	if err := os.WriteFile(path, hugeNodes, 0o644); err != nil {
+	if err := os.WriteFile(path, sealed.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadFile(path); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge node count: want ErrCorrupt, got %v", err)
-	}
-
-	// Same stream through size-unknown Load: it may begin decoding, but the
-	// bounded pre-allocation means it fails on EOF after a small allocation
-	// rather than demanding 2^30 * sizeof(NodeInfo) up front.
-	if _, err := Load(bytes.NewReader(hugeNodes)); err == nil {
-		t.Error("huge node count loaded without error from stream")
 	}
 
 	// v3 envelope claiming a multi-GB payload that is not there.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func buildBothWays(t *testing.T, src string) (*Index, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := sealing(buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions()))
+	stream, err := buildStream(strings.NewReader(src), 0, "stream.xml", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +176,95 @@ func writeTestFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// buildStream streams one XML document from r into a flat table as
-// document docID.
-func buildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
-	b := newStreamBuilder(opts)
-	if err := b.add(r, docID, name); err != nil {
+// buildStream streams one XML document from r into an index as document
+// number num.
+func buildStream(r io.Reader, num int32, name string, opts Options) (*Index, error) {
+	b := newBuilder(opts, opts.Hint.Nodes)
+	if err := b.addStream(r, num, name); err != nil {
 		return nil, err
 	}
 	return b.finish(), nil
+}
+
+// TestStreamEqualsTreeAttributeValues: an attribute value is read as
+// element text is, through either entry point — trimmed, and no text child
+// when nothing is left — so an empty or blank value makes the attribute's
+// element a valueless one in both builds.
+func TestStreamEqualsTreeAttributeValues(t *testing.T) {
+	for _, src := range []string{
+		`<r><a k="">t</a><b>u</b></r>`,
+		`<r><a k="  ">t</a><b>u</b></r>`,
+		`<r><a k=" v ">t</a><b>u</b></r>`,
+		`<r k="">x</r>`,
+	} {
+		tree, stream := buildBothWays(t, src)
+		assertIndexesEqual(t, tree, stream)
+	}
+}
+
+// chainXML is a chain of depth nested <a> elements around one text.
+func chainXML(depth int) string {
+	return strings.Repeat("<a>", depth) + "x" + strings.Repeat("</a>", depth)
+}
+
+// chainDoc is the parsed tree of chainXML(depth), built directly: the
+// builder reads no Dewey ID, and numbering a chain costs memory quadratic
+// in its depth.
+func chainDoc(depth int) *xmltree.Document {
+	root := xmltree.E("a")
+	n := root
+	for i := 1; i < depth; i++ {
+		c := xmltree.E("a")
+		n.Append(c)
+		n = c
+	}
+	n.Append(xmltree.T("x"))
+	return &xmltree.Document{Name: "chain.xml", Root: root}
+}
+
+// allocBytes returns the bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildLinearInDepth: both drivers of the builder allocate linearly in
+// the depth of a document — 4× the depth costs under 6× the bytes, where
+// linear growth reads 4 and quadratic 16 — and the streaming build of a
+// 16 000-deep chain stays under 32 MiB: no open element holds a copy of
+// its Dewey path.
+func TestBuildLinearInDepth(t *testing.T) {
+	const shallow, deep = 4000, 16000
+	drivers := map[string]func(depth int) func(){
+		"tree": func(depth int) func() {
+			doc := chainDoc(depth)
+			return func() {
+				if _, err := BuildDocument(doc, DefaultOptions()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"stream": func(depth int) func() {
+			src := chainXML(depth)
+			return func() {
+				if _, err := buildStream(strings.NewReader(src), 0, "chain.xml", DefaultOptions()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for name, driver := range drivers {
+		small, large := allocBytes(driver(shallow)), allocBytes(driver(deep))
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: %d B at depth %d, %d B at depth %d (%.2f×)", name, small, shallow, large, deep, ratio)
+		if ratio >= 6 {
+			t.Errorf("%s: 4× the depth allocates %.2f× the bytes, want under 6×", name, ratio)
+		}
+		if name == "stream" && large >= 32<<20 {
+			t.Errorf("stream: depth %d allocates %.1f MiB, want under 32 MiB", deep, float64(large)/(1<<20))
+		}
+	}
 }

@@ -303,8 +303,7 @@ func (r *Registry) IncReplicaReconnect()       { r.at("gks_replica_reconnects_to
 func (r *Registry) IncReplicaSnapshotInstall() { r.at("gks_replica_snapshot_installs_total").add(1) }
 
 // segment.Metrics: the posting-block cache of a GKS4 segment. Resident bytes
-// are block payload bytes (a version-2 block as stored, a version-1 block
-// inflated); a fetch is pread + CRC (+ inflate on version 1), misses only.
+// are block payload bytes as stored; a fetch is pread + CRC, misses only.
 func (r *Registry) BlockCacheHit()             { r.at("gks_segment_block_cache_hits_total").add(1) }
 func (r *Registry) BlockCacheMiss()            { r.at("gks_segment_block_cache_misses_total").add(1) }
 func (r *Registry) BlockCacheEvict()           { r.at("gks_segment_block_cache_evictions_total").add(1) }

@@ -151,14 +151,12 @@ func (s *Summary) labelID(label string) (int32, bool) {
 func (s *Summary) Categorize(ix *index.Index) []index.Category {
 	n := ix.NodeCount()
 	cats := make([]index.Category, n)
-	// Per-node visibility, computed in reverse ordinal order (children
-	// before parents, since children have larger pre-order ordinals).
-	qualAttr := make([]bool, n)
-	repVis := make([]bool, n)
-	// attr/rep/both visibility counters per parent.
-	attrC := make([]int, n)
-	repC := make([]int, n)
-	bothC := make([]int, n)
+	// Visibility tallies per parent (index.Visibility), filled in reverse
+	// ordinal order: children before parents, since children have larger
+	// pre-order ordinals.
+	attrC := make([]int32, n)
+	repC := make([]int32, n)
+	bothC := make([]int32, n)
 
 	// Translate the index's label IDs into the summary's interning — the
 	// summary may have been inferred from other indexes (or several).
@@ -187,37 +185,9 @@ func (s *Summary) Categorize(ix *index.Index) []index.Category {
 		directValue := ix.SubtreeSizeOf(ord) == 1 && ix.HasValueAt(ord) && ix.ChildCountOf(ord) == 1
 		rep := isRep(ord)
 
-		var cat index.Category
-		switch {
-		case directValue && rep:
-			cat = index.Repeating
-		case directValue:
-			cat = index.Attribute
-		default:
-			if rep {
-				cat |= index.Repeating
-			}
-			if entityTest(attrC[i], repC[i], bothC[i]) {
-				cat |= index.Entity
-			}
-			if cat == 0 {
-				cat = index.Connecting
-			}
-		}
+		cat := index.Classify(directValue, rep, attrC[i], repC[i], bothC[i])
 		cats[i] = cat
-
-		// Visibility toward the parent.
-		var qa, rv bool
-		switch {
-		case cat&index.Repeating != 0:
-			qa, rv = false, true
-		case cat == index.Attribute:
-			qa, rv = true, false
-		default:
-			qa = attrC[i]+bothC[i] > 0
-			rv = repC[i]+bothC[i] > 0
-		}
-		qualAttr[i], repVis[i] = qa, rv
+		qa, rv := index.Visibility(cat, attrC[i], repC[i], bothC[i])
 		if p := ix.ParentOf(ord); p >= 0 {
 			switch {
 			case qa && rv:
@@ -230,20 +200,6 @@ func (s *Summary) Categorize(ix *index.Index) []index.Category {
 		}
 	}
 	return cats
-}
-
-// entityTest mirrors internal/index: the node is the lowest common
-// ancestor of a qualifying attribute and a repeating group exactly when
-// two distinct children expose them.
-func entityTest(attr, rep, both int) bool {
-	switch {
-	case both >= 2:
-		return true
-	case both == 1:
-		return attr+rep >= 1
-	default:
-		return attr >= 1 && rep >= 1
-	}
 }
 
 // Apply installs schema-level categories into the index and refreshes its

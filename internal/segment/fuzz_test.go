@@ -23,9 +23,8 @@ func FuzzLoadSegment(f *testing.F) {
 	}
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed.gks4")
-	// Both versions are seeded: version 2 at several block sizes, and the
-	// version-1 testdata images, packed meta and the flat per-node records
-	// of segments written before the packed table was the only one.
+	// Seeded: version 2 at several block sizes, and every legacy
+	// generation the reader rejects (legacyImages).
 	var seeds [][]byte
 	for _, opts := range []WriterOptions{{}, {BlockSize: 256}, {BlockSize: 64}} {
 		if err := WriteFileOpts(seedPath, ix, opts); err != nil {
@@ -43,12 +42,8 @@ func FuzzLoadSegment(f *testing.F) {
 	for _, bad := range nodeEncodingDamage(f, seeds[0]) {
 		f.Add(bad)
 	}
-	for _, name := range v1Fixtures {
-		v1, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, v1)
+	for _, c := range legacyImages(f) {
+		seeds = append(seeds, c.img)
 	}
 	for _, good := range seeds {
 		f.Add(good)

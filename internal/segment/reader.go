@@ -76,11 +76,8 @@ type Reader struct {
 	nNodes int
 	blocks []blockMeta
 	terms  []termEntry
-	// inflateBlocks is set for version 1, whose posting blocks are
-	// flate streams; version-2 blocks are used as read.
-	inflateBlocks bool
 
-	inflates  atomic.Int64 // flate streams read: one at open on version 2
+	inflates  atomic.Int64 // flate streams read: the values section, at open
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
@@ -89,9 +86,8 @@ type Reader struct {
 // openFile isolates the os dependency for the magic sniffer.
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
-// OpenFile opens a GKS4 segment of either version. Only the footer, term
-// directory, the raw meta section and (version 2) the values section are
-// read — no posting block is touched — so open time and resident memory
+// OpenFile opens a GKS4 version-2 segment. Only the footer, term
+// directory, the raw meta section and the values section are read — no posting block is touched — so open time and resident memory
 // are independent of the posting volume. Damaged files fail with
 // index.ErrCorrupt naming the file.
 func OpenFile(path string, opts Options) (*Reader, error) {
@@ -100,14 +96,13 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{
-		f:             f,
-		path:          path,
-		rid:           nextRID.Add(1),
-		metrics:       opts.Metrics,
-		stats:         foot.stats,
-		blocks:        foot.blocks,
-		terms:         foot.terms,
-		inflateBlocks: foot.version == 1,
+		f:       f,
+		path:    path,
+		rid:     nextRID.Add(1),
+		metrics: opts.Metrics,
+		stats:   foot.stats,
+		blocks:  foot.blocks,
+		terms:   foot.terms,
 	}
 	if r.metrics == nil {
 		r.metrics = nopMetrics{}
@@ -133,17 +128,15 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Version 2 keeps the value arena in a flate section of its own, which
-	// becomes the resident arena as inflated.
-	var arena []byte
-	if foot.version >= 2 {
-		vbuf, err := r.readSection("values", foot.values)
-		if err != nil {
-			return fail(err)
-		}
-		if arena, err = r.inflate(vbuf, foot.values.uLen); err != nil {
-			return fail(corruptf("segment %s: values: %v", path, err))
-		}
+	// The value arena is a flate section of its own, which becomes the
+	// resident arena as inflated.
+	vbuf, err := r.readSection("values", foot.values)
+	if err != nil {
+		return fail(err)
+	}
+	arena, err := r.inflate(vbuf, foot.values.uLen)
+	if err != nil {
+		return fail(corruptf("segment %s: values: %v", path, err))
 	}
 	meta, err := index.DecodeMeta(bytes.NewReader(metaBuf), int64(len(metaBuf)), arena)
 	if err != nil {
@@ -183,12 +176,11 @@ func (r *Reader) readSection(what string, s blockMeta) ([]byte, error) {
 
 // footerData is the parsed, CRC-verified footer.
 type footerData struct {
-	version uint64
-	stats   index.Stats
-	meta    blockMeta
-	values  blockMeta // version 2 only
-	blocks  []blockMeta
-	terms   []termEntry
+	stats  index.Stats
+	meta   blockMeta
+	values blockMeta
+	blocks []blockMeta
+	terms  []termEntry
 }
 
 // openFooter opens path and parses header, trailer and footer — shared by
@@ -224,7 +216,7 @@ func openFooter(path string) (*os.File, int, *footerData, error) {
 	if vn <= 0 {
 		return fail(corruptf("segment %s: truncated version", path))
 	}
-	if version != 1 && version != formatVersion {
+	if version != formatVersion {
 		return fail(corruptf("segment %s: unsupported version %d", path, version))
 	}
 	hdrLen := len(magic) + vn
@@ -246,14 +238,10 @@ func openFooter(path string) (*os.File, int, *footerData, error) {
 	if _, err := f.ReadAt(fbuf, size-trailerSize-footerLen); err != nil {
 		return fail(corruptf("segment %s: read footer: %v", path, err))
 	}
-	crc := crc32.ChecksumIEEE(fbuf)
-	if version >= 2 {
-		crc = footerCRC(hdr[:hdrLen], fbuf)
-	}
-	if crc != wantCRC {
+	if footerCRC(hdr[:hdrLen], fbuf) != wantCRC {
 		return fail(corruptf("segment %s: footer checksum mismatch", path))
 	}
-	foot, err := parseFooter(fbuf, version, size, footerLen, path)
+	foot, err := parseFooter(fbuf, size, footerLen, path)
 	if err != nil {
 		return fail(err)
 	}
@@ -261,25 +249,23 @@ func openFooter(path string) (*os.File, int, *footerData, error) {
 }
 
 // parseFooter decodes and validates the CRC-verified footer bytes of a
-// version-1 or version-2 segment. Every count is bounded against the bytes
+// version-2 segment. Every count is bounded against the bytes
 // that could plausibly hold it and all derived offsets are checked against
 // the file size, so a corrupt footer that survived the CRC (or a
 // fuzzer-built one) fails typed instead of demanding absurd allocations.
-func parseFooter(fbuf []byte, version uint64, size, footerLen int64, path string) (*footerData, error) {
+func parseFooter(fbuf []byte, size, footerLen int64, path string) (*footerData, error) {
 	c := cursor{buf: fbuf}
 	bad := func(format string, args ...any) (*footerData, error) {
 		return nil, corruptf("segment %s: footer: %s", path, fmt.Sprintf(format, args...))
 	}
 
-	foot := footerData{version: version}
-	if version >= 2 {
-		v, err := c.uvarint()
-		if err != nil {
-			return bad("version: %v", err)
-		}
-		if v != version {
-			return bad("version %d, header says %d", v, version)
-		}
+	var foot footerData
+	v, err := c.uvarint()
+	if err != nil {
+		return bad("version: %v", err)
+	}
+	if v != formatVersion {
+		return bad("version %d, header says %d", v, formatVersion)
 	}
 	vals := make([]int, index.StatsFieldCount)
 	for i := range vals {
@@ -323,24 +309,22 @@ func parseFooter(fbuf []byte, version uint64, size, footerLen int64, path string
 		return bad("%v", err)
 	}
 	off := foot.meta.off + foot.meta.cLen
-	if version >= 2 {
-		if foot.values, err = section("values", off, true); err != nil {
-			return bad("%v", err)
-		}
-		off += foot.values.cLen
+	if foot.values, err = section("values", off, true); err != nil {
+		return bad("%v", err)
 	}
+	off += foot.values.cLen
 
 	nBlocks, err := c.uvarint()
 	if err != nil {
 		return bad("block count: %v", err)
 	}
-	// Each block entry is at least 2 (version 2) or 3 varint bytes.
+	// Each block entry is at least 2 varint bytes.
 	if nBlocks > uint64(c.remaining())/2 {
 		return bad("block count %d exceeds what %d footer bytes can hold", nBlocks, c.remaining())
 	}
 	foot.blocks = make([]blockMeta, nBlocks)
 	for i := range foot.blocks {
-		bm, err := section(fmt.Sprintf("block %d", i), off, version == 1)
+		bm, err := section(fmt.Sprintf("block %d", i), off, false)
 		if err != nil {
 			return bad("%v", err)
 		}
@@ -392,8 +376,7 @@ func parseFooter(fbuf []byte, version uint64, size, footerLen int64, path string
 			return bad("term %q: block %d of %d", term, block, len(foot.blocks))
 		}
 		uLen := uint64(foot.blocks[block].uLen)
-		// Every posting occupies at least one byte of the (inflated)
-		// block, so offset + count must fit inside it.
+		// Every posting occupies at least one byte of the block, so offset + count must fit inside it.
 		if offIn > uLen || count > uLen-offIn {
 			return bad("term %q: %d postings at offset %d exceed block of %d bytes", term, count, offIn, uLen)
 		}
@@ -441,7 +424,7 @@ const maxInflateRatio = 1032
 // inflate decompresses a flate stream that must yield exactly uLen bytes,
 // into a slice of exactly that capacity: the block cache accounts a block
 // by len(data), so spare capacity would be resident memory it cannot see.
-// It serves the version-2 values section and version-1 posting blocks.
+// It serves the values section.
 func inflate(cbuf []byte, uLen int64) ([]byte, error) {
 	// A claim no stream of this size can meet is a corrupt frame, caught
 	// before the allocation it asks for.
@@ -540,7 +523,7 @@ func (r *Reader) Postings(term string) ([]int32, error) {
 }
 
 // fetchBlock returns block b's posting bytes, via the cache: a miss is one
-// pread plus a CRC, and on a version-1 file an inflate.
+// pread plus a CRC; blocks are stored raw, so nothing is inflated.
 func (r *Reader) fetchBlock(b int32) ([]byte, error) {
 	key := cacheKey{rid: r.rid, block: b}
 	if data, ok := r.cache.get(key); ok {
@@ -560,12 +543,6 @@ func (r *Reader) fetchBlock(b int32) ([]byte, error) {
 	}
 	if crc32.ChecksumIEEE(data) != bm.crc {
 		return nil, corruptf("segment %s: block %d: checksum mismatch", r.path, b)
-	}
-	if r.inflateBlocks {
-		var err error
-		if data, err = r.inflate(data, bm.uLen); err != nil {
-			return nil, corruptf("segment %s: block %d: %v", r.path, b, err)
-		}
 	}
 	r.metrics.ObserveBlockFetch(time.Since(start))
 	r.cache.put(key, data)

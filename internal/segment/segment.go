@@ -18,8 +18,6 @@
 // one pread plus one CRC, and the cache holds the file's bytes. The value
 // arena is read only at open (into the resident node table) and then by
 // DI, snippets and XPath, so it is the part that is flate-compressed.
-// Version 1, still read, did the opposite: flate posting blocks and the
-// arena raw inside the meta section.
 //
 // Layout of version 2 (all integers unsigned varints unless noted):
 //
@@ -64,15 +62,11 @@
 //	                                  followed by the footer
 //	    trailer magic "4SKG"          4 bytes
 //
-// Version 1 differs in four places: there is no values section (the meta
-// section is packed-meta version 1, arena inline, or the flat per-node
-// records of writers older than the packed table, which the reader seals
-// into columns on open); each posting block is a flate stream whose footer entry is
-// cLen uLen crc, with offsetInBlock counted in the inflated block; the
-// footer has no version field; and footerCRC covers the footer alone.
-// Because the two footer checksums cover different bytes, a header whose
-// version byte was rewritten fails the checksum instead of reading one
-// version's blocks as the other's.
+// Version 2 is the only version read. Version 1 — flate posting blocks,
+// no values section, a meta section holding its value arena inline or the
+// flat per-node records of older writers — fails as unsupported, as does
+// a version-2 file whose meta section has either older layout: such a
+// segment must be re-indexed from its XML.
 //
 // Every term's list lives wholly inside one block; the writer packs terms
 // into ~DefaultBlockSize bytes per block and lets a single oversized list
@@ -82,9 +76,9 @@
 // time, so a damaged block surfaces as index.ErrCorrupt — never a panic or
 // a silently wrong result.
 //
-// GKS3 snapshots remain fully supported for migration; `gks index
-// -format=gks4` and `gks convert` produce segments, and index.Load paths
-// are untouched (dispatch happens one level up, in the root package).
+// GKS3 snapshots remain fully supported; `gks index -format=gks4` and
+// `gks convert` produce segments, and index.Load paths are untouched
+// (dispatch happens one level up, in the root package).
 package segment
 
 import (
@@ -101,8 +95,8 @@ const (
 	// trailerMagic ends every segment file; the reader locates the footer
 	// from the file tail, so the trailer has its own magic.
 	trailerMagic = "4SKG"
-	// formatVersion is the GKS4 format version written. The reader also
-	// accepts version 1.
+	// formatVersion is the GKS4 format version written, and the only one
+	// read.
 	formatVersion = 2
 	// trailerSize is footerLen(4) + footerCRC(4) + trailerMagic(4).
 	trailerSize = 12
@@ -140,7 +134,7 @@ type Metrics interface {
 	// cache after an insert or eviction.
 	SetBlockCacheBytes(n int64)
 	// ObserveBlockFetch records the latency of one disk block fetch
-	// (pread + CRC, plus inflate on a version-1 file), cache misses only.
+	// (pread + CRC), cache misses only.
 	ObserveBlockFetch(d time.Duration)
 }
 
@@ -154,8 +148,8 @@ func (nopMetrics) SetBlockCacheBytes(int64)        {}
 func (nopMetrics) ObserveBlockFetch(time.Duration) {}
 
 // IsSegmentFile sniffs path's magic bytes. It reports false on any read
-// error — callers fall through to the GKS3/GKSI/gob loaders, which produce
-// the proper error for a missing or unreadable file.
+// error — callers fall through to the GKS3 loader, which produces the
+// proper error for a missing or unreadable file.
 func IsSegmentFile(path string) bool {
 	f, err := openFile(path)
 	if err != nil {

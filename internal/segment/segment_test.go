@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 	"repro/internal/xmltree"
 )
 
-func tinyIndex(t *testing.T) *index.Index {
+func tinyIndex(t testing.TB) *index.Index {
 	t.Helper()
 	ix, err := index.BuildDocument(xmltree.BuildFigure2a(), index.DefaultOptions())
 	if err != nil {
@@ -32,7 +31,7 @@ func bigIndex(t *testing.T) *index.Index {
 	return ix
 }
 
-func writeTemp(t *testing.T, ix *index.Index, opts WriterOptions) string {
+func writeTemp(t testing.TB, ix *index.Index, opts WriterOptions) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.gks4")
 	if err := WriteFileOpts(path, ix, opts); err != nil {
@@ -66,65 +65,6 @@ func assertSamePostings(t *testing.T, ix *index.Index, r *Reader) {
 	}
 	if terms != r.TermCount() || terms != ix.Stats.DistinctKeywords {
 		t.Fatalf("terms walked = %d, TermCount = %d, DistinctKeywords = %d", terms, r.TermCount(), ix.Stats.DistinctKeywords)
-	}
-}
-
-// TestOpenFlatMetaSegment: a segment whose meta section holds the flat
-// per-node records (the testdata images, written before the packed table
-// was the only one) opens into a packed index answering exactly like a
-// fresh build of the same documents.
-func TestOpenFlatMetaSegment(t *testing.T) {
-	assertFixturesMatchFreshBuild(t, "fig2a-flat-meta.gks4", "multi-flat-meta.gks4")
-}
-
-// TestOpenPackedV1Segment: version-1 segments with a packed meta section
-// (inline value arena, flate posting blocks; the testdata images were
-// written by the version-1 writer, multi at a 64-byte block size) open
-// into an index answering exactly like a fresh build.
-func TestOpenPackedV1Segment(t *testing.T) {
-	assertFixturesMatchFreshBuild(t, "fig2a-packed-v1.gks4", "multi-packed-v1.gks4")
-}
-
-// fixtureRepo returns the documents a testdata segment indexes:
-// "fig2a-…" holds Figure 2(a), "multi-…" Figure 2(a) then Figure 1.
-func fixtureRepo(name string) *xmltree.Repository {
-	if strings.HasPrefix(name, "fig2a-") {
-		return datagen.Repo(xmltree.BuildFigure2a())
-	}
-	multi := &xmltree.Repository{}
-	multi.Add(xmltree.BuildFigure2a())
-	multi.Add(xmltree.BuildFigure1())
-	return multi
-}
-
-// assertFixturesMatchFreshBuild opens each testdata segment and checks
-// its stats, every row and every posting list against a fresh build.
-func assertFixturesMatchFreshBuild(t *testing.T, names ...string) {
-	t.Helper()
-	for _, name := range names {
-		want, err := index.Build(fixtureRepo(name), index.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenFile(filepath.Join("testdata", name), Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := r.Index()
-		if err := got.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Stats != want.Stats || got.NodeCount() != want.NodeCount() {
-			t.Fatalf("%s: stats %+v over %d rows, want %+v over %d", name, got.Stats, got.NodeCount(), want.Stats, want.NodeCount())
-		}
-		for ord := int32(0); ord < int32(want.NodeCount()); ord++ {
-			if got.IDOf(ord).String() != want.IDOf(ord).String() || got.LabelOf(ord) != want.LabelOf(ord) ||
-				got.CatOf(ord) != want.CatOf(ord) || got.ValueAt(ord) != want.ValueAt(ord) {
-				t.Fatalf("%s: row %d differs from a fresh build", name, ord)
-			}
-		}
-		assertSamePostings(t, want, r)
-		r.Close()
 	}
 }
 

@@ -1,15 +1,13 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-// v1Fixtures are the committed version-1 segments, flat and packed meta.
-var v1Fixtures = []string{"fig2a-flat-meta.gks4", "multi-flat-meta.gks4", "fig2a-packed-v1.gks4", "multi-packed-v1.gks4"}
 
 // openImage writes img to a temp file and opens it.
 func openImage(t *testing.T, img []byte) (*Reader, error) {
@@ -21,10 +19,8 @@ func openImage(t *testing.T, img []byte) (*Reader, error) {
 	return OpenFile(path, Options{CacheBytes: -1})
 }
 
-// rewriteFooter re-encodes the version-2 footer of img after edit and
-// re-seals the trailer, so the damage edit makes reaches the checks behind
-// the footer checksum.
-func rewriteFooter(t testing.TB, img []byte, edit func(*footerData)) []byte {
+// footerOf parses the footer of the version-2 image img.
+func footerOf(t testing.TB, img []byte) (foot *footerData, hdrLen int) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "src.gks4")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
@@ -35,23 +31,50 @@ func rewriteFooter(t testing.TB, img []byte, edit func(*footerData)) []byte {
 		t.Fatal(err)
 	}
 	f.Close()
-	if foot.version != formatVersion {
-		t.Fatalf("rewriteFooter needs a version-%d image, got %d", formatVersion, foot.version)
-	}
+	return foot, hdrLen
+}
+
+// rewriteFooter re-encodes the version-2 footer of img after edit and
+// re-seals the trailer, so the damage edit makes reaches the checks behind
+// the footer checksum.
+func rewriteFooter(t testing.TB, img []byte, edit func(*footerData)) []byte {
+	t.Helper()
+	foot, hdrLen := footerOf(t, img)
 	edit(foot)
+	return sealFooter(bodyOf(img), img[:hdrLen], foot.encode(), footerCRC)
+}
+
+// bodyOf is img up to its footer: the header and every section.
+func bodyOf(img []byte) []byte {
 	footerLen := int(binary.LittleEndian.Uint32(img[len(img)-trailerSize:]))
-	out := append([]byte(nil), img[:len(img)-trailerSize-footerLen]...)
-	fb := foot.encode()
-	out = append(out, fb...)
+	return img[:len(img)-trailerSize-footerLen]
+}
+
+// sealFooter appends the footer fb and a trailer whose checksum crc
+// computes over the header hdr and fb to a copy of body.
+func sealFooter(body, hdr, fb []byte, crc func(hdr, footer []byte) uint32) []byte {
+	out := append(bytes.Clone(body), fb...)
 	var tail [trailerSize]byte
 	binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
-	binary.LittleEndian.PutUint32(tail[4:8], footerCRC(img[:hdrLen], fb))
+	binary.LittleEndian.PutUint32(tail[4:8], crc(hdr, fb))
 	copy(tail[8:12], trailerMagic)
 	return append(out, tail[:]...)
 }
 
+// replaceMeta returns the version-2 image good with its meta section
+// replaced by meta, re-framed and re-sealed so the new section reaches
+// the decoder.
+func replaceMeta(t testing.TB, good, meta []byte) []byte {
+	t.Helper()
+	foot, hdrLen := footerOf(t, good)
+	end := foot.meta.off + foot.meta.cLen
+	body := append(append(bytes.Clone(good[:foot.meta.off]), meta...), bodyOf(good)[end:]...)
+	foot.meta = frame(foot.meta.off, meta)
+	return sealFooter(body, good[:hdrLen], foot.encode(), footerCRC)
+}
+
 // v2Image returns the bytes of a fresh version-2 segment of the tiny index.
-func v2Image(t *testing.T, opts WriterOptions) []byte {
+func v2Image(t testing.TB, opts WriterOptions) []byte {
 	t.Helper()
 	img, err := os.ReadFile(writeTemp(t, tinyIndex(t), opts))
 	if err != nil {
@@ -61,25 +84,14 @@ func v2Image(t *testing.T, opts WriterOptions) []byte {
 }
 
 // TestVersionByteRewritten: the header's version varint sits outside every
-// section CRC, so the footer repeats it and a version-2 footer checksum
-// covers the header. A version-1 file relabelled 2, and a version-2 file
-// relabelled 1, must fail typed: version-1 flate blocks read as raw ones
-// pass every block CRC (it covers the stored bytes) and decode to wrong
-// postings.
+// section CRC, so the footer repeats it and the footer checksum covers the
+// header. A version-2 file relabelled 1 or 3 must fail typed.
 func TestVersionByteRewritten(t *testing.T) {
 	images := map[string][]byte{}
-	for _, name := range v1Fixtures {
-		img, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img[len(magic)] != 1 {
-			t.Fatalf("%s: header version %d, want 1", name, img[len(magic)])
-		}
-		img[len(magic)] = 2
-		images[name+" as v2"] = img
-	}
 	img := v2Image(t, WriterOptions{})
+	three := bytes.Clone(img)
+	three[len(magic)] = 3
+	images["v2 as v3"] = three
 	if img[len(magic)] != 2 {
 		t.Fatalf("writer header version %d, want 2", img[len(magic)])
 	}
@@ -110,15 +122,18 @@ func TestVersionByteRewritten(t *testing.T) {
 // field disagrees with the header fails typed even when its checksum is
 // resealed.
 func TestFooterVersionMustMatchHeader(t *testing.T) {
-	img := rewriteFooter(t, v2Image(t, WriterOptions{}), func(f *footerData) { f.version = 3 })
+	good := v2Image(t, WriterOptions{})
+	foot, hdrLen := footerOf(t, good)
+	fb := foot.encode()
+	fb[0] = 3 // the footer's version varint
+	img := sealFooter(bodyOf(good), good[:hdrLen], fb, footerCRC)
 	if _, err := openImage(t, img); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("error %v, want ErrCorrupt", err)
 	}
 }
 
-// TestV2PostingsNeverInflate: on a version-2 file flate runs once, at open
-// (the values section), and never on the posting path; a version-1 file
-// still inflates its blocks.
+// TestV2PostingsNeverInflate: flate runs once, at open (the values
+// section), and never on the posting path.
 func TestV2PostingsNeverInflate(t *testing.T) {
 	ix := bigIndex(t)
 	path := writeTemp(t, ix, WriterOptions{BlockSize: 1 << 10})
@@ -137,21 +152,6 @@ func TestV2PostingsNeverInflate(t *testing.T) {
 	}
 	if n := r.inflates.Load(); n != 1 {
 		t.Fatalf("%d inflates after the posting walk of a version-2 file, want the 1 of open", n)
-	}
-
-	v1, err := OpenFile(filepath.Join("testdata", "multi-packed-v1.gks4"), Options{CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if n := v1.inflates.Load(); n != 0 {
-		t.Fatalf("opening a version-1 file inflated %d times", n)
-	}
-	if _, err := v1.Postings("ai"); err != nil {
-		t.Fatal(err)
-	}
-	if v1.inflates.Load() != 1 {
-		t.Fatal("a version-1 block fetch did not inflate")
 	}
 }
 
@@ -181,15 +181,7 @@ func TestValuesSectionDamage(t *testing.T) {
 // section holding one byte more than the meta's arena length.
 func valuesDamage(t testing.TB, good []byte) map[string][]byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "good.gks4")
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, _, foot, err := openFooter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	foot, _ := footerOf(t, good)
 	v := foot.values
 	flip := append([]byte(nil), good...)
 	flip[v.off+v.cLen/2] ^= 0x10
@@ -226,15 +218,7 @@ func valuesDamage(t testing.TB, good []byte) map[string][]byte {
 // needs at least two instances.
 func nodeEncodingDamage(t testing.TB, good []byte) map[string][]byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "good.gks4")
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, hdrLen, foot, err := openFooter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	foot, _ := footerOf(t, good)
 	meta := good[foot.meta.off : foot.meta.off+foot.meta.cLen]
 	c := cursor{buf: meta}
 	next := func() uint64 {
@@ -293,20 +277,7 @@ func nodeEncodingDamage(t testing.TB, good []byte) map[string][]byte {
 			}
 		}
 		dam = append(dam, rest...)
-		ft := *foot
-		ft.meta = frame(foot.meta.off, dam)
-		fb := ft.encode()
-		img := append(append([]byte(nil), good[:foot.meta.off]...), dam...)
-		img = append(img, good[foot.meta.off+foot.meta.cLen:foot.values.off+foot.values.cLen]...)
-		for _, b := range foot.blocks {
-			img = append(img, good[b.off:b.off+b.cLen]...)
-		}
-		img = append(img, fb...)
-		var tail [trailerSize]byte
-		binary.LittleEndian.PutUint32(tail[0:4], uint32(len(fb)))
-		binary.LittleEndian.PutUint32(tail[4:8], footerCRC(good[:hdrLen], fb))
-		copy(tail[8:12], trailerMagic)
-		out[name] = append(img, tail[:]...)
+		out[name] = replaceMeta(t, good, dam)
 	}
 	return out
 }

@@ -68,7 +68,7 @@ func Write(w io.Writer, ix *index.Index, opts WriterOptions) error {
 
 	// Pack whole terms into blocks of ~BlockSize bytes, stored raw.
 	var (
-		foot    = footerData{version: formatVersion, stats: ix.Stats}
+		foot    = footerData{stats: ix.Stats}
 		blocks  [][]byte
 		cur     []byte
 		scratch []byte
@@ -135,7 +135,7 @@ func frame(off int64, data []byte) blockMeta {
 func (foot *footerData) encode() []byte {
 	var f []byte
 	put := func(v int64) { f = binary.AppendUvarint(f, uint64(v)) }
-	put(int64(foot.version))
+	put(formatVersion)
 	for _, v := range foot.stats.Fields() {
 		put(int64(v))
 	}

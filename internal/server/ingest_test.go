@@ -402,6 +402,7 @@ func FuzzAdminDocs(f *testing.F) {
 	f.Add([]byte(`{"name":"a","xml":"<r/>","extra":1}`))
 	f.Add([]byte(`{"name":"a","xml":"<r/>"} trailing`))
 	f.Add([]byte(`{"name":"` + strings.Repeat("n", 600) + `","xml":"<r/>"}`))
+	f.Add([]byte(`{"name":"deep.xml","xml":"` + strings.Repeat("<a>", 2000) + "x" + strings.Repeat("</a>", 2000) + `"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		name, src, err := parseDocRequest(body)
 		if err != nil {

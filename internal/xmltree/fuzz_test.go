@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ func FuzzParse(f *testing.F) {
 		`<a xmlns:x="u"><x:b/></a>`,
 		`<a>` + "\x00" + `</a>`,
 		`<a><![CDATA[cdata text]]></a>`,
+		// A chain of depth 2 000, whose Dewey paths total two million
+		// components.
+		strings.Repeat("<a>", 2000) + "x" + strings.Repeat("</a>", 2000),
 	}
 	for _, s := range seeds {
 		f.Add(s)

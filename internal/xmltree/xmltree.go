@@ -232,8 +232,9 @@ func (d *Document) FindByID(id dewey.ID) *Node {
 }
 
 // Parse reads one XML document from r. XML attributes become leading child
-// elements; comments, processing instructions and directives are ignored;
-// whitespace-only character data is dropped.
+// elements, each holding its value as a text child; comments, processing
+// instructions and directives are ignored. Character data and attribute
+// values alike are trimmed, and give no text child when nothing is left.
 func Parse(r io.Reader, docID int32, name string) (*Document, error) {
 	dec := xml.NewDecoder(r)
 	var root *Node
@@ -253,7 +254,11 @@ func Parse(r io.Reader, docID int32, name string) (*Document, error) {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
 				}
-				n.Append(ET(a.Name.Local, a.Value))
+				at := E(a.Name.Local)
+				if v := strings.TrimSpace(a.Value); v != "" {
+					at.Append(T(v))
+				}
+				n.Append(at)
 			}
 			if len(stack) == 0 {
 				if root != nil {

@@ -356,3 +356,31 @@ func TestBuildFigure1Shape(t *testing.T) {
 		t.Errorf("first child = %s", got)
 	}
 }
+
+// TestParseAttributeValues: attribute values are read as character data
+// is — trimmed, and no text child when nothing is left — so a parsed
+// attribute re-parses from WriteXML to the same tree.
+func TestParseAttributeValues(t *testing.T) {
+	d, err := ParseString(`<r k=" v " e="" s="  "/>`, 0, "attrs.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, e, s := d.Root.Children[0], d.Root.Children[1], d.Root.Children[2]
+	if len(k.Children) != 1 || k.Value() != "v" {
+		t.Errorf("k: %d children, value %q; want one text child \"v\"", len(k.Children), k.Value())
+	}
+	if len(e.Children) != 0 || len(s.Children) != 0 {
+		t.Errorf("empty and blank values: %d and %d children, want none", len(e.Children), len(s.Children))
+	}
+	var buf bytes.Buffer
+	if err := WriteXML(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseString(buf.String(), 0, "attrs.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NodeCount() != d.NodeCount() {
+		t.Errorf("re-parse of %s has %d nodes, want %d", buf.String(), back.NodeCount(), d.NodeCount())
+	}
+}

@@ -19,7 +19,7 @@ import (
 
 // Differential tests for the packed (DAG-compressed) node table, the only
 // one a system serves from. The accessor oracle in internal/index pins
-// every accessor against the builder's flat rows; this file pins the whole
+// every accessor against the reference builder's rows; this file pins the whole
 // read surface of systems whose packed tables were reached different ways
 // — built, reloaded, delta-appended, compacted, repacked — against
 // each other and against cold rebuilds, and under concurrent search.
@@ -374,10 +374,10 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				t.Fatalf("compacted doc names diverge: delta=%v cold=%v", fc.DocNames, cc.DocNames)
 			}
 			var fb, cb bytes.Buffer
-			if err := fc.SaveBinary(&fb); err != nil {
+			if err := fc.SaveSnapshot(&fb); err != nil {
 				t.Fatal(err)
 			}
-			if err := cc.SaveBinary(&cb); err != nil {
+			if err := cc.SaveSnapshot(&cb); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
